@@ -24,6 +24,7 @@ from gridcast.grid import (
     build_grid,
     frontier_segments,
     rows_covering,
+    time_split,
 )
 from gridcast.models import ModelConfig, TrainConfig, build_model, train
 from gridcast.synth import SynthParams, synth_generate
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
           f"{n_break} breakouts ({n_break / len(sizes):.0%})")
 
     grid = build_grid(stream, args.d, 0.0, rows_covering(stream, args.d, 0.0))
-    r_split = min(max(int(grid.spec.n_rows * 0.7), 1), grid.spec.n_rows - 1)
+    r_split, _ = time_split(grid, 0.7)
     tensor = assemble_features(grid, CHANNEL_ORDER)
     model = build_model(
         ModelConfig(kind="reply", channels=CHANNEL_ORDER, window=(16, 12),

@@ -16,8 +16,6 @@ import csv
 import sys
 import time
 
-import numpy as np
-
 from gridcast.evaluate import (
     EvalReport,
     MeanGapBaseline,
@@ -37,6 +35,7 @@ from gridcast.grid import (
     frontier_segments,
     rows_covering,
     slice_segments,
+    time_split,
 )
 from gridcast.models import ModelConfig, TrainConfig, build_model, train
 from gridcast.synth import SynthParams, synth_generate
@@ -74,9 +73,7 @@ def main(argv=None) -> int:
     grid = build_grid(stream, args.d, 0.0, rows_covering(stream, args.d, 0.0))
     print(f"stream: {len(stream)} cascades, grid {grid.spec.n_rows}x{grid.spec.n_cols}")
 
-    r_split = min(max(int(grid.spec.n_rows * args.train_frac), 1),
-                  grid.spec.n_rows - 1)
-    col_split = int(np.searchsorted(grid.arrival_rows, r_split))
+    r_split, col_split = time_split(grid, args.train_frac)
     tensor = assemble_features(grid, CHANNEL_ORDER)
     tt = stream.thread_times
     h, w = args.window

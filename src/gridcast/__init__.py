@@ -8,7 +8,6 @@ next interval's reply counts; on top of them sit closed-loop cascade
 simulation, breakout identification, and an evaluation harness.
 """
 
-from .baselines import BaselineKind, baseline_predict
 from .checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
@@ -28,6 +27,7 @@ from .forecast import (
     default_breakout_horizon,
 )
 from .evaluate import (
+    BaselineKind,
     EvalReport,
     EvalTask,
     SweepConfig,
@@ -58,6 +58,7 @@ from .grid import (
     rows_covering,
     frontier_segments,
     slice_segments,
+    time_split,
     zeros_gap,
 )
 from .models import (

@@ -1,14 +1,9 @@
 """Model checkpoints: one self-describing binary file.
 
-Layout, all integers little-endian:
-
-    bytes 0-7    magic  b"GCASTCKP"
-    bytes 8-11   format version (u32)
-    bytes 12-19  header length in bytes (u64)
-    header       canonical JSON (sorted keys): model config, free-form
-                 metadata, array manifest (name / shape / dtype), the
-                 payload byte count and its CRC-32
-    payload      arrays back to back, C order, little-endian
+The file is the shared container (see container.py) with magic
+b"GCASTCKP". Its header holds the model config, free-form metadata and
+the array manifest (name / shape / dtype); its payload holds the arrays
+back to back, C order, little-endian.
 
 Parameters are stored at their live precision (float32 for standard
 models, so "<f4" payloads); batch-norm running statistics ride along as
@@ -18,14 +13,13 @@ file byte for byte.
 """
 from __future__ import annotations
 
-import json
-import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
+from .container import Format, read_container, write_container
 from .models import ModelConfig, build_model
+from .tcn import load_state, state_arrays
 
 MAGIC = b"GCASTCKP"
 VERSION = 1
@@ -47,38 +41,38 @@ class CheckpointFormatError(CheckpointError):
     pass
 
 
+FORMAT = Format(
+    "checkpoint", MAGIC, VERSION, CheckpointError, CheckpointVersionError, CheckpointCorruptError
+)
+
+
 def _le(dtype) -> str:
     return np.dtype(dtype).newbyteorder("<").str
-
-
-def _state_arrays(model) -> list[tuple[str, np.ndarray]]:
-    arrays = [(name, p.value) for name, p in model.named_params()]
-    arrays += [(name, buf) for name, buf in model.named_buffers()]
-    return arrays
 
 
 def save_checkpoint(model, path: str | Path, meta: dict | None = None) -> None:
     manifest = []
     chunks = []
-    for name, arr in _state_arrays(model):
+    for name, arr in state_arrays(model):
         le = _le(arr.dtype)
         manifest.append({"name": name, "shape": list(arr.shape), "dtype": le})
         chunks.append(np.ascontiguousarray(arr, dtype=le).tobytes())
-    payload = b"".join(chunks)
-    header = {
-        "arrays": manifest,
-        "meta": meta or {},
-        "model": model.config.to_json_dict(),
-        "payload_bytes": len(payload),
-        "payload_crc32": zlib.crc32(payload),
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    header = {"arrays": manifest, "meta": meta or {}, "model": model.config.to_json_dict()}
+    write_container(FORMAT, path, header, b"".join(chunks))
+
+
+def _payload_arrays(path, manifest, payload: bytes):
+    """Yield (name, array) for each manifest entry, in payload order."""
+    pos = 0
+    for name, shape, dt in manifest:
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+        chunk = payload[pos : pos + nbytes]
+        pos += nbytes
+        if len(chunk) != nbytes:
+            raise CheckpointCorruptError(f"{path}: payload ends inside {name!r}")
+        yield name, np.frombuffer(chunk, dtype=dt).reshape(shape)
+    if pos != len(payload):
+        raise CheckpointCorruptError(f"{path}: {len(payload) - pos} stray payload bytes")
 
 
 def load_checkpoint(path: str | Path):
@@ -88,78 +82,24 @@ def load_checkpoint(path: str | Path):
     version, CRC/length damage, or arrays whose names or shapes do not
     match the model the stored config describes.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(MAGIC)
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if version != VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, this build reads {VERSION}"
-        )
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    if off + hlen > len(raw):
-        raise CheckpointCorruptError(f"{path}: truncated header")
+    header, payload = read_container(FORMAT, path)
     try:
-        header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruptError(f"{path}: unreadable header: {exc}") from exc
-    off += hlen
-    payload = raw[off:]
-    if len(payload) != header["payload_bytes"]:
-        raise CheckpointCorruptError(
-            f"{path}: payload is {len(payload)} bytes, header says "
-            f"{header['payload_bytes']}"
-        )
-    if zlib.crc32(payload) != header["payload_crc32"]:
-        raise CheckpointCorruptError(f"{path}: payload CRC mismatch")
-
-    config = ModelConfig.from_json_dict(header["model"])
-    manifest = header["arrays"]
+        config = ModelConfig.from_json_dict(header["model"])
+        manifest = [
+            (e["name"], tuple(int(n) for n in e["shape"]), np.dtype(e["dtype"]))
+            for e in header["arrays"]
+        ]
+        meta = header["meta"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: malformed header: {exc!r}") from exc
     if not manifest:
         raise CheckpointFormatError(f"{path}: empty array manifest")
-    model_dtype = np.dtype(manifest[0]["dtype"])
-    model = build_model(config, seed=0, dtype=model_dtype)
-
-    params = dict(model.named_params())
-    buffers = dict(model.named_buffers())
-    pos = 0
-    seen = set()
-    for entry in manifest:
-        name, shape = entry["name"], tuple(entry["shape"])
-        dt = np.dtype(entry["dtype"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        chunk = payload[pos : pos + nbytes]
-        pos += nbytes
-        if len(chunk) != nbytes:
-            raise CheckpointCorruptError(f"{path}: payload ends inside {name!r}")
-        arr = np.frombuffer(chunk, dtype=dt).reshape(shape)
-        if name in params:
-            want = params[name].value.shape
-            if shape != want:
-                raise CheckpointFormatError(
-                    f"{path}: parameter {name!r} has shape {shape}, model built "
-                    f"from the stored config expects {want}"
-                )
-            params[name].value[...] = arr
-        elif name in buffers:
-            if shape != buffers[name].shape:
-                raise CheckpointFormatError(
-                    f"{path}: buffer {name!r} has shape {shape}, expected "
-                    f"{buffers[name].shape}"
-                )
-            model.set_buffer(name, arr.astype(buffers[name].dtype))
-        else:
-            raise CheckpointFormatError(f"{path}: unknown array {name!r}")
-        seen.add(name)
-    missing = (set(params) | set(buffers)) - seen
-    if missing:
-        raise CheckpointFormatError(f"{path}: arrays missing: {sorted(missing)}")
-    if pos != len(payload):
-        raise CheckpointCorruptError(f"{path}: {len(payload) - pos} stray payload bytes")
-    return model, header["meta"]
+    try:
+        model = build_model(config, seed=0, dtype=manifest[0][2])
+        load_state(model, _payload_arrays(path, manifest, payload))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
+    return model, meta
 
 
 def checkpoint_roundtrip(model, path: str | Path, meta: dict | None = None):

@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunSettings, load_settings, parse_float_list, parse_int_list
 from .dataio import (
@@ -44,6 +42,7 @@ from .grid import (
     frontier_segments,
     rows_covering,
     slice_segments,
+    time_split,
     window_at,
 )
 from .models import (
@@ -134,13 +133,6 @@ def _grid_for(stream, s: RunSettings) -> Grid:
     return build_grid(stream, s.d, s.t0, rows)
 
 
-def _split(grid: Grid, frac: float) -> tuple[int, int]:
-    """Time split: last rows and the threads arriving in them are test."""
-    r_split = min(max(int(grid.spec.n_rows * frac), 1), grid.spec.n_rows - 1)
-    col_split = int(np.searchsorted(grid.arrival_rows, r_split))
-    return r_split, col_split
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -198,7 +190,7 @@ def cmd_grid(args) -> None:
 
 def _train_segments(grid, s: RunSettings, kind: str):
     tensor = assemble_features(grid, CHANNEL_SETS[s.channels])
-    r_split, col_split = _split(grid, s.train_frac)
+    r_split, col_split = time_split(grid, s.train_frac)
     if kind == "thread":
         segs = slice_segments(
             tensor, grid, s.window_h, s.window_w, TargetKind.THREAD_GAP,
@@ -374,7 +366,7 @@ def cmd_evaluate(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = _grid_for(stream, s)
-    r_split, col_split = _split(grid, s.train_frac)
+    r_split, col_split = time_split(grid, s.train_frac)
     tt = stream.thread_times
     digest = config_digest({"task": args.task, "seed": s.seed, "d": s.d})
     reports = []

@@ -10,28 +10,25 @@ duplicate records are dropped with a warning count. A reply whose
 thread never appears, a reply before its thread post, or a malformed
 line is an error that names the offending line.
 
-Grids serialise to a small binary container mirroring the checkpoint
-layout (magic, version, JSON header, little-endian payload, CRC-32).
+Grids serialise to the binary container checkpoints also use (see
+container.py): the spec in the header, then counts and arrival rows
+as little-endian int64.
 """
 from __future__ import annotations
 
 import csv
 import json
 import logging
-import struct
-import zlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import Format, read_container, write_container
 from .grid import EventStream, Grid, GridSpec, ThreadCascade
 
 log = logging.getLogger("gridcast")
-
-GRID_MAGIC = b"GCASTGRD"
-GRID_VERSION = 1
-
 
 class EventParseError(ValueError):
     pass
@@ -39,6 +36,9 @@ class EventParseError(ValueError):
 
 class GridFileError(ValueError):
     pass
+
+
+GRID_FILE = Format("grid", b"GCASTGRD", 1, GridFileError, GridFileError, GridFileError)
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,12 @@ def _record(line: str, line_no: int) -> EventRecord | None:
         raise EventParseError(f"line {line_no}: kind must be 'thread' or 'reply'")
     if not isinstance(ts, (int, float)) or isinstance(ts, bool):
         raise EventParseError(f"line {line_no}: ts must be a number")
+    try:
+        finite = math.isfinite(ts)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise EventParseError(f"line {line_no}: ts must be finite")
     return EventRecord(thread_id=thread_id, kind=kind, ts=float(ts))
 
 
@@ -152,51 +158,34 @@ def serialize_events(stream: EventStream, path: str | Path) -> None:
 def save_grid(grid: Grid, path: str | Path) -> None:
     counts = np.ascontiguousarray(grid.counts, dtype="<i8").tobytes()
     arrival = np.ascontiguousarray(grid.arrival_rows, dtype="<i8").tobytes()
-    payload = counts + arrival
     header = {
         "d": grid.spec.d,
         "t0": grid.spec.t0,
         "n_rows": grid.spec.n_rows,
         "n_cols": grid.spec.n_cols,
         "dropped_events": grid.dropped_events,
-        "payload_bytes": len(payload),
-        "payload_crc32": zlib.crc32(payload),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<I", GRID_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    write_container(GRID_FILE, path, header, counts + arrival)
 
 
 def load_grid(path: str | Path) -> Grid:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(GRID_MAGIC) + 12 or raw[: len(GRID_MAGIC)] != GRID_MAGIC:
-        raise GridFileError(f"{path}: not a grid file (bad magic)")
-    off = len(GRID_MAGIC)
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if version != GRID_VERSION:
-        raise GridFileError(f"{path}: grid format version {version}, expected {GRID_VERSION}")
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    header, payload = read_container(GRID_FILE, path)
     try:
-        header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise GridFileError(f"{path}: unreadable header: {exc}") from exc
-    off += hlen
-    payload = raw[off:]
-    if len(payload) != header["payload_bytes"]:
-        raise GridFileError(f"{path}: truncated payload")
-    if zlib.crc32(payload) != header["payload_crc32"]:
-        raise GridFileError(f"{path}: payload CRC mismatch")
-    n_rows, n_cols = header["n_rows"], header["n_cols"]
-    cells = n_rows * n_cols * 8
-    counts = np.frombuffer(payload[:cells], dtype="<i8").reshape(n_rows, n_cols)
+        if not all(isinstance(header[k], int) for k in ("n_rows", "n_cols", "dropped_events")):
+            raise TypeError("n_rows, n_cols and dropped_events must be integers")
+        spec = GridSpec(
+            d=header["d"], t0=header["t0"], n_rows=header["n_rows"], n_cols=header["n_cols"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GridFileError(f"{path}: malformed header: {exc!r}") from exc
+    cells = spec.n_rows * spec.n_cols * 8
+    if len(payload) != cells + spec.n_cols * 8:
+        raise GridFileError(
+            f"{path}: payload is {len(payload)} bytes, a {spec.n_rows}x{spec.n_cols} "
+            f"grid takes {cells + spec.n_cols * 8}"
+        )
+    counts = np.frombuffer(payload[:cells], dtype="<i8").reshape(spec.n_rows, spec.n_cols)
     arrival = np.frombuffer(payload[cells:], dtype="<i8")
-    spec = GridSpec(d=header["d"], t0=header["t0"], n_rows=n_rows, n_cols=n_cols)
     return Grid(
         spec=spec,
         counts=counts.astype(np.int64),

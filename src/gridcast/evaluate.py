@@ -38,7 +38,6 @@ from enum import Enum
 
 import numpy as np
 
-from .baselines import BaselineKind
 from .forecast import ForecastState, adaptive_forecast, roll_reply_row
 from .grid import (
     CHANNEL_ORDER,
@@ -46,13 +45,13 @@ from .grid import (
     EventStream,
     Grid,
     GridError,
-    GridSpec,
     TargetKind,
     assemble_features,
     build_grid,
     frontier_segments,
     rows_covering,
     slice_segments,
+    time_split,
     window_at,
 )
 from .models import (
@@ -146,6 +145,11 @@ def _seconds_report(task, errors_s, digest, label="", stddev_s=None) -> EvalRepo
 
 # ---------------------------------------------------------------------------
 # baseline adapters: same duck protocol as the trained models
+
+
+class BaselineKind(Enum):
+    HISTORICAL_MEAN = "historical_mean"
+    PERSISTENCE = "persistence"
 
 
 @dataclass
@@ -348,11 +352,7 @@ def evaluate_adaptive(
     cp_err = {cp: np.zeros((take, n_threads)) for cp in checkpoints}
     for si, j0 in enumerate(starts):
         a0 = int(grid.arrival_rows[j0])
-        sub = Grid(
-            spec=GridSpec(grid.spec.d, grid.spec.t0, a0 + 1, j0 + 1),
-            counts=grid.counts[: a0 + 1, : j0 + 1].copy(),
-            arrival_rows=grid.arrival_rows[: j0 + 1].copy(),
-        )
+        sub = grid.crop(a0 + 1, slice(0, j0 + 1))
         state = ForecastState.from_grid(sub, thread_times=tt[: j0 + 1].tolist())
         adaptive_forecast(state, thread_model, reply_model, n_threads, roll)
         while state.n_rows < int(state.arrival_rows[-1]) + max_cp:
@@ -446,12 +446,7 @@ def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[
         raise GridError("test region shorter than the evaluation span")
     errors = []
     for r0 in starts:
-        sub = Grid(
-            spec=GridSpec(grid.spec.d, grid.spec.t0, r0, grid.spec.n_cols),
-            counts=grid.counts[:r0].copy(),
-            arrival_rows=grid.arrival_rows.copy(),
-        )
-        state = ForecastState.from_grid(sub)
+        state = ForecastState.from_grid(grid.crop(r0))
         for _ in range(span_int):
             roll_reply_row(state, model)
         pred = state.counts[r0 : r0 + span_int]
@@ -486,8 +481,7 @@ def sweep_interval_length(
         grid = build_grid(stream, d, cfg.t0, n_rows)
         tensor = assemble_features(grid, cfg.channels)
         h, w = cfg.window
-        r_split = min(max(int(n_rows * cfg.train_frac), 1), n_rows - 1)
-        col_split = int(np.searchsorted(grid.arrival_rows, r_split))
+        r_split, col_split = time_split(grid, cfg.train_frac)
         tt = stream.thread_times
 
         th_cfg = ModelConfig(

@@ -49,7 +49,6 @@ class ForecastState:
     t0: float
     counts: np.ndarray
     arrival_rows: np.ndarray
-    simulated: np.ndarray  # True where cells were model-filled
     thread_times: list[float]
     n_observed_cols: int
     n_observed_rows: int
@@ -61,6 +60,13 @@ class ForecastState:
     @property
     def n_cols(self) -> int:
         return self.counts.shape[1]
+
+    @property
+    def simulated(self) -> np.ndarray:
+        """True where cells were model-filled: rows rolled or columns
+        appended after the observed grid."""
+        rows = np.arange(self.n_rows)[:, None] >= self.n_observed_rows
+        return rows | (np.arange(self.n_cols)[None, :] >= self.n_observed_cols)
 
     @property
     def simulated_thread_times(self) -> list[float]:
@@ -81,7 +87,6 @@ class ForecastState:
             t0=grid.spec.t0,
             counts=grid.counts.copy(),
             arrival_rows=grid.arrival_rows.copy(),
-            simulated=np.zeros_like(grid.counts, dtype=bool),
             thread_times=list(thread_times),
             n_observed_cols=grid.spec.n_cols,
             n_observed_rows=grid.spec.n_rows,
@@ -113,32 +118,27 @@ def roll_reply_row(state: ForecastState, reply_model) -> np.ndarray:
     raw = np.asarray(reply_model.predict_next_row(window, new_row), dtype=np.float64)
     if raw.shape != (state.n_cols,):
         raise GridError(f"row prediction shape {raw.shape} != ({state.n_cols},)")
-    if np.any(raw < 0):
-        raise GridError("negative reply-count prediction")
-    vals = np.maximum(np.round(raw), 0).astype(np.int64)
+    # one range check: NaN fails it too, and int64 holds every value inside
+    if not np.all((raw >= 0) & (raw < 2.0**63)):
+        raise GridError("reply-count prediction negative, non-finite or >= 2**63")
+    vals = np.round(raw).astype(np.int64)
     vals[state.arrival_rows > new_row] = 0  # still pre-arrival
     at_arrival = state.arrival_rows == new_row
     vals[at_arrival] = np.maximum(vals[at_arrival], 1)  # thread post itself
     state.counts = np.vstack([state.counts, vals[None, :]])
-    state.simulated = np.vstack(
-        [state.simulated, np.ones((1, state.n_cols), dtype=bool)]
-    )
     return raw
 
 
 def append_thread_column(state: ForecastState, o_hat: float) -> int:
     """Add the next simulated cascade; returns its arrival row."""
-    if o_hat < 0:
-        raise GridError(f"negative gap prediction {o_hat}")
+    if not 0 <= o_hat < math.inf:  # NaN fails too
+        raise GridError(f"gap prediction {o_hat} is negative or not finite")
     t_next = arrival_time(state.thread_times[-1], o_hat, state.d, mode="measure")
     r_next = int(state.arrival_rows[-1]) + int(round(o_hat))
     col = np.zeros((state.n_rows, 1), dtype=np.int64)
     if r_next < state.n_rows:
         col[r_next, 0] = 1  # thread post lands inside already-rolled rows
     state.counts = np.hstack([state.counts, col])
-    state.simulated = np.hstack(
-        [state.simulated, np.ones((state.n_rows, 1), dtype=bool)]
-    )
     state.arrival_rows = np.append(state.arrival_rows, r_next)
     state.thread_times.append(t_next)
     return r_next
@@ -257,15 +257,7 @@ def build_breakout_state(
             f"prefix needs {class_row} rows but the grid has {grid.spec.n_rows}"
         )
     c0 = max(0, column - context_cols + 1)
-    spec = GridSpec(
-        d=grid.spec.d, t0=grid.spec.t0, n_rows=class_row, n_cols=column - c0 + 1
-    )
-    sub = Grid(
-        spec=spec,
-        counts=grid.counts[:class_row, c0 : column + 1].copy(),
-        arrival_rows=grid.arrival_rows[c0 : column + 1].copy(),
-    )
-    return ForecastState.from_grid(sub), column - c0
+    return ForecastState.from_grid(grid.crop(class_row, slice(c0, column + 1))), column - c0
 
 
 def default_breakout_horizon(stream: EventStream, d: float, pct: float = 95.0) -> int:

@@ -79,9 +79,6 @@ class EventStream:
     def thread_times(self) -> np.ndarray:
         return np.array([c.thread_time for c in self.cascades], dtype=np.float64)
 
-    def subset(self, lo: int, hi: int) -> "EventStream":
-        return EventStream(self.cascades[lo:hi])
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -157,6 +154,13 @@ class Grid:
         rows = np.arange(self.spec.n_rows)[:, None]
         return (rows < self.arrival_rows[None, :]).astype(np.uint8)
 
+    def crop(self, n_rows: int, cols: slice = slice(None)) -> "Grid":
+        """A copy of the first n_rows rows of the given columns: what was
+        observable at row n_rows."""
+        counts = self.counts[:n_rows, cols].copy()
+        spec = GridSpec(self.spec.d, self.spec.t0, *counts.shape)
+        return Grid(spec=spec, counts=counts, arrival_rows=self.arrival_rows[cols].copy())
+
     def validate(self) -> None:
         """Deep invariant check, meant for tests and ingest paths."""
         if np.any(self.counts < 0):
@@ -223,6 +227,17 @@ def rows_covering(stream: EventStream, d: float, t0: float) -> int:
     """Smallest row count that keeps every event of the stream in window."""
     last = max(c.last_event_time for c in stream.cascades)
     return interval_index(last, t0, d) + 1
+
+
+def time_split(grid: Grid, frac: float) -> tuple[int, int]:
+    """Train/test split in time: (r_split, col_split).
+
+    Rows before r_split, and the col_split threads arriving in them,
+    train; the last rows and the threads arriving in them test. r_split
+    keeps at least one row on each side when the grid has two.
+    """
+    r_split = min(max(int(grid.spec.n_rows * frac), 1), grid.spec.n_rows - 1)
+    return r_split, int(np.searchsorted(grid.arrival_rows, r_split))
 
 
 def relative_time_channel(grid: Grid) -> np.ndarray:
@@ -300,12 +315,10 @@ class Segment:
     """One training window plus its supervision.
 
     For THREAD_GAP the target is the integer row gap to the next thread.
-    For NEXT_ROW the target is the count row just below the window over
-    the window's columns; target_weight zeroes columns that are padding
-    or still pre-arrival at the target row. full_target / full_weight
-    carry the up-shifted count matrix for whole-window supervision,
-    weights zero on padded cells, pre-arrival cells, and rows whose
-    shifted source falls outside the grid.
+    For NEXT_ROW target and target_weight are (h, w): the window's count
+    matrix shifted up one row, so the bottom row is the count row just
+    below the window, and weights that are zero on padding and on
+    pre-arrival cells.
     """
 
     features: np.ndarray
@@ -313,8 +326,6 @@ class Segment:
     anchor: tuple[int, int]
     target: float | np.ndarray
     target_weight: float | np.ndarray = 1.0
-    full_target: np.ndarray | None = None
-    full_weight: np.ndarray | None = None
 
 
 def zeros_gap(grid: Grid, j: int) -> int:
@@ -334,56 +345,23 @@ def slice_segments(
     row_range: tuple[int, int] | None = None,
     col_range: tuple[int, int] | None = None,
 ) -> list[Segment]:
-    """Cut training windows out of a feature tensor.
+    """Cut thread-gap training windows out of a feature tensor.
 
-    NEXT_ROW: one segment per anchor row i, window rows (i-h+1 .. i) by
-    the grid's trailing w columns, target row i+1. row_range restricts
-    the anchor rows (half-open), e.g. for a train/test time split.
-
-    THREAD_GAP: one segment per column j that has a successor, window
-    anchored bottom-right at (arrival_rows[j], j); columns whose arrival
-    lies beyond the materialised rows are skipped. col_range restricts j.
+    One segment per column j that has a successor, window anchored
+    bottom-right at (arrival_rows[j], j); columns whose arrival lies
+    beyond the materialised rows are skipped. col_range restricts j
+    (half-open). Next-row windows come from frontier_segments: kind
+    NEXT_ROW raises GridError, and row_range, which only next-row
+    windows used, is ignored.
     """
+    if kind is TargetKind.NEXT_ROW:
+        raise GridError("slice_segments cuts THREAD_GAP windows; use frontier_segments")
     if h < 1 or w < 1 or stride < 1:
         raise GridError("window dims and stride must be >= 1")
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
     n_rows, n_cols = grid.spec.n_rows, grid.spec.n_cols
     segments: list[Segment] = []
-
-    if kind is TargetKind.NEXT_ROW:
-        lo, hi = row_range if row_range is not None else (0, n_rows - 1)
-        lo, hi = max(lo, 0), min(hi, n_rows - 1)
-        col_lo = n_cols - w
-        real = np.arange(col_lo, n_cols) >= 0  # left-pad flags, length w
-        mask = grid.mask
-        for i in range(lo, hi, stride):
-            feats = window_at(tensor.data, i, n_cols - 1, h, w)
-            target = np.zeros(w, dtype=np.float64)
-            weight = np.zeros(w, dtype=np.float64)
-            cols = np.arange(max(col_lo, 0), n_cols)
-            target[real] = grid.counts[i + 1, cols]
-            weight[real] = 1.0 - mask[i + 1, cols]
-            full_t = np.zeros((h, w), dtype=np.float64)
-            full_w = np.zeros((h, w), dtype=np.float64)
-            for r in range(h):
-                g = i - h + 1 + r  # source grid row of window row r
-                if 0 <= g + 1 < n_rows:
-                    full_t[r, real] = grid.counts[g + 1, cols]
-                    full_w[r, real] = 1.0 - mask[g + 1, cols]
-            segments.append(
-                Segment(
-                    features=feats,
-                    kind=kind,
-                    anchor=(i, n_cols - 1),
-                    target=target,
-                    target_weight=weight,
-                    full_target=full_t,
-                    full_weight=full_w,
-                )
-            )
-        return segments
-
     lo, hi = col_range if col_range is not None else (0, n_cols - 1)
     lo, hi = max(lo, 0), min(hi, n_cols - 1)
     for j in range(lo, hi, stride):
@@ -412,53 +390,36 @@ def frontier_segments(
 ) -> list[Segment]:
     """Next-row windows whose right edge tracks the arrived frontier.
 
-    slice_segments pins NEXT_ROW windows to the grid's trailing w
-    columns; on a grid covering a whole stream those cascades arrive
-    near the bottom rows, so at most anchor rows every supervised cell
-    is still pre-arrival and carries zero weight. For training we
-    instead anchor each window at (i, J_i) where J_i is the newest
-    column already arrived by row i -- the geometry the rolling
-    forecast sees live -- so the corner target is always a real cell.
-    Anchor rows before the first arrival are skipped.
+    Each window is anchored at (i, J_i) where J_i is the newest column
+    already arrived by row i -- the geometry the rolling forecast sees
+    live -- so the corner target is always a real cell. (Windows pinned
+    to the grid's trailing columns would, on a grid covering a whole
+    stream, supervise almost only pre-arrival cells.) Anchor rows
+    before the first arrival are skipped; row_range restricts the
+    anchor rows (half-open), e.g. for a train/test time split.
     """
     if h < 1 or w < 1 or stride < 1:
         raise GridError("window dims and stride must be >= 1")
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
-    n_rows, n_cols = grid.spec.n_rows, grid.spec.n_cols
+    n_rows = grid.spec.n_rows
     lo, hi = row_range if row_range is not None else (0, n_rows - 1)
     lo, hi = max(lo, 0), min(hi, n_rows - 1)
-    mask = grid.mask
+    live = 1.0 - grid.mask
     arrivals = grid.arrival_rows
     segments: list[Segment] = []
     for i in range(lo, hi, stride):
         j_hi = int(np.searchsorted(arrivals, i, side="right")) - 1
         if j_hi < 0:
             continue  # nothing arrived yet
-        feats = window_at(tensor.data, i, j_hi, h, w)
-        cols = np.arange(max(0, j_hi - w + 1), j_hi + 1)
-        real = np.zeros(w, dtype=bool)
-        real[w - len(cols) :] = True
-        target = np.zeros(w, dtype=np.float64)
-        weight = np.zeros(w, dtype=np.float64)
-        target[real] = grid.counts[i + 1, cols]
-        weight[real] = 1.0 - mask[i + 1, cols]
-        full_t = np.zeros((h, w), dtype=np.float64)
-        full_w = np.zeros((h, w), dtype=np.float64)
-        for r in range(h):
-            g = i - h + 1 + r  # source grid row of window row r
-            if 0 <= g + 1 < n_rows:
-                full_t[r, real] = grid.counts[g + 1, cols]
-                full_w[r, real] = 1.0 - mask[g + 1, cols]
+        # the same window one row further down; i + 1 < n_rows always
         segments.append(
             Segment(
-                features=feats,
+                features=window_at(tensor.data, i, j_hi, h, w),
                 kind=TargetKind.NEXT_ROW,
                 anchor=(i, j_hi),
-                target=target,
-                target_weight=weight,
-                full_target=full_t,
-                full_weight=full_w,
+                target=window_at(grid.counts, i + 1, j_hi, h, w).astype(np.float64),
+                target_weight=window_at(live, i + 1, j_hi, h, w),
             )
         )
     return segments

@@ -34,7 +34,7 @@ from .nn import (
     sigmoid,
     softplus,
 )
-from .tcn import TCNStack
+from .tcn import TCNStack, load_state, state_arrays
 
 
 class TrainingDiverged(RuntimeError):
@@ -133,19 +133,14 @@ class _ModelBase:
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state the model needs at eval time."""
-        out = []
-        for block in self.stack.blocks:
-            base = block.norm.gamma.name.rsplit(".", 1)[0]
-            out.append((f"{base}.running_mean", block.norm.running.mean))
-            out.append((f"{base}.running_var", block.norm.running.var))
-        return out
+        return self.stack.named_buffers()
 
-    def set_buffer(self, name: str, array: np.ndarray) -> None:
-        for bname, arr in self.named_buffers():
-            if bname == name:
-                arr[...] = array
-                return
-        raise KeyError(f"no buffer named {name!r}")
+    def astype(self, dtype):
+        """Copy at another precision: the same config built fresh, then
+        loaded with this model's parameters and running stats."""
+        clone = build_model(self.config, dtype=dtype)
+        load_state(clone, state_arrays(self))
+        return clone
 
 
 class ThreadArrivalModel(_ModelBase):
@@ -192,17 +187,6 @@ class ThreadArrivalModel(_ModelBase):
         x = features.astype(self.dtype)[None]
         return float(self.forward(x, train=False)[0])
 
-    def astype(self, dtype) -> "ThreadArrivalModel":
-        clone = object.__new__(ThreadArrivalModel)
-        clone.config = self.config
-        clone.dtype = dtype
-        clone.stack = self.stack.astype(dtype)
-        clone.fc1 = self.fc1.astype(dtype)
-        clone.act = self.act.astype(dtype)
-        clone.fc2 = self.fc2.astype(dtype)
-        clone._cache = None
-        return clone
-
 
 class ReplyCountModel(_ModelBase):
     """Per-cell next-row count estimates, fully convolutional."""
@@ -248,15 +232,6 @@ class ReplyCountModel(_ModelBase):
         per window column. row_index is for ground-truth stand-ins."""
         return self.predict_grid(features)[-1, :]
 
-    def astype(self, dtype) -> "ReplyCountModel":
-        clone = object.__new__(ReplyCountModel)
-        clone.config = self.config
-        clone.dtype = dtype
-        clone.stack = self.stack.astype(dtype)
-        clone.head = self.head.astype(dtype)
-        clone._cache = None
-        return clone
-
 
 def build_model(config: ModelConfig, seed=0, dtype=np.float32):
     if config.kind == "thread":
@@ -291,18 +266,18 @@ def _prepare(model, segments: list[Segment], dtype) -> _Batchset:
     if any(s.kind is not TargetKind.NEXT_ROW for s in segments):
         raise ValueError("reply model wants NEXT_ROW segments")
     if model.config.loss_mode == "corner":
-        keep = [s for s in segments if np.asarray(s.target_weight)[-1] > 0]
+        keep = [s for s in segments if s.target_weight[-1, -1] > 0]
         if not keep:
             raise ValueError("every segment's corner cell is masked")
         x = np.stack([s.features for s in keep]).astype(dtype)
-        y = np.array([np.asarray(s.target)[-1] for s in keep], dtype=np.float64)
+        y = np.array([s.target[-1, -1] for s in keep], dtype=np.float64)
         return _Batchset(x=x, y=y, wgt=None, mode="corner")
-    keep = [s for s in segments if s.full_weight is not None and s.full_weight.sum() > 0]
+    keep = [s for s in segments if s.target_weight.sum() > 0]
     if not keep:
         raise ValueError("every segment is fully masked")
     x = np.stack([s.features for s in keep]).astype(dtype)
-    y = np.stack([s.full_target for s in keep]).astype(np.float64)
-    wgt = np.stack([s.full_weight for s in keep]).astype(np.float64)
+    y = np.stack([s.target for s in keep]).astype(np.float64)
+    wgt = np.stack([s.target_weight for s in keep]).astype(np.float64)
     return _Batchset(x=x, y=y, wgt=wgt, mode="full")
 
 

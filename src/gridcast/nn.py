@@ -53,10 +53,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0
 
-    def astype(self, dtype) -> "Parameter":
-        p = Parameter.of(self.value.astype(dtype), name=self.name, decay=self.decay)
-        return p
-
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype):
     """Zero-mean normal with variance 2/fan_in."""
@@ -454,14 +450,6 @@ class ConvLayer:
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def astype(self, dtype) -> "ConvLayer":
-        clone = object.__new__(ConvLayer)
-        clone.weight = self.weight.astype(dtype)
-        clone.bias = self.bias.astype(dtype)
-        clone.tau = self.tau
-        clone._x = None
-        return clone
-
 
 class BatchNormLayer:
     def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5,
@@ -493,19 +481,6 @@ class BatchNormLayer:
     def params(self) -> list[Parameter]:
         return [self.gamma, self.beta]
 
-    def astype(self, dtype) -> "BatchNormLayer":
-        clone = object.__new__(BatchNormLayer)
-        clone.gamma = self.gamma.astype(dtype)
-        clone.beta = self.beta.astype(dtype)
-        clone.running = RunningStats(
-            mean=self.running.mean.copy(),
-            var=self.running.var.copy(),
-            momentum=self.running.momentum,
-        )
-        clone.eps = self.eps
-        clone._cache = None
-        return clone
-
 
 class PReLULayer:
     """Per-channel learnable slope, initialised to 0.25."""
@@ -529,13 +504,6 @@ class PReLULayer:
     def params(self) -> list[Parameter]:
         return [self.slope]
 
-    def astype(self, dtype) -> "PReLULayer":
-        clone = object.__new__(PReLULayer)
-        clone.slope = self.slope.astype(dtype)
-        clone.axis = self.axis
-        clone._x = None
-        return clone
-
 
 class DenseLayer:
     def __init__(self, rng: np.random.Generator, n_in: int, n_out: int,
@@ -558,10 +526,3 @@ class DenseLayer:
 
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]
-
-    def astype(self, dtype) -> "DenseLayer":
-        clone = object.__new__(DenseLayer)
-        clone.weight = self.weight.astype(dtype)
-        clone.bias = self.bias.astype(dtype)
-        clone._x = None
-        return clone

@@ -36,6 +36,7 @@ class TemporalBlock:
     def __init__(self, rng: np.random.Generator, cfg: BlockConfig,
                  dtype=np.float32, name: str = "block"):
         self.cfg = cfg
+        self.name = name
         self.conv = ConvLayer(rng, cfg.c_in, cfg.c_out, cfg.k_h, cfg.k_w,
                               tau=cfg.tau, dtype=dtype, name=f"{name}.conv")
         self.norm = BatchNormLayer(cfg.c_out, dtype=dtype, name=f"{name}.norm")
@@ -65,16 +66,6 @@ class TemporalBlock:
 
     def params(self) -> list[Parameter]:
         return [p for layer in self.layers() for p in layer.params()]
-
-    def astype(self, dtype) -> "TemporalBlock":
-        clone = object.__new__(TemporalBlock)
-        clone.cfg = self.cfg
-        clone.conv = self.conv.astype(dtype)
-        clone.norm = self.norm.astype(dtype)
-        clone.act1 = self.act1.astype(dtype)
-        clone.proj = None if self.proj is None else self.proj.astype(dtype)
-        clone.act2 = self.act2.astype(dtype)
-        return clone
 
 
 class TCNStack:
@@ -136,8 +127,49 @@ class TCNStack:
     def params(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.params()]
 
+    def named_params(self) -> list[tuple[str, Parameter]]:
+        return [(p.name, p) for p in self.params()]
+
+    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
+        """Non-trainable state eval mode needs: batch-norm running stats."""
+        out = []
+        for block in self.blocks:
+            out.append((f"{block.name}.norm.running_mean", block.norm.running.mean))
+            out.append((f"{block.name}.norm.running_var", block.norm.running.var))
+        return out
+
     def astype(self, dtype) -> "TCNStack":
-        return TCNStack([b.astype(dtype) for b in self.blocks])
+        """Copy at another precision: the same blocks built fresh, then
+        loaded with this stack's parameters and running stats."""
+        rng = np.random.default_rng(0)  # initial weights are overwritten
+        clone = TCNStack(
+            [TemporalBlock(rng, b.cfg, dtype=dtype, name=b.name) for b in self.blocks]
+        )
+        load_state(clone, state_arrays(self))
+        return clone
+
+
+def state_arrays(owner) -> list[tuple[str, np.ndarray]]:
+    """Named parameter values, then named buffers, of a stack or model."""
+    return [(name, p.value) for name, p in owner.named_params()] + owner.named_buffers()
+
+
+def load_state(owner, arrays) -> None:
+    """Copy (name, array) pairs into owner's parameters and buffers in
+    place, each cast to the dtype of the array it overwrites.
+
+    Raises ValueError naming the array on an unknown or repeated name or
+    a shape mismatch, and when some parameter or buffer received no array.
+    """
+    slots = dict(state_arrays(owner))
+    for name, arr in arrays:
+        if name not in slots:
+            raise ValueError(f"unknown or repeated array {name!r}")
+        if arr.shape != slots[name].shape:
+            raise ValueError(f"array {name!r} has shape {arr.shape}, expected {slots[name].shape}")
+        slots.pop(name)[...] = arr
+    if slots:
+        raise ValueError(f"arrays missing: {sorted(slots)}")
 
 
 def receptive_field(k: int, dilations: list[int]) -> tuple[int, int]:

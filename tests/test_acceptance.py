@@ -39,6 +39,7 @@ from gridcast.grid import (
     frontier_segments,
     rows_covering,
     slice_segments,
+    time_split,
 )
 from gridcast.models import ModelConfig, TrainConfig, build_model, train
 from gridcast.nn import (
@@ -266,8 +267,7 @@ def test_criterion_5_synthetic_benchmark_beats_historical_mean():
     stream = synth_generate(params)  # 200 cascades in expectation
     assert 120 <= len(stream) <= 280
     grid = build_grid(stream, D, 0.0, rows_covering(stream, D, 0.0))
-    r_split = min(max(int(grid.spec.n_rows * 0.7), 1), grid.spec.n_rows - 1)
-    col_split = int(np.searchsorted(grid.arrival_rows, r_split))
+    r_split, col_split = time_split(grid, 0.7)
     tensor = assemble_features(grid, CHANNEL_ORDER)
     tt = stream.thread_times
     tc = TrainConfig(lr=1e-3, weight_decay=1e-2, epochs=50, batch_size=32, seed=SEED)
@@ -375,7 +375,7 @@ def test_criterion_7_breakout_protocol():
     )
     stream = synth_generate(params)
     grid = build_grid(stream, D, 0.0, rows_covering(stream, D, 0.0))
-    r_split = min(max(int(grid.spec.n_rows * 0.7), 1), grid.spec.n_rows - 1)
+    r_split, _ = time_split(grid, 0.7)
     tensor = assemble_features(grid, CHANNEL_ORDER)
     cfg = ModelConfig(
         kind="reply", channels=CHANNEL_ORDER, window=(16, 12),

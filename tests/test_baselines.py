@@ -1,43 +1,56 @@
-"""Constant-shape reference predictors."""
+"""Reference predictors: the baseline adapters evaluation runs through the
+same protocol as the trained models."""
 import numpy as np
-import pytest
 
-from gridcast.baselines import BaselineKind, baseline_predict
+from gridcast.evaluate import (
+    MeanGapBaseline,
+    MeanRowBaseline,
+    PersistenceGapBaseline,
+    PersistenceRowBaseline,
+    train_mean_cell_count,
+    train_mean_gap_intervals,
+)
+from gridcast.grid import Grid, GridSpec
+
+D = 300.0
+
+
+def _times(*gaps):
+    """Thread times on the d-lattice with the given gaps in intervals."""
+    return np.concatenate([[0.0], np.cumsum(gaps)]) * D
 
 
 def test_mean_fills_gap_history():
-    out = baseline_predict(BaselineKind.HISTORICAL_MEAN, np.array([2.0, 4.0]), 3)
-    assert out.tolist() == [3.0, 3.0, 3.0]
+    tt = _times(2.0, 4.0)
+    gap = train_mean_gap_intervals(tt, len(tt), D)
+    assert gap == 3.0
+    base = MeanGapBaseline(gap)
+    assert [base.predict_gap(None, j) for j in (1, 2, 3)] == [3.0, 3.0, 3.0]
 
 
 def test_persistence_repeats_last_gap():
-    out = baseline_predict(BaselineKind.PERSISTENCE, np.array([2.0, 4.0, 5.0]), 2)
-    assert out.tolist() == [5.0, 5.0]
+    base = PersistenceGapBaseline(_times(2.0, 4.0, 5.0), D)
+    # creating column 4 repeats the gap from column 2 to column 3
+    assert base.predict_gap(None, col_index=4) == 5.0
+    assert base.predict_gap(None, col_index=3) == 4.0
 
 
 def test_mean_fills_rows_with_global_mean():
-    hist = np.array([[0.0, 2.0], [4.0, 2.0]])
-    out = baseline_predict(BaselineKind.HISTORICAL_MEAN, hist, 2)
-    assert out.shape == (2, 2)
+    counts = np.array([[0, 2], [4, 2]], dtype=np.int64)
+    grid = Grid(GridSpec(d=D, t0=0.0, n_rows=2, n_cols=2), counts, np.zeros(2, np.int64))
+    mean = train_mean_cell_count(grid, 0, 2)
+    assert mean == 2.0
+    out = MeanRowBaseline(mean).predict_next_row(np.zeros((1, 2, 2)))
+    assert out.shape == (2,)
     assert np.all(out == 2.0)
 
 
 def test_persistence_repeats_last_row():
-    hist = np.array([[0.0, 2.0], [4.0, 1.0]])
-    out = baseline_predict(BaselineKind.PERSISTENCE, hist, 3)
-    assert out.shape == (3, 2)
-    assert np.array_equal(out, np.tile([4.0, 1.0], (3, 1)))
+    window = np.array([[[0.0, 2.0], [4.0, 1.0]]])  # COUNTS channel only
+    out = PersistenceRowBaseline().predict_next_row(window)
+    assert np.array_equal(out, [4.0, 1.0])
 
 
 def test_single_element_history():
-    out = baseline_predict(BaselineKind.HISTORICAL_MEAN, np.array([7.0]), 1)
-    assert out.tolist() == [7.0]
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        baseline_predict(BaselineKind.PERSISTENCE, np.array([]), 1)
-    with pytest.raises(ValueError):
-        baseline_predict(BaselineKind.PERSISTENCE, np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        baseline_predict(BaselineKind.PERSISTENCE, np.zeros((2, 2, 2)), 1)
+    gap = train_mean_gap_intervals(_times(7.0), 2, D)
+    assert MeanGapBaseline(gap).predict_gap(None) == 7.0

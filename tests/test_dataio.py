@@ -91,6 +91,12 @@ def test_parse_empty_file_gives_empty_stream(log_path):
     (json.dumps({"thread_id": 7, "kind": "thread", "ts": 1}), "thread_id"),
     (json.dumps({"thread_id": "x", "kind": "thread", "ts": "soon"}), "ts must be a number"),
     (json.dumps({"thread_id": "x", "kind": "thread", "ts": True}), "ts must be a number"),
+    ('{"thread_id": "x", "kind": "thread", "ts": NaN}', "ts must be finite"),
+    ('{"thread_id": "x", "kind": "thread", "ts": Infinity}', "ts must be finite"),
+    ('{"thread_id": "x", "kind": "reply", "ts": -Infinity}', "ts must be finite"),
+    ('{"thread_id": "x", "kind": "thread", "ts": 1e999}', "ts must be finite"),
+    pytest.param('{"thread_id": "x", "kind": "thread", "ts": 1' + "0" * 400 + "}",
+                 "ts must be finite", id="ts-int-beyond-float-range"),
 ])
 def test_parse_malformed_line_names_line_number(log_path, bad, fragment):
     _write_lines(log_path, [_ev("a", "thread", 0.0), bad])

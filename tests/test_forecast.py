@@ -117,6 +117,21 @@ def test_roll_rejects_bad_stub_output(small_grid):
         roll_reply_row(state, Negative(0.0))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, 2.0**63])
+def test_roll_rejects_prediction_outside_int64_range(small_grid, value):
+    state = ForecastState.from_grid(small_grid)
+    with pytest.raises(GridError, match="non-finite"):
+        roll_reply_row(state, ConstRowStub(value))
+    assert state.n_rows == small_grid.spec.n_rows  # nothing appended
+
+
+def test_roll_stores_largest_prediction_below_2_63(small_grid):
+    state = ForecastState.from_grid(small_grid)
+    top = np.nextafter(2.0**63, 0.0)
+    roll_reply_row(state, ConstRowStub(top))
+    assert state.counts[-1].tolist() == [int(top)] * small_grid.spec.n_cols
+
+
 # ---------------------------------------------------------------------------
 # appending columns
 
@@ -143,6 +158,20 @@ def test_append_rejects_negative_gap(small_grid):
     state = ForecastState.from_grid(small_grid)
     with pytest.raises(GridError):
         append_thread_column(state, -0.5)
+
+
+@pytest.mark.parametrize("gap", [np.nan, np.inf, -np.inf])
+def test_append_rejects_non_finite_gap(small_grid, gap):
+    state = ForecastState.from_grid(small_grid)
+    with pytest.raises(GridError, match="not finite"):
+        append_thread_column(state, gap)
+    assert state.n_cols == small_grid.spec.n_cols
+
+
+def test_adaptive_stops_on_non_finite_gap_stub(small_grid):
+    state = ForecastState.from_grid(small_grid)
+    with pytest.raises(GridError, match="not finite"):
+        adaptive_forecast(state, ConstGapStub(np.nan), ConstRowStub(0.0), 1, 1)
 
 
 # ---------------------------------------------------------------------------

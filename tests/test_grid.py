@@ -22,6 +22,7 @@ from gridcast.grid import (
     relative_time_channel,
     rows_covering,
     slice_segments,
+    time_split,
     window_at,
     zeros_gap,
 )
@@ -145,6 +146,22 @@ def test_rows_covering_is_tight(small_stream):
     assert g.dropped_events == 0
     g2 = build_grid(small_stream, 60.0, 0.0, n - 1)
     assert g2.dropped_events > 0
+
+
+def test_crop_copies_the_observed_prefix(small_grid):
+    sub = small_grid.crop(3, slice(1, 3))
+    assert sub.spec == GridSpec(d=60.0, t0=0.0, n_rows=3, n_cols=2)
+    assert np.array_equal(sub.counts, small_grid.counts[:3, 1:3])
+    assert sub.arrival_rows.tolist() == [1, 4]
+    sub.counts[...] = 0
+    assert small_grid.counts[:3, 1:3].any()  # a copy, not a view
+
+
+def test_time_split_keeps_a_row_on_each_side(small_grid):
+    assert small_grid.arrival_rows.tolist() == [0, 1, 4]
+    assert time_split(small_grid, 0.7) == (3, 2)  # rows 0-2 and columns 0-1 train
+    assert time_split(small_grid, 0.0) == (1, 1)
+    assert time_split(small_grid, 1.0) == (4, 2)
 
 
 @given(stream_strategy(), st.sampled_from([30.0, 60.0, 150.0]), st.integers(1, 30))
@@ -341,7 +358,12 @@ def _tensor(grid):
 def test_next_row_on_single_row_grid_is_empty():
     s = EventStream((cascade("a", 0.0),))
     g = build_grid(s, d=60.0, t0=0.0, n_rows=1)
-    assert slice_segments(_tensor(g), g, 2, 2, TargetKind.NEXT_ROW) == []
+    assert frontier_segments(_tensor(g), g, 2, 2) == []
+
+
+def test_slice_segments_sends_next_row_to_frontier_segments(small_grid):
+    with pytest.raises(GridError, match="frontier_segments"):
+        slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.NEXT_ROW)
 
 
 def test_thread_gap_two_columns_single_segment():
@@ -353,31 +375,44 @@ def test_thread_gap_two_columns_single_segment():
     assert segs[0].anchor == (int(g.arrival_rows[0]), 0)
 
 
+def _below(s, r, c, h, w):
+    """Grid cell one row below window cell (r, c), or None off the grid."""
+    i, j = s.anchor
+    g, col = i - h + 2 + r, j - w + 1 + c
+    return (g, col) if g >= 0 and col >= 0 else None
+
+
 def test_next_row_targets_reconstruct_counts(small_grid):
     for w in (small_grid.spec.n_cols, 2):
-        segs = slice_segments(_tensor(small_grid), small_grid, 3, w, TargetKind.NEXT_ROW)
-        assert len(segs) == small_grid.spec.n_rows - 1
-        stacked = np.stack([s.target for s in segs])
-        assert np.array_equal(stacked, small_grid.counts[1:, -w:].astype(float))
+        segs = frontier_segments(_tensor(small_grid), small_grid, 3, w)
+        assert segs
+        for s in segs:
+            for r in range(3):
+                for c in range(w):
+                    cell = _below(s, r, c, 3, w)
+                    want = small_grid.counts[cell] if cell else 0
+                    assert s.target[r, c] == want
 
 
 def test_next_row_window_shape_and_exclusion(small_grid):
-    segs = slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.NEXT_ROW)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
     for s in segs:
         assert s.features.shape == (3, 3, 2)
-        i = s.anchor[0]
+        i, j = s.anchor
         # window bottom row is grid row i; the target row i+1 is excluded
         assert np.array_equal(
-            s.features[0, -1, :], small_grid.counts[i, -2:].astype(float)
+            s.features[0, -1, :], window_at(small_grid.counts.astype(float), i, j, 1, 2)[0]
         )
 
 
 def test_next_row_weights_follow_mask(small_grid):
-    segs = slice_segments(_tensor(small_grid), small_grid, 3, 3, TargetKind.NEXT_ROW)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 3)
     for s in segs:
-        i = s.anchor[0]
-        want = 1.0 - small_grid.mask[i + 1, :]
-        assert np.array_equal(s.target_weight, want)
+        for r in range(3):
+            for c in range(3):
+                cell = _below(s, r, c, 3, 3)
+                want = 1.0 - small_grid.mask[cell] if cell else 0.0
+                assert s.target_weight[r, c] == want
 
 
 def test_thread_gap_skips_unmaterialised_anchor():
@@ -391,11 +426,11 @@ def test_thread_gap_skips_unmaterialised_anchor():
 
 def test_slice_rejects_bad_dims(small_grid):
     with pytest.raises(GridError):
-        slice_segments(_tensor(small_grid), small_grid, 0, 2, TargetKind.NEXT_ROW)
+        slice_segments(_tensor(small_grid), small_grid, 0, 2, TargetKind.THREAD_GAP)
 
 
 def test_window_padding_covers_oversized_request(small_grid):
-    segs = slice_segments(_tensor(small_grid), small_grid, 50, 50, TargetKind.NEXT_ROW)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 50, 50)
     assert segs[0].features.shape == (3, 50, 50)
 
 
@@ -416,7 +451,7 @@ def test_frontier_corner_is_always_live(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
     assert segs, "expected at least one frontier segment"
     for s in segs:
-        assert np.asarray(s.target_weight)[-1] == 1.0
+        assert s.target_weight[-1, -1] == 1.0
 
 
 def test_frontier_targets_match_counts(small_grid):
@@ -427,7 +462,7 @@ def test_frontier_targets_match_counts(small_grid):
         cols = np.arange(max(0, j - w + 1), j + 1)
         want = np.zeros(w)
         want[w - len(cols) :] = small_grid.counts[i + 1, cols]
-        assert np.array_equal(np.asarray(s.target), want)
+        assert np.array_equal(s.target[-1], want)
         assert np.array_equal(
             s.features, window_at(_tensor(small_grid).data, i, j, 3, w)
         )

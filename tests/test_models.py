@@ -33,17 +33,12 @@ def thread_seg(rng, cfg, target):
 def reply_seg(rng, cfg, corner_target, corner_weight=1.0):
     h, w = cfg.window
     feats = rng.uniform(0, 3, size=(len(cfg.channels), h, w))
-    target = np.zeros(w)
-    weight = np.zeros(w)
-    target[-1] = corner_target
-    weight[-1] = corner_weight
-    full_t = np.zeros((h, w))
-    full_w = np.zeros((h, w))
-    full_t[-1, -1] = corner_target
-    full_w[-1, -1] = corner_weight
+    target = np.zeros((h, w))
+    weight = np.zeros((h, w))
+    target[-1, -1] = corner_target
+    weight[-1, -1] = corner_weight
     return Segment(features=feats, kind=TargetKind.NEXT_ROW,
-                   anchor=(h - 1, w - 1), target=target, target_weight=weight,
-                   full_target=full_t, full_weight=full_w)
+                   anchor=(h - 1, w - 1), target=target, target_weight=weight)
 
 
 # ---------------------------------------------------------------------------
