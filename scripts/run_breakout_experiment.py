@@ -18,15 +18,8 @@ import sys
 import time
 
 from gridcast.forecast import breakout_curve, default_breakout_horizon
-from gridcast.grid import (
-    CHANNEL_ORDER,
-    assemble_features,
-    build_grid,
-    frontier_segments,
-    rows_covering,
-    time_split,
-)
-from gridcast.models import ModelConfig, TrainConfig, build_model, train
+from gridcast.grid import CHANNEL_ORDER, build_grid, rows_covering
+from gridcast.models import ModelConfig, TrainConfig, build_model, train, training_segments
 from gridcast.synth import SynthParams, synth_generate
 
 
@@ -66,17 +59,11 @@ def main(argv=None) -> int:
           f"{n_break} breakouts ({n_break / len(sizes):.0%})")
 
     grid = build_grid(stream, args.d, 0.0, rows_covering(stream, args.d, 0.0))
-    r_split, _ = time_split(grid, 0.7)
-    tensor = assemble_features(grid, CHANNEL_ORDER)
-    model = build_model(
-        ModelConfig(kind="reply", channels=CHANNEL_ORDER, window=(16, 12),
-                    n_filters=16, n_blocks=3),
-        seed=args.seed,
-    )
-    hist = train(model,
-                 frontier_segments(tensor, grid, 16, 12, row_range=(0, r_split)),
-                 TrainConfig(lr=1e-3, weight_decay=1e-2, epochs=args.epochs,
-                             batch_size=32, seed=args.seed))
+    cfg = ModelConfig(kind="reply", channels=CHANNEL_ORDER, window=(16, 12),
+                      n_filters=16, n_blocks=3)
+    model = build_model(cfg, seed=args.seed)
+    hist = train(model, training_segments(grid, cfg, 0.7),
+                 TrainConfig(epochs=args.epochs, seed=args.seed))
     print(f"reply model: loss {hist[0]:.4f} -> {hist[-1]:.4f}, "
           f"default horizon {default_breakout_horizon(stream, args.d)} intervals")
 

@@ -17,8 +17,9 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 
-from gridcast.evaluate import SweepConfig, sweep_interval_length
+from gridcast.evaluate import SWEEP_SETTINGS, sweep_interval_length
 from gridcast.synth import SynthParams, synth_generate
 
 
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
         )
         stream = synth_generate(params)
         result = sweep_interval_length(stream, args.d_values,
-                                       SweepConfig(seed=seed))
+                                       replace(SWEEP_SETTINGS, seed=seed))
         picks.append(result.best_d)
         print(f"seed {seed}: {len(stream)} cascades, best d = {result.best_d:.0f}s")
         print(f"  {'d':>6}{'thread mae (h)':>16}{'reply mae':>11}{'score':>8}")

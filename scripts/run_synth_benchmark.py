@@ -27,17 +27,8 @@ from gridcast.evaluate import (
     train_mean_cell_count,
     train_mean_gap_intervals,
 )
-from gridcast.grid import (
-    CHANNEL_ORDER,
-    TargetKind,
-    assemble_features,
-    build_grid,
-    frontier_segments,
-    rows_covering,
-    slice_segments,
-    time_split,
-)
-from gridcast.models import ModelConfig, TrainConfig, build_model, train
+from gridcast.grid import CHANNEL_ORDER, build_grid, gap_columns, rows_covering, time_split
+from gridcast.models import ModelConfig, TrainConfig, build_model, train, training_segments
 from gridcast.synth import SynthParams, synth_generate
 
 
@@ -74,22 +65,17 @@ def main(argv=None) -> int:
     print(f"stream: {len(stream)} cascades, grid {grid.spec.n_rows}x{grid.spec.n_cols}")
 
     r_split, col_split = time_split(grid, args.train_frac)
-    tensor = assemble_features(grid, CHANNEL_ORDER)
     tt = stream.thread_times
     h, w = args.window
-    tc = TrainConfig(lr=1e-3, weight_decay=1e-2, epochs=args.epochs,
-                     batch_size=32, seed=args.seed)
+    tc = TrainConfig(epochs=args.epochs, seed=args.seed)
 
     rows: list[tuple[str, str, EvalReport]] = []
 
     # reply task: one-step-ahead per-cell counts on the held-out rows
-    reply_model = build_model(
-        ModelConfig(kind="reply", channels=CHANNEL_ORDER, window=(h, w),
-                    n_filters=args.reply_filters, n_blocks=args.reply_blocks),
-        seed=args.seed,
-    )
-    hist = train(reply_model, frontier_segments(tensor, grid, h, w,
-                                                row_range=(0, r_split)), tc)
+    reply_cfg = ModelConfig(kind="reply", channels=CHANNEL_ORDER, window=(h, w),
+                            n_filters=args.reply_filters, n_blocks=args.reply_blocks)
+    reply_model = build_model(reply_cfg, seed=args.seed)
+    hist = train(reply_model, training_segments(grid, reply_cfg, args.train_frac), tc)
     print(f"reply model: loss {hist[0]:.4f} -> {hist[-1]:.4f}")
     n_test_rows = grid.spec.n_rows - r_split
     for name, m in [
@@ -101,17 +87,12 @@ def main(argv=None) -> int:
                      evaluate_reply_counts(m, grid, n_test_rows, start_row=r_split)))
 
     # thread task: next-arrival gap on the held-out columns
-    thread_model = build_model(
-        ModelConfig(kind="thread", channels=CHANNEL_ORDER, window=(h, w),
-                    n_filters=args.thread_filters, n_blocks=args.thread_blocks),
-        seed=args.seed,
-    )
-    hist = train(thread_model,
-                 slice_segments(tensor, grid, h, w, TargetKind.THREAD_GAP,
-                                col_range=(0, col_split)), tc)
+    thread_cfg = ModelConfig(kind="thread", channels=CHANNEL_ORDER, window=(h, w),
+                             n_filters=args.thread_filters, n_blocks=args.thread_blocks)
+    thread_model = build_model(thread_cfg, seed=args.seed)
+    hist = train(thread_model, training_segments(grid, thread_cfg, args.train_frac), tc)
     print(f"thread model: loss {hist[0]:.4f} -> {hist[-1]:.4f}")
-    test_idx = [j for j in range(col_split, grid.spec.n_cols - 1)
-                if grid.arrival_rows[j] < grid.spec.n_rows]
+    test_idx = gap_columns(grid, col_split)
     for name, m in [
         ("model", thread_model),
         ("historical-mean",

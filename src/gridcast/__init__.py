@@ -30,13 +30,11 @@ from .evaluate import (
     BaselineKind,
     EvalReport,
     EvalTask,
-    SweepConfig,
+    SWEEP_SETTINGS,
     SweepResult,
     evaluate_adaptive,
     evaluate_reply_counts,
     evaluate_thread_arrival,
-    mae,
-    rmse,
     sweep_interval_length,
 )
 from .grid import (
@@ -53,6 +51,7 @@ from .grid import (
     ThreadCascade,
     assemble_features,
     build_grid,
+    gap_columns,
     pad_top_left,
     relative_time_channel,
     rows_covering,
@@ -71,6 +70,7 @@ from .models import (
     build_model,
     grid_search,
     train,
+    training_segments,
 )
 from .synth import SynthParams, synth_generate
 from .tcn import BlockConfig, TCNStack, TemporalBlock, causality_probe, receptive_field

@@ -50,6 +50,16 @@ def _le(dtype) -> str:
     return np.dtype(dtype).newbyteorder("<").str
 
 
+# the array dtypes save_checkpoint writes; nothing else is read back
+_DTYPES = ("<f4", "<f8")
+
+
+def _manifest_dtype(code) -> np.dtype:
+    if code not in _DTYPES:
+        raise ValueError(f"unsupported array dtype {code!r}")
+    return np.dtype(code)
+
+
 def save_checkpoint(model, path: str | Path, meta: dict | None = None) -> None:
     manifest = []
     chunks = []
@@ -79,14 +89,15 @@ def load_checkpoint(path: str | Path):
     """Rebuild (model, meta) from a checkpoint file.
 
     Raises CheckpointError subclasses on a wrong magic, an unsupported
-    version, CRC/length damage, or arrays whose names or shapes do not
-    match the model the stored config describes.
+    version, CRC/length damage, an array dtype other than "<f4" or
+    "<f8", or arrays whose names or shapes do not match the model the
+    stored config describes.
     """
     header, payload = read_container(FORMAT, path)
     try:
         config = ModelConfig.from_json_dict(header["model"])
         manifest = [
-            (e["name"], tuple(int(n) for n in e["shape"]), np.dtype(e["dtype"]))
+            (e["name"], tuple(int(n) for n in e["shape"]), _manifest_dtype(e["dtype"]))
             for e in header["arrays"]
         ]
         meta = header["meta"]

@@ -10,6 +10,7 @@ exit nonzero (2 for usage/config problems, 1 for runtime errors).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -25,7 +26,6 @@ from .dataio import (
     write_csv,
 )
 from .evaluate import (
-    SweepConfig,
     config_digest,
     evaluate_adaptive,
     evaluate_reply_counts,
@@ -36,22 +36,20 @@ from .forecast import ForecastState, adaptive_forecast, breakout_curve
 from .grid import (
     CHANNEL_SETS,
     Grid,
-    TargetKind,
     assemble_features,
     build_grid,
-    frontier_segments,
+    gap_columns,
     rows_covering,
-    slice_segments,
     time_split,
     window_at,
 )
 from .models import (
     SearchSpace,
-    TrainConfig,
     arrival_time,
     build_model,
     grid_search,
     train,
+    training_segments,
 )
 from .synth import SynthParams, synth_generate
 
@@ -69,53 +67,17 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_SETTING_FLAGS = [
-    ("--d", "d", float),
-    ("--t0", "t0", float),
-    ("--rows", "rows", int),
-    ("--seed", "seed", int),
-    ("--channels", "channels", str),
-    ("--loss-mode", "loss_mode", str),
-    ("--filter-shape", "filter_shape", str),
-    ("--window-h", "window_h", int),
-    ("--window-w", "window_w", int),
-    ("--n-filters", "n_filters", int),
-    ("--kernel-size", "kernel_size", int),
-    ("--n-blocks", "n_blocks", int),
-    ("--lr", "lr", float),
-    ("--weight-decay", "weight_decay", float),
-    ("--epochs", "epochs", int),
-    ("--batch-size", "batch_size", int),
-    ("--train-frac", "train_frac", float),
-    ("--lambda-thread", "lambda_thread", float),
-    ("--mu-reply", "mu_reply", float),
-    ("--theta", "theta", float),
-    ("--horizon", "horizon", float),
-    ("--breakout-fraction", "breakout_fraction", float),
-    ("--breakout-boost", "breakout_boost", float),
-    ("--n-threads", "n_threads", int),
-    ("--n-intervals", "n_intervals", int),
-    ("--n-start-points", "n_start_points", int),
-    ("--span-seconds", "span_seconds", float),
-    ("--context-cols", "context_cols", int),
-    ("--horizon-intervals", "horizon_intervals", int),
-    ("--search-filters", "search_filters", str),
-    ("--search-kernels", "search_kernels", str),
-    ("--search-blocks", "search_blocks", str),
-    ("--budget-epochs", "budget_epochs", int),
-]
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """--config, plus one flag per RunSettings field."""
     sub.add_argument("--config", default=None, help="JSON settings file")
-    for flag, dest, typ in _SETTING_FLAGS:
-        sub.add_argument(flag, dest=dest, type=typ, default=None)
+    for f in dataclasses.fields(RunSettings):
+        sub.add_argument(
+            "--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None
+        )
 
 
 def _settings(args) -> RunSettings:
-    overrides = {
-        dest: getattr(args, dest, None) for _, dest, _ in _SETTING_FLAGS
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunSettings)}
     if getattr(args, "channels", None) is not None and args.channels not in CHANNEL_SETS:
         raise ConfigError(f"--channels must be one of {sorted(CHANNEL_SETS)}")
     return load_settings(getattr(args, "config", None), overrides)
@@ -188,20 +150,8 @@ def cmd_grid(args) -> None:
     )
 
 
-def _train_segments(grid, s: RunSettings, kind: str):
-    tensor = assemble_features(grid, CHANNEL_SETS[s.channels])
-    r_split, col_split = time_split(grid, s.train_frac)
-    if kind == "thread":
-        segs = slice_segments(
-            tensor, grid, s.window_h, s.window_w, TargetKind.THREAD_GAP,
-            col_range=(0, col_split),
-        )
-    else:
-        # windows track the arrived frontier so the supervised corner is
-        # always a live cell; see frontier_segments
-        segs = frontier_segments(
-            tensor, grid, s.window_h, s.window_w, row_range=(0, r_split)
-        )
+def _train_segments(grid, config, train_frac: float):
+    segs = training_segments(grid, config, train_frac)
     if not segs:
         raise ConfigError("training split produced no segments")
     return segs
@@ -211,13 +161,10 @@ def _train_one(args, kind: str) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = _grid_for(stream, s)
-    segs = _train_segments(grid, s, kind)
-    model = build_model(s.model_config(kind), seed=s.seed)
-    tc = TrainConfig(
-        lr=s.lr, weight_decay=s.weight_decay, epochs=s.epochs,
-        batch_size=s.batch_size, seed=s.seed,
-    )
-    history = train(model, segs, tc)
+    config = s.model_config(kind)
+    segs = _train_segments(grid, config, s.train_frac)
+    model = build_model(config, seed=s.seed)
+    history = train(model, segs, s.train_config())
     meta = {
         "epochs": s.epochs,
         "final_loss": history[-1],
@@ -240,7 +187,8 @@ def cmd_grid_search(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = _grid_for(stream, s)
-    segs = _train_segments(grid, s, args.task)
+    config = s.model_config(args.task)
+    segs = _train_segments(grid, config, s.train_frac)
     n_val = max(1, len(segs) // 5)
     train_segs, val_segs = segs[:-n_val], segs[-n_val:]
     space = SearchSpace(
@@ -248,12 +196,8 @@ def cmd_grid_search(args) -> None:
         kernel_sizes=tuple(parse_int_list(s.search_kernels)),
         n_blocks=tuple(parse_int_list(s.search_blocks)),
     )
-    tc = TrainConfig(
-        lr=s.lr, weight_decay=s.weight_decay, epochs=s.epochs,
-        batch_size=s.batch_size, seed=s.seed,
-    )
     result = grid_search(
-        s.model_config(args.task), train_segs, val_segs, tc, space,
+        config, train_segs, val_segs, s.train_config(), space,
         budget_epochs=s.budget_epochs or None, seed=s.seed,
     )
     if args.out:
@@ -372,12 +316,10 @@ def cmd_evaluate(args) -> None:
     reports = []
     if args.task == "thread":
         model, _ = load_checkpoint(args.checkpoint)
-        idx = [
-            j for j in range(col_split, grid.spec.n_cols - 1)
-            if grid.arrival_rows[j] < grid.spec.n_rows
-        ]
         reports.append(
-            evaluate_thread_arrival(model, grid, tt, idx, digest=digest)
+            evaluate_thread_arrival(
+                model, grid, tt, gap_columns(grid, col_split), digest=digest
+            )
         )
     elif args.task == "reply":
         model, _ = load_checkpoint(args.checkpoint)
@@ -410,23 +352,7 @@ def cmd_evaluate(args) -> None:
 def cmd_sweep_d(args) -> None:
     s = _settings(args)
     stream = _stream(args)
-    cfg = SweepConfig(
-        t0=s.t0,
-        train_frac=s.train_frac,
-        window=(s.window_h, s.window_w),
-        channels=CHANNEL_SETS[s.channels],
-        n_filters=s.n_filters,
-        k=s.kernel_size,
-        n_blocks=s.n_blocks,
-        loss_mode=s.loss_mode,
-        epochs=s.epochs,
-        batch_size=s.batch_size,
-        lr=s.lr,
-        weight_decay=s.weight_decay,
-        seed=s.seed,
-        span_seconds=s.span_seconds,
-    )
-    result = sweep_interval_length(stream, parse_float_list(args.d_values), cfg)
+    result = sweep_interval_length(stream, parse_float_list(args.d_values), s)
     write_csv(
         args.out,
         ["d", "thread_mae_hours", "reply_mae_counts", "n_thread", "n_reply", "score"],

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import CHANNEL_SETS
-from .models import ModelConfig
+from .models import ModelConfig, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -16,6 +16,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSettings:
+    """Every run setting, declared once: each field is also a CLI flag
+    (window_h is --window-h, typed like its default)."""
+
     # gridding
     d: float = 300.0
     t0: float = 0.0
@@ -71,6 +74,12 @@ class RunSettings:
             k_w=k_w,
             n_blocks=self.n_blocks,
             loss_mode=self.loss_mode,
+        )
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            lr=self.lr, weight_decay=self.weight_decay, epochs=self.epochs,
+            batch_size=self.batch_size, seed=self.seed,
         )
 
 

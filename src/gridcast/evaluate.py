@@ -32,35 +32,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .config import RunSettings
 from .forecast import ForecastState, adaptive_forecast, roll_reply_row
 from .grid import (
-    CHANNEL_ORDER,
     Channel,
     EventStream,
     Grid,
     GridError,
-    TargetKind,
     assemble_features,
     build_grid,
-    frontier_segments,
+    gap_columns,
     rows_covering,
-    slice_segments,
     time_split,
     window_at,
 )
-from .models import (
-    ModelConfig,
-    TrainConfig,
-    arrival_time,
-    build_model,
-    train,
-)
+from .models import arrival_time, build_model, train, training_segments
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -70,7 +61,6 @@ class EvalTask(Enum):
     REPLY_COUNT = "reply_count"
     ADAPTIVE_THREAD = "adaptive_thread"
     ADAPTIVE_REPLY = "adaptive_reply"
-    BREAKOUT = "breakout"
 
 
 @dataclass(frozen=True)
@@ -91,53 +81,24 @@ class EvalReport:
             raise ValueError(f"rmse {self.rmse} < mae {self.mae}")
 
 
-def mae(pred, truth) -> float:
-    p, t = np.asarray(pred, np.float64), np.asarray(truth, np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ValueError("mae of empty vectors")
-    return float(np.mean(np.abs(p - t)))
-
-
-def rmse(pred, truth) -> float:
-    p, t = np.asarray(pred, np.float64), np.asarray(truth, np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ValueError("rmse of empty vectors")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
 def config_digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _report(task, abs_errors, unit, digest, label="", stddev=None) -> EvalReport:
+    """Aggregate absolute errors into a report. "hours" reports take
+    their errors in seconds and convert after aggregating."""
     e = np.asarray(abs_errors, dtype=np.float64)
+    per_unit = SECONDS_PER_HOUR if unit == "hours" else 1.0
+    sd = float(e.std()) if stddev is None else float(stddev)
     return EvalReport(
         task=task,
-        mae=float(e.mean()),
-        rmse=float(np.sqrt((e**2).mean())),
+        mae=float(e.mean()) / per_unit,
+        rmse=float(np.sqrt((e**2).mean())) / per_unit,
         unit=unit,
         n=int(e.size),
-        stddev=float(e.std()) if stddev is None else float(stddev),
-        config_digest=digest,
-        label=label,
-    )
-
-
-def _seconds_report(task, errors_s, digest, label="", stddev_s=None) -> EvalReport:
-    e = np.asarray(errors_s, dtype=np.float64)
-    sd = float(e.std()) if stddev_s is None else float(stddev_s)
-    return EvalReport(
-        task=task,
-        mae=float(e.mean()) / SECONDS_PER_HOUR,
-        rmse=float(np.sqrt((e**2).mean())) / SECONDS_PER_HOUR,
-        unit="hours",
-        n=int(e.size),
-        stddev=sd / SECONDS_PER_HOUR,
+        stddev=sd / per_unit,
         config_digest=digest,
         label=label,
     )
@@ -242,13 +203,7 @@ def evaluate_thread_arrival(
     tt = np.asarray(thread_times, dtype=np.float64)
     if tt.shape != (grid.spec.n_cols,):
         raise ValueError("need one true thread time per grid column")
-    if indices is None:
-        indices = [
-            j
-            for j in range(grid.spec.n_cols - 1)
-            if grid.arrival_rows[j] < grid.spec.n_rows
-        ]
-    indices = list(indices)
+    indices = gap_columns(grid) if indices is None else list(indices)
     if not indices:
         raise ValueError("no evaluable thread indices")
     h, w = model.window
@@ -263,7 +218,7 @@ def evaluate_thread_arrival(
         o_hat = float(model.predict_gap(win, j + 1))
         t_pred = arrival_time(tt[j], o_hat, grid.spec.d, mode=mode)
         errors_s.append(abs(t_pred - tt[j + 1]))
-    return _seconds_report(EvalTask.THREAD_ARRIVAL, errors_s, digest)
+    return _report(EvalTask.THREAD_ARRIVAL, errors_s, "hours", digest)
 
 
 def evaluate_reply_counts(
@@ -368,9 +323,10 @@ def evaluate_adaptive(
                 cp_err[cp][si, k - 1] = abs(pred - true)
 
     thread_reports = [
-        _seconds_report(
+        _report(
             EvalTask.ADAPTIVE_THREAD,
             step_err_s[:, k - 1],
+            "hours",
             digest,
             label=f"step {k}",
         )
@@ -396,22 +352,12 @@ def evaluate_adaptive(
 # interval-length sweep
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    t0: float = 0.0
-    train_frac: float = 0.7
-    window: tuple[int, int] = (12, 8)
-    channels: tuple[Channel, ...] = CHANNEL_ORDER
-    n_filters: int = 8
-    k: int = 3
-    n_blocks: int = 2
-    loss_mode: str = "full"
-    epochs: int = 8
-    batch_size: int = 64
-    lr: float = 1e-3
-    weight_decay: float = 1e-2
-    seed: int = 0
-    span_seconds: float = 3600.0
+# The sweep's default run: small models, so that each candidate d
+# retrains quickly.
+SWEEP_SETTINGS = RunSettings(
+    window_h=12, window_w=8, n_filters=8, n_blocks=2, loss_mode="full",
+    epochs=8, batch_size=64,
+)
 
 
 @dataclass(frozen=True)
@@ -461,61 +407,43 @@ def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[
 
 
 def sweep_interval_length(
-    stream: EventStream, d_values, cfg: SweepConfig = SweepConfig()
+    stream: EventStream, d_values, settings: RunSettings = SWEEP_SETTINGS
 ) -> SweepResult:
     """Rebuild, retrain, and score both tasks for every candidate d.
 
     Scores are d-comparable: thread MAE in hours with lattice-quantised
     predictions, reply MAE in counts over a fixed span of
-    cfg.span_seconds. The selected d minimises the sum of per-task MAEs
-    normalised by their column minima; ties go to the smaller d.
+    settings.span_seconds. The selected d minimises the sum of per-task
+    MAEs normalised by their column minima; ties go to the smaller d.
     """
     if len(list(d_values)) == 0:
         raise GridError("empty candidate set")
     ds = sorted(float(d) for d in d_values)
+    th_cfg = settings.model_config("thread")
+    rp_cfg = settings.model_config("reply")
+    tc = settings.train_config()
     rows = []
     for d in ds:
-        n_rows = rows_covering(stream, d, cfg.t0)
+        n_rows = rows_covering(stream, d, settings.t0)
         if n_rows < 2:
             raise GridError(f"d={d} too large: fewer than 2 rows materialise")
-        grid = build_grid(stream, d, cfg.t0, n_rows)
-        tensor = assemble_features(grid, cfg.channels)
-        h, w = cfg.window
-        r_split, col_split = time_split(grid, cfg.train_frac)
-        tt = stream.thread_times
+        grid = build_grid(stream, d, settings.t0, n_rows)
+        r_split, col_split = time_split(grid, settings.train_frac)
 
-        th_cfg = ModelConfig(
-            kind="thread", channels=cfg.channels, window=cfg.window,
-            n_filters=cfg.n_filters, k_h=cfg.k, k_w=cfg.k, n_blocks=cfg.n_blocks,
-        )
-        th_segments = slice_segments(
-            tensor, grid, h, w, TargetKind.THREAD_GAP, col_range=(0, col_split)
-        )
-        test_idx = [
-            j for j in range(col_split, grid.spec.n_cols - 1)
-            if grid.arrival_rows[j] < n_rows
-        ]
+        th_segments = training_segments(grid, th_cfg, settings.train_frac)
+        test_idx = gap_columns(grid, col_split)
         if len(th_segments) < 2 or not test_idx:
             raise GridError(f"d={d}: not enough threads on either side of the split")
-        tc = TrainConfig(
-            lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs,
-            batch_size=cfg.batch_size, seed=cfg.seed,
-        )
-        th_model = build_model(th_cfg, seed=np.random.default_rng([cfg.seed, 1]))
+        th_model = build_model(th_cfg, seed=np.random.default_rng([settings.seed, 1]))
         train(th_model, th_segments, tc)
         th_report = evaluate_thread_arrival(
-            th_model, grid, tt, test_idx, mode="simulate"
+            th_model, grid, stream.thread_times, test_idx, mode="simulate"
         )
 
-        rp_cfg = ModelConfig(
-            kind="reply", channels=cfg.channels, window=cfg.window,
-            n_filters=cfg.n_filters, k_h=cfg.k, k_w=cfg.k, n_blocks=cfg.n_blocks,
-            loss_mode=cfg.loss_mode,
-        )
-        rp_segments = frontier_segments(tensor, grid, h, w, row_range=(0, r_split))
-        rp_model = build_model(rp_cfg, seed=np.random.default_rng([cfg.seed, 2]))
+        rp_segments = training_segments(grid, rp_cfg, settings.train_frac)
+        rp_model = build_model(rp_cfg, seed=np.random.default_rng([settings.seed, 2]))
         train(rp_model, rp_segments, tc)
-        span_int = max(1, round(cfg.span_seconds / d))
+        span_int = max(1, round(settings.span_seconds / d))
         reply_mae, n_reply = _self_fed_span_mae(rp_model, grid, r_split, span_int)
 
         rows.append(

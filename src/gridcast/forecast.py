@@ -133,8 +133,10 @@ def append_thread_column(state: ForecastState, o_hat: float) -> int:
     """Add the next simulated cascade; returns its arrival row."""
     if not 0 <= o_hat < math.inf:  # NaN fails too
         raise GridError(f"gap prediction {o_hat} is negative or not finite")
-    t_next = arrival_time(state.thread_times[-1], o_hat, state.d, mode="measure")
     r_next = int(state.arrival_rows[-1]) + int(round(o_hat))
+    if r_next >= 2**63:  # arrival_rows is int64
+        raise GridError(f"gap prediction {o_hat} puts the arrival row past int64")
+    t_next = arrival_time(state.thread_times[-1], o_hat, state.d, mode="measure")
     col = np.zeros((state.n_rows, 1), dtype=np.int64)
     if r_next < state.n_rows:
         col[r_next, 0] = 1  # thread post lands inside already-rolled rows

@@ -335,39 +335,39 @@ def zeros_gap(grid: Grid, j: int) -> int:
     return int(grid.arrival_rows[j + 1] - grid.arrival_rows[j])
 
 
+def gap_columns(grid: Grid, lo: int = 0, hi: int | None = None) -> list[int]:
+    """Columns j in [lo, hi) with a scorable gap: column j + 1 exists
+    and thread j arrives inside the materialised rows."""
+    last = grid.spec.n_cols - 1
+    hi = last if hi is None else min(hi, last)
+    return [j for j in range(max(lo, 0), hi) if grid.arrival_rows[j] < grid.spec.n_rows]
+
+
 def slice_segments(
     tensor: FeatureTensor,
     grid: Grid,
     h: int,
     w: int,
     kind: TargetKind,
-    stride: int = 1,
-    row_range: tuple[int, int] | None = None,
     col_range: tuple[int, int] | None = None,
 ) -> list[Segment]:
     """Cut thread-gap training windows out of a feature tensor.
 
-    One segment per column j that has a successor, window anchored
-    bottom-right at (arrival_rows[j], j); columns whose arrival lies
-    beyond the materialised rows are skipped. col_range restricts j
+    One segment per gap column j (see gap_columns), window anchored
+    bottom-right at (arrival_rows[j], j). col_range restricts j
     (half-open). Next-row windows come from frontier_segments: kind
-    NEXT_ROW raises GridError, and row_range, which only next-row
-    windows used, is ignored.
+    NEXT_ROW raises GridError.
     """
     if kind is TargetKind.NEXT_ROW:
         raise GridError("slice_segments cuts THREAD_GAP windows; use frontier_segments")
-    if h < 1 or w < 1 or stride < 1:
-        raise GridError("window dims and stride must be >= 1")
+    if h < 1 or w < 1:
+        raise GridError("window dims must be >= 1")
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
-    n_rows, n_cols = grid.spec.n_rows, grid.spec.n_cols
+    lo, hi = col_range if col_range is not None else (0, None)
     segments: list[Segment] = []
-    lo, hi = col_range if col_range is not None else (0, n_cols - 1)
-    lo, hi = max(lo, 0), min(hi, n_cols - 1)
-    for j in range(lo, hi, stride):
+    for j in gap_columns(grid, lo, hi):
         a = int(grid.arrival_rows[j])
-        if a >= n_rows:
-            continue  # anchor cell never materialised
         feats = window_at(tensor.data, a, j, h, w)
         segments.append(
             Segment(
@@ -385,7 +385,6 @@ def frontier_segments(
     grid: Grid,
     h: int,
     w: int,
-    stride: int = 1,
     row_range: tuple[int, int] | None = None,
 ) -> list[Segment]:
     """Next-row windows whose right edge tracks the arrived frontier.
@@ -398,8 +397,8 @@ def frontier_segments(
     before the first arrival are skipped; row_range restricts the
     anchor rows (half-open), e.g. for a train/test time split.
     """
-    if h < 1 or w < 1 or stride < 1:
-        raise GridError("window dims and stride must be >= 1")
+    if h < 1 or w < 1:
+        raise GridError("window dims must be >= 1")
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
     n_rows = grid.spec.n_rows
@@ -408,7 +407,7 @@ def frontier_segments(
     live = 1.0 - grid.mask
     arrivals = grid.arrival_rows
     segments: list[Segment] = []
-    for i in range(lo, hi, stride):
+    for i in range(lo, hi):
         j_hi = int(np.searchsorted(arrivals, i, side="right")) - 1
         if j_hi < 0:
             continue  # nothing arrived yet

@@ -23,7 +23,17 @@ from itertools import product
 
 import numpy as np
 
-from .grid import CHANNEL_ORDER, Channel, Segment, TargetKind
+from .grid import (
+    CHANNEL_ORDER,
+    Channel,
+    Grid,
+    Segment,
+    TargetKind,
+    assemble_features,
+    frontier_segments,
+    slice_segments,
+    time_split,
+)
 from .nn import (
     ConvLayer,
     DenseLayer,
@@ -241,6 +251,25 @@ def build_model(config: ModelConfig, seed=0, dtype=np.float32):
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def training_segments(grid: Grid, config: ModelConfig, train_frac: float) -> list[Segment]:
+    """The training side of time_split(grid, train_frac), cut for config.
+
+    A reply model gets next-row windows anchored in the rows before
+    r_split; a thread model gets the gap windows of the col_split
+    threads that arrive in them.
+    """
+    tensor = assemble_features(grid, config.channels)
+    r_split, col_split = time_split(grid, train_frac)
+    h, w = config.window
+    if config.kind == "thread":
+        return slice_segments(
+            tensor, grid, h, w, TargetKind.THREAD_GAP, col_range=(0, col_split)
+        )
+    # windows track the arrived frontier so the supervised corner is
+    # always a live cell; see frontier_segments
+    return frontier_segments(tensor, grid, h, w, row_range=(0, r_split))
 
 
 @dataclass

@@ -7,6 +7,7 @@ asserts it. Numbered so the report reads in order.
 """
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gridcast.checkpoint import (
 from gridcast.evaluate import (
     MeanGapBaseline,
     MeanRowBaseline,
-    SweepConfig,
+    SWEEP_SETTINGS,
     evaluate_adaptive,
     evaluate_reply_counts,
     evaluate_thread_arrival,
@@ -32,16 +33,15 @@ from gridcast.forecast import breakout_curve
 from gridcast.grid import (
     CHANNEL_ORDER,
     EventStream,
-    TargetKind,
     ThreadCascade,
     assemble_features,
     build_grid,
     frontier_segments,
+    gap_columns,
     rows_covering,
-    slice_segments,
     time_split,
 )
-from gridcast.models import ModelConfig, TrainConfig, build_model, train
+from gridcast.models import ModelConfig, TrainConfig, build_model, train, training_segments
 from gridcast.nn import (
     BatchNormLayer,
     ConvLayer,
@@ -268,18 +268,16 @@ def test_criterion_5_synthetic_benchmark_beats_historical_mean():
     assert 120 <= len(stream) <= 280
     grid = build_grid(stream, D, 0.0, rows_covering(stream, D, 0.0))
     r_split, col_split = time_split(grid, 0.7)
-    tensor = assemble_features(grid, CHANNEL_ORDER)
     tt = stream.thread_times
-    tc = TrainConfig(lr=1e-3, weight_decay=1e-2, epochs=50, batch_size=32, seed=SEED)
+    tc = TrainConfig(epochs=50, seed=SEED)
 
     # reply task
     reply_cfg = ModelConfig(
         kind="reply", channels=CHANNEL_ORDER, window=(16, 12),
         n_filters=16, k_h=3, k_w=3, n_blocks=3,
     )
-    reply_segs = frontier_segments(tensor, grid, 16, 12, row_range=(0, r_split))
     reply_model = build_model(reply_cfg, seed=SEED)
-    train(reply_model, reply_segs, tc)
+    train(reply_model, training_segments(grid, reply_cfg, 0.7), tc)
     n_test_rows = grid.spec.n_rows - r_split
     reply_rep = evaluate_reply_counts(reply_model, grid, n_test_rows, start_row=r_split)
     reply_base = evaluate_reply_counts(
@@ -292,15 +290,9 @@ def test_criterion_5_synthetic_benchmark_beats_historical_mean():
         kind="thread", channels=CHANNEL_ORDER, window=(16, 12),
         n_filters=8, k_h=3, k_w=3, n_blocks=1,
     )
-    thread_segs = slice_segments(
-        tensor, grid, 16, 12, TargetKind.THREAD_GAP, col_range=(0, col_split)
-    )
     thread_model = build_model(thread_cfg, seed=SEED)
-    train(thread_model, thread_segs, tc)
-    test_idx = [
-        j for j in range(col_split, grid.spec.n_cols - 1)
-        if grid.arrival_rows[j] < grid.spec.n_rows
-    ]
+    train(thread_model, training_segments(grid, thread_cfg, 0.7), tc)
+    test_idx = gap_columns(grid, col_split)
     thread_rep = evaluate_thread_arrival(thread_model, grid, tt, test_idx)
     thread_base = evaluate_thread_arrival(
         MeanGapBaseline(train_mean_gap_intervals(tt, col_split, D)),
@@ -375,16 +367,12 @@ def test_criterion_7_breakout_protocol():
     )
     stream = synth_generate(params)
     grid = build_grid(stream, D, 0.0, rows_covering(stream, D, 0.0))
-    r_split, _ = time_split(grid, 0.7)
-    tensor = assemble_features(grid, CHANNEL_ORDER)
     cfg = ModelConfig(
         kind="reply", channels=CHANNEL_ORDER, window=(16, 12),
         n_filters=16, k_h=3, k_w=3, n_blocks=3,
     )
     model = build_model(cfg, seed=SEED)
-    segs = frontier_segments(tensor, grid, 16, 12, row_range=(0, r_split))
-    train(model, segs, TrainConfig(lr=1e-3, weight_decay=1e-2, epochs=50,
-                                   batch_size=32, seed=SEED))
+    train(model, training_segments(grid, cfg, 0.7), TrainConfig(epochs=50, seed=SEED))
 
     durations = [k * D for k in range(1, 11)]
     rates = [p.correct_rate for p in breakout_curve(stream, grid, model, durations)]
@@ -480,7 +468,7 @@ def test_criterion_9_interval_length_sweep_interior_optimum():
             horizon=30_000.0, seed=seed,
         )
         stream = synth_generate(params)
-        result = sweep_interval_length(stream, d_values, SweepConfig(seed=seed))
+        result = sweep_interval_length(stream, d_values, replace(SWEEP_SETTINGS, seed=seed))
         picks.append(result.best_d)
     interior = sum(1 for p in picks if p not in (d_values[0], d_values[-1]))
     elapsed = time.perf_counter() - t_start

@@ -202,3 +202,15 @@ def test_rejects_empty_manifest(ckpt_path):
     _mutate_header(ckpt_path, clear)
     with pytest.raises(CheckpointFormatError, match="manifest"):
         load_checkpoint(ckpt_path)
+
+
+@pytest.mark.parametrize("dtype", [",f4", "<,4", ">f4", "<f,"])
+def test_rejects_a_dtype_it_never_writes(ckpt_path, dtype):
+    """One-byte edits of a manifest dtype. numpy raises SyntaxError on the
+    first two and would read byte-swapped or structured arrays from the
+    others; the loader accepts only "<f4" and "<f8"."""
+    save_checkpoint(tiny_model("thread"), ckpt_path)
+    raw = ckpt_path.read_bytes()
+    ckpt_path.write_bytes(raw.replace(b'"<f4"', f'"{dtype}"'.encode(), 1))
+    with pytest.raises(CheckpointFormatError, match="dtype"):
+        load_checkpoint(ckpt_path)

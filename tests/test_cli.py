@@ -1,11 +1,14 @@
 """End-to-end command-line tests driven through main() in process."""
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from gridcast.cli import main
+from gridcast.cli import build_parser, main
+from gridcast.config import RunSettings
 from gridcast.dataio import load_grid
 
 
@@ -75,6 +78,24 @@ def workdir(tmp_path_factory):
         "thread": thread_ckpt,
         "reply": reply_ckpt,
     }
+
+
+def test_every_subcommand_has_one_flag_per_setting():
+    subs = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    fields = dataclasses.fields(RunSettings)
+    for name, sub in subs.choices.items():
+        for f in fields:
+            flag = "--" + f.name.replace("_", "-")
+            actions = [a for a in sub._actions if flag in a.option_strings]
+            assert len(actions) == 1, (name, flag)
+            (action,) = actions
+            assert (action.dest, action.type, action.default) == (
+                f.name, type(f.default), None
+            ), (name, flag)
+        setting_dests = [a.dest for a in sub._actions if a.dest in {f.name for f in fields}]
+        assert sorted(setting_dests) == sorted(f.name for f in fields), name
 
 
 # ---------------------------------------------------------------------------

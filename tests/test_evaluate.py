@@ -1,9 +1,12 @@
 """Measurement protocols: exact-zero oracles via ground-truth stand-ins,
 hand-computed baselines, and the interval-length sweep."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import ConstRowStub, TrueGapStub, TrueRowStub, lattice_stream
 
+from gridcast import evaluate
 from gridcast.evaluate import (
     EvalReport,
     EvalTask,
@@ -11,18 +14,17 @@ from gridcast.evaluate import (
     MeanRowBaseline,
     PersistenceGapBaseline,
     PersistenceRowBaseline,
-    SweepConfig,
+    SWEEP_SETTINGS,
     config_digest,
     evaluate_adaptive,
     evaluate_reply_counts,
     evaluate_thread_arrival,
-    mae,
-    rmse,
     sweep_interval_length,
     train_mean_cell_count,
     train_mean_gap_intervals,
 )
 from gridcast.grid import EventStream, GridError, ThreadCascade, build_grid
+from gridcast.models import build_model
 from gridcast.synth import SynthParams, synth_generate
 
 D = 300.0
@@ -39,26 +41,6 @@ def lattice():
 
 # ---------------------------------------------------------------------------
 # metrics
-
-
-def test_mae_rmse_hand_values():
-    assert mae([0.0, 1.0], [1.0, 3.0]) == 1.5
-    assert rmse([0.0, 1.0], [1.0, 3.0]) == pytest.approx(np.sqrt(2.5))
-    assert mae([2.0], [5.0]) == 3.0
-    assert rmse([2.0], [5.0]) == 3.0
-
-
-def test_mae_rmse_errors():
-    with pytest.raises(ValueError):
-        mae([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rmse([], [])
-
-
-def test_rmse_dominates_mae():
-    rng = np.random.default_rng(0)
-    p, t = rng.normal(size=50), rng.normal(size=50)
-    assert rmse(p, t) >= mae(p, t)
 
 
 def test_report_validation():
@@ -290,8 +272,8 @@ def _sweep_stream():
     ))
 
 
-_SWEEP_CFG = SweepConfig(window=(6, 4), n_filters=2, k=2, n_blocks=1,
-                         epochs=1, batch_size=64, span_seconds=600.0, seed=0)
+_SWEEP_CFG = replace(SWEEP_SETTINGS, window_h=6, window_w=4, n_filters=2,
+                     kernel_size=2, n_blocks=1, epochs=1, span_seconds=600.0)
 
 
 def test_sweep_single_candidate():
@@ -315,3 +297,17 @@ def test_sweep_rejects_oversized_and_empty_candidates():
         sweep_interval_length(stream, [20000.0], _SWEEP_CFG)
     with pytest.raises(GridError, match="empty"):
         sweep_interval_length(stream, [], _SWEEP_CFG)
+
+
+def test_sweep_builds_both_models_from_its_settings(monkeypatch):
+    built = []
+
+    def recording_build_model(config, **kwargs):
+        built.append(config)
+        return build_model(config, **kwargs)
+
+    monkeypatch.setattr(evaluate, "build_model", recording_build_model)
+    settings = replace(_SWEEP_CFG, filter_shape="Kx1")
+    sweep_interval_length(_sweep_stream(), [300.0], settings)
+    assert built == [settings.model_config("thread"), settings.model_config("reply")]
+    assert [(c.k_h, c.k_w) for c in built] == [(2, 1), (2, 1)]

@@ -168,6 +168,22 @@ def test_append_rejects_non_finite_gap(small_grid, gap):
     assert state.n_cols == small_grid.spec.n_cols
 
 
+@pytest.mark.parametrize("gaps", [[1e19], [1e300], [2.0**62, 2.0**62]])
+def test_append_rejects_an_arrival_row_past_int64(small_grid, gaps):
+    """The last case fits int64 on its own and overflows only once added
+    to the arrival row the first gap left."""
+    state = ForecastState.from_grid(small_grid)
+    for gap in gaps[:-1]:
+        append_thread_column(state, gap)
+    counts, rows = state.counts.copy(), state.arrival_rows.copy()
+    with pytest.raises(GridError, match="int64"):
+        append_thread_column(state, gaps[-1])
+    assert state.arrival_rows.dtype == np.int64
+    assert np.array_equal(state.arrival_rows, rows)
+    assert np.array_equal(state.counts, counts)
+    assert len(state.thread_times) == state.n_cols
+
+
 def test_adaptive_stops_on_non_finite_gap_stub(small_grid):
     state = ForecastState.from_grid(small_grid)
     with pytest.raises(GridError, match="not finite"):

@@ -17,6 +17,7 @@ from gridcast.grid import (
     build_grid,
     canonical_channels,
     frontier_segments,
+    gap_columns,
     interval_index,
     pad_top_left,
     relative_time_channel,
@@ -162,6 +163,20 @@ def test_time_split_keeps_a_row_on_each_side(small_grid):
     assert time_split(small_grid, 0.7) == (3, 2)  # rows 0-2 and columns 0-1 train
     assert time_split(small_grid, 0.0) == (1, 1)
     assert time_split(small_grid, 1.0) == (4, 2)
+
+
+def test_gap_columns_need_a_successor_and_an_arrival_in_the_rows():
+    s = EventStream.from_cascades([
+        cascade("a", 0.0), cascade("b", 70.0), cascade("c", 200.0), cascade("d", 230.0),
+    ])
+    g = build_grid(s, d=60.0, t0=0.0, n_rows=3)
+    assert g.arrival_rows.tolist() == [0, 1, 3, 3]
+    # c arrives beyond the last row; d, the last column, has no successor
+    assert gap_columns(g) == [0, 1]
+    assert gap_columns(g, 1) == [1]
+    assert gap_columns(g, 0, 1) == [0]
+    assert gap_columns(g, -2, 10) == [0, 1]
+    assert [seg.anchor[1] for seg in slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)] == [0, 1]
 
 
 @given(stream_strategy(), st.sampled_from([30.0, 60.0, 150.0]), st.integers(1, 30))

@@ -3,7 +3,18 @@ import numpy as np
 import pytest
 from conftest import tiny_config, tiny_model, zero_weights
 
-from gridcast.grid import CHANNEL_ORDER, Channel, Segment, TargetKind
+from gridcast.grid import (
+    CHANNEL_ORDER,
+    Channel,
+    Segment,
+    TargetKind,
+    assemble_features,
+    build_grid,
+    frontier_segments,
+    rows_covering,
+    slice_segments,
+    time_split,
+)
 from gridcast.models import (
     GridSearchResult,
     ModelConfig,
@@ -18,7 +29,9 @@ from gridcast.models import (
     enumerate_space,
     grid_search,
     train,
+    training_segments,
 )
+from gridcast.synth import SynthParams, synth_generate
 
 LN2 = float(np.log(2.0))
 
@@ -337,3 +350,27 @@ def test_arrival_time_errors():
         arrival_time(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         arrival_time(0.0, 1.0, 300.0, mode="banana")
+
+
+@pytest.mark.parametrize("kind", ["thread", "reply"])
+def test_training_segments_match_the_explicit_split(kind):
+    stream = synth_generate(SynthParams(
+        lambda_thread=1 / 300.0, mu_reply=0.05, theta=300.0, horizon=9000.0, seed=5,
+    ))
+    grid = build_grid(stream, 300.0, 0.0, rows_covering(stream, 300.0, 0.0))
+    cfg = ModelConfig(kind=kind, channels=(Channel.COUNTS, Channel.MASK), window=(6, 4))
+    tensor = assemble_features(grid, cfg.channels)
+    r_split, col_split = time_split(grid, 0.6)
+    if kind == "thread":
+        want = slice_segments(tensor, grid, 6, 4, TargetKind.THREAD_GAP,
+                              col_range=(0, col_split))
+    else:
+        want = frontier_segments(tensor, grid, 6, 4, row_range=(0, r_split))
+    got = training_segments(grid, cfg, 0.6)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.kind is w.kind and g.anchor == w.anchor
+        assert g.features.shape == (2, 6, 4)
+        assert np.array_equal(g.features, w.features)
+        assert np.array_equal(g.target, w.target)
+        assert np.array_equal(g.target_weight, w.target_weight)
