@@ -27,7 +27,6 @@ from .forecast import (
     default_breakout_horizon,
 )
 from .evaluate import (
-    BaselineKind,
     EvalReport,
     EvalTask,
     SWEEP_SETTINGS,

@@ -59,31 +59,46 @@ class RunSettings:
     search_blocks: str = "3,4,5,6,7"
     budget_epochs: int = 0  # 0: full epochs
 
+    def __post_init__(self):
+        if self.d <= 0:  # a negative d never ends rows_covering's search
+            raise ValueError(f"d must be > 0, got {self.d}")
+        if not 0.0 < self.train_frac < 1.0:
+            raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        if self.budget_epochs < 0:
+            raise ValueError(f"budget_epochs must be >= 0, got {self.budget_epochs}")
+
     def model_config(self, kind: str) -> ModelConfig:
         if self.channels not in CHANNEL_SETS:
             raise ConfigError(f"unknown channel set {self.channels!r}")
         if self.filter_shape not in ("KxK", "Kx1"):
             raise ConfigError(f"unknown filter shape {self.filter_shape!r}")
         k_w = 1 if self.filter_shape == "Kx1" else self.kernel_size
-        return ModelConfig(
-            kind=kind,
-            channels=CHANNEL_SETS[self.channels],
-            window=(self.window_h, self.window_w),
-            n_filters=self.n_filters,
-            k_h=self.kernel_size,
-            k_w=k_w,
-            n_blocks=self.n_blocks,
-            loss_mode=self.loss_mode,
-        )
+        try:
+            return ModelConfig(
+                kind=kind,
+                channels=CHANNEL_SETS[self.channels],
+                window=(self.window_h, self.window_w),
+                n_filters=self.n_filters,
+                k_h=self.kernel_size,
+                k_w=k_w,
+                n_blocks=self.n_blocks,
+                loss_mode=self.loss_mode,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr, weight_decay=self.weight_decay, epochs=self.epochs,
-            batch_size=self.batch_size, seed=self.seed,
-        )
+        try:
+            return TrainConfig(
+                lr=self.lr, weight_decay=self.weight_decay, epochs=self.epochs,
+                batch_size=self.batch_size, seed=self.seed,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunSettings)}
+# the type each setting takes, the rule the CLI flags use too
+_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunSettings)}
 
 
 def load_settings(config_path: str | None = None, overrides: dict | None = None) -> RunSettings:
@@ -98,19 +113,22 @@ def load_settings(config_path: str | None = None, overrides: dict | None = None)
             raise ConfigError(f"config parse failure in {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")
-        for key in raw:
-            if key not in _FIELDS:
+        for key, val in raw.items():
+            if key not in _TYPES:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
+            want = _TYPES[key]  # an int may stand for a float; a bool is no number
+            if type(val) is not want and not (want is float and type(val) is int):
+                raise ConfigError(f"{config_path}: {key!r} must be {want.__name__}, got {val!r}")
         values.update(raw)
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown setting {key!r}")
         values[key] = val
     try:
         return RunSettings(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config values: {exc}") from exc
 
 

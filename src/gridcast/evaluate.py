@@ -108,11 +108,6 @@ def _report(task, abs_errors, unit, digest, label="", stddev=None) -> EvalReport
 # baseline adapters: same duck protocol as the trained models
 
 
-class BaselineKind(Enum):
-    HISTORICAL_MEAN = "historical_mean"
-    PERSISTENCE = "persistence"
-
-
 @dataclass
 class MeanGapBaseline:
     """HISTORICAL_MEAN for the thread task: constant mean training gap,
@@ -121,7 +116,6 @@ class MeanGapBaseline:
     gap_intervals: float
     window: tuple[int, int] = (1, 1)
     channels: tuple[Channel, ...] = (Channel.COUNTS,)
-    kind: str = BaselineKind.HISTORICAL_MEAN.value
 
     def predict_gap(self, features, col_index=None) -> float:
         return float(self.gap_intervals)
@@ -135,7 +129,6 @@ class PersistenceGapBaseline:
     d: float
     window: tuple[int, int] = (1, 1)
     channels: tuple[Channel, ...] = (Channel.COUNTS,)
-    kind: str = BaselineKind.PERSISTENCE.value
 
     def predict_gap(self, features, col_index=None) -> float:
         j = (col_index or 1) - 1
@@ -151,7 +144,6 @@ class MeanRowBaseline:
     mean_count: float
     window: tuple[int, int] = (1, 1)
     channels: tuple[Channel, ...] = (Channel.COUNTS,)
-    kind: str = BaselineKind.HISTORICAL_MEAN.value
 
     def predict_next_row(self, features, row_index=None) -> np.ndarray:
         return np.full(features.shape[-1], self.mean_count, dtype=np.float64)
@@ -161,7 +153,6 @@ class MeanRowBaseline:
 class PersistenceRowBaseline:
     window: tuple[int, int] = (1, 1)
     channels: tuple[Channel, ...] = (Channel.COUNTS,)
-    kind: str = BaselineKind.PERSISTENCE.value
 
     def predict_next_row(self, features, row_index=None) -> np.ndarray:
         return np.maximum(features[0, -1, :].astype(np.float64), 0.0)

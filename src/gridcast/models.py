@@ -77,7 +77,7 @@ class ModelConfig:
             raise ValueError("kernel dims must be >= 1")
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "kind": self.kind,
             "channels": [c.name for c in self.channels],
             "window": list(self.window),
@@ -87,7 +87,6 @@ class ModelConfig:
             "n_blocks": self.n_blocks,
             "loss_mode": self.loss_mode,
         }
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
@@ -106,18 +105,34 @@ class ModelConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-2
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+
 
 class _ModelBase:
     config: ModelConfig
     stack: TCNStack
+
+    def _build_stack(self, config: ModelConfig, kind: str, seed, dtype) -> np.random.Generator:
+        """Check config.kind and build the shared stack; returns the
+        generator the head draws its initial weights from next."""
+        if config.kind != kind:
+            raise ValueError(f"config.kind must be {kind!r}")
+        self.config = config
+        self.dtype = dtype
+        self._cache = None
+        rng = np.random.default_rng(seed)
+        self.stack = TCNStack.build(
+            rng, len(config.channels), config.n_filters, config.k_h, config.k_w,
+            config.n_blocks, dtype=dtype,
+        )
+        return rng
 
     @property
     def kind(self) -> str:
@@ -157,20 +172,11 @@ class ThreadArrivalModel(_ModelBase):
     """Predicts the row gap to the next thread from the anchor cell."""
 
     def __init__(self, config: ModelConfig, seed=0, dtype=np.float32):
-        if config.kind != "thread":
-            raise ValueError("config.kind must be 'thread'")
-        self.config = config
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
+        rng = self._build_stack(config, "thread", seed, dtype)
         f = config.n_filters
-        self.stack = TCNStack.build(
-            rng, len(config.channels), f, config.k_h, config.k_w,
-            config.n_blocks, dtype=dtype,
-        )
         self.fc1 = DenseLayer(rng, f, f, dtype=dtype, name="head.fc1")
-        self.act = PReLULayer(f, axis=-1, dtype=dtype, name="head.act")
+        self.act = PReLULayer(f, dtype=dtype, name="head.act")
         self.fc2 = DenseLayer(rng, f, 1, dtype=dtype, name="head.fc2")
-        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x: (N, C, h, w) -> predicted gaps (N,), all >= 0."""
@@ -202,18 +208,8 @@ class ReplyCountModel(_ModelBase):
     """Per-cell next-row count estimates, fully convolutional."""
 
     def __init__(self, config: ModelConfig, seed=0, dtype=np.float32):
-        if config.kind != "reply":
-            raise ValueError("config.kind must be 'reply'")
-        self.config = config
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        f = config.n_filters
-        self.stack = TCNStack.build(
-            rng, len(config.channels), f, config.k_h, config.k_w,
-            config.n_blocks, dtype=dtype,
-        )
-        self.head = ConvLayer(rng, f, 1, 1, 1, tau=1, dtype=dtype, name="head.conv")
-        self._cache = None
+        rng = self._build_stack(config, "reply", seed, dtype)
+        self.head = ConvLayer(rng, config.n_filters, 1, 1, 1, tau=1, dtype=dtype, name="head.conv")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x: (N, C, h, w) -> (N, h, w); cell (i, j) estimates counts[i+1, j]."""
@@ -350,20 +346,18 @@ def train(model, segments: list[Segment], cfg: TrainConfig) -> list[float]:
                 raise TrainingDiverged(f"loss became {loss} at epoch {len(history)}")
             model.backward(g)
             for p in params:
-                adam_step(
-                    p, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                    weight_decay=decay if p.decay else 0.0,
-                )
+                adam_step(p, lr=cfg.lr, weight_decay=decay if p.decay else 0.0)
             num += loss * m
             mass += m
         history.append(num / mass)
     return history
 
 
-def dataset_loss(model, segments: list[Segment], batch_size: int = 256) -> float:
-    """Eval-mode mean loss over a segment set (same support as training)."""
+def dataset_loss(model, segments: list[Segment]) -> float:
+    """Eval-mode mean loss over a segment set (same support as training),
+    in batches of 256 windows."""
     bs = _prepare(model, segments, model.dtype)
-    num, mass = 0.0, 0.0
+    num, mass, batch_size = 0.0, 0.0, 256
     for start in range(0, len(bs), batch_size):
         sel = np.arange(start, min(start + batch_size, len(bs)))
         loss, _, m = _batch_loss(model, bs, sel, train=False)

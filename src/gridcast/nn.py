@@ -11,13 +11,20 @@ Convolutions anchor the receptive field at the output cell itself and
 extend up/left only, via implicit top-left zero padding of (K-1)*tau.
 Strict one-step-ahead causality is the caller's job (shifted targets).
 
-Training runs in float32; gradient checks want float64 throughout.
+Arrays have one layout: the conv and batch-norm kernels take
+(N, C, H, W) and dense takes (N, F), so the channel axis is always
+axis 1 and a single window is a batch of one. Any other rank raises
+ShapeError.
+
+Models hold float32 parameters and run the forward pass in float32,
+but mse_loss returns a float64 gradient, so the backward pass runs in
+float64 (ROADMAP item 2). Gradient checks want float64 throughout.
 Nothing here is thread-safe under concurrent mutation of the same
 Parameter; keep one writer per model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +73,30 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dty
 # causal dilated 2-D convolution
 
 
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"expected 3-D or 4-D input, got shape {x.shape}")
+def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype):
+    """Check a conv's operands; return x zero-padded at dtype and, per
+    filter tap (a, b) in row-major order, the index of the padded window
+    that tap reads: x shifted down a*tau rows and right b*tau columns.
+    """
+    if tau < 1:
+        raise ShapeError(f"dilation must be >= 1, got {tau}")
+    if x.ndim != 4:
+        raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
+    if filters.ndim != 4:
+        raise ShapeError(f"filters must be 4-D, got shape {filters.shape}")
+    n, c_in, hgt, wid = x.shape
+    _, c_in_f, k_h, k_w = filters.shape
+    if c_in_f != c_in:
+        raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
+    ph, pw = (k_h - 1) * tau, (k_w - 1) * tau
+    xp = np.zeros((n, c_in, hgt + ph, wid + pw), dtype=dtype)
+    xp[:, :, ph:, pw:] = x
+    taps = []
+    for a in range(k_h):
+        for b in range(k_w):
+            rs, cs = ph - a * tau, pw - b * tau
+            taps.append(((a, b), np.s_[:, :, rs : rs + hgt, cs : cs + wid]))
+    return xp, taps
 
 
 def conv2d_causal_dilated(
@@ -83,30 +108,17 @@ def conv2d_causal_dilated(
     so the output keeps the input's spatial shape and cell (i, j) sees
     only cells at rows <= i and columns <= j.
     """
-    if tau < 1:
-        raise ShapeError(f"dilation must be >= 1, got {tau}")
-    xb, single = _as_batched(x)
-    n, c_in, hgt, wid = xb.shape
-    if filters.ndim != 4:
-        raise ShapeError(f"filters must be 4-D, got shape {filters.shape}")
-    c_out, c_in_f, k_h, k_w = filters.shape
-    if c_in_f != c_in:
-        raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
+    dtype = np.result_type(x.dtype, filters.dtype)
+    xp, taps = _taps(x, filters, tau, dtype)
+    c_out = filters.shape[0]
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
-
-    dtype = np.result_type(xb.dtype, filters.dtype)
-    ph, pw = (k_h - 1) * tau, (k_w - 1) * tau
-    xp = np.zeros((n, c_in, hgt + ph, wid + pw), dtype=dtype)
-    xp[:, :, ph:, pw:] = xb
-    out = np.zeros((n, c_out, hgt, wid), dtype=dtype)
-    for a in range(k_h):
-        for b in range(k_w):
-            sl = xp[:, :, ph - a * tau : ph - a * tau + hgt, pw - b * tau : pw - b * tau + wid]
-            out += np.einsum("oc,nchw->nohw", filters[:, :, a, b], sl, optimize=True)
+    out = np.zeros((x.shape[0], c_out, *x.shape[2:]), dtype=dtype)
+    for (a, b), sl in taps:
+        out += np.einsum("oc,nchw->nohw", filters[:, :, a, b], xp[sl], optimize=True)
     if bias is not None:
         out += bias[None, :, None, None].astype(dtype)
-    return out[0] if single else out
+    return out
 
 
 def conv2d_backward(
@@ -118,40 +130,25 @@ def conv2d_backward(
     d/dx scatters each tap's contribution back up-left. Zero-padded reads
     contribute nothing, which the padded-buffer bookkeeping reproduces.
     """
-    if tau < 1:
-        raise ShapeError(f"dilation must be >= 1, got {tau}")
-    xb, single = _as_batched(x)
-    ub, _ = _as_batched(upstream)
-    n, c_in, hgt, wid = xb.shape
-    c_out, c_in_f, k_h, k_w = filters.shape
-    if c_in_f != c_in:
-        raise ShapeError("filters do not match input channels")
-    if ub.shape != (n, c_out, hgt, wid):
-        raise ShapeError(f"upstream shape {ub.shape} != {(n, c_out, hgt, wid)}")
-
-    dtype = np.result_type(xb.dtype, filters.dtype, ub.dtype)
-    ph, pw = (k_h - 1) * tau, (k_w - 1) * tau
-    xp = np.zeros((n, c_in, hgt + ph, wid + pw), dtype=dtype)
-    xp[:, :, ph:, pw:] = xb
+    dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
+    xp, taps = _taps(x, filters, tau, dtype)
+    want = (x.shape[0], filters.shape[0], *x.shape[2:])
+    if upstream.shape != want:
+        raise ShapeError(f"upstream shape {upstream.shape} != {want}")
     grad_f = np.zeros_like(filters, dtype=dtype)
     grad_xp = np.zeros_like(xp)
-    for a in range(k_h):
-        for b in range(k_w):
-            rs, cs = ph - a * tau, pw - b * tau
-            sl = xp[:, :, rs : rs + hgt, cs : cs + wid]
-            grad_f[:, :, a, b] = np.einsum("nohw,nchw->oc", ub, sl, optimize=True)
-            grad_xp[:, :, rs : rs + hgt, cs : cs + wid] += np.einsum(
-                "oc,nohw->nchw", filters[:, :, a, b], ub, optimize=True
-            )
-    grad_x = grad_xp[:, :, ph:, pw:]
-    grad_b = ub.sum(axis=(0, 2, 3))
-    if single:
-        grad_x = grad_x[0]
-    return grad_x, grad_f, grad_b
+    for (a, b), sl in taps:
+        grad_f[:, :, a, b] = np.einsum("nohw,nchw->oc", upstream, xp[sl], optimize=True)
+        grad_xp[sl] += np.einsum("oc,nohw->nchw", filters[:, :, a, b], upstream, optimize=True)
+    grad_x = grad_xp[taps[0][1]]  # tap (0, 0) reads x itself
+    return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
 # batch normalisation
+
+BN_MOMENTUM = 0.9  # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
+BN_EPS = 1e-5  # added to the variance before the square root
 
 
 @dataclass
@@ -160,14 +157,12 @@ class RunningStats:
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.9
 
     @classmethod
-    def fresh(cls, channels: int, momentum: float = 0.9) -> "RunningStats":
+    def fresh(cls, channels: int) -> "RunningStats":
         return cls(
             mean=np.zeros(channels, dtype=np.float64),
             var=np.ones(channels, dtype=np.float64),
-            momentum=momentum,
         )
 
 
@@ -175,43 +170,36 @@ def batch_norm(
     x: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
-    mode: str = "train",
-    running: RunningStats | None = None,
-    eps: float = 1e-5,
+    train: bool,
+    running: RunningStats,
 ) -> tuple[np.ndarray, tuple]:
     """Per-channel normalisation over (batch, height, width).
 
-    TRAIN normalises by the batch moments and folds them into the
-    running stats (new = momentum * old + (1 - momentum) * batch).
-    EVAL normalises by the running stats, making the op a fixed
+    Training normalises by the batch moments and folds them into the
+    running stats (new = BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch).
+    Eval normalises by the running stats, making the op a fixed
     per-channel affine map. Returns (out, cache) for the backward pass.
     """
-    xb, single = _as_batched(x)
-    if xb.size == 0:
+    if x.ndim != 4:
+        raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
+    if x.size == 0:
         raise ShapeError("batch_norm on an empty batch")
-    c = xb.shape[1]
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("gamma/beta must be per-channel vectors")
     axes = (0, 2, 3)
-    if mode == "train":
-        mu = xb.mean(axis=axes)
-        var = xb.var(axis=axes)
-        if running is not None:
-            mom = running.momentum
-            running.mean = mom * running.mean + (1.0 - mom) * mu.astype(np.float64)
-            running.var = mom * running.var + (1.0 - mom) * var.astype(np.float64)
-    elif mode == "eval":
-        if running is None:
-            raise ShapeError("eval mode needs running stats")
-        mu = running.mean.astype(xb.dtype)
-        var = running.var.astype(xb.dtype)
+    if train:
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running.mean = BN_MOMENTUM * running.mean + (1.0 - BN_MOMENTUM) * mu.astype(np.float64)
+        running.var = BN_MOMENTUM * running.var + (1.0 - BN_MOMENTUM) * var.astype(np.float64)
     else:
-        raise ShapeError(f"unknown batch_norm mode {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xb - mu[None, :, None, None]) * inv_std[None, :, None, None]
+        mu = running.mean.astype(x.dtype)
+        var = running.var.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    cache = (xhat, inv_std, gamma, mode, single)
-    return (out[0] if single else out), cache
+    return out, (xhat, inv_std, gamma, train)
 
 
 def batch_norm_backward(
@@ -219,54 +207,51 @@ def batch_norm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward through batch_norm.
 
-    TRAIN mode differentiates through the batch moments:
+    Training differentiates through the batch moments:
       dx = gamma * inv_std / M * (M * du - sum(du) - xhat * sum(du * xhat))
-    with M the per-channel cell count. EVAL mode treats the running
-    moments as constants, so dx = du * gamma * inv_std.
+    with M the per-channel cell count. Eval treats the running moments
+    as constants, so dx = du * gamma * inv_std.
     """
-    xhat, inv_std, gamma, mode, single = cache
-    ub, _ = _as_batched(upstream)
+    xhat, inv_std, gamma, train = cache
+    if upstream.shape != xhat.shape:
+        raise ShapeError(f"upstream shape {upstream.shape} != {xhat.shape}")
     axes = (0, 2, 3)
-    grad_beta = ub.sum(axis=axes)
-    grad_gamma = (ub * xhat).sum(axis=axes)
+    grad_beta = upstream.sum(axis=axes)
+    grad_gamma = (upstream * xhat).sum(axis=axes)
     g = gamma[None, :, None, None] * inv_std[None, :, None, None]
-    if mode == "train":
-        m = ub.shape[0] * ub.shape[2] * ub.shape[3]
+    if train:
+        m = upstream.shape[0] * upstream.shape[2] * upstream.shape[3]
         term = (
-            m * ub
+            m * upstream
             - grad_beta[None, :, None, None]
             - xhat * grad_gamma[None, :, None, None]
         )
         grad_x = g * term / m
     else:
-        grad_x = g * ub
-    return (grad_x[0] if single else grad_x), grad_gamma, grad_beta
+        grad_x = g * upstream
+    return grad_x, grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------
 # activations
 
 
-def _slope_shape(x: np.ndarray, slope: np.ndarray, axis: int) -> np.ndarray:
-    shape = [1] * x.ndim
-    shape[axis] = slope.shape[0]
-    return slope.reshape(shape)
+def _channel_shape(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """slope reshaped to broadcast along x's channel axis, axis 1."""
+    return slope.reshape((1, -1) + (1,) * (x.ndim - 2))
 
 
-def prelu(x: np.ndarray, slope: np.ndarray, axis: int = -3) -> np.ndarray:
-    """max(x, 0) + slope * min(x, 0), slope broadcast along `axis`."""
-    s = _slope_shape(x, slope, axis)
-    return np.where(x > 0, x, s * x)
+def prelu(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """max(x, 0) + slope * min(x, 0), one slope per channel."""
+    return np.where(x > 0, x, _channel_shape(x, slope) * x)
 
 
 def prelu_backward(
-    x: np.ndarray, slope: np.ndarray, upstream: np.ndarray, axis: int = -3
+    x: np.ndarray, slope: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    s = _slope_shape(x, slope, axis)
-    grad_x = np.where(x > 0, upstream, s * upstream)
+    grad_x = np.where(x > 0, upstream, _channel_shape(x, slope) * upstream)
     neg = np.where(x > 0, 0.0, x)
-    sum_axes = tuple(i for i in range(x.ndim) if i != (axis % x.ndim))
-    grad_slope = (upstream * neg).sum(axis=sum_axes)
+    grad_slope = (upstream * neg).sum(axis=(0, *range(2, x.ndim)))
     return grad_x, grad_slope
 
 
@@ -285,12 +270,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """y = x @ weight.T + bias for (N, in) or bare (in,) inputs."""
-    if x.ndim == 1:
-        x = x[None]
-        return (x @ weight.T + bias)[0]
+    """y = x @ weight.T + bias for (N, in) inputs."""
     if x.ndim != 2:
-        raise ShapeError(f"dense expects 1-D or 2-D input, got {x.shape}")
+        raise ShapeError(f"dense expects (N, F) input, got shape {x.shape}")
     if x.shape[1] != weight.shape[1]:
         raise ShapeError(f"input width {x.shape[1]} != weight fan-in {weight.shape[1]}")
     return x @ weight.T + bias
@@ -299,12 +281,9 @@ def dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 def dense_backward(
     x: np.ndarray, weight: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xb = x[None] if x.ndim == 1 else x
-    ub = upstream[None] if upstream.ndim == 1 else upstream
-    grad_w = ub.T @ xb
-    grad_b = ub.sum(axis=0)
-    grad_x = ub @ weight
-    return (grad_x[0] if x.ndim == 1 else grad_x), grad_w, grad_b
+    if x.ndim != 2 or upstream.ndim != 2:
+        raise ShapeError(f"dense expects (N, F) input, got shapes {x.shape}, {upstream.shape}")
+    return upstream @ weight, upstream.T @ x, upstream.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +354,16 @@ def adam_step(
 # gradient checking
 
 
-def grad_check(loss_fn, params: list[Parameter], eps: float = 1e-5) -> float:
-    """Worst relative error between stored grads and central differences.
+def grad_check(loss_fn, params: list[Parameter]) -> float:
+    """Worst relative error between stored grads and central differences
+    with step 1e-5.
 
     loss_fn() recomputes the scalar loss from the params' current
     values. Relative error uses a unit floor so near-zero gradients do
     not blow the ratio up: |a - n| / max(1, |a|, |n|). Call with
     float64 parameters; float32 noise sits right at the tolerance.
     """
-    worst = 0.0
+    eps, worst = 1e-5, 0.0
     for p in params:
         flat_v = p.value.reshape(-1)
         flat_g = p.grad.reshape(-1)
@@ -452,24 +432,14 @@ class ConvLayer:
 
 
 class BatchNormLayer:
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5,
-                 dtype=np.float32, name: str = "norm"):
+    def __init__(self, channels: int, dtype=np.float32, name: str = "norm"):
         self.gamma = Parameter.of(np.ones(channels, dtype=dtype), name=f"{name}.gamma")
         self.beta = Parameter.of(np.zeros(channels, dtype=dtype), name=f"{name}.beta")
-        self.running = RunningStats.fresh(channels, momentum)
-        self.eps = eps
+        self.running = RunningStats.fresh(channels)
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, cache = batch_norm(
-            x,
-            self.gamma.value,
-            self.beta.value,
-            mode="train" if train else "eval",
-            running=self.running,
-            eps=self.eps,
-        )
-        self._cache = cache
+        out, self._cache = batch_norm(x, self.gamma.value, self.beta.value, train, self.running)
         return out
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
@@ -485,19 +455,18 @@ class BatchNormLayer:
 class PReLULayer:
     """Per-channel learnable slope, initialised to 0.25."""
 
-    def __init__(self, channels: int, axis: int = -3, dtype=np.float32, name: str = "act"):
+    def __init__(self, channels: int, dtype=np.float32, name: str = "act"):
         self.slope = Parameter.of(
             np.full(channels, 0.25, dtype=dtype), name=f"{name}.slope"
         )
-        self.axis = axis
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return prelu(x, self.slope.value, self.axis)
+        return prelu(x, self.slope.value)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
-        grad_x, grad_s = prelu_backward(self._x, self.slope.value, upstream, self.axis)
+        grad_x, grad_s = prelu_backward(self._x, self.slope.value, upstream)
         self.slope.grad += grad_s.astype(self.slope.grad.dtype)
         return grad_x
 

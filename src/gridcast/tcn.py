@@ -91,7 +91,6 @@ class TCNStack:
         k_w: int,
         n_blocks: int,
         dtype=np.float32,
-        name: str = "stack",
     ) -> "TCNStack":
         """Standard ladder: c_in -> n_filters -> ... with tau = 2^(l-1)."""
         blocks = []
@@ -103,7 +102,7 @@ class TCNStack:
                 k_w=k_w,
                 tau=2**l,
             )
-            blocks.append(TemporalBlock(rng, cfg, dtype=dtype, name=f"{name}.block{l}"))
+            blocks.append(TemporalBlock(rng, cfg, dtype=dtype, name=f"stack.block{l}"))
         return cls(blocks)
 
     @property
@@ -206,11 +205,9 @@ def causality_probe(
     if not (0 <= i < h and 0 <= j < w):
         raise ValueError(f"probe cell {cell} outside a {h}x{w} input")
     probe = stack.astype(np.float64)
-    x = np.ones((probe.c_in, h, w), dtype=np.float64)
-    out = probe.forward(x, train=False)
+    out = probe.forward(np.ones((1, probe.c_in, h, w)), train=False)
     up = np.zeros_like(out)
-    up[:, i, j] = 1.0
-    grad_x = probe.backward(up)
-    influence = np.abs(grad_x).sum(axis=0)
+    up[0, :, i, j] = 1.0
+    influence = np.abs(probe.backward(up)[0]).sum(axis=0)
     rows, cols = np.nonzero(influence > 0)
     return {(int(r), int(c)) for r, c in zip(rows, cols)}

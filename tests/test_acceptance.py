@@ -186,7 +186,7 @@ def test_criterion_3_gradient_checks():
         "batch-norm eval", bn_eval, xb, lambda a: bn_eval.forward(a, train=False)
     )
 
-    act = PReLULayer(3, axis=-3, dtype=np.float64)
+    act = PReLULayer(3, dtype=np.float64)
     weighted_sum_check("prelu", act, xb, lambda a: act.forward(a))
 
     dense = DenseLayer(rng, 5, 4, dtype=np.float64, name="dense")

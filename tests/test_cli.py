@@ -192,6 +192,38 @@ def test_corrupt_checkpoint_is_runtime_error(capsys, tmp_path, workdir):
     assert "magic" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--epochs", "0"),
+        ("--batch-size", "0"),
+        ("--loss-mode", "bogus"),
+        ("--n-filters", "0"),
+        ("--train-frac", "1.5"),
+    ],
+)
+def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, flag, value):
+    argv = [
+        "train-reply", "--in", str(workdir["events"]), "--out", str(tmp_path / "r.ckpt"),
+        *TINY, flag, value,
+    ]
+    payload = _fail(capsys, argv, 2)
+    assert payload["error"] == "config"
+    assert not (tmp_path / "r.ckpt").exists()
+
+
+def test_config_value_of_wrong_type_is_config_error(capsys, workdir, tmp_path):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"d": "300"}), encoding="utf-8")
+    argv = [
+        "grid", "--in", str(workdir["events"]), "--out", str(tmp_path / "g.bin"),
+        "--config", str(cfg),
+    ]
+    payload = _fail(capsys, argv, 2)
+    assert payload["error"] == "config"
+    assert "'d' must be float" in payload["message"]
+
+
 # ---------------------------------------------------------------------------
 # settings precedence: defaults < config file < flags
 

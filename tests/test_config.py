@@ -93,3 +93,44 @@ def test_parse_float_list_roundtrip_and_rejection():
     assert parse_float_list("0.5,1") == [0.5, 1.0]
     with pytest.raises(ConfigError, match="comma-separated numbers"):
         parse_float_list("a,b")
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"d": "300"}, "d"),
+        ({"epochs": "2", "window_h": 6.5}, "epochs"),
+        ({"window_h": 6.5}, "window_h"),
+        ({"seed": True}, "seed"),
+        ({"d": False}, "d"),
+        ({"channels": 3}, "channels"),
+    ],
+)
+def test_config_file_value_of_wrong_type_is_rejected(tmp_path, values, key):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        load_settings(str(path))
+
+
+def test_config_file_int_stands_for_float(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"d": 300}), encoding="utf-8")
+    assert load_settings(str(path)).d == 300.0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train_frac", -0.5),
+        ("train_frac", 0.0),
+        ("train_frac", 1.0),
+        ("train_frac", 1.5),
+        ("budget_epochs", -1),
+        ("d", 0.0),
+        ("d", -5.0),
+    ],
+)
+def test_out_of_range_setting_is_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_settings(None, {key: value})

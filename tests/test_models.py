@@ -154,6 +154,12 @@ def test_build_determinism_bit_exact():
                for pa, pc in zip(a.params(), c.params()))
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_train_config_rejects_non_positive(field):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        TrainConfig(**{field: 0})
+
+
 def test_training_determinism_bit_exact():
     rng = np.random.default_rng(5)
     cfg = tiny_config("thread")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridcast.nn import (
+    BN_EPS,
     BatchNormLayer,
     ConvLayer,
     DenseLayer,
@@ -29,7 +30,8 @@ from gridcast.nn import (
 
 
 def naive_causal_conv(x, filters, bias, tau):
-    """Quadruple-loop reference: out-of-range reads are zero."""
+    """Quadruple-loop reference for one (C, H, W) sample: out-of-range
+    reads are zero."""
     c_out, c_in, k_h, k_w = filters.shape
     _, hgt, wid = x.shape
     out = np.zeros((c_out, hgt, wid), dtype=np.float64)
@@ -52,10 +54,10 @@ def naive_causal_conv(x, filters, bias, tau):
 
 
 def test_conv_hand_case_ones_filter():
-    x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     f = np.ones((1, 1, 2, 2))
     out = conv2d_causal_dilated(x, f, None, tau=1)
-    assert out.tolist() == [[[1.0, 3.0], [4.0, 10.0]]]
+    assert out.tolist() == [[[[1.0, 3.0], [4.0, 10.0]]]]
 
 
 def test_conv_matches_naive_oracle():
@@ -65,7 +67,7 @@ def test_conv_matches_naive_oracle():
             x = rng.normal(size=(2, 5, 6))
             f = rng.normal(size=(3, 2, k_h, k_w))
             b = rng.normal(size=3)
-            got = conv2d_causal_dilated(x, f, b, tau)
+            got = conv2d_causal_dilated(x[None], f, b, tau)[0]
             want = naive_causal_conv(x, f, b, tau)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -77,28 +79,43 @@ def test_conv_batched_equals_per_sample():
     b = rng.normal(size=2)
     batched = conv2d_causal_dilated(x, f, b, 1)
     for n in range(4):
-        assert np.allclose(batched[n], conv2d_causal_dilated(x[n], f, b, 1))
+        assert np.allclose(batched[n], conv2d_causal_dilated(x[n : n + 1], f, b, 1)[0])
 
 
 def test_conv_output_ignores_future_cells():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 4, 4))
+    x = rng.normal(size=(1, 1, 4, 4))
     f = rng.normal(size=(1, 1, 3, 3))
     base = conv2d_causal_dilated(x, f, None, 1)
     x2 = x.copy()
-    x2[0, 3, 3] += 5.0  # strictly below/right of probe (1, 1)
-    x2[0, 2, 3] -= 2.0
+    x2[0, 0, 3, 3] += 5.0  # strictly below/right of probe (1, 1)
+    x2[0, 0, 2, 3] -= 2.0
     out2 = conv2d_causal_dilated(x2, f, None, 1)
-    assert out2[0, 1, 1] == base[0, 1, 1]
+    assert out2[0, 0, 1, 1] == base[0, 0, 1, 1]
 
 
 def test_conv_shape_errors():
+    f = np.ones((1, 1, 2, 2))
     with pytest.raises(ShapeError):
-        conv2d_causal_dilated(np.ones((2, 3, 3)), np.ones((1, 1, 2, 2)), None, 1)
+        conv2d_causal_dilated(np.ones((1, 2, 3, 3)), f, None, 1)
     with pytest.raises(ShapeError):
-        conv2d_causal_dilated(np.ones((1, 3, 3)), np.ones((1, 1, 2, 2)), None, 0)
+        conv2d_causal_dilated(np.ones((1, 1, 3, 3)), f, None, 0)
     with pytest.raises(ShapeError):
-        conv2d_causal_dilated(np.ones((3, 3)), np.ones((1, 1, 2, 2)), None, 1)
+        conv2d_causal_dilated(np.ones((1, 1, 3, 3)), f, np.zeros(2), 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (1, 1, 1, 3, 3)])
+def test_conv_rejects_non_4d_input(shape):
+    f, up = np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3))
+    with pytest.raises(ShapeError):
+        conv2d_causal_dilated(np.ones(shape), f, None, 1)
+    with pytest.raises(ShapeError):
+        conv2d_backward(np.ones(shape), f, 1, up)
+
+
+def test_conv_backward_rejects_3d_filters():
+    with pytest.raises(ShapeError):
+        conv2d_backward(np.ones((1, 1, 3, 3)), np.ones((1, 2, 2)), 1, np.ones((1, 1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +153,9 @@ def test_conv_backward_matches_fd():
 
 
 def test_conv_backward_zero_upstream():
-    x = np.ones((1, 3, 3))
+    x = np.ones((1, 1, 3, 3))
     f = np.ones((2, 1, 2, 2))
-    gx, gf, gb = conv2d_backward(x, f, 1, np.zeros((2, 3, 3)))
+    gx, gf, gb = conv2d_backward(x, f, 1, np.zeros((1, 2, 3, 3)))
     assert not gx.any() and not gf.any() and not gb.any()
 
 
@@ -148,7 +165,7 @@ def test_conv_backward_zero_upstream():
 
 def test_batch_norm_train_standardises():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])  # one channel
-    out, _ = batch_norm(x, np.ones(1), np.zeros(1), mode="train")
+    out, _ = batch_norm(x, np.ones(1), np.zeros(1), True, RunningStats.fresh(1))
     assert abs(out.mean()) < 1e-12
     assert abs(out.var() - 1.0) < 1e-4  # eps shrinks the variance slightly
 
@@ -156,7 +173,7 @@ def test_batch_norm_train_standardises():
 def test_batch_norm_running_update_rule():
     rs = RunningStats.fresh(1)
     x = np.full((1, 1, 2, 2), 3.0)
-    batch_norm(x, np.ones(1), np.zeros(1), mode="train", running=rs)
+    batch_norm(x, np.ones(1), np.zeros(1), True, rs)
     # new = 0.9 * old + 0.1 * batch; batch mean 3, batch var 0
     assert np.allclose(rs.mean, [0.9 * 0.0 + 0.1 * 3.0])
     assert np.allclose(rs.var, [0.9 * 1.0 + 0.1 * 0.0])
@@ -165,15 +182,19 @@ def test_batch_norm_running_update_rule():
 def test_batch_norm_eval_is_fixed_affine():
     rs = RunningStats(mean=np.array([1.0]), var=np.array([4.0]))
     x = np.array([[[[3.0]]]])
-    out, _ = batch_norm(
-        x, np.array([2.0]), np.array([0.5]), mode="eval", running=rs, eps=0.0
-    )
-    assert np.allclose(out, [(3 - 1) / 2 * 2 + 0.5])
+    out, _ = batch_norm(x, np.array([2.0]), np.array([0.5]), False, rs)
+    assert np.allclose(out, [(3 - 1) / np.sqrt(4 + BN_EPS) * 2 + 0.5])
 
 
 def test_batch_norm_eval_requires_running():
+    with pytest.raises(TypeError):
+        batch_norm(np.ones((1, 1, 1, 1)), np.ones(1), np.zeros(1), False)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 2, 2), (1, 1, 1, 2, 2)])
+def test_batch_norm_rejects_non_4d_input(shape):
     with pytest.raises(ShapeError):
-        batch_norm(np.ones((1, 1, 1, 1)), np.ones(1), np.zeros(1), mode="eval")
+        batch_norm(np.ones(shape), np.ones(1), np.zeros(1), True, RunningStats.fresh(1))
 
 
 def test_batch_norm_train_backward_matches_fd():
@@ -183,11 +204,13 @@ def test_batch_norm_train_backward_matches_fd():
     beta = rng.normal(size=2)
     up = rng.normal(size=x.shape)
 
+    rs = RunningStats.fresh(2)
+
     def loss():
-        out, _ = batch_norm(x, gamma, beta, mode="train")
+        out, _ = batch_norm(x, gamma, beta, True, rs)
         return float((out * up).sum())
 
-    _, cache = batch_norm(x, gamma, beta, mode="train")
+    _, cache = batch_norm(x, gamma, beta, True, rs)
     gx, gg, gb = batch_norm_backward(cache, up)
     assert np.allclose(gx, _fd(loss, x), atol=1e-6)
     assert np.allclose(gg, _fd(loss, gamma), atol=1e-6)
@@ -203,10 +226,10 @@ def test_batch_norm_eval_backward_matches_fd():
     up = rng.normal(size=x.shape)
 
     def loss():
-        out, _ = batch_norm(x, gamma, beta, mode="eval", running=rs)
+        out, _ = batch_norm(x, gamma, beta, False, rs)
         return float((out * up).sum())
 
-    _, cache = batch_norm(x, gamma, beta, mode="eval", running=rs)
+    _, cache = batch_norm(x, gamma, beta, False, rs)
     gx, gg, gb = batch_norm_backward(cache, up)
     assert np.allclose(gx, _fd(loss, x), atol=1e-7)
     assert np.allclose(gg, _fd(loss, gamma), atol=1e-7)
@@ -218,22 +241,22 @@ def test_batch_norm_eval_backward_matches_fd():
 
 
 def test_prelu_piecewise():
-    x = np.array([[-2.0, 3.0]])
-    out = prelu(x, np.array([0.25]), axis=0)
-    assert out.tolist() == [[-0.5, 3.0]]
+    x = np.array([[-2.0], [3.0]])
+    out = prelu(x, np.array([0.25]))
+    assert out.tolist() == [[-0.5], [3.0]]
 
 
 def test_prelu_backward_matches_fd():
     rng = np.random.default_rng(7)
-    for axis, shape, channels in ((-3, (2, 3, 4, 4), 3), (-1, (5, 3), 3)):
+    for shape in ((2, 3, 4, 4), (5, 3)):
         x = rng.normal(size=shape)
-        slope = rng.uniform(0.1, 0.5, channels)
+        slope = rng.uniform(0.1, 0.5, shape[1])
         up = rng.normal(size=shape)
 
         def loss():
-            return float((prelu(x, slope, axis) * up).sum())
+            return float((prelu(x, slope) * up).sum())
 
-        gx, gs = prelu_backward(x, slope, up, axis)
+        gx, gs = prelu_backward(x, slope, up)
         assert np.allclose(gx, _fd(loss, x), atol=1e-7)
         assert np.allclose(gs, _fd(loss, slope), atol=1e-7)
 
@@ -273,7 +296,11 @@ def test_dense_forward_and_backward():
 
 def test_dense_single_vector():
     w = np.array([[1.0, 2.0]])
-    assert dense(np.array([3.0, 4.0]), w, np.array([0.5])).tolist() == [11.5]
+    with pytest.raises(ShapeError):
+        dense(np.array([3.0, 4.0]), w, np.array([0.5]))
+    with pytest.raises(ShapeError):
+        dense_backward(np.array([3.0, 4.0]), w, np.array([1.0]))
+    assert dense(np.array([[3.0, 4.0]]), w, np.array([0.5])).tolist() == [[11.5]]
 
 
 def test_dense_shape_error():
@@ -429,7 +456,7 @@ def test_dense_layer_grad_check():
 
 def test_prelu_bn_layer_wrappers():
     rng = np.random.default_rng(14)
-    act = PReLULayer(2, axis=-3, dtype=np.float64)
+    act = PReLULayer(2, dtype=np.float64)
     assert np.allclose(act.slope.value, 0.25)
     bn = BatchNormLayer(2, dtype=np.float64)
     x = rng.normal(size=(3, 2, 2, 2))

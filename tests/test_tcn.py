@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gridcast.nn import grad_check
+from gridcast.nn import BN_EPS, grad_check
 from gridcast.tcn import (
     BlockConfig,
     TCNStack,
@@ -76,7 +76,7 @@ def test_zero_weight_block_is_identity_on_nonnegative_input():
     rng = np.random.default_rng(3)
     block = TemporalBlock(rng, BlockConfig(2, 2, 3, 3, 1), dtype=np.float64)
     _zero_block(block)
-    x = rng.uniform(0.0, 5.0, size=(2, 4, 4))
+    x = rng.uniform(0.0, 5.0, size=(1, 2, 4, 4))
     for train in (False, True):
         out = block.forward(x, train=train)
         assert (out == x).all(), f"train={train}"
@@ -88,7 +88,7 @@ def test_zero_weight_two_block_stack_is_identity():
                            n_blocks=2, dtype=np.float64)
     for block in stack.blocks:
         _zero_block(block)
-    x = rng.uniform(0.0, 2.0, size=(3, 5, 4))
+    x = rng.uniform(0.0, 2.0, size=(1, 3, 5, 4))
     assert (stack.forward(x, train=False) == x).all()
 
 
@@ -100,18 +100,18 @@ def test_block_hand_trace_eval_mode():
     block.norm.gamma.value[...] = 2.0
     block.norm.beta.value[...] = 0.5
     block.norm.running.mean[...] = 1.0
-    block.norm.running.var[...] = 1.0 - block.norm.eps  # var + eps == 1
-    x = np.array([[[-1.0, 2.0]]])
+    block.norm.running.var[...] = 1.0 - BN_EPS  # var + eps == 1
+    x = np.array([[[[-1.0, 2.0]]]])
     # conv: [-1, 5]; norm: (u-1)*2+0.5 -> [-3.5, 8.5]; prelu(0.25): [-0.875, 8.5]
     # + skip x: [-1.875, 10.5]; prelu(0.25): [-0.46875, 10.5]
     out = block.forward(x, train=False)
-    assert np.allclose(out, [[[-0.46875, 10.5]]], atol=1e-6)
+    assert np.allclose(out, [[[[-0.46875, 10.5]]]], atol=1e-6)
 
 
 def test_stack_forward_is_block_composition():
     rng = np.random.default_rng(6)
     stack = TCNStack.build(rng, 2, 4, 3, 3, 2, dtype=np.float64)
-    x = rng.normal(size=(2, 6, 5))
+    x = rng.normal(size=(1, 2, 6, 5))
     manual = stack.blocks[1].forward(stack.blocks[0].forward(x))
     assert np.allclose(stack.forward(x), manual)
 
@@ -122,7 +122,7 @@ def test_batched_forward_matches_per_sample_eval():
     x = rng.normal(size=(3, 2, 4, 4))
     batched = stack.forward(x, train=False)
     for n in range(3):
-        assert np.allclose(batched[n], stack.forward(x[n], train=False))
+        assert np.allclose(batched[n], stack.forward(x[n : n + 1], train=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,8 @@ def test_block_gradients_match_fd_eval_and_train():
 def test_stack_input_gradient_matches_fd():
     rng = np.random.default_rng(9)
     stack = TCNStack.build(rng, 1, 2, 2, 2, 2, dtype=np.float64)
-    x = rng.normal(size=(1, 4, 4))
-    up = rng.normal(size=(2, 4, 4))
+    x = rng.normal(size=(1, 1, 4, 4))
+    up = rng.normal(size=(1, 2, 4, 4))
     stack.forward(x, train=False)
     gx = stack.backward(up)
     assert gx.shape == x.shape
@@ -168,7 +168,7 @@ def test_stack_input_gradient_matches_fd():
 def test_astype_preserves_eval_output():
     rng = np.random.default_rng(10)
     stack = TCNStack.build(rng, 2, 3, 3, 3, 2, dtype=np.float32)
-    x = rng.normal(size=(2, 5, 5)).astype(np.float32)
+    x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
     wide = stack.astype(np.float64)
     assert all(p.value.dtype == np.float64 for p in wide.params())
     assert all(p.value.dtype == np.float32 for p in stack.params())
@@ -250,8 +250,8 @@ def test_future_perturbations_leave_output_cell_bit_exact():
     rng = np.random.default_rng(13)
     stack = TCNStack.build(rng, 2, 4, 3, 3, 2, dtype=np.float64)
     i, j = 5, 4
-    x = rng.normal(size=(2, 8, 7))
-    base = stack.forward(x, train=False)[:, i, j].copy()
+    x = rng.normal(size=(1, 2, 8, 7))
+    base = stack.forward(x, train=False)[0, :, i, j].copy()
     for trial in range(20):
         x2 = x.copy()
         # pick a cell strictly below or strictly right of (i, j)
@@ -259,6 +259,6 @@ def test_future_perturbations_leave_output_cell_bit_exact():
             r, c = rng.integers(i + 1, 8), rng.integers(0, 7)
         else:
             r, c = rng.integers(0, 8), rng.integers(j + 1, 7)
-        x2[:, r, c] += rng.normal()
-        out = stack.forward(x2, train=False)[:, i, j]
+        x2[0, :, r, c] += rng.normal()
+        out = stack.forward(x2, train=False)[0, :, i, j]
         assert (out == base).all()
