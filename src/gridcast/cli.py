@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Subcommands: ingest, synth, grid, train-thread, train-reply,
-grid-search, predict, adaptive, breakout, evaluate, sweep-d. Every
+grid-search, predict, adaptive, breakout, evaluate, sweep-d, and
+experiment {synth-benchmark,breakout,sweep}, which runs one of the
+paper's experiments from its recipe in gridcast.experiments. Every
 command reads settings from an optional --config JSON file with flags
-overriding file values. Success prints a one-line JSON summary on
+overriding file values; an experiment's recipe takes the place of the
+defaults. Success prints a one-line JSON summary on
 stdout and exits 0; failures print a one-line JSON error on stderr and
 exit nonzero (2 for usage/config problems, 1 for runtime errors).
 """
@@ -32,14 +35,24 @@ from .evaluate import (
     evaluate_thread_arrival,
     sweep_interval_length,
 )
-from .forecast import ForecastState, adaptive_forecast, breakout_curve
+from .experiments import (
+    BREAKOUT_SETTINGS,
+    INTERVAL_SWEEP_SETTINGS,
+    SWEEP_D_VALUES,
+    SYNTH_BENCHMARK_SETTINGS,
+    breakout_durations,
+    breakout_experiment,
+    grid_for,
+    interval_sweep,
+    settings_breakout_curve,
+    synth_benchmark,
+    synth_corpus,
+)
+from .forecast import ForecastState, adaptive_forecast
 from .grid import (
     CHANNEL_SETS,
-    Grid,
     assemble_features,
-    build_grid,
     gap_columns,
-    rows_covering,
     time_split,
     window_at,
 )
@@ -51,7 +64,6 @@ from .models import (
     train,
     training_segments,
 )
-from .synth import SynthParams, synth_generate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,11 +88,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         )
 
 
-def _settings(args) -> RunSettings:
+def _settings(args, base: RunSettings = RunSettings()) -> RunSettings:
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunSettings)}
     if getattr(args, "channels", None) is not None and args.channels not in CHANNEL_SETS:
         raise ConfigError(f"--channels must be one of {sorted(CHANNEL_SETS)}")
-    return load_settings(getattr(args, "config", None), overrides)
+    return load_settings(getattr(args, "config", None), overrides, base)
 
 
 def _stream(args):
@@ -90,9 +102,8 @@ def _stream(args):
     return stream
 
 
-def _grid_for(stream, s: RunSettings) -> Grid:
-    rows = s.rows if s.rows > 0 else rows_covering(stream, s.d, s.t0)
-    return build_grid(stream, s.d, s.t0, rows)
+def _durations(args, s: RunSettings) -> list[float]:
+    return parse_float_list(args.durations) if args.durations else breakout_durations(s.d)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +126,7 @@ def cmd_ingest(args) -> None:
 
 def cmd_synth(args) -> None:
     s = _settings(args)
-    params = SynthParams(
-        lambda_thread=s.lambda_thread,
-        mu_reply=s.mu_reply,
-        theta=s.theta,
-        horizon=s.horizon,
-        breakout_fraction=s.breakout_fraction,
-        breakout_boost=s.breakout_boost,
-        seed=s.seed,
-    )
-    stream = synth_generate(params)
+    stream = synth_corpus(s)
     serialize_events(stream, args.out)
     _say(
         {
@@ -138,7 +140,7 @@ def cmd_synth(args) -> None:
 def cmd_grid(args) -> None:
     s = _settings(args)
     stream = _stream(args)
-    grid = _grid_for(stream, s)
+    grid = grid_for(stream, s)
     save_grid(grid, args.out)
     _say(
         {
@@ -160,7 +162,7 @@ def _train_segments(grid, config, train_frac: float):
 def _train_one(args, kind: str) -> None:
     s = _settings(args)
     stream = _stream(args)
-    grid = _grid_for(stream, s)
+    grid = grid_for(stream, s)
     config = s.model_config(kind)
     segs = _train_segments(grid, config, s.train_frac)
     model = build_model(config, seed=s.seed)
@@ -186,7 +188,7 @@ def cmd_train_reply(args) -> None:
 def cmd_grid_search(args) -> None:
     s = _settings(args)
     stream = _stream(args)
-    grid = _grid_for(stream, s)
+    grid = grid_for(stream, s)
     config = s.model_config(args.task)
     segs = _train_segments(grid, config, s.train_frac)
     n_val = max(1, len(segs) // 5)
@@ -227,7 +229,7 @@ def cmd_predict(args) -> None:
     if args.grid:
         grid = load_grid(args.grid)
     else:
-        grid = _grid_for(_stream(args), s)
+        grid = grid_for(_stream(args), s)
     data = assemble_features(grid, model.channels).data
     h, w = model.window
     rows = []
@@ -257,7 +259,7 @@ def cmd_adaptive(args) -> None:
     thread_model, _ = load_checkpoint(args.thread_checkpoint)
     reply_model, _ = load_checkpoint(args.reply_checkpoint)
     stream = _stream(args)
-    grid = _grid_for(stream, s)
+    grid = grid_for(stream, s)
     state = ForecastState.from_grid(grid, thread_times=stream.thread_times.tolist())
     adaptive_forecast(state, thread_model, reply_model, s.n_threads, s.n_intervals)
     rows = [
@@ -281,16 +283,8 @@ def cmd_breakout(args) -> None:
     s = _settings(args)
     reply_model, _ = load_checkpoint(args.checkpoint)
     stream = _stream(args)
-    grid = _grid_for(stream, s)
-    if args.durations:
-        durations = parse_float_list(args.durations)
-    else:
-        durations = [k * s.d for k in range(1, 11)]
-    horizon = s.horizon_intervals if s.horizon_intervals >= 0 else None
-    points = breakout_curve(
-        stream, grid, reply_model, durations,
-        horizon_intervals=horizon, context_cols=s.context_cols,
-    )
+    grid = grid_for(stream, s)
+    points = settings_breakout_curve(stream, grid, reply_model, _durations(args, s), s)
     write_csv(
         args.out,
         ["start_duration_s", "correct_rate", "n"],
@@ -309,7 +303,7 @@ def cmd_breakout(args) -> None:
 def cmd_evaluate(args) -> None:
     s = _settings(args)
     stream = _stream(args)
-    grid = _grid_for(stream, s)
+    grid = grid_for(stream, s)
     r_split, col_split = time_split(grid, s.train_frac)
     tt = stream.thread_times
     digest = config_digest({"task": args.task, "seed": s.seed, "d": s.d})
@@ -364,6 +358,57 @@ def cmd_sweep_d(args) -> None:
     _say({"best_d": result.best_d, "candidates": len(result.rows), "out": args.out})
 
 
+def cmd_experiment_synth_benchmark(args) -> None:
+    rows = synth_benchmark(_settings(args, SYNTH_BENCHMARK_SETTINGS))
+    write_csv(
+        args.out,
+        ["task", "predictor", "mae", "rmse", "n", "unit"],
+        [(task, name, f"{r.mae:.6f}", f"{r.rmse:.6f}", r.n, r.unit) for task, name, r in rows],
+    )
+    mae = {(task, name): r.mae for task, name, r in rows}
+    ratio = {t: mae[t, "model"] / mae[t, "historical-mean"] for t in ("reply", "thread")}
+    _say({"reply_mae_ratio": ratio["reply"], "thread_mae_ratio": ratio["thread"],
+          "rows": len(rows), "out": args.out})
+
+
+def cmd_experiment_breakout(args) -> None:
+    s = _settings(args, BREAKOUT_SETTINGS)
+    curve, prefix = breakout_experiment(s, _durations(args, s))
+    write_csv(
+        args.out,
+        ["start_duration_s", "model_rate", "prefix_rate", "n"],
+        [
+            (f"{pm.start_duration:.0f}", f"{pm.correct_rate:.4f}", f"{pp.correct_rate:.4f}", pm.n)
+            for pm, pp in zip(curve, prefix)
+        ],
+    )
+    _say({"points": len(curve), "first_rate": curve[0].correct_rate,
+          "first_prefix_rate": prefix[0].correct_rate, "last_rate": curve[-1].correct_rate,
+          "out": args.out})
+
+
+def cmd_experiment_sweep(args) -> None:
+    s = _settings(args, INTERVAL_SWEEP_SETTINGS)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    d_values = parse_float_list(args.d_values)
+    seeds = range(s.seed, s.seed + args.seeds)
+    results = interval_sweep(s, d_values, seeds)
+    write_csv(
+        args.out,
+        ["seed", "d", "thread_mae_hours", "reply_mae_counts", "n_thread", "n_reply", "score"],
+        [
+            (seed, f"{r.d:.0f}", f"{r.thread_mae_hours:.6f}", f"{r.reply_mae_counts:.6f}",
+             r.n_thread, r.n_reply, f"{score:.6f}")
+            for seed, result in zip(seeds, results)
+            for r, score in zip(result.rows, result.scores)
+        ],
+    )
+    picks = [result.best_d for result in results]
+    interior = sum(1 for p in picks if min(d_values) < p < max(d_values))
+    _say({"interior": interior, "picks": picks, "out": args.out})
+
+
 # ---------------------------------------------------------------------------
 # parser assembly
 
@@ -372,8 +417,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gridcast", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, **kwargs):
-        p = subs.add_parser(name, **kwargs)
+    def sub(name, func, parent=subs, **kwargs):
+        p = parent.add_parser(name, **kwargs)
         _add_common(p)
         p.set_defaults(func=func)
         return p
@@ -432,6 +477,26 @@ def build_parser() -> _Parser:
     p = sub("sweep-d", cmd_sweep_d, help="interval-length sensitivity sweep")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--d-values", required=True, help="comma list of seconds")
+    p.add_argument("--out", required=True)
+
+    experiments = subs.add_parser(
+        "experiment", help="run one of the paper's experiments from its recipe"
+    ).add_subparsers(dest="experiment", required=True)
+
+    p = sub("synth-benchmark", cmd_experiment_synth_benchmark, experiments,
+            help="both models vs the historical-mean and persistence baselines")
+    p.add_argument("--out", required=True)
+
+    p = sub("breakout", cmd_experiment_breakout, experiments,
+            help="verdict rate vs observed prefix, model roll-out and prefix only")
+    p.add_argument("--durations", default=None, help="comma list of seconds; default 1..10 x d")
+    p.add_argument("--out", required=True)
+
+    p = sub("sweep", cmd_experiment_sweep, experiments,
+            help="forecast error vs interval length d, per seed")
+    p.add_argument("--d-values", default=",".join(f"{d:g}" for d in SWEEP_D_VALUES),
+                   help="comma list of seconds")
+    p.add_argument("--seeds", type=int, default=3, help="number of seeds, from --seed on")
     p.add_argument("--out", required=True)
 
     return parser

@@ -1,4 +1,5 @@
-"""Flat run settings: defaults, config file, flag overrides (flags win)."""
+"""Flat run settings: a base (the defaults or an experiment's recipe),
+then a config file, then flag overrides (flags win)."""
 from __future__ import annotations
 
 import dataclasses
@@ -12,6 +13,19 @@ from .models import ModelConfig, TrainConfig
 
 class ConfigError(ValueError):
     pass
+
+
+# the smallest value each integer setting takes
+_LOWER_BOUNDS = {
+    "seed": 0,
+    "rows": 0,
+    "n_threads": 0,
+    "n_intervals": 0,
+    "n_start_points": 1,
+    "context_cols": 1,
+    "horizon_intervals": -1,
+    "budget_epochs": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -60,12 +74,15 @@ class RunSettings:
     budget_epochs: int = 0  # 0: full epochs
 
     def __post_init__(self):
-        if self.d <= 0:  # a negative d never ends rows_covering's search
+        if self.d <= 0:
             raise ValueError(f"d must be > 0, got {self.d}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
-        if self.budget_epochs < 0:
-            raise ValueError(f"budget_epochs must be >= 0, got {self.budget_epochs}")
+        for name, low in _LOWER_BOUNDS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def model_config(self, kind: str) -> ModelConfig:
         if self.channels not in CHANNEL_SETS:
@@ -101,8 +118,12 @@ class RunSettings:
 _TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunSettings)}
 
 
-def load_settings(config_path: str | None = None, overrides: dict | None = None) -> RunSettings:
-    """Defaults, then config-file values, then flag overrides."""
+def load_settings(
+    config_path: str | None = None,
+    overrides: dict | None = None,
+    base: RunSettings = RunSettings(),
+) -> RunSettings:
+    """The base settings, then config-file values, then flag overrides."""
     values: dict = {}
     if config_path:
         try:
@@ -127,7 +148,7 @@ def load_settings(config_path: str | None = None, overrides: dict | None = None)
             raise ConfigError(f"unknown setting {key!r}")
         values[key] = val
     try:
-        return RunSettings(**values)
+        return dataclasses.replace(base, **values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config values: {exc}") from exc
 

@@ -156,13 +156,21 @@ def adaptive_forecast(
     """Alternate gap prediction and reply rolls, mutating the state.
 
     Before each gap prediction the newest column's anchor row is
-    materialised (rolling extra rows if a long gap outran the grid).
+    materialised (rolling extra rows if a long gap outran the grid). A
+    gap that would need more such rows than the observed grid has is a
+    GridError, not a roll without end.
     """
     if n_threads < 0 or n_intervals < 0:
         raise GridError("n_threads and n_intervals must be >= 0")
     h, w = thread_model.window
     for _ in range(n_threads):
-        while state.arrival_rows[-1] >= state.n_rows:
+        catch_up = int(state.arrival_rows[-1]) + 1 - state.n_rows
+        if catch_up > state.n_observed_rows:
+            raise GridError(
+                f"arrival row {int(state.arrival_rows[-1])} needs {catch_up} rows rolled, "
+                f"more than the {state.n_observed_rows} observed"
+            )
+        for _ in range(catch_up):
             roll_reply_row(state, reply_model)
         data = state.features(thread_model.channels)
         window = window_at(

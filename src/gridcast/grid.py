@@ -225,6 +225,8 @@ def build_grid(stream: EventStream, d: float, t0: float, n_rows: int) -> Grid:
 
 def rows_covering(stream: EventStream, d: float, t0: float) -> int:
     """Smallest row count that keeps every event of the stream in window."""
+    if d <= 0:  # interval_index would search without end
+        raise GridError(f"interval length must be positive, got {d}")
     last = max(c.last_event_time for c in stream.cascades)
     return interval_index(last, t0, d) + 1
 

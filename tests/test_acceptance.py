@@ -3,11 +3,12 @@
 Every test is a self-contained protocol with fixed seeds and its own
 oracle; `pytest -v tests/test_acceptance.py` emits one pass/fail line
 per criterion. Where a criterion carries a wall-clock budget the test
-asserts it. Numbered so the report reads in order.
+asserts it. Criteria 5, 7 and 9 run the paper's experiments through
+gridcast.experiments, the code and recipes `gridcast experiment` runs.
+Numbered so the report reads in order.
 """
 import struct
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,18 +19,18 @@ from gridcast.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from gridcast.evaluate import (
-    MeanGapBaseline,
-    MeanRowBaseline,
-    SWEEP_SETTINGS,
-    evaluate_adaptive,
-    evaluate_reply_counts,
-    evaluate_thread_arrival,
-    sweep_interval_length,
-    train_mean_cell_count,
-    train_mean_gap_intervals,
+from gridcast.evaluate import evaluate_adaptive, evaluate_reply_counts
+from gridcast.experiments import (
+    BREAKOUT_SETTINGS,
+    INTERVAL_SWEEP_SETTINGS,
+    SWEEP_D_VALUES,
+    SYNTH_BENCHMARK_SETTINGS,
+    breakout_durations,
+    breakout_experiment,
+    interval_sweep,
+    synth_benchmark,
+    synth_corpus,
 )
-from gridcast.forecast import breakout_curve
 from gridcast.grid import (
     CHANNEL_ORDER,
     EventStream,
@@ -37,11 +38,9 @@ from gridcast.grid import (
     assemble_features,
     build_grid,
     frontier_segments,
-    gap_columns,
     rows_covering,
-    time_split,
 )
-from gridcast.models import ModelConfig, TrainConfig, build_model, train, training_segments
+from gridcast.models import ModelConfig, TrainConfig, build_model, train
 from gridcast.nn import (
     BatchNormLayer,
     ConvLayer,
@@ -259,45 +258,13 @@ def test_criterion_4_adam_matches_reference_recurrence():
 
 def test_criterion_5_synthetic_benchmark_beats_historical_mean():
     t_start = time.perf_counter()
-    D, SEED = 300.0, 0
-    params = SynthParams(
-        lambda_thread=1.0 / 600.0, mu_reply=0.05, theta=300.0,
-        horizon=120_000.0, seed=SEED,
-    )
-    stream = synth_generate(params)  # 200 cascades in expectation
+    # 200 cascades in expectation
+    stream = synth_corpus(SYNTH_BENCHMARK_SETTINGS)
     assert 120 <= len(stream) <= 280
-    grid = build_grid(stream, D, 0.0, rows_covering(stream, D, 0.0))
-    r_split, col_split = time_split(grid, 0.7)
-    tt = stream.thread_times
-    tc = TrainConfig(epochs=50, seed=SEED)
-
-    # reply task
-    reply_cfg = ModelConfig(
-        kind="reply", channels=CHANNEL_ORDER, window=(16, 12),
-        n_filters=16, k_h=3, k_w=3, n_blocks=3,
-    )
-    reply_model = build_model(reply_cfg, seed=SEED)
-    train(reply_model, training_segments(grid, reply_cfg, 0.7), tc)
-    n_test_rows = grid.spec.n_rows - r_split
-    reply_rep = evaluate_reply_counts(reply_model, grid, n_test_rows, start_row=r_split)
-    reply_base = evaluate_reply_counts(
-        MeanRowBaseline(train_mean_cell_count(grid, 0, r_split)),
-        grid, n_test_rows, start_row=r_split,
-    )
-
-    # thread task (small head-room: keep the net small, no decay applies)
-    thread_cfg = ModelConfig(
-        kind="thread", channels=CHANNEL_ORDER, window=(16, 12),
-        n_filters=8, k_h=3, k_w=3, n_blocks=1,
-    )
-    thread_model = build_model(thread_cfg, seed=SEED)
-    train(thread_model, training_segments(grid, thread_cfg, 0.7), tc)
-    test_idx = gap_columns(grid, col_split)
-    thread_rep = evaluate_thread_arrival(thread_model, grid, tt, test_idx)
-    thread_base = evaluate_thread_arrival(
-        MeanGapBaseline(train_mean_gap_intervals(tt, col_split, D)),
-        grid, tt, test_idx,
-    )
+    # both tasks; the thread net is small (small head-room, no decay applies)
+    reports = {(task, name): rep for task, name, rep in synth_benchmark(SYNTH_BENCHMARK_SETTINGS)}
+    reply_rep, reply_base = reports["reply", "model"], reports["reply", "historical-mean"]
+    thread_rep, thread_base = reports["thread", "model"], reports["thread", "historical-mean"]
 
     elapsed = time.perf_counter() - t_start
     assert elapsed < 600.0
@@ -360,23 +327,11 @@ def test_criterion_6_adaptive_error_accumulation():
 
 def test_criterion_7_breakout_protocol():
     t_start = time.perf_counter()
-    D, SEED = 300.0, 0
-    params = SynthParams(
-        lambda_thread=1.0 / 600.0, mu_reply=0.05, theta=300.0, horizon=120_000.0,
-        breakout_fraction=0.25, breakout_boost=4.0, seed=SEED,
+    curve, prefix = breakout_experiment(
+        BREAKOUT_SETTINGS, breakout_durations(BREAKOUT_SETTINGS.d)
     )
-    stream = synth_generate(params)
-    grid = build_grid(stream, D, 0.0, rows_covering(stream, D, 0.0))
-    cfg = ModelConfig(
-        kind="reply", channels=CHANNEL_ORDER, window=(16, 12),
-        n_filters=16, k_h=3, k_w=3, n_blocks=3,
-    )
-    model = build_model(cfg, seed=SEED)
-    train(model, training_segments(grid, cfg, 0.7), TrainConfig(epochs=50, seed=SEED))
-
-    durations = [k * D for k in range(1, 11)]
-    rates = [p.correct_rate for p in breakout_curve(stream, grid, model, durations)]
-    prefix_1d = breakout_curve(stream, grid, None, [D])[0].correct_rate
+    rates = [p.correct_rate for p in curve]
+    prefix_1d = prefix[0].correct_rate
 
     for earlier, later in zip(rates, rates[1:]):
         assert later >= earlier - 0.05  # non-decreasing within the band
@@ -460,16 +415,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
 def test_criterion_9_interval_length_sweep_interior_optimum():
     t_start = time.perf_counter()
-    d_values = [60.0, 150.0, 300.0, 600.0, 1200.0]
-    picks = []
-    for seed in range(10):
-        params = SynthParams(
-            lambda_thread=1.0 / 600.0, mu_reply=0.05, theta=300.0,
-            horizon=30_000.0, seed=seed,
-        )
-        stream = synth_generate(params)
-        result = sweep_interval_length(stream, d_values, replace(SWEEP_SETTINGS, seed=seed))
-        picks.append(result.best_d)
+    d_values = SWEEP_D_VALUES
+    picks = [r.best_d for r in interval_sweep(INTERVAL_SWEEP_SETTINGS, d_values, range(10))]
     interior = sum(1 for p in picks if p not in (d_values[0], d_values[-1]))
     elapsed = time.perf_counter() - t_start
     print(

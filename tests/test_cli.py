@@ -80,12 +80,23 @@ def workdir(tmp_path_factory):
     }
 
 
+def _runnable_parsers(parser, path=()):
+    """(path, parser) for every parser that runs a command, nested ones too."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _runnable_parsers(sub, (*path, name))
+
+
 def test_every_subcommand_has_one_flag_per_setting():
-    subs = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    runnable = dict(_runnable_parsers(build_parser()))
+    assert {"experiment synth-benchmark", "experiment breakout", "experiment sweep"} <= set(
+        runnable
     )
     fields = dataclasses.fields(RunSettings)
-    for name, sub in subs.choices.items():
+    for name, sub in runnable.items():
         for f in fields:
             flag = "--" + f.name.replace("_", "-")
             actions = [a for a in sub._actions if flag in a.option_strings]
@@ -200,6 +211,15 @@ def test_corrupt_checkpoint_is_runtime_error(capsys, tmp_path, workdir):
         ("--loss-mode", "bogus"),
         ("--n-filters", "0"),
         ("--train-frac", "1.5"),
+        ("--seed", "-1"),
+        ("--lr", "-1.0"),
+        ("--lr", "0"),
+        ("--rows", "-3"),
+        ("--n-start-points", "0"),
+        ("--context-cols", "0"),
+        ("--n-threads", "-1"),
+        ("--n-intervals", "-1"),
+        ("--horizon-intervals", "-2"),
     ],
 )
 def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, flag, value):

@@ -235,6 +235,20 @@ def test_adaptive_forecast_materialises_anchor_rows(small_grid):
     state.to_grid().validate()
 
 
+def test_adaptive_forecast_bounds_the_catch_up_rolls(small_grid):
+    # a huge but finite gap must not roll rows without end
+    state = ForecastState.from_grid(small_grid)
+    with pytest.raises(GridError, match="more than the 5 observed"):
+        adaptive_forecast(state, ConstGapStub(1e12), ConstRowStub(0.0), 2, 1)
+    # the bound is the observed grid's row count: 5 catch-up rows are fine
+    state = ForecastState.from_grid(small_grid)
+    adaptive_forecast(state, ConstGapStub(5.0), ConstRowStub(0.0), 2, 0)
+    assert state.n_rows == 10
+    state = ForecastState.from_grid(small_grid)
+    with pytest.raises(GridError, match="needs 6 rows rolled"):
+        adaptive_forecast(state, ConstGapStub(6.0), ConstRowStub(0.0), 2, 0)
+
+
 def test_adaptive_forecast_rejects_negative_budgets(small_grid):
     state = ForecastState.from_grid(small_grid)
     with pytest.raises(GridError):

@@ -141,6 +141,12 @@ def test_events_beyond_rows_dropped_and_tallied():
     assert g.counts[:, 0].sum() == 2
 
 
+@pytest.mark.parametrize("d", [0.0, -5.0])
+def test_rows_covering_rejects_non_positive_d(small_stream, d):
+    with pytest.raises(GridError, match="positive"):
+        rows_covering(small_stream, d, 0.0)
+
+
 def test_rows_covering_is_tight(small_stream):
     n = rows_covering(small_stream, 60.0, 0.0)
     g = build_grid(small_stream, 60.0, 0.0, n)
