@@ -29,7 +29,6 @@ from .forecast import (
 from .evaluate import (
     EvalReport,
     EvalTask,
-    SWEEP_SETTINGS,
     SweepResult,
     evaluate_adaptive,
     evaluate_reply_counts,

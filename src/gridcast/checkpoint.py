@@ -111,10 +111,3 @@ def load_checkpoint(path: str | Path):
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
     return model, meta
-
-
-def checkpoint_roundtrip(model, path: str | Path, meta: dict | None = None):
-    """Save, reload, and return the reloaded model (handy in tests)."""
-    save_checkpoint(model, path, meta)
-    loaded, _ = load_checkpoint(path)
-    return loaded

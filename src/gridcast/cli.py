@@ -49,13 +49,7 @@ from .experiments import (
     synth_corpus,
 )
 from .forecast import ForecastState, adaptive_forecast
-from .grid import (
-    CHANNEL_SETS,
-    assemble_features,
-    gap_columns,
-    time_split,
-    window_at,
-)
+from .grid import assemble_features, gap_columns, time_split, window_at
 from .models import (
     SearchSpace,
     arrival_time,
@@ -90,8 +84,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _settings(args, base: RunSettings = RunSettings()) -> RunSettings:
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunSettings)}
-    if getattr(args, "channels", None) is not None and args.channels not in CHANNEL_SETS:
-        raise ConfigError(f"--channels must be one of {sorted(CHANNEL_SETS)}")
     return load_settings(getattr(args, "config", None), overrides, base)
 
 
@@ -310,33 +302,25 @@ def cmd_evaluate(args) -> None:
     reports = []
     if args.task == "thread":
         model, _ = load_checkpoint(args.checkpoint)
-        reports.append(
-            evaluate_thread_arrival(
-                model, grid, tt, gap_columns(grid, col_split), digest=digest
-            )
-        )
+        reports.append(evaluate_thread_arrival(model, grid, tt, gap_columns(grid, col_split)))
     elif args.task == "reply":
         model, _ = load_checkpoint(args.checkpoint)
         reports.append(
-            evaluate_reply_counts(
-                model, grid, grid.spec.n_rows - r_split, start_row=r_split,
-                digest=digest,
-            )
+            evaluate_reply_counts(model, grid, grid.spec.n_rows - r_split, start_row=r_split)
         )
     else:
         thread_model, _ = load_checkpoint(args.thread_checkpoint)
         reply_model, _ = load_checkpoint(args.reply_checkpoint)
         th, rp = evaluate_adaptive(
             thread_model, reply_model, grid, tt,
-            n_threads=s.n_threads, n_start_points=s.n_start_points,
-            seed=s.seed, digest=digest,
+            n_threads=s.n_threads, n_start_points=s.n_start_points, seed=s.seed,
         )
         reports = th + rp
     write_csv(
         args.out,
         ["task", "label", "unit", "n", "mae", "rmse", "stddev", "config_digest"],
         [
-            (r.task.value, r.label, r.unit, r.n, r.mae, r.rmse, r.stddev, r.config_digest)
+            (r.task.value, r.label, r.unit, r.n, r.mae, r.rmse, r.stddev, digest)
             for r in reports
         ],
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import CHANNEL_SETS
-from .models import ModelConfig, TrainConfig
+from .models import LOSS_MODES, ModelConfig, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -80,15 +80,19 @@ class RunSettings:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        if self.channels not in CHANNEL_SETS:
+            raise ValueError(
+                f"unknown channel set {self.channels!r}, not one of {sorted(CHANNEL_SETS)}"
+            )
+        if self.filter_shape not in ("KxK", "Kx1"):
+            raise ValueError(f"unknown filter shape {self.filter_shape!r}, not KxK or Kx1")
+        if self.loss_mode not in LOSS_MODES:
+            raise ValueError(f"unknown loss mode {self.loss_mode!r}, not one of {LOSS_MODES}")
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def model_config(self, kind: str) -> ModelConfig:
-        if self.channels not in CHANNEL_SETS:
-            raise ConfigError(f"unknown channel set {self.channels!r}")
-        if self.filter_shape not in ("KxK", "Kx1"):
-            raise ConfigError(f"unknown filter shape {self.filter_shape!r}")
         k_w = 1 if self.filter_shape == "Kx1" else self.kernel_size
         try:
             return ModelConfig(

@@ -6,7 +6,7 @@ Event logs are newline-delimited JSON records:
     {"thread_id": "abc", "kind": "reply",  "ts": 1690001301.0}
 
 Records may arrive in any order; unknown fields are ignored; exact
-duplicate records are dropped with a warning count. A reply whose
+duplicate records are dropped and counted. A reply whose
 thread never appears, a reply before its thread post, or a malformed
 line is an error that names the offending line.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,6 @@ import numpy as np
 from .container import Format, read_container, write_container
 from .grid import EventStream, Grid, GridSpec, ThreadCascade
 
-log = logging.getLogger("gridcast")
 
 class EventParseError(ValueError):
     pass
@@ -127,13 +125,6 @@ def parse_events_with_stats(path: str | Path) -> tuple[EventStream, ParseStats]:
         )
     stream = EventStream.from_cascades(cascades)
     return stream, ParseStats(threads=len(threads), replies=n_replies, duplicates=duplicates)
-
-
-def parse_events(path: str | Path) -> EventStream:
-    stream, stats = parse_events_with_stats(path)
-    if stats.duplicates:
-        log.warning("dropped %d duplicate event records", stats.duplicates)
-    return stream
 
 
 def serialize_events(stream: EventStream, path: str | Path) -> None:

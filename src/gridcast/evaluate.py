@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .config import RunSettings
-from .forecast import ForecastState, adaptive_forecast, roll_reply_row
+from .forecast import ForecastState, adaptive_forecast, roll_reply_row, roll_until
 from .grid import (
     Channel,
     EventStream,
@@ -71,7 +71,6 @@ class EvalReport:
     unit: str
     n: int
     stddev: float
-    config_digest: str
     label: str = ""
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ def config_digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _report(task, abs_errors, unit, digest, label="", stddev=None) -> EvalReport:
+def _report(task, abs_errors, unit, label="", stddev=None) -> EvalReport:
     """Aggregate absolute errors into a report. "hours" reports take
     their errors in seconds and convert after aggregating."""
     e = np.asarray(abs_errors, dtype=np.float64)
@@ -99,7 +98,6 @@ def _report(task, abs_errors, unit, digest, label="", stddev=None) -> EvalReport
         unit=unit,
         n=int(e.size),
         stddev=sd / per_unit,
-        config_digest=digest,
         label=label,
     )
 
@@ -108,27 +106,30 @@ def _report(task, abs_errors, unit, digest, label="", stddev=None) -> EvalReport
 # baseline adapters: same duck protocol as the trained models
 
 
+class _Baseline:
+    """The window and channels of every baseline: one cell of counts."""
+
+    window = (1, 1)
+    channels = (Channel.COUNTS,)
+
+
 @dataclass
-class MeanGapBaseline:
+class MeanGapBaseline(_Baseline):
     """HISTORICAL_MEAN for the thread task: constant mean training gap,
     expressed in interval units."""
 
     gap_intervals: float
-    window: tuple[int, int] = (1, 1)
-    channels: tuple[Channel, ...] = (Channel.COUNTS,)
 
     def predict_gap(self, features, col_index=None) -> float:
         return float(self.gap_intervals)
 
 
 @dataclass
-class PersistenceGapBaseline:
+class PersistenceGapBaseline(_Baseline):
     """Repeats the previous observed gap; needs the true arrival record."""
 
     thread_times: np.ndarray
     d: float
-    window: tuple[int, int] = (1, 1)
-    channels: tuple[Channel, ...] = (Channel.COUNTS,)
 
     def predict_gap(self, features, col_index=None) -> float:
         j = (col_index or 1) - 1
@@ -138,21 +139,17 @@ class PersistenceGapBaseline:
 
 
 @dataclass
-class MeanRowBaseline:
+class MeanRowBaseline(_Baseline):
     """HISTORICAL_MEAN for the reply task: global training-cell mean."""
 
     mean_count: float
-    window: tuple[int, int] = (1, 1)
-    channels: tuple[Channel, ...] = (Channel.COUNTS,)
 
     def predict_next_row(self, features, row_index=None) -> np.ndarray:
         return np.full(features.shape[-1], self.mean_count, dtype=np.float64)
 
 
-@dataclass
-class PersistenceRowBaseline:
-    window: tuple[int, int] = (1, 1)
-    channels: tuple[Channel, ...] = (Channel.COUNTS,)
+class PersistenceRowBaseline(_Baseline):
+    """Repeats each column's newest observed count."""
 
     def predict_next_row(self, features, row_index=None) -> np.ndarray:
         return np.maximum(features[0, -1, :].astype(np.float64), 0.0)
@@ -183,7 +180,6 @@ def evaluate_thread_arrival(
     thread_times,
     indices=None,
     mode: str = "measure",
-    digest: str = "",
 ) -> EvalReport:
     """Per-thread next-arrival error in hours.
 
@@ -209,7 +205,7 @@ def evaluate_thread_arrival(
         o_hat = float(model.predict_gap(win, j + 1))
         t_pred = arrival_time(tt[j], o_hat, grid.spec.d, mode=mode)
         errors_s.append(abs(t_pred - tt[j + 1]))
-    return _report(EvalTask.THREAD_ARRIVAL, errors_s, "hours", digest)
+    return _report(EvalTask.THREAD_ARRIVAL, errors_s, "hours")
 
 
 def evaluate_reply_counts(
@@ -217,8 +213,6 @@ def evaluate_reply_counts(
     grid: Grid,
     n_intervals: int,
     start_row: int | None = None,
-    columns=None,
-    digest: str = "",
 ) -> EvalReport:
     """One-step-ahead per-cell errors over n_intervals consecutive rows.
 
@@ -234,7 +228,6 @@ def evaluate_reply_counts(
         raise ValueError(
             f"rows [{start_row}, {start_row + n_intervals}) fall outside the grid"
         )
-    cols = np.arange(n_cols) if columns is None else np.asarray(list(columns))
     h, _ = model.window
     data = assemble_features(grid, model.channels).data
     mask = grid.mask
@@ -242,11 +235,11 @@ def evaluate_reply_counts(
     for r in range(start_row, start_row + n_intervals):
         win = window_at(data, r - 1, n_cols - 1, h, n_cols)
         pred = np.asarray(model.predict_next_row(win, r), dtype=np.float64)
-        live = cols[mask[r, cols] == 0]
+        live = mask[r] == 0
         errors.extend(np.abs(pred[live] - grid.counts[r, live]))
     if not errors:
         raise ValueError("no post-arrival cells to score")
-    return _report(EvalTask.REPLY_COUNT, errors, "count", digest)
+    return _report(EvalTask.REPLY_COUNT, errors, "count")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +256,6 @@ def evaluate_adaptive(
     n_start_points: int = 20,
     seed: int = 0,
     n_intervals: int | None = None,
-    digest: str = "",
 ) -> tuple[list[EvalReport], list[EvalReport]]:
     """Closed-loop evaluation from seeded start points.
 
@@ -301,8 +293,7 @@ def evaluate_adaptive(
         sub = grid.crop(a0 + 1, slice(0, j0 + 1))
         state = ForecastState.from_grid(sub, thread_times=tt[: j0 + 1].tolist())
         adaptive_forecast(state, thread_model, reply_model, n_threads, roll)
-        while state.n_rows < int(state.arrival_rows[-1]) + max_cp:
-            roll_reply_row(state, reply_model)
+        roll_until(state, reply_model, int(state.arrival_rows[-1]) + max_cp)
         for k in range(1, n_threads + 1):
             col = j0 + k
             step_err_s[si, k - 1] = abs(state.thread_times[col] - tt[col])
@@ -318,7 +309,6 @@ def evaluate_adaptive(
             EvalTask.ADAPTIVE_THREAD,
             step_err_s[:, k - 1],
             "hours",
-            digest,
             label=f"step {k}",
         )
         for k in range(1, n_threads + 1)
@@ -331,7 +321,6 @@ def evaluate_adaptive(
                 EvalTask.ADAPTIVE_REPLY,
                 errs.reshape(-1),
                 "count",
-                digest,
                 label=f"{cp}d",
                 stddev=float(errs.mean(axis=1).std()),
             )
@@ -341,14 +330,6 @@ def evaluate_adaptive(
 
 # ---------------------------------------------------------------------------
 # interval-length sweep
-
-
-# The sweep's default run: small models, so that each candidate d
-# retrains quickly.
-SWEEP_SETTINGS = RunSettings(
-    window_h=12, window_w=8, n_filters=8, n_blocks=2, loss_mode="full",
-    epochs=8, batch_size=64,
-)
 
 
 @dataclass(frozen=True)
@@ -398,7 +379,7 @@ def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[
 
 
 def sweep_interval_length(
-    stream: EventStream, d_values, settings: RunSettings = SWEEP_SETTINGS
+    stream: EventStream, d_values, settings: RunSettings
 ) -> SweepResult:
     """Rebuild, retrain, and score both tasks for every candidate d.
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .config import RunSettings
+from .config import ConfigError, RunSettings
 from .evaluate import (
-    SWEEP_SETTINGS,
     EvalReport,
     MeanGapBaseline,
     MeanRowBaseline,
@@ -43,20 +42,26 @@ THREAD_MODEL = replace(REPLY_MODEL, kind="thread", n_filters=8, n_blocks=1)
 
 SYNTH_BENCHMARK_SETTINGS = RunSettings(horizon=120_000.0)
 BREAKOUT_SETTINGS = replace(SYNTH_BENCHMARK_SETTINGS, breakout_fraction=0.25, breakout_boost=4.0)
-INTERVAL_SWEEP_SETTINGS = replace(SWEEP_SETTINGS, horizon=30_000.0)
+# small models, so that each candidate d retrains quickly
+INTERVAL_SWEEP_SETTINGS = RunSettings(
+    window_h=12, window_w=8, n_filters=8, n_blocks=2, loss_mode="full",
+    epochs=8, batch_size=64, horizon=30_000.0,
+)
 SWEEP_D_VALUES = (60.0, 150.0, 300.0, 600.0, 1200.0)
 
 
 def synth_corpus(settings: RunSettings) -> EventStream:
     """The synthetic corpus that the settings' generator fields describe."""
-    return synth_generate(
-        SynthParams(
+    try:
+        params = SynthParams(
             lambda_thread=settings.lambda_thread, mu_reply=settings.mu_reply,
             theta=settings.theta, horizon=settings.horizon,
             breakout_fraction=settings.breakout_fraction,
             breakout_boost=settings.breakout_boost, seed=settings.seed,
         )
-    )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return synth_generate(params)
 
 
 def grid_for(stream: EventStream, settings: RunSettings) -> Grid:

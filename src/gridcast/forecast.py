@@ -62,13 +62,6 @@ class ForecastState:
         return self.counts.shape[1]
 
     @property
-    def simulated(self) -> np.ndarray:
-        """True where cells were model-filled: rows rolled or columns
-        appended after the observed grid."""
-        rows = np.arange(self.n_rows)[:, None] >= self.n_observed_rows
-        return rows | (np.arange(self.n_cols)[None, :] >= self.n_observed_cols)
-
-    @property
     def simulated_thread_times(self) -> list[float]:
         return self.thread_times[self.n_observed_cols :]
 
@@ -129,6 +122,20 @@ def roll_reply_row(state: ForecastState, reply_model) -> np.ndarray:
     return raw
 
 
+def roll_until(state: ForecastState, reply_model, n_rows: int) -> None:
+    """Roll reply rows until the state has n_rows rows. Needing more
+    rolls than the observed grid has rows is a GridError, not a roll
+    without end."""
+    catch_up = n_rows - state.n_rows
+    if catch_up > state.n_observed_rows:
+        raise GridError(
+            f"reaching row {n_rows - 1} needs {catch_up} rows rolled, "
+            f"more than the {state.n_observed_rows} observed"
+        )
+    for _ in range(catch_up):
+        roll_reply_row(state, reply_model)
+
+
 def append_thread_column(state: ForecastState, o_hat: float) -> int:
     """Add the next simulated cascade; returns its arrival row."""
     if not 0 <= o_hat < math.inf:  # NaN fails too
@@ -156,22 +163,14 @@ def adaptive_forecast(
     """Alternate gap prediction and reply rolls, mutating the state.
 
     Before each gap prediction the newest column's anchor row is
-    materialised (rolling extra rows if a long gap outran the grid). A
-    gap that would need more such rows than the observed grid has is a
-    GridError, not a roll without end.
+    materialised (rolling extra rows, within roll_until's bound, if a
+    long gap outran the grid).
     """
     if n_threads < 0 or n_intervals < 0:
         raise GridError("n_threads and n_intervals must be >= 0")
     h, w = thread_model.window
     for _ in range(n_threads):
-        catch_up = int(state.arrival_rows[-1]) + 1 - state.n_rows
-        if catch_up > state.n_observed_rows:
-            raise GridError(
-                f"arrival row {int(state.arrival_rows[-1])} needs {catch_up} rows rolled, "
-                f"more than the {state.n_observed_rows} observed"
-            )
-        for _ in range(catch_up):
-            roll_reply_row(state, reply_model)
+        roll_until(state, reply_model, int(state.arrival_rows[-1]) + 1)
         data = state.features(thread_model.channels)
         window = window_at(
             data, int(state.arrival_rows[-1]), state.n_cols - 1, h, w
@@ -270,14 +269,14 @@ def build_breakout_state(
     return ForecastState.from_grid(grid.crop(class_row, slice(c0, column + 1))), column - c0
 
 
-def default_breakout_horizon(stream: EventStream, d: float, pct: float = 95.0) -> int:
-    """Cascade lifetime (intervals, ceiling) at the given percentile."""
+def default_breakout_horizon(stream: EventStream, d: float) -> int:
+    """Cascade lifetime (intervals, ceiling) at the 95th percentile."""
     lifetimes = [
         math.ceil((c.last_event_time - c.thread_time) / d) for c in stream.cascades
     ]
     if not lifetimes:
         raise GridError("empty stream")
-    return int(np.percentile(lifetimes, pct, method="lower"))
+    return int(np.percentile(lifetimes, 95.0, method="lower"))
 
 
 def breakout_curve(

@@ -262,18 +262,17 @@ def relative_time_channel(grid: Grid) -> np.ndarray:
 def assemble_features(
     grid: Grid,
     channels: Iterable[Channel] = CHANNEL_ORDER,
-    dtype=np.float64,
 ) -> "FeatureTensor":
-    """Stack the requested channels into a C x H x W tensor."""
+    """Stack the requested channels into a float64 C x H x W tensor."""
     chans = canonical_channels(channels)
     planes = []
     for ch in chans:
         if ch is Channel.COUNTS:
-            planes.append(grid.counts.astype(dtype))
+            planes.append(grid.counts.astype(np.float64))
         elif ch is Channel.RELTIME:
-            planes.append(relative_time_channel(grid).astype(dtype))
+            planes.append(relative_time_channel(grid).astype(np.float64))
         else:
-            planes.append(grid.mask.astype(dtype))
+            planes.append(grid.mask.astype(np.float64))
     return FeatureTensor(channels=chans, data=np.stack(planes), spec=grid.spec)
 
 

@@ -346,6 +346,11 @@ def train(model, segments: list[Segment], cfg: TrainConfig) -> list[float]:
                 raise TrainingDiverged(f"loss became {loss} at epoch {len(history)}")
             model.backward(g)
             for p in params:
+                if not np.isfinite(p.grad).all():
+                    raise TrainingDiverged(
+                        f"gradient of {p.name} became non-finite at epoch {len(history)}"
+                    )
+            for p in params:
                 adam_step(p, lr=cfg.lr, weight_decay=decay if p.decay else 0.0)
             num += loss * m
             mass += m

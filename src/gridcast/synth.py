@@ -46,21 +46,6 @@ class SynthParams:
         if self.breakout_boost < 1.0:
             raise ValueError("breakout_boost must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_thread": self.lambda_thread,
-            "mu_reply": self.mu_reply,
-            "theta": self.theta,
-            "horizon": self.horizon,
-            "breakout_fraction": self.breakout_fraction,
-            "breakout_boost": self.breakout_boost,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SynthParams":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
-
 
 def _replies(rng: np.random.Generator, t_thread: float, mu: float, theta: float):
     """Thinning with the current intensity as the dominating rate; valid

@@ -375,8 +375,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for (name_a, pa), (_, pb) in zip(model_a.named_params(), model_b.named_params()):
         assert pa.value.tobytes() == pb.value.tobytes(), name_a
 
-    rep_a = evaluate_reply_counts(model_a, grid, 4, start_row=r_split, digest="x")
-    rep_b = evaluate_reply_counts(model_b, grid, 4, start_row=r_split, digest="x")
+    rep_a = evaluate_reply_counts(model_a, grid, 4, start_row=r_split)
+    rep_b = evaluate_reply_counts(model_b, grid, 4, start_row=r_split)
     assert rep_a == rep_b  # identical reports
 
     # roundtrip preserves predictions bit-exactly

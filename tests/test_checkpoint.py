@@ -14,7 +14,6 @@ from gridcast.checkpoint import (
     CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
-    checkpoint_roundtrip,
     load_checkpoint,
     save_checkpoint,
 )
@@ -54,7 +53,8 @@ def test_thread_roundtrip_predictions_bit_identical(ckpt_path):
     model = _scramble(tiny_model("thread", seed=1), seed=10)
     feats = np.random.default_rng(2).uniform(0, 3, size=(3, 6, 4))
     before = model.predict_gap(feats)
-    loaded = checkpoint_roundtrip(model, ckpt_path)
+    save_checkpoint(model, ckpt_path)
+    loaded, _ = load_checkpoint(ckpt_path)
     assert loaded.predict_gap(feats) == before
     for (na, pa), (nb, pb) in zip(model.named_params(), loaded.named_params()):
         assert na == nb and pa.value.tobytes() == pb.value.tobytes()
@@ -66,7 +66,8 @@ def test_reply_roundtrip_predictions_bit_identical(ckpt_path):
     model = _scramble(tiny_model("reply", seed=3), seed=11)
     feats = np.random.default_rng(4).uniform(0, 3, size=(3, 6, 4))
     before = model.predict_grid(feats)
-    loaded = checkpoint_roundtrip(model, ckpt_path)
+    save_checkpoint(model, ckpt_path)
+    loaded, _ = load_checkpoint(ckpt_path)
     assert np.array_equal(loaded.predict_grid(feats), before)
     assert loaded.config == model.config
 
@@ -96,7 +97,8 @@ def test_meta_defaults_to_empty_dict(ckpt_path):
 
 def test_float64_model_roundtrips_at_full_precision(ckpt_path):
     model = _scramble(tiny_model("reply", seed=7, dtype=np.float64), seed=13)
-    loaded = checkpoint_roundtrip(model, ckpt_path)
+    save_checkpoint(model, ckpt_path)
+    loaded, _ = load_checkpoint(ckpt_path)
     assert loaded.dtype == np.float64
     assert all(p.value.dtype == np.float64 for p in loaded.params())
 

@@ -143,7 +143,7 @@ def test_bad_channel_set_is_config_error(capsys, tmp_path):
     ]
     payload = _fail(capsys, argv, 2)
     assert payload["error"] == "config"
-    assert "--channels" in payload["message"]
+    assert "unknown channel set 'bogus'" in payload["message"]
 
 
 def test_unknown_config_key_is_config_error(capsys, tmp_path):
@@ -204,32 +204,41 @@ def test_corrupt_checkpoint_is_runtime_error(capsys, tmp_path, workdir):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "command, flag, value",
     [
-        ("--epochs", "0"),
-        ("--batch-size", "0"),
-        ("--loss-mode", "bogus"),
-        ("--n-filters", "0"),
-        ("--train-frac", "1.5"),
-        ("--seed", "-1"),
-        ("--lr", "-1.0"),
-        ("--lr", "0"),
-        ("--rows", "-3"),
-        ("--n-start-points", "0"),
-        ("--context-cols", "0"),
-        ("--n-threads", "-1"),
-        ("--n-intervals", "-1"),
-        ("--horizon-intervals", "-2"),
+        pytest.param("train-reply", flag, value, id=f"{flag}-{value}")
+        for flag, value in [
+            ("--epochs", "0"),
+            ("--batch-size", "0"),
+            ("--loss-mode", "bogus"),
+            ("--n-filters", "0"),
+            ("--train-frac", "1.5"),
+            ("--seed", "-1"),
+            ("--lr", "-1.0"),
+            ("--lr", "0"),
+            ("--rows", "-3"),
+            ("--n-start-points", "0"),
+            ("--context-cols", "0"),
+            ("--n-threads", "-1"),
+            ("--n-intervals", "-1"),
+            ("--horizon-intervals", "-2"),
+        ]
+    ]
+    + [
+        ("grid", "--filter-shape", "bogus"),
+        ("grid", "--loss-mode", "bogus"),
+        ("synth", "--lambda-thread", "-1"),
+        ("experiment synth-benchmark", "--horizon", "0"),
     ],
 )
-def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, flag, value):
-    argv = [
-        "train-reply", "--in", str(workdir["events"]), "--out", str(tmp_path / "r.ckpt"),
-        *TINY, flag, value,
-    ]
+def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    reads_log = not command.startswith(("synth", "experiment"))
+    source = ["--in", str(workdir["events"])] if reads_log else []
+    argv = [*command.split(), *source, "--out", str(out), *TINY, flag, value]
     payload = _fail(capsys, argv, 2)
     assert payload["error"] == "config"
-    assert not (tmp_path / "r.ckpt").exists()
+    assert not out.exists()
 
 
 def test_config_value_of_wrong_type_is_config_error(capsys, workdir, tmp_path):

@@ -40,12 +40,13 @@ def test_channel_subsets_map_to_channel_tuples():
     [
         ("channels", "rgb", "channel set"),
         ("filter_shape", "1xK", "filter shape"),
+        ("loss_mode", "bogus", "loss mode"),
     ],
 )
 def test_model_config_rejects_unknown_names(field, value, fragment):
-    s = RunSettings(**{field: value})
-    with pytest.raises(ConfigError, match=fragment):
-        s.model_config("thread")
+    # the settings refuse the name when built, before any model config
+    with pytest.raises(ValueError, match=fragment):
+        RunSettings(**{field: value})
 
 
 def test_overrides_apply_and_none_is_skipped():

@@ -11,7 +11,6 @@ from gridcast.dataio import (
     EventParseError,
     GridFileError,
     load_grid,
-    parse_events,
     parse_events_with_stats,
     save_grid,
     serialize_events,
@@ -46,7 +45,7 @@ def test_parse_orders_cascades_and_replies(log_path):
         _ev("b", "reply", 110.0),
         _ev("a", "reply", 60.0),
     ])
-    stream = parse_events(log_path)
+    stream = parse_events_with_stats(log_path)[0]
     assert [c.thread_id for c in stream.cascades] == ["a", "b"]
     assert stream.cascades[1].reply_times == (110.0, 130.0)
 
@@ -69,7 +68,7 @@ def test_parse_ignores_blank_lines_and_unknown_fields(log_path):
         json.dumps({"thread_id": "a", "kind": "thread", "ts": 5, "extra": [1]}),
         "   ",
     ])
-    stream = parse_events(log_path)
+    stream = parse_events_with_stats(log_path)[0]
     assert stream.thread_times.tolist() == [5.0]
 
 
@@ -101,7 +100,7 @@ def test_parse_empty_file_gives_empty_stream(log_path):
 def test_parse_malformed_line_names_line_number(log_path, bad, fragment):
     _write_lines(log_path, [_ev("a", "thread", 0.0), bad])
     with pytest.raises(EventParseError) as exc:
-        parse_events(log_path)
+        parse_events_with_stats(log_path)
     assert fragment in str(exc.value)
     assert "line 2" in str(exc.value)
 
@@ -109,24 +108,24 @@ def test_parse_malformed_line_names_line_number(log_path, bad, fragment):
 def test_parse_rejects_second_thread_post(log_path):
     _write_lines(log_path, [_ev("a", "thread", 1.0), _ev("a", "thread", 9.0)])
     with pytest.raises(EventParseError, match=r"line 2.*'a' already posted"):
-        parse_events(log_path)
+        parse_events_with_stats(log_path)
 
 
 def test_parse_rejects_reply_without_thread(log_path):
     _write_lines(log_path, [_ev("a", "thread", 1.0), _ev("ghost", "reply", 2.0)])
     with pytest.raises(EventParseError, match="reply without a thread: 'ghost'"):
-        parse_events(log_path)
+        parse_events_with_stats(log_path)
 
 
 def test_parse_rejects_reply_before_thread(log_path):
     _write_lines(log_path, [_ev("a", "thread", 100.0), _ev("a", "reply", 40.0)])
     with pytest.raises(EventParseError, match=r"'a' \(line 1\).*40.*precedes"):
-        parse_events(log_path)
+        parse_events_with_stats(log_path)
 
 
 def test_reply_at_thread_instant_is_allowed(log_path):
     _write_lines(log_path, [_ev("a", "thread", 100.0), _ev("a", "reply", 100.0)])
-    assert parse_events(log_path).cascades[0].reply_times == (100.0,)
+    assert parse_events_with_stats(log_path)[0].cascades[0].reply_times == (100.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_serialize_then_parse_is_identity(log_path):
         cascade("a", 0.0, 10.0, 70.0, 130.0),
     ])
     serialize_events(stream, log_path)
-    again = parse_events(log_path)
+    again = parse_events_with_stats(log_path)[0]
     assert again == stream
 
 
@@ -162,7 +161,7 @@ def test_serialize_parse_roundtrip_property(tmp_path_factory, stream):
         cascade(c.thread_id, c.thread_time, *sorted(set(c.reply_times)))
         for c in stream.cascades
     ])
-    assert parse_events(path) == expected
+    assert parse_events_with_stats(path)[0] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstRowStub, TrueGapStub, TrueRowStub, lattice_stream
+from conftest import ConstGapStub, ConstRowStub, TrueGapStub, TrueRowStub, lattice_stream
 
 from gridcast import evaluate
 from gridcast.evaluate import (
@@ -14,7 +14,6 @@ from gridcast.evaluate import (
     MeanRowBaseline,
     PersistenceGapBaseline,
     PersistenceRowBaseline,
-    SWEEP_SETTINGS,
     config_digest,
     evaluate_adaptive,
     evaluate_reply_counts,
@@ -23,6 +22,7 @@ from gridcast.evaluate import (
     train_mean_cell_count,
     train_mean_gap_intervals,
 )
+from gridcast.experiments import INTERVAL_SWEEP_SETTINGS
 from gridcast.grid import EventStream, GridError, ThreadCascade, build_grid
 from gridcast.models import build_model
 from gridcast.synth import SynthParams, synth_generate
@@ -46,10 +46,10 @@ def lattice():
 def test_report_validation():
     with pytest.raises(ValueError):
         EvalReport(task=EvalTask.REPLY_COUNT, mae=2.0, rmse=1.0, unit="count",
-                   n=3, stddev=0.0, config_digest="x")
+                   n=3, stddev=0.0)
     with pytest.raises(ValueError):
         EvalReport(task=EvalTask.REPLY_COUNT, mae=1.0, rmse=1.0, unit="count",
-                   n=0, stddev=0.0, config_digest="x")
+                   n=0, stddev=0.0)
 
 
 def test_config_digest_is_stable_and_order_free():
@@ -150,13 +150,6 @@ def test_reply_counts_persistence_baseline_hand_value(small_grid):
     assert report.mae == 1.0
 
 
-def test_reply_counts_column_subset(small_grid):
-    report = evaluate_reply_counts(ConstRowStub(0.0), small_grid,
-                                   n_intervals=2, start_row=3, columns=[1])
-    assert report.n == 2  # column b alone: errors 1 and 0
-    assert report.mae == 0.5
-
-
 def test_reply_counts_validation(small_grid):
     stub = ConstRowStub(0.0)
     with pytest.raises(ValueError):
@@ -241,6 +234,15 @@ def test_adaptive_is_deterministic(unit_lattice):
     assert a == b
 
 
+def test_adaptive_bounds_the_roll_to_the_last_checkpoint(unit_lattice):
+    # a huge but finite last gap must not roll rows without end
+    stream, grid = unit_lattice
+    tt = stream.thread_times
+    with pytest.raises(GridError, match="rows rolled, more than the"):
+        evaluate_adaptive(ConstGapStub(1e12), ConstRowStub(0.0), grid, tt,
+                          n_threads=1, checkpoints=(2,))
+
+
 def test_adaptive_insufficient_data(small_grid, small_stream):
     tt = small_stream.thread_times
     with pytest.raises(ValueError, match="insufficient"):
@@ -272,8 +274,10 @@ def _sweep_stream():
     ))
 
 
-_SWEEP_CFG = replace(SWEEP_SETTINGS, window_h=6, window_w=4, n_filters=2,
-                     kernel_size=2, n_blocks=1, epochs=1, span_seconds=600.0)
+_SWEEP_CFG = replace(
+    INTERVAL_SWEEP_SETTINGS, window_h=6, window_w=4, n_filters=2,
+    kernel_size=2, n_blocks=1, epochs=1, span_seconds=600.0,
+)
 
 
 def test_sweep_single_candidate():

@@ -1,4 +1,6 @@
 """Model wiring, training loop, hyperparameter search, gap-to-time."""
+import re
+
 import numpy as np
 import pytest
 from conftest import tiny_config, tiny_model, zero_weights
@@ -222,6 +224,26 @@ def test_training_diverged_on_absurd_target():
     segs = [thread_seg(rng, cfg, 1e200)]
     with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
         train(build_model(cfg, seed=0), segs, TrainConfig(epochs=1, batch_size=1))
+
+
+def test_training_diverged_on_non_finite_gradient(monkeypatch):
+    rng = np.random.default_rng(12)
+    cfg = tiny_config("thread")
+    segs = [thread_seg(rng, cfg, 1.0) for _ in range(4)]
+    model = build_model(cfg, seed=0)
+    before = [p.value.copy() for p in model.params()]
+    last = model.params()[-1]
+    backward = model.backward
+
+    def poisoned_backward(g):
+        backward(g)
+        last.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(model, "backward", poisoned_backward)
+    message = re.escape(f"gradient of {last.name} became non-finite at epoch 0")
+    with pytest.raises(TrainingDiverged, match=message):
+        train(model, segs, TrainConfig(epochs=1, batch_size=4))
+    assert all(np.array_equal(p.value, b) for p, b in zip(model.params(), before))
 
 
 def test_train_rejects_empty_or_mismatched_segments():

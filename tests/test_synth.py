@@ -103,8 +103,3 @@ def test_params_validation():
         _params(breakout_fraction=1.5)
     with pytest.raises(ValueError):
         _params(breakout_boost=0.5)
-
-
-def test_params_json_roundtrip():
-    p = _params(breakout_fraction=0.25, breakout_boost=4.0, seed=9)
-    assert SynthParams.from_json_dict(p.to_json_dict()) == p
