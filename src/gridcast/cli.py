@@ -4,9 +4,11 @@ Subcommands: ingest, synth, grid, train-thread, train-reply,
 grid-search, predict, adaptive, breakout, evaluate, sweep-d, and
 experiment {synth-benchmark,breakout,sweep}, which runs one of the
 paper's experiments from its recipe in gridcast.experiments. Every
-command reads settings from an optional --config JSON file with flags
-overriding file values; an experiment's recipe takes the place of the
-defaults. Success prints a one-line JSON summary on
+command takes an optional --config JSON file, which may hold any
+setting, and one flag for each setting the command reads (see
+`gridcast <cmd> --help`); flags override file values, and an
+experiment's recipe takes the place of the defaults. Abbreviated flags
+are not accepted. Success prints a one-line JSON summary on
 stdout and exits 0; failures print a one-line JSON error on stderr and
 exit nonzero (2 for usage/config problems, 1 for runtime errors).
 """
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import GENERATOR, GRIDDING, MODEL, SEARCH, TRAINING
 from .config import ConfigError, RunSettings, load_settings, parse_float_list, parse_int_list
 from .dataio import (
     load_grid,
@@ -61,6 +64,9 @@ from .models import (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefix match may stand in for a flag
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2) without a parsable line
         raise ConfigError(message)
 
@@ -73,13 +79,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    """--config, plus one flag per RunSettings field."""
+def _add_settings(sub: argparse.ArgumentParser, reads) -> None:
+    """--config, plus a flag for each RunSettings field the command reads."""
     sub.add_argument("--config", default=None, help="JSON settings file")
     for f in dataclasses.fields(RunSettings):
-        sub.add_argument(
-            "--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None
-        )
+        if f.name in reads:
+            sub.add_argument(
+                "--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None
+            )
 
 
 def _settings(args, base: RunSettings = RunSettings()) -> RunSettings:
@@ -95,7 +102,7 @@ def _stream(args):
 
 
 def _durations(args, s: RunSettings) -> list[float]:
-    return parse_float_list(args.durations) if args.durations else breakout_durations(s.d)
+    return breakout_durations(s.d) if args.durations is None else parse_float_list(args.durations)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +158,11 @@ def _train_segments(grid, config, train_frac: float):
     return segs
 
 
-def _train_one(args, kind: str) -> None:
+def cmd_train(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
-    config = s.model_config(kind)
+    config = s.model_config(args.task)
     segs = _train_segments(grid, config, s.train_frac)
     model = build_model(config, seed=s.seed)
     history = train(model, segs, s.train_config())
@@ -167,14 +174,6 @@ def _train_one(args, kind: str) -> None:
     }
     save_checkpoint(model, args.out, meta)
     _say({"final_loss": history[-1], "segments": len(segs), "out": args.out})
-
-
-def cmd_train_thread(args) -> None:
-    _train_one(args, "thread")
-
-
-def cmd_train_reply(args) -> None:
-    _train_one(args, "reply")
 
 
 def cmd_grid_search(args) -> None:
@@ -293,6 +292,10 @@ def cmd_breakout(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
+    adaptive = args.task == "adaptive"
+    for name in ("thread_checkpoint", "reply_checkpoint") if adaptive else ("checkpoint",):
+        if getattr(args, name) is None:
+            raise ConfigError(f"--task {args.task} needs --{name.replace('_', '-')}")
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
@@ -401,56 +404,64 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gridcast", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, parent=subs, **kwargs):
+    def sub(name, func, reads, parent=subs, **kwargs):
+        """A subcommand with a flag for each setting in reads."""
         p = parent.add_parser(name, **kwargs)
-        _add_common(p)
+        _add_settings(p, reads)
         p.set_defaults(func=func)
         return p
 
-    p = sub("ingest", cmd_ingest, help="validate and canonicalise an event log")
+    # the settings each command reads, by RunSettings' groups
+    trains = GRIDDING + MODEL + TRAINING
+    sweeps = MODEL + TRAINING + ("t0", "span_seconds")
+    breakouts = ("context_cols", "horizon_intervals")
+
+    p = sub("ingest", cmd_ingest, (), help="validate and canonicalise an event log")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub("synth", cmd_synth, help="generate a synthetic event log")
+    p = sub("synth", cmd_synth, GENERATOR, help="generate a synthetic event log")
     p.add_argument("--out", required=True)
 
-    p = sub("grid", cmd_grid, help="bucket an event log into a grid file")
+    p = sub("grid", cmd_grid, GRIDDING, help="bucket an event log into a grid file")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub("train-thread", cmd_train_thread, help="train the thread-gap model")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", required=True)
+    for task, model in (("thread", "thread-gap"), ("reply", "reply-count")):
+        p = sub(f"train-{task}", cmd_train, trains, help=f"train the {model} model")
+        p.add_argument("--in", dest="inp", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(task=task)
 
-    p = sub("train-reply", cmd_train_reply, help="train the reply-count model")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub("grid-search", cmd_grid_search, help="hyperparameter sweep")
+    p = sub("grid-search", cmd_grid_search, trains + SEARCH, help="hyperparameter sweep")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--task", choices=["thread", "reply"], required=True)
     p.add_argument("--out", default=None)
 
-    p = sub("predict", cmd_predict, help="write model predictions as CSV")
+    p = sub("predict", cmd_predict, GRIDDING, help="write model predictions as CSV")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--in", dest="inp", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--grid")
+    source.add_argument("--in", dest="inp")
     p.add_argument("--out", required=True)
 
-    p = sub("adaptive", cmd_adaptive, help="closed-loop cascade simulation")
+    p = sub("adaptive", cmd_adaptive, GRIDDING + ("n_threads", "n_intervals"),
+            help="closed-loop cascade simulation")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--thread-checkpoint", required=True)
     p.add_argument("--reply-checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--out-grid", default=None)
 
-    p = sub("breakout", cmd_breakout, help="breakout classification curve")
+    p = sub("breakout", cmd_breakout, GRIDDING + breakouts, help="breakout classification curve")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--durations", default=None, help="comma list of seconds")
     p.add_argument("--out", required=True)
 
-    p = sub("evaluate", cmd_evaluate, help="run an evaluation protocol")
+    p = sub("evaluate", cmd_evaluate,
+            GRIDDING + ("train_frac", "seed", "n_threads", "n_start_points"),
+            help="run an evaluation protocol")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--task", choices=["thread", "reply", "adaptive"], required=True)
     p.add_argument("--checkpoint", default=None)
@@ -458,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reply-checkpoint", default=None)
     p.add_argument("--out", required=True)
 
-    p = sub("sweep-d", cmd_sweep_d, help="interval-length sensitivity sweep")
+    p = sub("sweep-d", cmd_sweep_d, sweeps, help="interval-length sensitivity sweep")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--d-values", required=True, help="comma list of seconds")
     p.add_argument("--out", required=True)
@@ -467,16 +478,16 @@ def build_parser() -> _Parser:
         "experiment", help="run one of the paper's experiments from its recipe"
     ).add_subparsers(dest="experiment", required=True)
 
-    p = sub("synth-benchmark", cmd_experiment_synth_benchmark, experiments,
+    p = sub("synth-benchmark", cmd_experiment_synth_benchmark, GENERATOR + trains, experiments,
             help="both models vs the historical-mean and persistence baselines")
     p.add_argument("--out", required=True)
 
-    p = sub("breakout", cmd_experiment_breakout, experiments,
+    p = sub("breakout", cmd_experiment_breakout, GENERATOR + trains + breakouts, experiments,
             help="verdict rate vs observed prefix, model roll-out and prefix only")
     p.add_argument("--durations", default=None, help="comma list of seconds; default 1..10 x d")
     p.add_argument("--out", required=True)
 
-    p = sub("sweep", cmd_experiment_sweep, experiments,
+    p = sub("sweep", cmd_experiment_sweep, GENERATOR + sweeps, experiments,
             help="forecast error vs interval length d, per seed")
     p.add_argument("--d-values", default=",".join(f"{d:g}" for d in SWEEP_D_VALUES),
                    help="comma list of seconds")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +14,28 @@ from .models import LOSS_MODES, ModelConfig, TrainConfig
 
 class ConfigError(ValueError):
     pass
+
+
+def parse_int_list(text: str) -> list[int]:
+    """A non-empty comma list of integers >= 1."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise ConfigError(f"expected comma-separated integers, each >= 1, got {text!r}")
+    return values
+
+
+def parse_float_list(text: str) -> list[float]:
+    """A non-empty comma list of finite numbers > 0."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ConfigError(f"expected comma-separated numbers, each finite and > 0, got {text!r}")
+    return values
 
 
 # the smallest value each integer setting takes
@@ -30,8 +53,8 @@ _LOWER_BOUNDS = {
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Every run setting, declared once: each field is also a CLI flag
-    (window_h is --window-h, typed like its default)."""
+    """Every run setting, declared once: each field is also the CLI flag
+    (window_h is --window-h, typed like its default) of each command that reads it."""
 
     # gridding
     d: float = 300.0
@@ -91,6 +114,11 @@ class RunSettings:
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("search_filters", "search_kernels", "search_blocks"):
+            try:
+                parse_int_list(getattr(self, name))
+            except ConfigError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
 
     def model_config(self, kind: str) -> ModelConfig:
         k_w = 1 if self.filter_shape == "Kx1" else self.kernel_size
@@ -117,6 +145,15 @@ class RunSettings:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+
+# the fields each stage reads, by RunSettings' groups
+GRIDDING = ("d", "t0", "rows")
+MODEL = ("channels", "window_h", "window_w", "n_filters", "kernel_size", "filter_shape",
+         "n_blocks", "loss_mode")
+TRAINING = ("lr", "weight_decay", "epochs", "batch_size", "seed", "train_frac")
+GENERATOR = ("lambda_thread", "mu_reply", "theta", "horizon", "breakout_fraction",
+             "breakout_boost", "seed")
+SEARCH = ("search_filters", "search_kernels", "search_blocks", "budget_epochs")
 
 # the type each setting takes, the rule the CLI flags use too
 _TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunSettings)}
@@ -155,17 +192,3 @@ def load_settings(
         return dataclasses.replace(base, **values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config values: {exc}") from exc
-
-
-def parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc

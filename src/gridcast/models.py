@@ -412,10 +412,13 @@ def grid_search(
     loss wins, first configuration breaking ties. Candidates are
     independent, so the loop could run in parallel; evaluation order
     never affects the winner."""
+    candidates = enumerate_space(space)
+    if not candidates:
+        raise ValueError(f"empty search space {space}")
     epochs = budget_epochs if budget_epochs is not None else train_cfg.epochs
     entries: list[SearchEntry] = []
     best_idx, best_loss = -1, np.inf
-    for idx, (f, k, b) in enumerate(enumerate_space(space)):
+    for idx, (f, k, b) in enumerate(candidates):
         cfg = replace(base, n_filters=f, k_h=k, k_w=k, n_blocks=b)
         model = build_model(cfg, seed=np.random.default_rng([seed, idx]))
         train(model, train_segments, replace(train_cfg, epochs=epochs))

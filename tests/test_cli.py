@@ -4,11 +4,16 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
+from gridcast import cli
 from gridcast.cli import build_parser, main
-from gridcast.config import RunSettings
+from gridcast.config import MODEL, RunSettings, load_settings
 from gridcast.dataio import load_grid
 
 
@@ -90,23 +95,101 @@ def _runnable_parsers(parser, path=()):
             yield from _runnable_parsers(sub, (*path, name))
 
 
-def test_every_subcommand_has_one_flag_per_setting():
+def _short_runs(workdir):
+    """(head, tail) for every command at the short settings above, once
+    per --task and per --grid/--in mode; the run is head + tail + --out."""
+    events, grid = str(workdir["events"]), str(workdir["grid"])
+    thread, reply = str(workdir["thread"]), str(workdir["reply"])
+    ckpts = ["--thread-checkpoint", thread, "--reply-checkpoint", reply]
+    search = ["--search-filters", "2", "--search-kernels", "2", "--search-blocks", "1"]
+    experiment = ["--horizon", "20000", *TINY[2:]]
+    return [
+        ("ingest", ["--in", events]),
+        ("synth", SYNTH),
+        ("grid", ["--in", events, "--d", "300"]),
+        ("train-thread", ["--in", events, *TINY]),
+        ("train-reply", ["--in", events, *TINY]),
+        ("grid-search --task thread", ["--in", events, *TINY, *search]),
+        ("grid-search --task reply", ["--in", events, *TINY, *search]),
+        ("predict", ["--checkpoint", thread, "--in", events, "--d", "300"]),
+        ("predict", ["--checkpoint", reply, "--grid", grid]),
+        ("adaptive", ["--in", events, *ckpts, "--d", "300",
+                      "--n-threads", "2", "--n-intervals", "1"]),
+        ("breakout", ["--in", events, "--checkpoint", reply, "--d", "300",
+                      "--durations", "300,600", "--context-cols", "4"]),
+        ("evaluate --task thread", ["--in", events, "--checkpoint", thread, "--d", "300"]),
+        ("evaluate --task reply", ["--in", events, "--checkpoint", reply, "--d", "300"]),
+        ("evaluate --task adaptive", ["--in", events, *ckpts, "--d", "300",
+                                      "--n-threads", "2", "--n-start-points", "2"]),
+        ("sweep-d", ["--in", events, "--d-values", "300,600", *TINY[2:],
+                     "--span-seconds", "1200"]),
+        ("experiment synth-benchmark", experiment),
+        ("experiment breakout", [*experiment, "--durations", "300,600"]),
+        ("experiment sweep", [*experiment, "--seeds", "1", "--d-values", "300,600"]),
+    ]
+
+
+_FIELDS = {f.name for f in dataclasses.fields(RunSettings)}
+
+
+def _recording_load_settings(reads: set):
+    """load_settings whose result adds to reads each field read from it.
+    Reads inside __post_init__ and the dataclasses module (replace,
+    asdict) check or copy the settings rather than use them, so they
+    are left out."""
+
+    class RecordingSettings(RunSettings):
+        def __getattribute__(self, name):
+            if name in _FIELDS:
+                code = sys._getframe(1).f_code
+                if code.co_name != "__post_init__" and code.co_filename != dataclasses.__file__:
+                    reads.add(name)
+            return object.__getattribute__(self, name)
+
+    def load(config_path, overrides, base):
+        return load_settings(config_path, overrides, RecordingSettings(**dataclasses.asdict(base)))
+
+    return load
+
+
+@pytest.fixture(scope="module")
+def settings_read(workdir):
+    """subcommand -> the RunSettings fields its short runs read."""
+    reads: dict[str, set] = {}
+    out = str(workdir["root"] / "recorded.out")
+    with pytest.MonkeyPatch.context() as mp:
+        for head, tail in _short_runs(workdir):
+            command_reads = reads.setdefault(head.split(" --")[0], set())
+            mp.setattr(cli, "load_settings", _recording_load_settings(command_reads))
+            assert main([*head.split(), *tail, "--out", out]) == 0, head
+    return reads
+
+
+def test_recording_leaves_out_checks_and_copies():
+    reads = set()
+    s = _recording_load_settings(reads)(None, {"d": 60.0}, RunSettings())
+    assert reads == set()
+    assert s.d == 60.0 and s.model_config("reply").n_filters == 16
+    assert reads == {"d", *MODEL}
+
+
+def test_every_subcommand_has_one_flag_per_setting(settings_read):
+    """Each runnable subcommand has one flag for each setting its command
+    reads, and none for the others: 171 flags over the 14 commands."""
     runnable = dict(_runnable_parsers(build_parser()))
-    assert {"experiment synth-benchmark", "experiment breakout", "experiment sweep"} <= set(
-        runnable
-    )
-    fields = dataclasses.fields(RunSettings)
+    assert set(runnable) == set(settings_read)
+    assert len(runnable) == 14
+    fields = {f.name: f for f in dataclasses.fields(RunSettings)}
     for name, sub in runnable.items():
-        for f in fields:
-            flag = "--" + f.name.replace("_", "-")
-            actions = [a for a in sub._actions if flag in a.option_strings]
-            assert len(actions) == 1, (name, flag)
-            (action,) = actions
-            assert (action.dest, action.type, action.default) == (
-                f.name, type(f.default), None
-            ), (name, flag)
-        setting_dests = [a.dest for a in sub._actions if a.dest in {f.name for f in fields}]
-        assert sorted(setting_dests) == sorted(f.name for f in fields), name
+        actions = [a for a in sub._actions if a.dest in fields]
+        assert sorted(a.dest for a in actions) == sorted(settings_read[name]), name
+        for action in actions:
+            f = fields[action.dest]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")], (name, f.name)
+            assert (action.type, action.default) == (type(f.default), None), (name, f.name)
+        assert [a for a in sub._actions if a.dest == "config"], name
+    assert sum(len(reads) for reads in settings_read.values()) == 171
+    assert set().union(*settings_read.values()) == set(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +221,8 @@ def test_missing_required_argument_is_usage_error(capsys, tmp_path):
 
 def test_bad_channel_set_is_config_error(capsys, tmp_path):
     argv = [
-        "grid", "--in", str(tmp_path / "e.ndjson"),
-        "--out", str(tmp_path / "g.bin"), "--channels", "bogus",
+        "train-thread", "--in", str(tmp_path / "e.ndjson"),
+        "--out", str(tmp_path / "t.ckpt"), "--channels", "bogus",
     ]
     payload = _fail(capsys, argv, 2)
     assert payload["error"] == "config"
@@ -206,39 +289,144 @@ def test_corrupt_checkpoint_is_runtime_error(capsys, tmp_path, workdir):
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        pytest.param("train-reply", flag, value, id=f"{flag}-{value}")
-        for flag, value in [
-            ("--epochs", "0"),
-            ("--batch-size", "0"),
-            ("--loss-mode", "bogus"),
-            ("--n-filters", "0"),
-            ("--train-frac", "1.5"),
-            ("--seed", "-1"),
-            ("--lr", "-1.0"),
-            ("--lr", "0"),
-            ("--rows", "-3"),
-            ("--n-start-points", "0"),
-            ("--context-cols", "0"),
-            ("--n-threads", "-1"),
-            ("--n-intervals", "-1"),
-            ("--horizon-intervals", "-2"),
+        pytest.param(command, flag, value, id=f"{flag}-{value}")
+        for command, flag, value in [
+            ("train-reply", "--epochs", "0"),
+            ("train-reply", "--batch-size", "0"),
+            ("train-reply", "--loss-mode", "bogus"),
+            ("train-reply", "--n-filters", "0"),
+            ("train-reply", "--train-frac", "1.5"),
+            ("train-reply", "--seed", "-1"),
+            ("train-reply", "--lr", "-1.0"),
+            ("train-reply", "--lr", "0"),
+            ("train-reply", "--rows", "-3"),
+            ("evaluate --task adaptive", "--n-start-points", "0"),
+            ("breakout", "--context-cols", "0"),
+            ("adaptive", "--n-threads", "-1"),
+            ("adaptive", "--n-intervals", "-1"),
+            ("breakout", "--horizon-intervals", "-2"),
         ]
     ]
     + [
-        ("grid", "--filter-shape", "bogus"),
-        ("grid", "--loss-mode", "bogus"),
+        ("train-reply", "--filter-shape", "bogus"),
+        ("train-thread", "--loss-mode", "bogus"),
         ("synth", "--lambda-thread", "-1"),
         ("experiment synth-benchmark", "--horizon", "0"),
     ],
 )
 def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, command, flag, value):
     out = tmp_path / "out"
-    reads_log = not command.startswith(("synth", "experiment"))
-    source = ["--in", str(workdir["events"])] if reads_log else []
-    argv = [*command.split(), *source, "--out", str(out), *TINY, flag, value]
+    tail = dict(_short_runs(workdir))[command]
+    argv = [*command.split(), *tail, "--out", str(out), flag, value]
     payload = _fail(capsys, argv, 2)
     assert payload["error"] == "config"
+    name = flag[2:].replace("-", "_")  # the message names the setting, not an unknown flag
+    assert name in payload["message"] or name.replace("_", " ") in payload["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-d", "--d", "300"],  # would be --d-values by prefix
+        ["breakout", "--horizon", "86400"],  # would be --horizon-intervals by prefix
+        ["grid", "--ro", "40"],  # would be --rows by prefix
+        ["ingest", "--seed", "3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unread_or_abbreviated_setting_flag_is_usage_error(capsys, workdir, tmp_path, argv):
+    command, *flags = argv
+    out = tmp_path / "out"
+    tail = dict(_short_runs(workdir))[command]
+    payload = _fail(capsys, [command, *tail, "--out", str(out), *flags], 2)
+    assert payload["error"] == "config"
+    assert f"unrecognized arguments: {' '.join(flags)}" in payload["message"]
+    assert not out.exists()
+
+
+def test_predict_takes_exactly_one_of_grid_and_in(capsys, workdir, tmp_path):
+    out = tmp_path / "p.csv"
+    head = ["predict", "--checkpoint", str(workdir["reply"]), "--out", str(out)]
+    payload = _fail(capsys, head, 2)
+    assert "one of the arguments --grid --in is required" in payload["message"]
+    both = [*head, "--grid", str(workdir["grid"]), "--in", str(workdir["events"])]
+    payload = _fail(capsys, both, 2)
+    assert "not allowed with argument --grid" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "task, given, missing",
+    [
+        ("thread", None, "--checkpoint"),
+        ("reply", None, "--checkpoint"),
+        ("adaptive", "reply", "--thread-checkpoint"),
+        ("adaptive", "thread", "--reply-checkpoint"),
+    ],
+)
+def test_evaluate_without_its_checkpoint_is_config_error(
+    capsys, workdir, tmp_path, task, given, missing
+):
+    out = tmp_path / "e.csv"
+    ckpts = [f"--{given}-checkpoint", str(workdir[given])] if given else []
+    argv = ["evaluate", "--in", str(workdir["events"]), "--task", task, *ckpts, "--out", str(out)]
+    payload = _fail(capsys, argv, 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"--task {task} needs {missing}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--search-filters", "--search-kernels", "--search-blocks"])
+@pytest.mark.parametrize("value", ["", "0", "2,-1", "2,x"])
+def test_bad_search_list_is_config_error(capsys, workdir, tmp_path, flag, value):
+    out = tmp_path / "gs.csv"
+    tail = dict(_short_runs(workdir))["grid-search --task reply"]
+    payload = _fail(capsys, ["grid-search", "--task", "reply", *tail, "--out", str(out),
+                             flag, value], 2)
+    assert payload["error"] == "config"
+    assert flag[2:].replace("-", "_") in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("sweep-d", "--d-values"),
+        ("breakout", "--durations"),
+        ("experiment breakout", "--durations"),
+        ("experiment sweep", "--d-values"),
+    ],
+)
+@pytest.mark.parametrize("value", ["", "300,-5", "0", "nan"])
+def test_bad_seconds_list_is_config_error(capsys, workdir, tmp_path, command, flag, value):
+    out = tmp_path / "out.csv"
+    tail = dict(_short_runs(workdir))[command]
+    payload = _fail(capsys, [*command.split(), *tail, "--out", str(out), flag, value], 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == (
+        f"expected comma-separated numbers, each finite and > 0, got {value!r}"
+    )
+    assert not out.exists()
+
+
+def _readme_commands():
+    """Every `gridcast ...` command in README's code blocks, continuation
+    lines joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gridcast"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func), argv
 
 
 def test_config_value_of_wrong_type_is_config_error(capsys, workdir, tmp_path):

@@ -96,6 +96,27 @@ def test_parse_float_list_roundtrip_and_rejection():
         parse_float_list("a,b")
 
 
+@pytest.mark.parametrize("text", ["", " , ", "0", "300,-5", "nan", "300,inf"])
+def test_parse_float_list_rejects_empty_and_non_positive(text):
+    with pytest.raises(ConfigError, match="each finite and > 0"):
+        parse_float_list(text)
+
+
+@pytest.mark.parametrize("text", ["", ",", "0", "2,-1"])
+def test_parse_int_list_rejects_empty_and_below_one(text):
+    with pytest.raises(ConfigError, match="each >= 1"):
+        parse_int_list(text)
+
+
+@pytest.mark.parametrize("key", ["search_filters", "search_kernels", "search_blocks"])
+@pytest.mark.parametrize("value", ["", "0", "3,x"])
+def test_search_lists_are_checked_with_the_settings(key, value):
+    with pytest.raises(ValueError, match=f"{key}: expected comma-separated integers"):
+        RunSettings(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        load_settings(None, {key: value})
+
+
 @pytest.mark.parametrize(
     "values, key",
     [

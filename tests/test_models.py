@@ -1,5 +1,6 @@
 """Model wiring, training loop, hyperparameter search, gap-to-time."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,6 +331,15 @@ def test_grid_search_singleton_space():
     assert len(res.entries) == 1
     assert res.best == res.entries[0].config
     assert res.best.n_filters == 4 and res.best.k_h == 2 and res.best.k_w == 2
+
+
+@pytest.mark.parametrize("field", ["n_filters", "kernel_sizes", "n_blocks"])
+def test_grid_search_rejects_an_empty_space(field):
+    cfg = tiny_config("thread")
+    segs = [thread_seg(np.random.default_rng(16), cfg, 2.0) for _ in range(2)]
+    space = replace(SearchSpace(n_filters=(4,), kernel_sizes=(2,), n_blocks=(1,)), **{field: ()})
+    with pytest.raises(ValueError, match="empty search space"):
+        grid_search(cfg, segs[:1], segs[1:], TrainConfig(epochs=1), space)
 
 
 def test_grid_search_best_is_argmin_of_entries():
