@@ -29,12 +29,11 @@ from .forecast import (
 from .evaluate import (
     EvalReport,
     EvalTask,
-    SweepResult,
     evaluate_adaptive,
     evaluate_reply_counts,
     evaluate_thread_arrival,
-    sweep_interval_length,
 )
+from .experiments import SweepResult, sweep_interval_length
 from .grid import (
     CHANNEL_ORDER,
     CHANNEL_SETS,

@@ -4,9 +4,9 @@ Subcommands: ingest, synth, grid, train-thread, train-reply,
 grid-search, predict, adaptive, breakout, evaluate, sweep-d, and
 experiment {synth-benchmark,breakout,sweep}, which runs one of the
 paper's experiments from its recipe in gridcast.experiments. Every
-command takes an optional --config JSON file, which may hold any
-setting, and one flag for each setting the command reads (see
-`gridcast <cmd> --help`); flags override file values, and an
+command takes one flag for each setting it reads (see `gridcast <cmd>
+--help`) and, if it reads any, an optional --config JSON file, which
+may hold any setting; flags override file values, and an
 experiment's recipe takes the place of the defaults. Abbreviated flags
 are not accepted. Success prints a one-line JSON summary on
 stdout and exits 0; failures print a one-line JSON error on stderr and
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import GENERATOR, GRIDDING, MODEL, SEARCH, TRAINING
-from .config import ConfigError, RunSettings, load_settings, parse_float_list, parse_int_list
+from .config import ConfigError, RunSettings, load_settings, parse_float_list
 from .dataio import (
     load_grid,
     parse_events_with_stats,
@@ -36,7 +36,6 @@ from .evaluate import (
     evaluate_adaptive,
     evaluate_reply_counts,
     evaluate_thread_arrival,
-    sweep_interval_length,
 )
 from .experiments import (
     BREAKOUT_SETTINGS,
@@ -47,20 +46,16 @@ from .experiments import (
     breakout_experiment,
     grid_for,
     interval_sweep,
+    search_on_split,
     settings_breakout_curve,
+    sweep_interval_length,
     synth_benchmark,
     synth_corpus,
+    train_on_split,
 )
 from .forecast import ForecastState, adaptive_forecast
 from .grid import assemble_features, gap_columns, time_split, window_at
-from .models import (
-    SearchSpace,
-    arrival_time,
-    build_model,
-    grid_search,
-    train,
-    training_segments,
-)
+from .models import arrival_time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,16 +72,6 @@ def _say(payload: dict) -> None:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _add_settings(sub: argparse.ArgumentParser, reads) -> None:
-    """--config, plus a flag for each RunSettings field the command reads."""
-    sub.add_argument("--config", default=None, help="JSON settings file")
-    for f in dataclasses.fields(RunSettings):
-        if f.name in reads:
-            sub.add_argument(
-                "--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None
-            )
 
 
 def _settings(args, base: RunSettings = RunSettings()) -> RunSettings:
@@ -151,48 +136,26 @@ def cmd_grid(args) -> None:
     )
 
 
-def _train_segments(grid, config, train_frac: float):
-    segs = training_segments(grid, config, train_frac)
-    if not segs:
-        raise ConfigError("training split produced no segments")
-    return segs
-
-
 def cmd_train(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
-    config = s.model_config(args.task)
-    segs = _train_segments(grid, config, s.train_frac)
-    model = build_model(config, seed=s.seed)
-    history = train(model, segs, s.train_config())
+    model, history, n_segments = train_on_split(grid, s.model_config(args.task), s, s.seed)
     meta = {
         "epochs": s.epochs,
         "final_loss": history[-1],
         "seed": s.seed,
-        "segments": len(segs),
+        "segments": n_segments,
     }
     save_checkpoint(model, args.out, meta)
-    _say({"final_loss": history[-1], "segments": len(segs), "out": args.out})
+    _say({"final_loss": history[-1], "segments": n_segments, "out": args.out})
 
 
 def cmd_grid_search(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
-    config = s.model_config(args.task)
-    segs = _train_segments(grid, config, s.train_frac)
-    n_val = max(1, len(segs) // 5)
-    train_segs, val_segs = segs[:-n_val], segs[-n_val:]
-    space = SearchSpace(
-        n_filters=tuple(parse_int_list(s.search_filters)),
-        kernel_sizes=tuple(parse_int_list(s.search_kernels)),
-        n_blocks=tuple(parse_int_list(s.search_blocks)),
-    )
-    result = grid_search(
-        config, train_segs, val_segs, s.train_config(), space,
-        budget_epochs=s.budget_epochs or None, seed=s.seed,
-    )
+    result = search_on_split(grid, s.model_config(args.task), s)
     if args.out:
         write_csv(
             args.out,
@@ -293,9 +256,11 @@ def cmd_breakout(args) -> None:
 
 def cmd_evaluate(args) -> None:
     adaptive = args.task == "adaptive"
-    for name in ("thread_checkpoint", "reply_checkpoint") if adaptive else ("checkpoint",):
-        if getattr(args, name) is None:
-            raise ConfigError(f"--task {args.task} needs --{name.replace('_', '-')}")
+    needs = ("thread_checkpoint", "reply_checkpoint") if adaptive else ("checkpoint",)
+    for name in ("checkpoint", "thread_checkpoint", "reply_checkpoint"):
+        if (name in needs) != (getattr(args, name) is not None):
+            verb = "needs" if name in needs else "does not read"
+            raise ConfigError(f"--task {args.task} {verb} --{name.replace('_', '-')}")
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
@@ -405,9 +370,15 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def sub(name, func, reads, parent=subs, **kwargs):
-        """A subcommand with a flag for each setting in reads."""
+        """A subcommand with a flag for each RunSettings field in reads,
+        and --config if it reads any."""
         p = parent.add_parser(name, **kwargs)
-        _add_settings(p, reads)
+        if reads:
+            p.add_argument("--config", default=None, help="JSON settings file")
+        for f in dataclasses.fields(RunSettings):
+            if f.name in reads:
+                flag = "--" + f.name.replace("_", "-")
+                p.add_argument(flag, dest=f.name, type=type(f.default), default=None)
         p.set_defaults(func=func)
         return p
 

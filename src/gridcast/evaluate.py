@@ -1,4 +1,4 @@
-"""Evaluation protocols and the interval-length sensitivity sweep.
+"""Evaluation protocols; they take no run settings (the d-sweep is in experiments).
 
 Three measurement protocols, all deterministic given (seed, config):
 
@@ -18,15 +18,6 @@ so integer-lattice fixtures telescope without float drift.
 Baselines are wrapped as predictor objects satisfying the same duck
 protocol as trained models, so model and baseline pass through the
 identical measurement path.
-
-The d-sweep retrains both models per candidate interval length and
-scores them in d-comparable units: thread MAE in hours with the gap
-quantised to the grid lattice (simulate mode, the representation-facing
-cost), and reply MAE as absolute error of self-fed rolled-out totals
-over a fixed future span in seconds. Fine grids pay compounding
-roll-out and rounding error; coarse grids pay quantisation and lose
-within-cascade detail; the combined normalised score bottoms out at an
-interior d.
 """
 from __future__ import annotations
 
@@ -37,21 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .config import RunSettings
-from .forecast import ForecastState, adaptive_forecast, roll_reply_row, roll_until
-from .grid import (
-    Channel,
-    EventStream,
-    Grid,
-    GridError,
-    assemble_features,
-    build_grid,
-    gap_columns,
-    rows_covering,
-    time_split,
-    window_at,
-)
-from .models import arrival_time, build_model, train, training_segments
+from .forecast import ForecastState, adaptive_forecast, roll_until
+from .grid import Channel, Grid, assemble_features, gap_columns, window_at
+from .models import arrival_time
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -326,110 +305,3 @@ def evaluate_adaptive(
             )
         )
     return thread_reports, reply_reports
-
-
-# ---------------------------------------------------------------------------
-# interval-length sweep
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    d: float
-    thread_mae_hours: float
-    reply_mae_counts: float
-    n_thread: int
-    n_reply: int
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    best_d: float
-    scores: tuple[float, ...]
-
-
-def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[float, int]:
-    """Roll the reply model over its own outputs for span_int rows from
-    each aligned start in the test region; absolute error of per-column
-    totals against truth. Thread arrival rows are taken as known.
-
-    Only recently-arrived columns are scored: threads whose arrival
-    falls within one span before or inside the rolled window. Columns
-    that went quiet long before the start would reward a degenerate
-    always-zero forecast equally at every d and drown out the signal
-    the sweep is after."""
-    n_rows = grid.spec.n_rows
-    starts = list(range(r_split, n_rows - span_int + 1, span_int))
-    if not starts:
-        raise GridError("test region shorter than the evaluation span")
-    errors = []
-    for r0 in starts:
-        state = ForecastState.from_grid(grid.crop(r0))
-        for _ in range(span_int):
-            roll_reply_row(state, model)
-        pred = state.counts[r0 : r0 + span_int]
-        arr = grid.arrival_rows
-        cols = np.where((arr >= r0 - span_int) & (arr < r0 + span_int))[0]
-        true = grid.counts[r0 : r0 + span_int]
-        for c in cols:
-            errors.append(abs(int(pred[:, c].sum()) - int(true[:, c].sum())))
-    if not errors:
-        raise GridError("no recently-arrived columns in the sweep test region")
-    return float(np.mean(errors)), len(errors)
-
-
-def sweep_interval_length(
-    stream: EventStream, d_values, settings: RunSettings
-) -> SweepResult:
-    """Rebuild, retrain, and score both tasks for every candidate d.
-
-    Scores are d-comparable: thread MAE in hours with lattice-quantised
-    predictions, reply MAE in counts over a fixed span of
-    settings.span_seconds. The selected d minimises the sum of per-task
-    MAEs normalised by their column minima; ties go to the smaller d.
-    """
-    if len(list(d_values)) == 0:
-        raise GridError("empty candidate set")
-    ds = sorted(float(d) for d in d_values)
-    th_cfg = settings.model_config("thread")
-    rp_cfg = settings.model_config("reply")
-    tc = settings.train_config()
-    rows = []
-    for d in ds:
-        n_rows = rows_covering(stream, d, settings.t0)
-        if n_rows < 2:
-            raise GridError(f"d={d} too large: fewer than 2 rows materialise")
-        grid = build_grid(stream, d, settings.t0, n_rows)
-        r_split, col_split = time_split(grid, settings.train_frac)
-
-        th_segments = training_segments(grid, th_cfg, settings.train_frac)
-        test_idx = gap_columns(grid, col_split)
-        if len(th_segments) < 2 or not test_idx:
-            raise GridError(f"d={d}: not enough threads on either side of the split")
-        th_model = build_model(th_cfg, seed=np.random.default_rng([settings.seed, 1]))
-        train(th_model, th_segments, tc)
-        th_report = evaluate_thread_arrival(
-            th_model, grid, stream.thread_times, test_idx, mode="simulate"
-        )
-
-        rp_segments = training_segments(grid, rp_cfg, settings.train_frac)
-        rp_model = build_model(rp_cfg, seed=np.random.default_rng([settings.seed, 2]))
-        train(rp_model, rp_segments, tc)
-        span_int = max(1, round(settings.span_seconds / d))
-        reply_mae, n_reply = _self_fed_span_mae(rp_model, grid, r_split, span_int)
-
-        rows.append(
-            SweepRow(
-                d=d,
-                thread_mae_hours=th_report.mae,
-                reply_mae_counts=reply_mae,
-                n_thread=th_report.n,
-                n_reply=n_reply,
-            )
-        )
-    t = np.array([r.thread_mae_hours for r in rows])
-    rmae = np.array([r.reply_mae_counts for r in rows])
-    tiny = 1e-12
-    scores = t / max(t.min(), tiny) + rmae / max(rmae.min(), tiny)
-    best = int(np.argmin(scores))
-    return SweepResult(rows=tuple(rows), best_d=rows[best].d, scores=tuple(scores))

@@ -6,33 +6,42 @@
   prefix, with the reply model's roll-out and with the prefix alone, on
   a corpus where a quarter of the cascades reply four times as fast;
 - interval_sweep: forecast error against the interval length d, once
-  per seed.
+  per seed, each a sweep_interval_length over that seed's corpus.
 
 A recipe is a RunSettings value. `gridcast experiment` starts from it
 and lets --config and the setting flags override it; the acceptance
 criteria run it as it stands.
+
+The d-sweep retrains both models per candidate interval length and
+scores them in d-comparable units: thread MAE in hours with the gap
+quantised to the grid lattice (simulate mode, the representation-facing
+cost), and reply MAE as absolute error of self-fed rolled-out totals
+over a fixed future span in seconds. Fine grids pay compounding
+roll-out and rounding error; coarse grids pay quantisation and lose
+within-cascade detail; the combined normalised score bottoms out at an
+interior d.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
-from .config import ConfigError, RunSettings
+import numpy as np
+
+from .config import ConfigError, RunSettings, parse_int_list
 from .evaluate import (
     EvalReport,
     MeanGapBaseline,
     MeanRowBaseline,
     PersistenceGapBaseline,
     PersistenceRowBaseline,
-    SweepResult,
     evaluate_reply_counts,
     evaluate_thread_arrival,
-    sweep_interval_length,
     train_mean_cell_count,
     train_mean_gap_intervals,
 )
-from .forecast import BreakoutCurvePoint, breakout_curve
-from .grid import EventStream, Grid, build_grid, gap_columns, rows_covering, time_split
-from .models import ModelConfig, build_model, train, training_segments
+from .forecast import BreakoutCurvePoint, ForecastState, breakout_curve, roll_reply_row
+from .grid import EventStream, Grid, GridError, build_grid, gap_columns, rows_covering, time_split
+from .models import ModelConfig, SearchSpace, build_model, grid_search, train, training_segments
 from .synth import SynthParams, synth_generate
 
 # The two nets of the synthetic benchmark. The thread task has little
@@ -95,10 +104,33 @@ def settings_breakout_curve(
     )
 
 
-def _trained(grid: Grid, config: ModelConfig, settings: RunSettings):
-    model = build_model(config, seed=settings.seed)
-    train(model, training_segments(grid, config, settings.train_frac), settings.train_config())
-    return model
+def _training_side(grid: Grid, config: ModelConfig, settings: RunSettings):
+    segs = training_segments(grid, config, settings.train_frac)
+    if not segs:
+        raise ConfigError("training split produced no segments")
+    return segs
+
+
+def train_on_split(grid: Grid, config: ModelConfig, settings: RunSettings, seed):
+    """(model, per-epoch losses, segment count) for a config model built
+    from seed and trained with the settings on the training side of their split."""
+    segs = _training_side(grid, config, settings)
+    model = build_model(config, seed=seed)
+    return model, train(model, segs, settings.train_config()), len(segs)
+
+
+def search_on_split(grid: Grid, config: ModelConfig, settings: RunSettings):
+    """grid_search over the settings' search space around config: each candidate trained
+    for budget_epochs (0: epochs) on the training side, its last fifth of segments held out."""
+    segs = _training_side(grid, config, settings)
+    n_val = max(1, len(segs) // 5)
+    space = SearchSpace(
+        n_filters=tuple(parse_int_list(settings.search_filters)),
+        kernel_sizes=tuple(parse_int_list(settings.search_kernels)),
+        n_blocks=tuple(parse_int_list(settings.search_blocks)),
+    )
+    budget = replace(settings.train_config(), epochs=settings.budget_epochs or settings.epochs)
+    return grid_search(config, segs[:-n_val], segs[-n_val:], budget, space, seed=settings.seed)
 
 
 def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
@@ -110,7 +142,7 @@ def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
     r_split, col_split = time_split(grid, settings.train_frac)
     tt = stream.thread_times
 
-    reply_model = _trained(grid, settings.model_config("reply"), settings)
+    reply_model = train_on_split(grid, settings.model_config("reply"), settings, settings.seed)[0]
     n_test_rows = grid.spec.n_rows - r_split
     rows = [
         ("reply", name, evaluate_reply_counts(m, grid, n_test_rows, start_row=r_split))
@@ -121,7 +153,7 @@ def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
         ]
     ]
 
-    thread_model = _trained(grid, thread_config(settings), settings)
+    thread_model = train_on_split(grid, thread_config(settings), settings, settings.seed)[0]
     mean_gap = train_mean_gap_intervals(tt, col_split, settings.d)
     test_idx = gap_columns(grid, col_split)
     rows += [
@@ -142,11 +174,112 @@ def breakout_experiment(
     reply model trained on the first train_frac of rows."""
     stream = synth_corpus(settings)
     grid = grid_for(stream, settings)
-    model = _trained(grid, settings.model_config("reply"), settings)
+    model = train_on_split(grid, settings.model_config("reply"), settings, settings.seed)[0]
     return (
         settings_breakout_curve(stream, grid, model, durations, settings),
         settings_breakout_curve(stream, grid, None, durations, settings),
     )
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    d: float
+    thread_mae_hours: float
+    reply_mae_counts: float
+    n_thread: int
+    n_reply: int
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    rows: tuple[SweepRow, ...]
+    best_d: float
+    scores: tuple[float, ...]
+
+
+def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[float, int]:
+    """Roll the reply model over its own outputs for span_int rows from
+    each aligned start in the test region; absolute error of per-column
+    totals against truth. Thread arrival rows are taken as known.
+
+    Only recently-arrived columns are scored: threads whose arrival
+    falls within one span before or inside the rolled window. Columns
+    that went quiet long before the start would reward a degenerate
+    always-zero forecast equally at every d and drown out the signal
+    the sweep is after."""
+    n_rows = grid.spec.n_rows
+    starts = list(range(r_split, n_rows - span_int + 1, span_int))
+    if not starts:
+        raise GridError("test region shorter than the evaluation span")
+    errors = []
+    for r0 in starts:
+        state = ForecastState.from_grid(grid.crop(r0))
+        for _ in range(span_int):
+            roll_reply_row(state, model)
+        pred = state.counts[r0 : r0 + span_int]
+        arr = grid.arrival_rows
+        cols = np.where((arr >= r0 - span_int) & (arr < r0 + span_int))[0]
+        true = grid.counts[r0 : r0 + span_int]
+        for c in cols:
+            errors.append(abs(int(pred[:, c].sum()) - int(true[:, c].sum())))
+    if not errors:
+        raise GridError("no recently-arrived columns in the sweep test region")
+    return float(np.mean(errors)), len(errors)
+
+
+def sweep_interval_length(
+    stream: EventStream, d_values, settings: RunSettings
+) -> SweepResult:
+    """Rebuild, retrain, and score both tasks for every candidate d.
+
+    Scores are d-comparable: thread MAE in hours with lattice-quantised
+    predictions, reply MAE in counts over a fixed span of
+    settings.span_seconds. The selected d minimises the sum of per-task
+    MAEs normalised by their column minima; ties go to the smaller d.
+    """
+    ds = sorted(float(d) for d in d_values)
+    if not ds:
+        raise GridError("empty candidate set")
+    th_cfg = settings.model_config("thread")
+    rp_cfg = settings.model_config("reply")
+    rows = []
+    for d in ds:
+        n_rows = rows_covering(stream, d, settings.t0)
+        if n_rows < 2:
+            raise GridError(f"d={d} too large: fewer than 2 rows materialise")
+        grid = build_grid(stream, d, settings.t0, n_rows)
+        r_split, col_split = time_split(grid, settings.train_frac)
+
+        # one thread training segment per gap column before the split
+        test_idx = gap_columns(grid, col_split)
+        if len(gap_columns(grid, 0, col_split)) < 2 or not test_idx:
+            raise GridError(f"d={d}: not enough threads on either side of the split")
+        th_seed = np.random.default_rng([settings.seed, 1])
+        th_model = train_on_split(grid, th_cfg, settings, th_seed)[0]
+        th_report = evaluate_thread_arrival(
+            th_model, grid, stream.thread_times, test_idx, mode="simulate"
+        )
+
+        rp_seed = np.random.default_rng([settings.seed, 2])
+        rp_model = train_on_split(grid, rp_cfg, settings, rp_seed)[0]
+        span_int = max(1, round(settings.span_seconds / d))
+        reply_mae, n_reply = _self_fed_span_mae(rp_model, grid, r_split, span_int)
+
+        rows.append(
+            SweepRow(
+                d=d,
+                thread_mae_hours=th_report.mae,
+                reply_mae_counts=reply_mae,
+                n_thread=th_report.n,
+                n_reply=n_reply,
+            )
+        )
+    t = np.array([r.thread_mae_hours for r in rows])
+    rmae = np.array([r.reply_mae_counts for r in rows])
+    tiny = 1e-12
+    scores = t / max(t.min(), tiny) + rmae / max(rmae.min(), tiny)
+    best = int(np.argmin(scores))
+    return SweepResult(rows=tuple(rows), best_d=rows[best].d, scores=tuple(scores))
 
 
 def interval_sweep(settings: RunSettings, d_values, seeds) -> list[SweepResult]:

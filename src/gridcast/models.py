@@ -405,23 +405,21 @@ def grid_search(
     val_segments: list[Segment],
     train_cfg: TrainConfig,
     space: SearchSpace = SearchSpace(),
-    budget_epochs: int | None = None,
     seed: int = 0,
 ) -> GridSearchResult:
-    """Exhaustive sweep over filters x kernel x depth; lowest validation
-    loss wins, first configuration breaking ties. Candidates are
-    independent, so the loop could run in parallel; evaluation order
-    never affects the winner."""
+    """Exhaustive sweep over filters x kernel x depth, each candidate
+    trained with train_cfg; lowest validation loss wins, first
+    configuration breaking ties. Candidates are independent, so the loop
+    could run in parallel; evaluation order never affects the winner."""
     candidates = enumerate_space(space)
     if not candidates:
         raise ValueError(f"empty search space {space}")
-    epochs = budget_epochs if budget_epochs is not None else train_cfg.epochs
     entries: list[SearchEntry] = []
     best_idx, best_loss = -1, np.inf
     for idx, (f, k, b) in enumerate(candidates):
         cfg = replace(base, n_filters=f, k_h=k, k_w=k, n_blocks=b)
         model = build_model(cfg, seed=np.random.default_rng([seed, idx]))
-        train(model, train_segments, replace(train_cfg, epochs=epochs))
+        train(model, train_segments, train_cfg)
         val = dataset_loss(model, val_segments)
         entries.append(SearchEntry(config=cfg, val_loss=val))
         if val < best_loss:

@@ -195,6 +195,31 @@ def test_rejects_missing_arrays(ckpt_path):
         load_checkpoint(ckpt_path)
 
 
+def _grow_last_shape(header):
+    header["arrays"][-1]["shape"][0] += 1
+
+
+def _drop_last_entry(header):
+    header["arrays"].pop()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_grow_last_shape, "payload ends inside 'stack.block0.norm.running_var'"),
+        (_drop_last_entry, r"\d+ stray payload bytes"),
+    ],
+    ids=["grown", "dropped"],
+)
+def test_manifest_that_does_not_tile_the_payload_is_corrupt(ckpt_path, edit, message):
+    """The payload and its CRC stay as written, so only the manifest
+    walk can tell that the arrays no longer tile the payload."""
+    save_checkpoint(tiny_model("thread"), ckpt_path)
+    _mutate_header(ckpt_path, edit)
+    with pytest.raises(CheckpointCorruptError, match=message):
+        load_checkpoint(ckpt_path)
+
+
 def test_rejects_empty_manifest(ckpt_path):
     save_checkpoint(tiny_model("thread"), ckpt_path)
 

@@ -175,7 +175,8 @@ def test_recording_leaves_out_checks_and_copies():
 
 def test_every_subcommand_has_one_flag_per_setting(settings_read):
     """Each runnable subcommand has one flag for each setting its command
-    reads, and none for the others: 171 flags over the 14 commands."""
+    reads, and none for the others: 171 flags over the 14 commands; and
+    --config if it reads any setting."""
     runnable = dict(_runnable_parsers(build_parser()))
     assert set(runnable) == set(settings_read)
     assert len(runnable) == 14
@@ -187,7 +188,8 @@ def test_every_subcommand_has_one_flag_per_setting(settings_read):
             f = fields[action.dest]
             assert action.option_strings == ["--" + f.name.replace("_", "-")], (name, f.name)
             assert (action.type, action.default) == (type(f.default), None), (name, f.name)
-        assert [a for a in sub._actions if a.dest == "config"], name
+        # --config exactly when the command reads some setting
+        assert any(a.dest == "config" for a in sub._actions) == bool(settings_read[name]), name
     assert sum(len(reads) for reads in settings_read.values()) == 171
     assert set().union(*settings_read.values()) == set(fields)
 
@@ -332,6 +334,7 @@ def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, command
         ["breakout", "--horizon", "86400"],  # would be --horizon-intervals by prefix
         ["grid", "--ro", "40"],  # would be --rows by prefix
         ["ingest", "--seed", "3"],
+        ["ingest", "--config", "/nonexistent.json"],  # ingest reads no setting
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -374,6 +377,29 @@ def test_evaluate_without_its_checkpoint_is_config_error(
     payload = _fail(capsys, argv, 2)
     assert payload["error"] == "config"
     assert payload["message"] == f"--task {task} needs {missing}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "task, given, unread",
+    [
+        ("thread", "thread", "--reply-checkpoint"),
+        ("reply", "reply", "--thread-checkpoint"),
+        ("adaptive", None, "--checkpoint"),
+    ],
+)
+def test_evaluate_with_a_checkpoint_its_task_does_not_read_is_config_error(
+    capsys, workdir, tmp_path, task, given, unread
+):
+    out = tmp_path / "e.csv"
+    thread, reply = str(workdir["thread"]), str(workdir["reply"])
+    ckpts = (["--checkpoint", str(workdir[given])] if given
+             else ["--thread-checkpoint", thread, "--reply-checkpoint", reply])
+    argv = ["evaluate", "--in", str(workdir["events"]), "--task", task, *ckpts,
+            unread, "/nonexistent.ckpt", "--out", str(out)]
+    payload = _fail(capsys, argv, 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"--task {task} does not read {unread}"
     assert not out.exists()
 
 

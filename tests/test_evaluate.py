@@ -1,12 +1,13 @@
 """Measurement protocols: exact-zero oracles via ground-truth stand-ins,
-hand-computed baselines, and the interval-length sweep."""
+hand-computed baselines; and the interval-length sweep of
+gridcast.experiments, which scores with them."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import ConstGapStub, ConstRowStub, TrueGapStub, TrueRowStub, lattice_stream
 
-from gridcast import evaluate
+from gridcast import experiments
 from gridcast.evaluate import (
     EvalReport,
     EvalTask,
@@ -18,11 +19,10 @@ from gridcast.evaluate import (
     evaluate_adaptive,
     evaluate_reply_counts,
     evaluate_thread_arrival,
-    sweep_interval_length,
     train_mean_cell_count,
     train_mean_gap_intervals,
 )
-from gridcast.experiments import INTERVAL_SWEEP_SETTINGS
+from gridcast.experiments import INTERVAL_SWEEP_SETTINGS, sweep_interval_length
 from gridcast.grid import EventStream, GridError, ThreadCascade, build_grid
 from gridcast.models import build_model
 from gridcast.synth import SynthParams, synth_generate
@@ -295,6 +295,13 @@ def test_sweep_orders_candidates_and_picks_argmin():
     assert res.best_d == res.rows[int(np.argmin(res.scores))].d
 
 
+def test_sweep_reads_candidates_from_a_one_pass_iterable():
+    res = sweep_interval_length(_sweep_stream(), iter([600.0, 300.0]), _SWEEP_CFG)
+    assert [r.d for r in res.rows] == [300.0, 600.0]
+    with pytest.raises(GridError, match="empty"):
+        sweep_interval_length(_sweep_stream(), iter([]), _SWEEP_CFG)
+
+
 def test_sweep_rejects_oversized_and_empty_candidates():
     stream = _sweep_stream()
     with pytest.raises(GridError, match="too large"):
@@ -310,7 +317,7 @@ def test_sweep_builds_both_models_from_its_settings(monkeypatch):
         built.append(config)
         return build_model(config, **kwargs)
 
-    monkeypatch.setattr(evaluate, "build_model", recording_build_model)
+    monkeypatch.setattr(experiments, "build_model", recording_build_model)
     settings = replace(_SWEEP_CFG, filter_shape="Kx1")
     sweep_interval_length(_sweep_stream(), [300.0], settings)
     assert built == [settings.model_config("thread"), settings.model_config("reply")]

@@ -1,4 +1,6 @@
 """Grid construction, channels, padding, and segment slicing."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,54 @@ def test_interval_index_boundaries():
     # awkward floats: 0.1*3 != 0.3 exactly
     i = interval_index(0.1 * 3, 0.0, 0.3)
     assert 0.0 + i * 0.3 <= 0.1 * 3 < 0.0 + (i + 1) * 0.3
+
+
+@pytest.mark.parametrize(
+    "t, t0, d, want",
+    [
+        (621112.0999999999, 0.7, 0.7, 887302),  # floor lands one low
+        (7543641.845126337, 0.0, 226.6242630794706, 33286),  # floor lands one high
+    ],
+)
+def test_interval_index_nudges_a_floor_that_lands_one_off(t, t0, d, want):
+    assert math.floor((t - t0) / d) != want
+    i = interval_index(t, t0, d)
+    assert i == want
+    assert t0 + i * d <= t < t0 + (i + 1) * d
+
+
+def _valid_grid():
+    counts = np.array([[1, 0], [0, 1], [2, 0]])
+    return Grid(spec=GridSpec(60.0, 0.0, 3, 2), counts=counts, arrival_rows=np.array([0, 1]))
+
+
+def _break_count(cell, value):
+    def edit(g):
+        g.counts[cell] = value
+    return edit
+
+
+def _swap_arrivals(g):
+    g.counts[...] = [[0, 1], [1, 0], [0, 0]]
+    g.arrival_rows[...] = [1, 0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_break_count((2, 0), -1), "negative cell count"),
+        (_break_count((0, 1), 1), "nonzero count on a pre-arrival cell"),
+        (_break_count((1, 1), 0), "arrival cell missing its thread event"),
+        (_swap_arrivals, "arrival rows not non-decreasing"),
+    ],
+    ids=["negative", "pre-arrival", "arrival", "order"],
+)
+def test_validate_names_each_broken_invariant(edit, message):
+    g = _valid_grid()
+    g.validate()
+    edit(g)
+    with pytest.raises(GridError, match=message):
+        g.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,36 @@ def test_build_determinism_bit_exact():
                for pa, pc in zip(a.params(), c.params()))
 
 
+@pytest.mark.parametrize("kind", ["thread", "reply"])
+def test_astype_float64_clone_matches_and_leaves_the_original(kind):
+    rng = np.random.default_rng(12)
+    cfg = tiny_config(kind)
+    seg = thread_seg if kind == "thread" else reply_seg
+    segs = [seg(rng, cfg, 2.0) for _ in range(8)]
+    model = build_model(cfg, seed=4)
+    train(model, segs, TrainConfig(lr=1e-2, epochs=2, batch_size=4))  # moves the running stats
+    params = [(p.name, p.value.copy()) for p in model.params()]
+    buffers = [(name, b.copy()) for name, b in model.named_buffers()]
+    clone = model.astype(np.float64)
+    assert clone.config == model.config and clone.dtype == np.float64
+    for (name, value), q in zip(params, clone.params()):
+        assert q.name == name and q.value.dtype == np.float64
+        assert np.array_equal(q.value, value.astype(np.float64))
+    for (name, value), (q_name, q) in zip(buffers, clone.named_buffers()):
+        assert q_name == name and np.array_equal(q, value)
+    for s in segs:
+        if kind == "thread":
+            p, q = model.predict_gap(s.features), clone.predict_gap(s.features)
+        else:
+            p, q = model.predict_next_row(s.features), clone.predict_next_row(s.features)
+        # the tolerance perfbench's float64 check allows
+        assert np.all(np.abs(np.float64(p) - q) <= 1e-4 + 1e-3 * np.abs(q))
+    for (name, value), p in zip(params, model.params()):
+        assert p.value.dtype == np.float32 and np.array_equal(p.value, value)
+    for (name, value), (_, b) in zip(buffers, model.named_buffers()):
+        assert b.dtype == value.dtype and np.array_equal(b, value)
+
+
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
 def test_train_config_rejects_non_positive(field):
     with pytest.raises(ValueError, match="must be >= 1"):
