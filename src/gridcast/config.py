@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import CHANNEL_SETS
-from .models import LOSS_MODES, ModelConfig, TrainConfig
+from .models import LOSS_MODES, ModelConfig, SearchSpace, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -48,6 +48,8 @@ _LOWER_BOUNDS = {
     "context_cols": 1,
     "horizon_intervals": -1,
     "budget_epochs": 0,
+    "epochs": 1,
+    "batch_size": 1,
 }
 
 
@@ -144,6 +146,13 @@ class RunSettings:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def search_space(self) -> SearchSpace:
+        return SearchSpace(
+            n_filters=tuple(parse_int_list(self.search_filters)),
+            kernel_sizes=tuple(parse_int_list(self.search_kernels)),
+            n_blocks=tuple(parse_int_list(self.search_blocks)),
+        )
 
 
 # the fields each stage reads, by RunSettings' groups

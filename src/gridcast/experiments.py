@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, RunSettings, parse_int_list
+from .config import ConfigError, RunSettings
 from .evaluate import (
     EvalReport,
     MeanGapBaseline,
@@ -41,7 +41,7 @@ from .evaluate import (
 )
 from .forecast import BreakoutCurvePoint, ForecastState, breakout_curve, roll_reply_row
 from .grid import EventStream, Grid, GridError, build_grid, gap_columns, rows_covering, time_split
-from .models import ModelConfig, SearchSpace, build_model, grid_search, train, training_segments
+from .models import ModelConfig, build_model, grid_search, train, training_segments
 from .synth import SynthParams, synth_generate
 
 # The two nets of the synthetic benchmark. The thread task has little
@@ -124,13 +124,9 @@ def search_on_split(grid: Grid, config: ModelConfig, settings: RunSettings):
     for budget_epochs (0: epochs) on the training side, its last fifth of segments held out."""
     segs = _training_side(grid, config, settings)
     n_val = max(1, len(segs) // 5)
-    space = SearchSpace(
-        n_filters=tuple(parse_int_list(settings.search_filters)),
-        kernel_sizes=tuple(parse_int_list(settings.search_kernels)),
-        n_blocks=tuple(parse_int_list(settings.search_blocks)),
-    )
     budget = replace(settings.train_config(), epochs=settings.budget_epochs or settings.epochs)
-    return grid_search(config, segs[:-n_val], segs[-n_val:], budget, space, seed=settings.seed)
+    return grid_search(config, segs[:-n_val], segs[-n_val:], budget, settings.search_space(),
+                       seed=settings.seed)
 
 
 def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:

@@ -314,7 +314,7 @@ def _batch_loss(model, bs: _Batchset, sel: np.ndarray, train: bool):
         return loss, g, float(len(sel))
     if bs.mode == "corner":
         loss, gc = mse_loss(pred[:, -1, -1], bs.y[sel])
-        g = np.zeros_like(pred, dtype=np.float64)
+        g = np.zeros_like(pred)
         g[:, -1, -1] = gc
         return loss, g, float(len(sel))
     w = bs.wgt[sel]
@@ -377,9 +377,9 @@ def dataset_loss(model, segments: list[Segment]) -> float:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    n_filters: tuple[int, ...] = (16, 32, 64, 128)
-    kernel_sizes: tuple[int, ...] = (3, 5, 7, 9)
-    n_blocks: tuple[int, ...] = (3, 4, 5, 6, 7)
+    n_filters: tuple[int, ...]
+    kernel_sizes: tuple[int, ...]
+    n_blocks: tuple[int, ...]
 
 
 def enumerate_space(space: SearchSpace) -> list[tuple[int, int, int]]:
@@ -404,7 +404,7 @@ def grid_search(
     train_segments: list[Segment],
     val_segments: list[Segment],
     train_cfg: TrainConfig,
-    space: SearchSpace = SearchSpace(),
+    space: SearchSpace,
     seed: int = 0,
 ) -> GridSearchResult:
     """Exhaustive sweep over filters x kernel x depth, each candidate

@@ -16,9 +16,12 @@ Arrays have one layout: the conv and batch-norm kernels take
 axis 1 and a single window is a batch of one. Any other rank raises
 ShapeError.
 
-Models hold float32 parameters and run the forward pass in float32,
-but mse_loss returns a float64 gradient, so the backward pass runs in
-float64 (ROADMAP item 2). Gradient checks want float64 throughout.
+Every kernel computes at the dtype of its operands. Models hold
+float32 parameters, and mse_loss returns its gradient at the
+prediction's dtype, so a float32 model runs both the forward and the
+backward pass in float32. Float64 stays where it is asked for: the
+loss value, Adam's moments, running batch-norm statistics, float64
+model clones, and grad_check, which wants float64 throughout.
 Nothing here is thread-safe under concurrent mutation of the same
 Parameter; keep one writer per model.
 """
@@ -113,9 +116,12 @@ def conv2d_causal_dilated(
     c_out = filters.shape[0]
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
-    out = np.zeros((x.shape[0], c_out, *x.shape[2:]), dtype=dtype)
+    n, c_in, hgt, wid = x.shape
+    # one (c_out, c_in) @ (c_in, h*w) GEMM per sample and tap
+    out = np.zeros((n, c_out, hgt * wid), dtype=dtype)
     for (a, b), sl in taps:
-        out += np.einsum("oc,nchw->nohw", filters[:, :, a, b], xp[sl], optimize=True)
+        out += filters[:, :, a, b] @ xp[sl].reshape(n, c_in, hgt * wid)
+    out = out.reshape(n, c_out, hgt, wid)
     if bias is not None:
         out += bias[None, :, None, None].astype(dtype)
     return out
@@ -132,15 +138,22 @@ def conv2d_backward(
     """
     dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
     xp, taps = _taps(x, filters, tau, dtype)
-    want = (x.shape[0], filters.shape[0], *x.shape[2:])
-    if upstream.shape != want:
-        raise ShapeError(f"upstream shape {upstream.shape} != {want}")
-    grad_f = np.zeros_like(filters, dtype=dtype)
-    grad_xp = np.zeros_like(xp)
+    n, c_in, hgt, wid = x.shape
+    c_out = filters.shape[0]
+    if upstream.shape != (n, c_out, hgt, wid):
+        raise ShapeError(f"upstream shape {upstream.shape} != {(n, c_out, hgt, wid)}")
+    # channel-major (C, N, H, W) layouts turn each tap into two 2-D GEMMs
+    # over all n*h*w cells: (c_out, cells) @ (cells, c_in) for the filter
+    # gradient and (c_in, c_out) @ (c_out, cells) for the input gradient;
+    # a tap's index slices only the two spatial axes, so it applies as is
+    u = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    xc = xp.transpose(1, 0, 2, 3)
+    grad_f = np.empty(filters.shape, dtype=dtype)
+    grad_xc = np.zeros(xc.shape, dtype=dtype)
     for (a, b), sl in taps:
-        grad_f[:, :, a, b] = np.einsum("nohw,nchw->oc", upstream, xp[sl], optimize=True)
-        grad_xp[sl] += np.einsum("oc,nohw->nchw", filters[:, :, a, b], upstream, optimize=True)
-    grad_x = grad_xp[taps[0][1]]  # tap (0, 0) reads x itself
+        grad_f[:, :, a, b] = u @ xc[sl].reshape(c_in, -1).T
+        grad_xc[sl] += (filters[:, :, a, b].T @ u).reshape(c_in, n, hgt, wid)
+    grad_x = grad_xc[taps[0][1]].transpose(1, 0, 2, 3)  # tap (0, 0) reads x itself
     return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))
 
 
@@ -296,9 +309,14 @@ def mse_loss(
     """Mean squared error over unmasked entries; returns (loss, dL/dpred).
 
     With a weight array the mean runs over weight mass, so fully masked
-    entries contribute nothing to either the loss or the gradient.
+    entries contribute nothing to either the loss or the gradient. Both
+    are computed in float64; the loss is returned as a float and the
+    gradient at pred's floating dtype (float64 for integer pred), so a
+    float32 model's backward pass stays float32.
     """
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = np.asarray(pred)
+    grad_dtype = pred.dtype if pred.dtype.kind == "f" else np.float64
+    pred = pred.astype(np.float64, copy=False)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
@@ -307,7 +325,7 @@ def mse_loss(
         n = pred.size
         if n == 0:
             raise ShapeError("mse over zero elements")
-        return float((diff**2).mean()), 2.0 * diff / n
+        return float((diff**2).mean()), (2.0 * diff / n).astype(grad_dtype)
     weight = np.asarray(weight, dtype=np.float64)
     if weight.shape != pred.shape:
         raise ShapeError(f"weight {weight.shape} vs pred {pred.shape}")
@@ -315,7 +333,7 @@ def mse_loss(
     if wsum <= 0:
         raise ShapeError("all cells masked in weighted mse")
     loss = float((weight * diff**2).sum() / wsum)
-    return loss, 2.0 * weight * diff / wsum
+    return loss, (2.0 * weight * diff / wsum).astype(grad_dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,22 @@ def test_out_of_range_setting_is_config_error(capsys, workdir, tmp_path, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep-d", "experiment sweep"])
+@pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+def test_zero_training_setting_fails_before_the_sweep_grids(
+    capsys, workdir, tmp_path, command, flag
+):
+    """The bound is checked at settings load, so it is reported rather than
+    the GridError that gridding at d = 100000 s would raise first."""
+    out = tmp_path / "out"
+    tail = dict(_short_runs(workdir))[command]
+    argv = [*command.split(), *tail, "--out", str(out), flag, "0", "--d-values", "100000"]
+    payload = _fail(capsys, argv, 2)
+    assert payload["error"] == "config"
+    assert f"{flag[2:].replace('-', '_')} must be >= 1, got 0" in payload["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from conftest import tiny_config, tiny_model, zero_weights
 
+from gridcast import nn
+from gridcast.config import RunSettings
 from gridcast.grid import (
     CHANNEL_ORDER,
     Channel,
@@ -339,12 +341,36 @@ def test_weight_decay_applies_only_to_reply_conv_filters():
         assert np.array_equal(p.value, b)
 
 
+@pytest.mark.parametrize(
+    "kind, loss_mode", [("reply", "corner"), ("reply", "full"), ("thread", "corner")]
+)
+def test_float32_training_runs_conv_backward_in_float32(monkeypatch, kind, loss_mode):
+    """Every conv2d_backward call of a float32 model's training epoch gets a
+    float32 upstream: nothing between the loss and the convs widens it."""
+    seen = []
+    real = nn.conv2d_backward
+
+    def recording(x, filters, tau, upstream):
+        seen.append(upstream.dtype)
+        return real(x, filters, tau, upstream)
+
+    monkeypatch.setattr(nn, "conv2d_backward", recording)
+    rng = np.random.default_rng(19)
+    model = tiny_model(kind, n_blocks=2, loss_mode=loss_mode)
+    seg = thread_seg if kind == "thread" else reply_seg
+    segs = [seg(rng, model.config, 2.0) for _ in range(8)]
+    train(model, segs, TrainConfig(epochs=1, batch_size=4))
+    # per batch: two block convs and block 0's projection, plus the reply head
+    assert len(seen) == 2 * (4 if kind == "reply" else 3)
+    assert set(seen) == {np.dtype(np.float32)}
+
+
 # ---------------------------------------------------------------------------
 # hyperparameter search
 
 
 def test_enumerate_space_default_has_eighty_candidates():
-    combos = enumerate_space(SearchSpace())
+    combos = enumerate_space(RunSettings().search_space())
     assert len(combos) == 80
     assert combos[0] == (16, 3, 3)
     assert combos[-1] == (128, 9, 7)

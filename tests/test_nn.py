@@ -61,15 +61,26 @@ def test_conv_hand_case_ones_filter():
 
 
 def test_conv_matches_naive_oracle():
+    """float64 within 1e-12; float32 within the rounding bound of a sum of
+    K = c_in*k_h*k_w + 1 terms, K * eps32 * (|b| + sum |f| |x|), against
+    the float64 oracle on the same float32 operands."""
     rng = np.random.default_rng(1)
-    for tau in (1, 2, 3):
-        for k_h, k_w in ((1, 1), (2, 3), (3, 1)):
-            x = rng.normal(size=(2, 5, 6))
-            f = rng.normal(size=(3, 2, k_h, k_w))
-            b = rng.normal(size=3)
-            got = conv2d_causal_dilated(x[None], f, b, tau)[0]
-            want = naive_causal_conv(x, f, b, tau)
-            assert np.allclose(got, want, atol=1e-12)
+    for dtype in (np.float64, np.float32):
+        for tau in (1, 2, 3):
+            for k_h, k_w in ((1, 1), (2, 3), (3, 1)):
+                x = rng.normal(size=(2, 5, 6)).astype(dtype)
+                f = rng.normal(size=(3, 2, k_h, k_w)).astype(dtype)
+                b = rng.normal(size=3).astype(dtype)
+                got = conv2d_causal_dilated(x[None], f, b, tau)[0]
+                want = naive_causal_conv(x, f, b, tau)
+                assert got.dtype == dtype
+                if dtype == np.float64:
+                    assert np.allclose(got, want, atol=1e-12)
+                else:
+                    terms = x.shape[0] * k_h * k_w + 1
+                    scale = naive_causal_conv(np.abs(x), np.abs(f), np.abs(b), tau)
+                    bound = terms * np.finfo(np.float32).eps * scale
+                    assert (np.abs(got - want) <= bound).all(), (tau, k_h, k_w)
 
 
 def test_conv_batched_equals_per_sample():
@@ -138,18 +149,48 @@ def _fd(loss_fn, arr, eps=1e-6):
 
 def test_conv_backward_matches_fd():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 1, 4, 3))
-    f = rng.normal(size=(2, 1, 2, 2))
-    up = rng.normal(size=(2, 2, 4, 3))
+    for c_in in (1, 3):
+        for tau in (1, 2, 3):
+            for k_h, k_w in ((1, 1), (2, 3), (3, 1)):
+                x = rng.normal(size=(2, c_in, 4, 3))
+                f = rng.normal(size=(2, c_in, k_h, k_w))
+                up = rng.normal(size=(2, 2, 4, 3))
+                bias = rng.normal(size=2)
 
-    def loss():
-        return float((conv2d_causal_dilated(x, f, bias, 2) * up).sum())
+                def loss():
+                    return float((conv2d_causal_dilated(x, f, bias, tau) * up).sum())
 
-    bias = rng.normal(size=2)
-    gx, gf, gb = conv2d_backward(x, f, 2, up)
-    assert np.allclose(gx, _fd(loss, x), atol=1e-7)
-    assert np.allclose(gf, _fd(loss, f), atol=1e-7)
-    assert np.allclose(gb, _fd(loss, bias), atol=1e-7)
+                gx, gf, gb = conv2d_backward(x, f, tau, up)
+                case = (c_in, tau, k_h, k_w)
+                assert np.allclose(gx, _fd(loss, x), atol=1e-7), case
+                assert np.allclose(gf, _fd(loss, f), atol=1e-7), case
+                assert np.allclose(gb, _fd(loss, bias), atol=1e-7), case
+
+
+@pytest.mark.parametrize(
+    "c_in, c_out, k, tau",
+    [
+        (3, 16, 3, 1),  # block 0 of the reply model
+        (16, 16, 3, 1),
+        (16, 16, 3, 2),  # block 1
+        (16, 16, 3, 4),  # block 2
+        (3, 16, 1, 1),  # block 0's skip projection
+        (16, 1, 1, 1),  # the reply head
+    ],
+)
+def test_conv_backward_float32_agrees_with_float64(c_in, c_out, k, tau):
+    """At the reply model's training shapes (batch 32, 16x12 windows) the
+    float32 gradients stay within 1e-5 of the float64 ones, relative to
+    each gradient's largest entry."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(32, c_in, 16, 12)).astype(np.float32)
+    f = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
+    up = rng.normal(size=(32, c_out, 16, 12)).astype(np.float32)
+    got = conv2d_backward(x, f, tau, up)
+    want = conv2d_backward(x.astype(np.float64), f.astype(np.float64), tau, up.astype(np.float64))
+    for g32, g64 in zip(got, want):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
 
 
 def test_conv_backward_zero_upstream():
@@ -326,6 +367,19 @@ def test_mse_weighted_masks_gradient_exactly():
     assert loss == (1.0 + 9.0) / 2.0
     assert g[1] == 0.0
     assert np.allclose(g, [2 * 1 / 2, 0.0, 2 * 3 / 2])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mse_gradient_takes_the_prediction_dtype(weighted):
+    rng = np.random.default_rng(6)
+    pred = rng.normal(size=(4, 3)).astype(np.float32)
+    target = rng.normal(size=(4, 3))
+    w = rng.uniform(0, 1, size=(4, 3)) if weighted else None
+    loss32, g32 = mse_loss(pred, target, w)
+    loss64, g64 = mse_loss(pred.astype(np.float64), target, w)
+    assert g32.dtype == np.float32 and g64.dtype == np.float64
+    assert type(loss32) is float and loss32 == loss64
+    assert np.array_equal(g32, g64.astype(np.float32))
 
 
 def test_mse_errors():
