@@ -70,6 +70,6 @@ from .models import (
     training_segments,
 )
 from .synth import SynthParams, synth_generate
-from .tcn import BlockConfig, TCNStack, TemporalBlock, causality_probe, receptive_field
+from .tcn import TCNStack, TemporalBlock, causality_probe, receptive_field
 
 __version__ = "0.1.0"

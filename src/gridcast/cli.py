@@ -31,12 +31,7 @@ from .dataio import (
     serialize_events,
     write_csv,
 )
-from .evaluate import (
-    config_digest,
-    evaluate_adaptive,
-    evaluate_reply_counts,
-    evaluate_thread_arrival,
-)
+from .evaluate import config_digest, evaluate_adaptive
 from .experiments import (
     BREAKOUT_SETTINGS,
     INTERVAL_SWEEP_SETTINGS,
@@ -45,6 +40,7 @@ from .experiments import (
     breakout_durations,
     breakout_experiment,
     grid_for,
+    held_out_report,
     interval_sweep,
     search_on_split,
     settings_breakout_curve,
@@ -54,7 +50,7 @@ from .experiments import (
     train_on_split,
 )
 from .forecast import ForecastState, adaptive_forecast
-from .grid import assemble_features, gap_columns, time_split, window_at
+from .grid import assemble_features, window_at
 from .models import arrival_time
 
 
@@ -196,7 +192,7 @@ def cmd_predict(args) -> None:
             win = window_at(data, a, j, h, w)
             o_hat = model.predict_gap(win, j + 1)
             t_prev = grid.spec.t0 + a * grid.spec.d
-            rows.append((j, o_hat, arrival_time(t_prev, o_hat, grid.spec.d)))
+            rows.append((j, o_hat, arrival_time(t_prev, o_hat, grid.spec.d, "simulate")))
     else:
         header = ["col", "next_count"]
         win = window_at(
@@ -264,19 +260,9 @@ def cmd_evaluate(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
-    r_split, col_split = time_split(grid, s.train_frac)
     tt = stream.thread_times
     digest = config_digest({"task": args.task, "seed": s.seed, "d": s.d})
-    reports = []
-    if args.task == "thread":
-        model, _ = load_checkpoint(args.checkpoint)
-        reports.append(evaluate_thread_arrival(model, grid, tt, gap_columns(grid, col_split)))
-    elif args.task == "reply":
-        model, _ = load_checkpoint(args.checkpoint)
-        reports.append(
-            evaluate_reply_counts(model, grid, grid.spec.n_rows - r_split, start_row=r_split)
-        )
-    else:
+    if adaptive:
         thread_model, _ = load_checkpoint(args.thread_checkpoint)
         reply_model, _ = load_checkpoint(args.reply_checkpoint)
         th, rp = evaluate_adaptive(
@@ -284,6 +270,9 @@ def cmd_evaluate(args) -> None:
             n_threads=s.n_threads, n_start_points=s.n_start_points, seed=s.seed,
         )
         reports = th + rp
+    else:
+        model, _ = load_checkpoint(args.checkpoint)
+        reports = [held_out_report(args.task, model, grid, tt, s.train_frac)]
     write_csv(
         args.out,
         ["task", "label", "unit", "n", "mae", "rmse", "stddev", "config_digest"],

@@ -99,6 +99,9 @@ class RunSettings:
     budget_epochs: int = 0  # 0: full epochs
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.d <= 0:
             raise ValueError(f"d must be > 0, got {self.d}")
         if not self.lr > 0:

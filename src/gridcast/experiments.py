@@ -129,6 +129,19 @@ def search_on_split(grid: Grid, config: ModelConfig, settings: RunSettings):
                        seed=settings.seed)
 
 
+def held_out_report(
+    task: str, predictor, grid: Grid, thread_times, train_frac: float
+) -> EvalReport:
+    """The predictor's EvalReport on the test side of time_split(grid,
+    train_frac): rows r_split..n_rows for the reply task, and for the
+    thread task the gap columns of the threads arriving in them."""
+    r_split, col_split = time_split(grid, train_frac)
+    if task == "reply":
+        return evaluate_reply_counts(predictor, grid, grid.spec.n_rows - r_split,
+                                     start_row=r_split)
+    return evaluate_thread_arrival(predictor, grid, thread_times, gap_columns(grid, col_split))
+
+
 def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
     """(task, predictor, report) for the model, historical-mean and
     persistence predictors on the held-out rows (reply) and held-out
@@ -139,9 +152,8 @@ def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
     tt = stream.thread_times
 
     reply_model = train_on_split(grid, settings.model_config("reply"), settings, settings.seed)[0]
-    n_test_rows = grid.spec.n_rows - r_split
     rows = [
-        ("reply", name, evaluate_reply_counts(m, grid, n_test_rows, start_row=r_split))
+        ("reply", name, held_out_report("reply", m, grid, tt, settings.train_frac))
         for name, m in [
             ("model", reply_model),
             ("historical-mean", MeanRowBaseline(train_mean_cell_count(grid, 0, r_split))),
@@ -151,9 +163,8 @@ def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
 
     thread_model = train_on_split(grid, thread_config(settings), settings, settings.seed)[0]
     mean_gap = train_mean_gap_intervals(tt, col_split, settings.d)
-    test_idx = gap_columns(grid, col_split)
     rows += [
-        ("thread", name, evaluate_thread_arrival(m, grid, tt, test_idx))
+        ("thread", name, held_out_report("thread", m, grid, tt, settings.train_frac))
         for name, m in [
             ("model", thread_model),
             ("historical-mean", MeanGapBaseline(mean_gap)),

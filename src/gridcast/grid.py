@@ -90,8 +90,7 @@ class GridSpec:
     n_cols: int
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise GridError(f"interval length must be positive, got {self.d}")
+        _check_lattice(self.d, self.t0)
         if self.n_rows < 1 or self.n_cols < 0:
             raise GridError(f"bad grid shape {self.n_rows}x{self.n_cols}")
 
@@ -175,6 +174,15 @@ class Grid:
             raise GridError("arrival rows not non-decreasing")
 
 
+def _check_lattice(d: float, t0: float) -> None:
+    """Raise GridError unless d and t0 are finite and d > 0: the lattice
+    interval_index can search."""
+    if not (math.isfinite(d) and math.isfinite(t0)):
+        raise GridError(f"interval length and epoch must be finite, got d={d}, t0={t0}")
+    if d <= 0:  # interval_index would search without end
+        raise GridError(f"interval length must be positive, got {d}")
+
+
 def interval_index(t: float, t0: float, d: float) -> int:
     """Index i with t0 + i*d <= t < t0 + (i+1)*d under float comparison.
 
@@ -195,8 +203,7 @@ def build_grid(stream: EventStream, d: float, t0: float, n_rows: int) -> Grid:
     Events at or beyond row n_rows are dropped (tallied, not an error).
     Events before t0 are an error: the epoch must precede the stream.
     """
-    if d <= 0:
-        raise GridError(f"interval length must be positive, got {d}")
+    _check_lattice(d, t0)
     if len(stream) == 0:
         raise GridError("cannot grid an empty stream")
     if n_rows < 1:
@@ -225,8 +232,7 @@ def build_grid(stream: EventStream, d: float, t0: float, n_rows: int) -> Grid:
 
 def rows_covering(stream: EventStream, d: float, t0: float) -> int:
     """Smallest row count that keeps every event of the stream in window."""
-    if d <= 0:  # interval_index would search without end
-        raise GridError(f"interval length must be positive, got {d}")
+    _check_lattice(d, t0)
     last = max(c.last_event_time for c in stream.cascades)
     return interval_index(last, t0, d) + 1
 

@@ -18,7 +18,7 @@ wall-clock or iteration order ambiguity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -98,7 +98,7 @@ class ModelConfig:
             k_h=int(d["k_h"]),
             k_w=int(d["k_w"]),
             n_blocks=int(d["n_blocks"]),
-            loss_mode=d.get("loss_mode", "corner"),
+            loss_mode=d["loss_mode"],
         )
 
 
@@ -128,9 +128,9 @@ class _ModelBase:
         self.dtype = dtype
         self._cache = None
         rng = np.random.default_rng(seed)
-        self.stack = TCNStack.build(
+        self.stack = TCNStack(
             rng, len(config.channels), config.n_filters, config.k_h, config.k_w,
-            config.n_blocks, dtype=dtype,
+            config.n_blocks, dtype,
         )
         return rng
 
@@ -153,9 +153,6 @@ class _ModelBase:
         for p in self.params():
             p.zero_grad()
 
-    def named_params(self) -> list[tuple[str, Parameter]]:
-        return [(p.name, p) for p in self.params()]
-
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state the model needs at eval time."""
         return self.stack.named_buffers()
@@ -171,14 +168,14 @@ class _ModelBase:
 class ThreadArrivalModel(_ModelBase):
     """Predicts the row gap to the next thread from the anchor cell."""
 
-    def __init__(self, config: ModelConfig, seed=0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed, dtype):
         rng = self._build_stack(config, "thread", seed, dtype)
         f = config.n_filters
         self.fc1 = DenseLayer(rng, f, f, dtype=dtype, name="head.fc1")
         self.act = PReLULayer(f, dtype=dtype, name="head.act")
         self.fc2 = DenseLayer(rng, f, 1, dtype=dtype, name="head.fc2")
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         """x: (N, C, h, w) -> predicted gaps (N,), all >= 0."""
         u = self.stack.forward(x, train)
         anchor = u[:, :, -1, -1]
@@ -207,11 +204,11 @@ class ThreadArrivalModel(_ModelBase):
 class ReplyCountModel(_ModelBase):
     """Per-cell next-row count estimates, fully convolutional."""
 
-    def __init__(self, config: ModelConfig, seed=0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, seed, dtype):
         rng = self._build_stack(config, "reply", seed, dtype)
         self.head = ConvLayer(rng, config.n_filters, 1, 1, 1, tau=1, dtype=dtype, name="head.conv")
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         """x: (N, C, h, w) -> (N, h, w); cell (i, j) estimates counts[i+1, j]."""
         u = self.stack.forward(x, train)
         z = self.head.forward(u)[:, 0]
@@ -227,22 +224,19 @@ class ReplyCountModel(_ModelBase):
     def params(self) -> list[Parameter]:
         return self.stack.params() + self.head.params()
 
-    def predict_grid(self, features: np.ndarray) -> np.ndarray:
-        x = features.astype(self.dtype)[None]
-        return self.forward(x, train=False)[0]
-
     def predict_next_row(
         self, features: np.ndarray, row_index: int | None = None
     ) -> np.ndarray:
         """Predicted counts for the row just below the window, one value
         per window column. row_index is for ground-truth stand-ins."""
-        return self.predict_grid(features)[-1, :]
+        x = features.astype(self.dtype)[None]
+        return self.forward(x, train=False)[0, -1, :]
 
 
 def build_model(config: ModelConfig, seed=0, dtype=np.float32):
     if config.kind == "thread":
-        return ThreadArrivalModel(config, seed=seed, dtype=dtype)
-    return ReplyCountModel(config, seed=seed, dtype=dtype)
+        return ThreadArrivalModel(config, seed, dtype)
+    return ReplyCountModel(config, seed, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +399,7 @@ def grid_search(
     val_segments: list[Segment],
     train_cfg: TrainConfig,
     space: SearchSpace,
-    seed: int = 0,
+    seed: int,
 ) -> GridSearchResult:
     """Exhaustive sweep over filters x kernel x depth, each candidate
     trained with train_cfg; lowest validation loss wins, first
@@ -431,7 +425,7 @@ def grid_search(
 # gap -> wall-clock time
 
 
-def arrival_time(t_prev: float, o_hat: float, d: float, mode: str = "simulate") -> float:
+def arrival_time(t_prev: float, o_hat: float, d: float, mode: str) -> float:
     """Next thread time from a predicted gap in interval units.
 
     simulate: quantise the gap to whole intervals (round half to even)

@@ -2,10 +2,11 @@
 
 Everything the temporal-convolution models need lives here: a causal
 dilated 2-D convolution, batch normalisation, PReLU, dense layers,
-masked mean-squared error, softplus, Adam, and a central-difference
-gradient checker. Arrays are plain numpy; a Parameter bundles a value
-with its gradient accumulator and Adam moments. No autodiff graph, no
-transform tricks: each backward pass is the derivative written out.
+masked mean-squared error, softplus, Adam at Kingma & Ba's constants
+(ADAM_BETA1, ADAM_BETA2, ADAM_EPS), and a central-difference gradient
+checker. Arrays are plain numpy; a Parameter bundles a value with its
+gradient accumulator and Adam moments. No autodiff graph, no transform
+tricks: each backward pass is the derivative written out.
 
 Convolutions anchor the receptive field at the output cell itself and
 extend up/left only, via implicit top-left zero padding of (K-1)*tau.
@@ -340,30 +341,29 @@ def mse_loss(
 # optimiser
 
 
-def adam_step(
-    param: Parameter,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> Parameter:
-    """One Adam update with bias correction, in place.
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8  # added to sqrt(vhat) in the step's denominator
+
+
+def adam_step(param: Parameter, lr: float, weight_decay: float) -> Parameter:
+    """One Adam update with bias correction, in place, at ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS.
 
     Coupled L2 decay: the decay term joins the gradient before the
     moment updates (not the decoupled variant). The epsilon sits outside
-    the square root: step = lr * mhat / (sqrt(vhat) + eps).
+    the square root: step = lr * mhat / (sqrt(vhat) + ADAM_EPS).
     """
     g = param.grad.astype(np.float64)
     if weight_decay:
         g = g + weight_decay * param.value.astype(np.float64)
     param.step_count += 1
     t = param.step_count
-    param.m = beta1 * param.m + (1.0 - beta1) * g
-    param.v = beta2 * param.v + (1.0 - beta2) * g * g
-    mhat = param.m / (1.0 - beta1**t)
-    vhat = param.v / (1.0 - beta2**t)
-    step = lr * mhat / (np.sqrt(vhat) + eps)
+    param.m = ADAM_BETA1 * param.m + (1.0 - ADAM_BETA1) * g
+    param.v = ADAM_BETA2 * param.v + (1.0 - ADAM_BETA2) * g * g
+    mhat = param.m / (1.0 - ADAM_BETA1**t)
+    vhat = param.v / (1.0 - ADAM_BETA2**t)
+    step = lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     param.value -= step.astype(param.value.dtype)
     return param
 
@@ -450,7 +450,7 @@ class ConvLayer:
 
 
 class BatchNormLayer:
-    def __init__(self, channels: int, dtype=np.float32, name: str = "norm"):
+    def __init__(self, channels: int, dtype, name: str):
         self.gamma = Parameter.of(np.ones(channels, dtype=dtype), name=f"{name}.gamma")
         self.beta = Parameter.of(np.zeros(channels, dtype=dtype), name=f"{name}.beta")
         self.running = RunningStats.fresh(channels)
@@ -473,7 +473,7 @@ class BatchNormLayer:
 class PReLULayer:
     """Per-channel learnable slope, initialised to 0.25."""
 
-    def __init__(self, channels: int, dtype=np.float32, name: str = "act"):
+    def __init__(self, channels: int, dtype, name: str):
         self.slope = Parameter.of(
             np.full(channels, 0.25, dtype=dtype), name=f"{name}.slope"
         )
@@ -493,8 +493,7 @@ class PReLULayer:
 
 
 class DenseLayer:
-    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int,
-                 dtype=np.float32, name: str = "dense"):
+    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int, dtype, name: str):
         self.weight = Parameter.of(
             he_normal(rng, (n_out, n_in), n_in, dtype), name=f"{name}.weight"
         )

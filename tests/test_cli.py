@@ -307,6 +307,10 @@ def test_corrupt_checkpoint_is_runtime_error(capsys, tmp_path, workdir):
             ("adaptive", "--n-threads", "-1"),
             ("adaptive", "--n-intervals", "-1"),
             ("breakout", "--horizon-intervals", "-2"),
+            ("grid", "--d", "nan"),
+            ("grid", "--t0", "inf"),
+            ("synth", "--mu-reply", "nan"),
+            ("train-reply", "--weight-decay", "inf"),
         ]
     ]
     + [

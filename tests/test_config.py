@@ -1,4 +1,5 @@
 """Run-settings layering, model-config derivation, and list parsing."""
+import dataclasses
 import json
 
 import pytest
@@ -156,3 +157,23 @@ def test_config_file_int_stands_for_float(tmp_path):
 def test_out_of_range_setting_is_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         load_settings(None, {key: value})
+
+
+FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RunSettings) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", FLOAT_SETTINGS)
+def test_non_finite_float_setting_is_rejected_at_construction(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        RunSettings(**{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_settings(None, {key: value})
+
+
+def test_non_finite_config_file_value_is_rejected(tmp_path):
+    """Python's json reads NaN and Infinity, so a config file can hold them."""
+    path = tmp_path / "s.json"
+    path.write_text('{"horizon": Infinity, "d": 300}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="horizon must be finite, got inf"):
+        load_settings(str(path))

@@ -4,14 +4,18 @@ import csv
 import json
 
 import pytest
+from conftest import ConstGapStub, ConstRowStub, lattice_stream
 
 from gridcast.cli import main
+from gridcast.evaluate import evaluate_reply_counts, evaluate_thread_arrival
 from gridcast.experiments import (
     REPLY_MODEL,
     SYNTH_BENCHMARK_SETTINGS,
     THREAD_MODEL,
+    held_out_report,
     thread_config,
 )
+from gridcast.grid import build_grid, rows_covering
 
 # experiment -> (short-run arguments, CSV header)
 RUNS = {
@@ -47,3 +51,20 @@ def test_experiment_runs_and_writes_its_csv(name, tmp_path, capsys):
 def test_benchmark_recipe_builds_the_two_model_constants():
     assert SYNTH_BENCHMARK_SETTINGS.model_config("reply") == REPLY_MODEL
     assert thread_config(SYNTH_BENCHMARK_SETTINGS) == THREAD_MODEL
+
+
+def test_held_out_report_scores_the_test_side_of_the_split():
+    """Rows 14..20 and the threads arriving in them: time_split(grid, 0.7)
+    of a 20-row grid is (14, col_split)."""
+    stream = lattice_stream([1, 2, 3, 1, 2, 3, 1, 2, 3], replies_per=2)
+    grid = build_grid(stream, 300.0, 0.0, 20)
+    assert rows_covering(stream, 300.0, 0.0) == 19
+    tt = stream.thread_times
+    col_split = int((grid.arrival_rows < 14).sum())
+    reply, thread = ConstRowStub(0.5), ConstGapStub(2.0)
+    assert held_out_report("reply", reply, grid, tt, 0.7) == evaluate_reply_counts(
+        reply, grid, 6, start_row=14
+    )
+    want = evaluate_thread_arrival(thread, grid, tt, list(range(col_split, grid.spec.n_cols - 1)))
+    assert held_out_report("thread", thread, grid, tt, 0.7) == want
+    assert want.n == grid.spec.n_cols - 1 - col_split > 0

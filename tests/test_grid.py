@@ -149,6 +149,20 @@ def test_rows_covering_rejects_non_positive_d(small_stream, d):
         rows_covering(small_stream, d, 0.0)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_lattice_is_rejected(small_stream, value):
+    for d, t0 in [(value, 0.0), (60.0, value)]:
+        with pytest.raises(GridError, match="must be finite"):
+            rows_covering(small_stream, d, t0)
+        with pytest.raises(GridError, match="must be finite"):
+            build_grid(small_stream, d, t0, 10)
+        with pytest.raises(GridError, match="must be finite"):
+            GridSpec(d=d, t0=t0, n_rows=10, n_cols=2)
+
+
 def test_rows_covering_is_tight(small_stream):
     n = rows_covering(small_stream, 60.0, 0.0)
     g = build_grid(small_stream, 60.0, 0.0, n)

@@ -1,5 +1,8 @@
-"""Which modules may know the run settings: the library takes plain
-arguments, and only the recipes and the command line read RunSettings."""
+"""Two structural rules, checked with ast. Which modules may know the run
+settings: the library takes plain arguments, and only the recipes and the
+command line read RunSettings. And which options the nn stack keeps: a
+parameter or dataclass field with a default stays only if a caller
+outside the tests leaves it out."""
 import ast
 from pathlib import Path
 
@@ -40,3 +43,95 @@ def test_the_check_sees_every_import_form():
     ]:
         assert _imports_config(ast.parse(line)), line
     assert not _imports_config(ast.parse("from .configuration import x"))
+
+
+# The options (parameters and dataclass fields with a default) that the
+# nn stack keeps. An option that only tests pass does not belong here.
+STACK_MODULES = ("nn", "tcn", "models")
+ALLOWED_OPTIONS = {
+    # perfbench calls these without the argument, or builds the configs from their defaults
+    "nn.conv2d_causal_dilated(bias)",
+    "nn.conv2d_causal_dilated(tau)",
+    "nn.ConvLayer.__init__(tau)",
+    "nn.ConvLayer.__init__(dtype)",
+    "nn.ConvLayer.__init__(name)",
+    "models.build_model(seed)",
+    "models.build_model(dtype)",
+    "models.ThreadArrivalModel.predict_gap(col_index)",
+    "models.ReplyCountModel.predict_next_row(row_index)",
+    *(f"models.ModelConfig.{name}"
+      for name in ("channels", "window", "n_filters", "k_h", "k_w", "n_blocks", "loss_mode")),
+    *(f"models.TrainConfig.{name}"
+      for name in ("lr", "weight_decay", "epochs", "batch_size", "seed")),
+    # the package's own calls leave these out
+    "nn.Parameter.step_count",
+    "nn.Parameter.name",
+    "nn.Parameter.decay",
+    "nn.Parameter.of(name)",
+    "nn.Parameter.of(decay)",
+    "nn.mse_loss(weight)",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+        for d in node.decorator_list
+    )
+
+
+def _options(node: ast.AST, prefix: str) -> list[str]:
+    """Qualified names of the parameters and dataclass fields with a default under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            name = f"{prefix}.{child.name}"
+            if _is_dataclass(child):
+                out += [f"{name}.{st.target.id}" for st in child.body
+                        if isinstance(st, ast.AnnAssign) and st.value is not None]
+            out += _options(child, name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            out += [f"{name}({a.arg})" for a in positional[len(positional) - len(args.defaults):]]
+            out += [f"{name}({a.arg})" for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+            out += _options(child, name)
+        else:
+            out += _options(child, prefix)
+    return out
+
+
+def test_the_nn_stack_keeps_only_the_options_its_callers_use():
+    root = Path(gridcast.__file__).parent
+    options = [
+        opt
+        for module in STACK_MODULES
+        for opt in _options(ast.parse((root / f"{module}.py").read_text(encoding="utf-8")), module)
+    ]
+    assert sorted(set(options) - ALLOWED_OPTIONS) == [], "options outside the budget"
+    assert len(options) <= len(ALLOWED_OPTIONS) == 27
+
+
+def test_the_option_count_sees_every_form():
+    source = """
+from dataclasses import dataclass
+
+def f(a, b=1, *, c, d=2):
+    g = lambda x=0: x
+    def inner(y=3): ...
+
+@dataclass(frozen=True)
+class D:
+    x: int
+    y: int = 0
+    def m(self, z=None): ...
+
+class Plain:
+    w: int = 0
+"""
+    assert sorted(_options(ast.parse(source), "m")) == sorted([
+        "m.f(b)", "m.f(d)", "m.f.<lambda>(x)", "m.f.inner(y)", "m.D.y", "m.D.m(z)",
+    ])

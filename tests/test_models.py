@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import tiny_config, tiny_model, zero_weights
+from conftest import predict_plane, tiny_config, tiny_model, zero_weights
 
 from gridcast import nn
 from gridcast.config import RunSettings
@@ -81,19 +81,13 @@ def test_config_json_roundtrip():
     assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
-def test_config_json_defaults_loss_mode():
-    d = tiny_config("thread").to_json_dict()
-    del d["loss_mode"]
-    assert ModelConfig.from_json_dict(d).loss_mode == "corner"
-
-
 def test_build_model_dispatch_and_kind_guard():
     assert isinstance(build_model(tiny_config("thread")), ThreadArrivalModel)
     assert isinstance(build_model(tiny_config("reply")), ReplyCountModel)
     with pytest.raises(ValueError):
-        ThreadArrivalModel(tiny_config("reply"))
+        ThreadArrivalModel(tiny_config("reply"), 0, np.float32)
     with pytest.raises(ValueError):
-        ReplyCountModel(tiny_config("thread"))
+        ReplyCountModel(tiny_config("thread"), 0, np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +106,7 @@ def test_zero_weight_reply_model_predicts_log_two_everywhere():
     model = tiny_model("reply")
     zero_weights(model)
     rng = np.random.default_rng(1)
-    grid = model.predict_grid(rng.uniform(0, 4, size=(3, 6, 4)))
+    grid = predict_plane(model, rng.uniform(0, 4, size=(3, 6, 4)))
     assert grid.shape == (6, 4)
     assert np.allclose(grid, LN2, atol=1e-6)
     assert len(np.unique(grid)) == 1  # literally the same value per cell
@@ -122,7 +116,7 @@ def test_predictions_are_non_negative():
     rng = np.random.default_rng(2)
     feats = rng.normal(size=(3, 6, 4))
     assert tiny_model("thread", seed=5).predict_gap(feats) >= 0.0
-    assert (tiny_model("reply", seed=5).predict_grid(feats) >= 0.0).all()
+    assert (predict_plane(tiny_model("reply", seed=5), feats) >= 0.0).all()
 
 
 def test_predict_next_row_is_last_grid_row():
@@ -130,18 +124,18 @@ def test_predict_next_row_is_last_grid_row():
     model = tiny_model("reply", seed=9)
     feats = rng.uniform(0, 2, size=(3, 6, 4))
     assert np.array_equal(model.predict_next_row(feats),
-                          model.predict_grid(feats)[-1, :])
+                          predict_plane(model, feats)[-1, :])
 
 
 def test_reply_prediction_ignores_future_rows():
     model = tiny_model("reply", seed=4, n_blocks=2)
     rng = np.random.default_rng(4)
     feats = rng.uniform(0, 2, size=(3, 6, 4)).astype(np.float32)
-    base = model.predict_grid(feats)
+    base = predict_plane(model, feats)
     feats2 = feats.copy()
     feats2[:, 4:, :] += 1.0  # rows below probe cell (3, 2)
     feats2[:, :, 3] += 2.0  # column right of it
-    out = model.predict_grid(feats2)
+    out = predict_plane(model, feats2)
     assert out[3, 2] == base[3, 2]
 
 
@@ -382,7 +376,7 @@ def test_grid_search_singleton_space():
     cfg = tiny_config("thread")
     segs = [thread_seg(rng, cfg, 2.0) for _ in range(6)]
     space = SearchSpace(n_filters=(4,), kernel_sizes=(2,), n_blocks=(1,))
-    res = grid_search(cfg, segs[:4], segs[4:], TrainConfig(epochs=2), space)
+    res = grid_search(cfg, segs[:4], segs[4:], TrainConfig(epochs=2), space, seed=0)
     assert isinstance(res, GridSearchResult)
     assert len(res.entries) == 1
     assert res.best == res.entries[0].config
@@ -395,7 +389,7 @@ def test_grid_search_rejects_an_empty_space(field):
     segs = [thread_seg(np.random.default_rng(16), cfg, 2.0) for _ in range(2)]
     space = replace(SearchSpace(n_filters=(4,), kernel_sizes=(2,), n_blocks=(1,)), **{field: ()})
     with pytest.raises(ValueError, match="empty search space"):
-        grid_search(cfg, segs[:1], segs[1:], TrainConfig(epochs=1), space)
+        grid_search(cfg, segs[:1], segs[1:], TrainConfig(epochs=1), space, seed=0)
 
 
 def test_grid_search_best_is_argmin_of_entries():
@@ -416,7 +410,7 @@ def test_grid_search_preserves_base_fields():
     cfg = tiny_config("reply", loss_mode="full")
     segs = [reply_seg(rng, cfg, 1.0) for _ in range(4)]
     space = SearchSpace(n_filters=(4,), kernel_sizes=(3,), n_blocks=(1,))
-    res = grid_search(cfg, segs[:3], segs[3:], TrainConfig(epochs=1), space)
+    res = grid_search(cfg, segs[:3], segs[3:], TrainConfig(epochs=1), space, seed=0)
     assert res.best.kind == "reply"
     assert res.best.loss_mode == "full"
     assert res.best.window == cfg.window
@@ -427,10 +421,10 @@ def test_grid_search_preserves_base_fields():
 
 
 def test_arrival_time_simulate_quantises_to_lattice():
-    assert arrival_time(1000.0, 2.4, 300.0) == 1000.0 + 2 * 300.0
-    assert arrival_time(1000.0, 2.5, 300.0) == 1000.0 + 2 * 300.0  # half-even
-    assert arrival_time(1000.0, 3.5, 300.0) == 1000.0 + 4 * 300.0
-    assert arrival_time(0.0, 0.4, 60.0) == 0.0
+    assert arrival_time(1000.0, 2.4, 300.0, "simulate") == 1000.0 + 2 * 300.0
+    assert arrival_time(1000.0, 2.5, 300.0, "simulate") == 1000.0 + 2 * 300.0  # half-even
+    assert arrival_time(1000.0, 3.5, 300.0, "simulate") == 1000.0 + 4 * 300.0
+    assert arrival_time(0.0, 0.4, 60.0, "simulate") == 0.0
 
 
 def test_arrival_time_measure_keeps_fraction():
@@ -439,9 +433,9 @@ def test_arrival_time_measure_keeps_fraction():
 
 def test_arrival_time_errors():
     with pytest.raises(ValueError):
-        arrival_time(0.0, -0.1, 300.0)
+        arrival_time(0.0, -0.1, 300.0, "simulate")
     with pytest.raises(ValueError):
-        arrival_time(0.0, 1.0, 0.0)
+        arrival_time(0.0, 1.0, 0.0, "simulate")
     with pytest.raises(ValueError):
         arrival_time(0.0, 1.0, 300.0, mode="banana")
 

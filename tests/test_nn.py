@@ -3,6 +3,7 @@ central finite differences, Adam against an independent recurrence."""
 import numpy as np
 import pytest
 
+from gridcast import nn
 from gridcast.nn import (
     BN_EPS,
     BatchNormLayer,
@@ -420,7 +421,7 @@ def test_adam_matches_reference_recurrence():
     want = reference_adam([theta0], grads, 1e-3, 0.9, 0.999, 1e-8, 0.01)
     for g, w in zip(grads, want):
         p.grad[...] = g
-        adam_step(p, weight_decay=0.01)
+        adam_step(p, lr=1e-3, weight_decay=0.01)
         assert np.allclose(p.value, w, atol=1e-12)
 
 
@@ -431,11 +432,12 @@ def test_adam_decay_moves_weight_with_zero_grad():
     assert p.value[0] < 1.0
 
 
-def test_adam_first_step_size():
+def test_adam_first_step_size(monkeypatch):
     # with constant gradient g, the bias-corrected first step is lr * sign(g)
+    monkeypatch.setattr(nn, "ADAM_EPS", 0.0)
     p = Parameter.of(np.array([0.0]))
     p.grad[...] = 0.37
-    adam_step(p, lr=1e-3, eps=0.0)
+    adam_step(p, lr=1e-3, weight_decay=0.0)
     assert np.allclose(p.value, [-1e-3])
 
 
@@ -494,7 +496,7 @@ def test_layers_accumulate_and_zero():
 
 def test_dense_layer_grad_check():
     rng = np.random.default_rng(13)
-    layer = DenseLayer(rng, 3, 2, dtype=np.float64)
+    layer = DenseLayer(rng, 3, 2, dtype=np.float64, name="dense")
     x = rng.normal(size=(4, 3))
     target = rng.normal(size=(4, 2))
 
@@ -510,9 +512,9 @@ def test_dense_layer_grad_check():
 
 def test_prelu_bn_layer_wrappers():
     rng = np.random.default_rng(14)
-    act = PReLULayer(2, dtype=np.float64)
+    act = PReLULayer(2, dtype=np.float64, name="act")
     assert np.allclose(act.slope.value, 0.25)
-    bn = BatchNormLayer(2, dtype=np.float64)
+    bn = BatchNormLayer(2, dtype=np.float64, name="norm")
     x = rng.normal(size=(3, 2, 2, 2))
     out = bn.forward(x, train=True)
     assert out.shape == x.shape

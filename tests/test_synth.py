@@ -103,3 +103,14 @@ def test_params_validation():
         _params(breakout_fraction=1.5)
     with pytest.raises(ValueError):
         _params(breakout_boost=0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "key", ["lambda_thread", "mu_reply", "theta", "horizon", "breakout_fraction", "breakout_boost"]
+)
+def test_params_reject_non_finite_values(key, value):
+    """Checked when the params are built, before any draw: an infinite
+    horizon would keep the thread loop of synth_generate going for ever."""
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        _params(**{key: value})

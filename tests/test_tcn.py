@@ -3,13 +3,7 @@ import numpy as np
 import pytest
 
 from gridcast.nn import BN_EPS, grad_check
-from gridcast.tcn import (
-    BlockConfig,
-    TCNStack,
-    TemporalBlock,
-    causality_probe,
-    receptive_field,
-)
+from gridcast.tcn import TCNStack, TemporalBlock, causality_probe, receptive_field
 
 
 def _zero_block(block):
@@ -33,37 +27,35 @@ def _positive_weights(stack):
 # block structure
 
 
-def test_block_config_rejects_non_positive():
-    with pytest.raises(ValueError):
-        BlockConfig(0, 1, 2, 2, 1)
-    with pytest.raises(ValueError):
-        BlockConfig(1, 1, 2, 2, 0)
-
-
 def test_projection_only_when_channels_change():
     rng = np.random.default_rng(0)
-    same = TemporalBlock(rng, BlockConfig(3, 3, 2, 2, 1))
-    grew = TemporalBlock(rng, BlockConfig(2, 3, 2, 2, 1))
+    same = TemporalBlock(rng, 3, 3, 2, 2, 1, np.float32, "block")
+    grew = TemporalBlock(rng, 2, 3, 2, 2, 1, np.float32, "block")
     assert same.proj is None and len(same.params()) == 6
     assert grew.proj is not None and len(grew.params()) == 8
+    assert [p.name for p in grew.params()] == [
+        "block.conv.weight", "block.conv.bias", "block.norm.gamma", "block.norm.beta",
+        "block.act1.slope", "block.proj.weight", "block.proj.bias", "block.act2.slope",
+    ]
 
 
 def test_stack_validation():
+    """Every dimension of the ladder, the block count included, is >= 1."""
     rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        TCNStack([])
-    a = TemporalBlock(rng, BlockConfig(2, 4, 2, 2, 1))
-    b = TemporalBlock(rng, BlockConfig(3, 4, 2, 2, 2))  # expects 3, gets 4
-    with pytest.raises(ValueError):
-        TCNStack([a, b])
+    for dims in [(0, 4, 2, 2, 1), (2, 0, 2, 2, 1), (2, 4, 0, 2, 1), (2, 4, 2, 0, 1),
+                 (2, 4, 2, 2, 0)]:
+        with pytest.raises(ValueError, match="stack dimensions"):
+            TCNStack(rng, *dims, np.float32)
 
 
 def test_build_ladder_dilations_double():
-    stack = TCNStack.build(np.random.default_rng(2), c_in=2, n_filters=5,
-                           k_h=3, k_w=3, n_blocks=4)
-    assert [b.cfg.tau for b in stack.blocks] == [1, 2, 4, 8]
-    assert [b.cfg.c_in for b in stack.blocks] == [2, 5, 5, 5]
-    assert stack.c_in == 2 and stack.c_out == 5
+    stack = TCNStack(np.random.default_rng(2), c_in=2, n_filters=5,
+                     k_h=3, k_w=3, n_blocks=4, dtype=np.float32)
+    assert [b.conv.tau for b in stack.blocks] == [1, 2, 4, 8]
+    assert [b.conv.weight.value.shape for b in stack.blocks] == [
+        (5, 2, 3, 3), (5, 5, 3, 3), (5, 5, 3, 3), (5, 5, 3, 3)
+    ]
+    assert stack.c_in == 2
     assert stack.blocks[0].proj is not None
     assert all(b.proj is None for b in stack.blocks[1:])
 
@@ -74,7 +66,7 @@ def test_build_ladder_dilations_double():
 
 def test_zero_weight_block_is_identity_on_nonnegative_input():
     rng = np.random.default_rng(3)
-    block = TemporalBlock(rng, BlockConfig(2, 2, 3, 3, 1), dtype=np.float64)
+    block = TemporalBlock(rng, 2, 2, 3, 3, 1, np.float64, "block")
     _zero_block(block)
     x = rng.uniform(0.0, 5.0, size=(1, 2, 4, 4))
     for train in (False, True):
@@ -84,8 +76,8 @@ def test_zero_weight_block_is_identity_on_nonnegative_input():
 
 def test_zero_weight_two_block_stack_is_identity():
     rng = np.random.default_rng(4)
-    stack = TCNStack.build(rng, c_in=3, n_filters=3, k_h=2, k_w=2,
-                           n_blocks=2, dtype=np.float64)
+    stack = TCNStack(rng, c_in=3, n_filters=3, k_h=2, k_w=2,
+                     n_blocks=2, dtype=np.float64)
     for block in stack.blocks:
         _zero_block(block)
     x = rng.uniform(0.0, 2.0, size=(1, 3, 5, 4))
@@ -94,7 +86,7 @@ def test_zero_weight_two_block_stack_is_identity():
 
 def test_block_hand_trace_eval_mode():
     rng = np.random.default_rng(5)
-    block = TemporalBlock(rng, BlockConfig(1, 1, 1, 1, 1), dtype=np.float64)
+    block = TemporalBlock(rng, 1, 1, 1, 1, 1, np.float64, "block")
     block.conv.weight.value[...] = 2.0
     block.conv.bias.value[...] = 1.0
     block.norm.gamma.value[...] = 2.0
@@ -110,15 +102,15 @@ def test_block_hand_trace_eval_mode():
 
 def test_stack_forward_is_block_composition():
     rng = np.random.default_rng(6)
-    stack = TCNStack.build(rng, 2, 4, 3, 3, 2, dtype=np.float64)
+    stack = TCNStack(rng, 2, 4, 3, 3, 2, np.float64)
     x = rng.normal(size=(1, 2, 6, 5))
-    manual = stack.blocks[1].forward(stack.blocks[0].forward(x))
-    assert np.allclose(stack.forward(x), manual)
+    manual = stack.blocks[1].forward(stack.blocks[0].forward(x, train=False), train=False)
+    assert np.allclose(stack.forward(x, train=False), manual)
 
 
 def test_batched_forward_matches_per_sample_eval():
     rng = np.random.default_rng(7)
-    stack = TCNStack.build(rng, 2, 3, 2, 2, 2, dtype=np.float64)
+    stack = TCNStack(rng, 2, 3, 2, 2, 2, np.float64)
     x = rng.normal(size=(3, 2, 4, 4))
     batched = stack.forward(x, train=False)
     for n in range(3):
@@ -131,7 +123,7 @@ def test_batched_forward_matches_per_sample_eval():
 
 def test_block_gradients_match_fd_eval_and_train():
     rng = np.random.default_rng(8)
-    block = TemporalBlock(rng, BlockConfig(2, 3, 2, 2, 1), dtype=np.float64)
+    block = TemporalBlock(rng, 2, 3, 2, 2, 1, np.float64, "block")
     x = rng.normal(size=(2, 2, 3, 3))
     up = rng.normal(size=(2, 3, 3, 3))
     for train in (False, True):
@@ -147,7 +139,7 @@ def test_block_gradients_match_fd_eval_and_train():
 
 def test_stack_input_gradient_matches_fd():
     rng = np.random.default_rng(9)
-    stack = TCNStack.build(rng, 1, 2, 2, 2, 2, dtype=np.float64)
+    stack = TCNStack(rng, 1, 2, 2, 2, 2, np.float64)
     x = rng.normal(size=(1, 1, 4, 4))
     up = rng.normal(size=(1, 2, 4, 4))
     stack.forward(x, train=False)
@@ -167,7 +159,7 @@ def test_stack_input_gradient_matches_fd():
 
 def test_astype_preserves_eval_output():
     rng = np.random.default_rng(10)
-    stack = TCNStack.build(rng, 2, 3, 3, 3, 2, dtype=np.float32)
+    stack = TCNStack(rng, 2, 3, 3, 3, 2, np.float32)
     x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
     wide = stack.astype(np.float64)
     assert all(p.value.dtype == np.float64 for p in wide.params())
@@ -213,7 +205,7 @@ def _causal_box(cell, extent):
 @pytest.mark.parametrize("n_blocks", [1, 2])
 def test_probe_influence_within_causal_box(k, n_blocks):
     rng = np.random.default_rng(100 + 10 * k + n_blocks)
-    stack = TCNStack.build(rng, 2, 3, k, k, n_blocks)
+    stack = TCNStack(rng, 2, 3, k, k, n_blocks, np.float32)
     extent, _ = receptive_field(k, [2**l for l in range(n_blocks)])
     cell = (extent + 1, extent)
     got = causality_probe(stack, cell, height=extent + 4, width=extent + 3)
@@ -224,7 +216,7 @@ def test_probe_influence_within_causal_box(k, n_blocks):
 @pytest.mark.parametrize("n_blocks", [1, 2])
 def test_probe_fills_causal_box_with_positive_weights(k, n_blocks):
     rng = np.random.default_rng(200 + 10 * k + n_blocks)
-    stack = TCNStack.build(rng, 2, 3, k, k, n_blocks)
+    stack = TCNStack(rng, 2, 3, k, k, n_blocks, np.float32)
     _positive_weights(stack)
     extent, area = receptive_field(k, [2**l for l in range(n_blocks)])
     cell = (extent, extent + 2)
@@ -235,20 +227,20 @@ def test_probe_fills_causal_box_with_positive_weights(k, n_blocks):
 
 def test_probe_at_origin_sees_only_itself():
     rng = np.random.default_rng(11)
-    stack = TCNStack.build(rng, 1, 2, 3, 3, 2)
+    stack = TCNStack(rng, 1, 2, 3, 3, 2, np.float32)
     _positive_weights(stack)
     assert causality_probe(stack, (0, 0), height=4, width=4) == {(0, 0)}
 
 
 def test_probe_rejects_cell_outside_input():
-    stack = TCNStack.build(np.random.default_rng(12), 1, 2, 2, 2, 1)
+    stack = TCNStack(np.random.default_rng(12), 1, 2, 2, 2, 1, np.float32)
     with pytest.raises(ValueError):
         causality_probe(stack, (5, 0), height=3, width=3)
 
 
 def test_future_perturbations_leave_output_cell_bit_exact():
     rng = np.random.default_rng(13)
-    stack = TCNStack.build(rng, 2, 4, 3, 3, 2, dtype=np.float64)
+    stack = TCNStack(rng, 2, 4, 3, 3, 2, np.float64)
     i, j = 5, 4
     x = rng.normal(size=(1, 2, 8, 7))
     base = stack.forward(x, train=False)[0, :, i, j].copy()
