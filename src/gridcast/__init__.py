@@ -43,7 +43,7 @@ from .grid import (
     Grid,
     GridError,
     GridSpec,
-    Segment,
+    Segments,
     TargetKind,
     ThreadCascade,
     assemble_features,
@@ -55,7 +55,6 @@ from .grid import (
     frontier_segments,
     slice_segments,
     time_split,
-    zeros_gap,
 )
 from .models import (
     ModelConfig,

@@ -49,8 +49,8 @@ from .experiments import (
     synth_corpus,
     train_on_split,
 )
-from .forecast import ForecastState, adaptive_forecast
-from .grid import assemble_features, window_at
+from .forecast import ForecastState, adaptive_forecast, duration_intervals
+from .grid import GridError, assemble_features, window_at
 from .models import arrival_time
 
 
@@ -83,7 +83,24 @@ def _stream(args):
 
 
 def _durations(args, s: RunSettings) -> list[float]:
-    return breakout_durations(s.d) if args.durations is None else parse_float_list(args.durations)
+    """--durations, each checked to be a whole number of intervals, or 1..10 x d."""
+    if args.durations is None:
+        return breakout_durations(s.d)
+    durations = parse_float_list(args.durations)
+    try:
+        for duration in durations:
+            duration_intervals(duration, s.d)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
+    return durations
+
+
+def _model(path: str, kind: str):
+    """The model of the checkpoint at path, which must hold a kind model."""
+    model, _ = load_checkpoint(path)
+    if model.kind != kind:
+        raise ConfigError(f"{path} holds a {model.kind} model, not the {kind} model needed")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +191,15 @@ def cmd_grid_search(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    s = _settings(args)
-    model, _ = load_checkpoint(args.checkpoint)
-    if args.grid:
+    if args.grid:  # the grid file fixes the gridding
+        for name in ("config", *GRIDDING):
+            if getattr(args, name) is not None:
+                raise ConfigError(f"predict --grid does not read --{name}")
         grid = load_grid(args.grid)
     else:
+        s = _settings(args)
         grid = grid_for(_stream(args), s)
+    model, _ = load_checkpoint(args.checkpoint)
     data = assemble_features(grid, model.channels).data
     h, w = model.window
     rows = []
@@ -206,8 +226,8 @@ def cmd_predict(args) -> None:
 
 def cmd_adaptive(args) -> None:
     s = _settings(args)
-    thread_model, _ = load_checkpoint(args.thread_checkpoint)
-    reply_model, _ = load_checkpoint(args.reply_checkpoint)
+    thread_model = _model(args.thread_checkpoint, "thread")
+    reply_model = _model(args.reply_checkpoint, "reply")
     stream = _stream(args)
     grid = grid_for(stream, s)
     state = ForecastState.from_grid(grid, thread_times=stream.thread_times.tolist())
@@ -231,10 +251,11 @@ def cmd_adaptive(args) -> None:
 
 def cmd_breakout(args) -> None:
     s = _settings(args)
-    reply_model, _ = load_checkpoint(args.checkpoint)
+    durations = _durations(args, s)
+    reply_model = _model(args.checkpoint, "reply")
     stream = _stream(args)
     grid = grid_for(stream, s)
-    points = settings_breakout_curve(stream, grid, reply_model, _durations(args, s), s)
+    points = settings_breakout_curve(stream, grid, reply_model, durations, s)
     write_csv(
         args.out,
         ["start_duration_s", "correct_rate", "n"],
@@ -263,15 +284,15 @@ def cmd_evaluate(args) -> None:
     tt = stream.thread_times
     digest = config_digest({"task": args.task, "seed": s.seed, "d": s.d})
     if adaptive:
-        thread_model, _ = load_checkpoint(args.thread_checkpoint)
-        reply_model, _ = load_checkpoint(args.reply_checkpoint)
+        thread_model = _model(args.thread_checkpoint, "thread")
+        reply_model = _model(args.reply_checkpoint, "reply")
         th, rp = evaluate_adaptive(
             thread_model, reply_model, grid, tt,
             n_threads=s.n_threads, n_start_points=s.n_start_points, seed=s.seed,
         )
         reports = th + rp
     else:
-        model, _ = load_checkpoint(args.checkpoint)
+        model = _model(args.checkpoint, args.task)
         reports = [held_out_report(args.task, model, grid, tt, s.train_frac)]
     write_csv(
         args.out,

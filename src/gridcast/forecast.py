@@ -279,6 +279,15 @@ def default_breakout_horizon(stream: EventStream, d: float) -> int:
     return int(np.percentile(lifetimes, 95.0, method="lower"))
 
 
+def duration_intervals(duration: float, d: float) -> int:
+    """A start duration in whole intervals of length d; GridError unless
+    it is a positive multiple of d."""
+    n = round(duration / d)
+    if n < 1 or abs(n * d - duration) > 1e-9 * max(1.0, abs(duration)):
+        raise GridError(f"start duration {duration} is not a positive multiple of d = {d}")
+    return n
+
+
 def breakout_curve(
     stream: EventStream,
     grid: Grid,
@@ -304,9 +313,7 @@ def breakout_curve(
     truth = [c.size > 2.0 * l_bar for c in stream.cascades]
     points = []
     for s in start_durations:
-        s_int = round(s / grid.spec.d)
-        if s_int < 1 or abs(s_int * grid.spec.d - s) > 1e-9 * max(1.0, abs(s)):
-            raise GridError(f"start duration {s} is not a positive multiple of d")
+        s_int = duration_intervals(s, grid.spec.d)
         correct = 0
         for j, casc in enumerate(stream.cascades):
             class_row = min(int(grid.arrival_rows[j]) + s_int, grid.spec.n_rows)

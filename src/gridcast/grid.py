@@ -8,15 +8,20 @@ structural zeros, distinguished from observed zero counts by a sentinel
 mask channel. A relative-time channel encodes intervals elapsed since
 each cascade's arrival, normalised per column.
 
+Training windows leave this module as one Segments batch, stacked on
+axis 0 from the cutter to the optimiser: features (N, C, h, w), the
+anchors (N, 2) they were cut at, and a target of thread gaps (N,) or of
+next-row count planes (N, h, w) with their weights.
+
 All functions here are pure; grids and feature tensors are cheap to
 rebuild and nothing in this module caches derived channels.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -318,28 +323,40 @@ class TargetKind(Enum):
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One training window plus its supervision.
+class Segments:
+    """N training windows and their supervision, stacked on axis 0.
 
-    For THREAD_GAP the target is the integer row gap to the next thread.
-    For NEXT_ROW target and target_weight are (h, w): the window's count
-    matrix shifted up one row, so the bottom row is the count row just
-    below the window, and weights that are zero on padding and on
-    pre-arrival cells.
+    features is (N, C, h, w); anchors (N, 2) holds each window's
+    bottom-right (row, col). THREAD_GAP: target (N,) is the row gap to
+    the next thread and target_weight is None. NEXT_ROW: target (N, h, w)
+    is each window's count matrix shifted up one row, and target_weight
+    zeroes padding and pre-arrival cells. Indexing on axis 0 (a slice,
+    index array or mask) gives the sub-batch.
     """
 
     features: np.ndarray
-    kind: TargetKind
-    anchor: tuple[int, int]
-    target: float | np.ndarray
-    target_weight: float | np.ndarray = 1.0
+    anchors: np.ndarray
+    target: np.ndarray
+    target_weight: np.ndarray | None
+
+    @property
+    def kind(self) -> TargetKind:
+        return TargetKind.THREAD_GAP if self.target_weight is None else TargetKind.NEXT_ROW
+
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def __getitem__(self, rows) -> "Segments":
+        weight = None if self.target_weight is None else self.target_weight[rows]
+        return Segments(self.features[rows], self.anchors[rows], self.target[rows], weight)
 
 
-def zeros_gap(grid: Grid, j: int) -> int:
-    """Row gap between consecutive thread arrivals (columns j and j+1)."""
-    if not 0 <= j <= grid.spec.n_cols - 2:
-        raise GridError(f"no successor column for j={j}")
-    return int(grid.arrival_rows[j + 1] - grid.arrival_rows[j])
+def _windows(data: np.ndarray, anchors: np.ndarray, h: int, w: int) -> np.ndarray:
+    """window_at for each (row, col) of anchors, stacked as float64 on axis 0."""
+    out = np.empty((len(anchors), *data.shape[:-2], h, w), dtype=np.float64)
+    for k, (i, j) in enumerate(anchors):
+        out[k] = window_at(data, int(i), int(j), h, w)
+    return out
 
 
 def gap_columns(grid: Grid, lo: int = 0, hi: int | None = None) -> list[int]:
@@ -357,13 +374,13 @@ def slice_segments(
     w: int,
     kind: TargetKind,
     col_range: tuple[int, int] | None = None,
-) -> list[Segment]:
+) -> Segments:
     """Cut thread-gap training windows out of a feature tensor.
 
-    One segment per gap column j (see gap_columns), window anchored
-    bottom-right at (arrival_rows[j], j). col_range restricts j
-    (half-open). Next-row windows come from frontier_segments: kind
-    NEXT_ROW raises GridError.
+    One window per gap column j (see gap_columns), anchored bottom-right
+    at (arrival_rows[j], j), with target arrival_rows[j + 1] -
+    arrival_rows[j]. col_range restricts j (half-open). Next-row windows
+    come from frontier_segments: kind NEXT_ROW raises GridError.
     """
     if kind is TargetKind.NEXT_ROW:
         raise GridError("slice_segments cuts THREAD_GAP windows; use frontier_segments")
@@ -372,19 +389,11 @@ def slice_segments(
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
     lo, hi = col_range if col_range is not None else (0, None)
-    segments: list[Segment] = []
-    for j in gap_columns(grid, lo, hi):
-        a = int(grid.arrival_rows[j])
-        feats = window_at(tensor.data, a, j, h, w)
-        segments.append(
-            Segment(
-                features=feats,
-                kind=kind,
-                anchor=(a, j),
-                target=float(zeros_gap(grid, j)),
-            )
-        )
-    return segments
+    cols = np.array(gap_columns(grid, lo, hi), dtype=np.int64)
+    arrivals = grid.arrival_rows
+    anchors = np.stack([arrivals[cols], cols], axis=1)
+    gaps = arrivals[cols + 1] - arrivals[cols]
+    return Segments(_windows(tensor.data, anchors, h, w), anchors, gaps.astype(np.float64), None)
 
 
 def frontier_segments(
@@ -393,7 +402,7 @@ def frontier_segments(
     h: int,
     w: int,
     row_range: tuple[int, int] | None = None,
-) -> list[Segment]:
+) -> Segments:
     """Next-row windows whose right edge tracks the arrived frontier.
 
     Each window is anchored at (i, J_i) where J_i is the newest column
@@ -410,22 +419,14 @@ def frontier_segments(
         raise GridError("feature tensor and grid describe different specs")
     n_rows = grid.spec.n_rows
     lo, hi = row_range if row_range is not None else (0, n_rows - 1)
-    lo, hi = max(lo, 0), min(hi, n_rows - 1)
-    live = 1.0 - grid.mask
-    arrivals = grid.arrival_rows
-    segments: list[Segment] = []
-    for i in range(lo, hi):
-        j_hi = int(np.searchsorted(arrivals, i, side="right")) - 1
-        if j_hi < 0:
-            continue  # nothing arrived yet
-        # the same window one row further down; i + 1 < n_rows always
-        segments.append(
-            Segment(
-                features=window_at(tensor.data, i, j_hi, h, w),
-                kind=TargetKind.NEXT_ROW,
-                anchor=(i, j_hi),
-                target=window_at(grid.counts, i + 1, j_hi, h, w).astype(np.float64),
-                target_weight=window_at(live, i + 1, j_hi, h, w),
-            )
-        )
-    return segments
+    rows = np.arange(max(lo, 0), min(hi, n_rows - 1), dtype=np.int64)
+    cols = np.searchsorted(grid.arrival_rows, rows, side="right") - 1
+    anchors = np.stack([rows, cols], axis=1)[cols >= 0]
+    # the same windows one row further down; i + 1 < n_rows always
+    below = anchors + (1, 0)
+    return Segments(
+        features=_windows(tensor.data, anchors, h, w),
+        anchors=anchors,
+        target=_windows(grid.counts, below, h, w),
+        target_weight=_windows(1.0 - grid.mask, below, h, w),
+    )

@@ -12,9 +12,11 @@ shifted up one row so a cell only ever predicts its own future.
 Supervision is either the bottom-right corner cell only (default) or
 every cell whose shifted target exists and is past arrival.
 
-Training is plain minibatch MSE with Adam. Fixed seeds give identical
-loss histories and parameter trajectories; nothing here depends on
-wall-clock or iteration order ambiguity.
+Training is plain minibatch MSE with Adam over one grid.Segments
+batch: thread models read its gaps, corner-mode reply models the corner
+cell of each target plane, full-mode reply models the weighted planes.
+Fixed seeds give identical loss histories and parameter trajectories;
+nothing here depends on wall-clock or iteration order ambiguity.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .grid import (
     CHANNEL_ORDER,
     Channel,
     Grid,
-    Segment,
+    Segments,
     TargetKind,
     assemble_features,
     frontier_segments,
@@ -243,7 +245,7 @@ def build_model(config: ModelConfig, seed=0, dtype=np.float32):
 # training
 
 
-def training_segments(grid: Grid, config: ModelConfig, train_frac: float) -> list[Segment]:
+def training_segments(grid: Grid, config: ModelConfig, train_frac: float) -> Segments:
     """The training side of time_split(grid, train_frac), cut for config.
 
     A reply model gets next-row windows anchored in the rows before
@@ -262,80 +264,68 @@ def training_segments(grid: Grid, config: ModelConfig, train_frac: float) -> lis
     return frontier_segments(tensor, grid, h, w, row_range=(0, r_split))
 
 
-@dataclass
-class _Batchset:
-    x: np.ndarray
-    y: np.ndarray
-    wgt: np.ndarray | None
-    mode: str  # "thread" | "corner" | "full"
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-
-def _prepare(model, segments: list[Segment], dtype) -> _Batchset:
-    if not segments:
+def _prepare(model, segments: Segments):
+    """(rows, y, weight) for the segments the model's loss supervises: their
+    indices into the batch, and the targets the loss reads. y is the gap of
+    a thread segment, the corner cell of a reply target in corner mode and
+    the whole plane in full mode; weight is None except in full mode."""
+    if not len(segments):
         raise ValueError("no segments to train on")
+    want = TargetKind.THREAD_GAP if model.kind == "thread" else TargetKind.NEXT_ROW
+    if segments.kind is not want:
+        raise ValueError(f"{model.kind} model wants {want.name} segments")
     if model.kind == "thread":
-        if any(s.kind is not TargetKind.THREAD_GAP for s in segments):
-            raise ValueError("thread model wants THREAD_GAP segments")
-        x = np.stack([s.features for s in segments]).astype(dtype)
-        y = np.array([float(s.target) for s in segments], dtype=np.float64)
-        return _Batchset(x=x, y=y, wgt=None, mode="thread")
-    if any(s.kind is not TargetKind.NEXT_ROW for s in segments):
-        raise ValueError("reply model wants NEXT_ROW segments")
-    if model.config.loss_mode == "corner":
-        keep = [s for s in segments if s.target_weight[-1, -1] > 0]
-        if not keep:
-            raise ValueError("every segment's corner cell is masked")
-        x = np.stack([s.features for s in keep]).astype(dtype)
-        y = np.array([s.target[-1, -1] for s in keep], dtype=np.float64)
-        return _Batchset(x=x, y=y, wgt=None, mode="corner")
-    keep = [s for s in segments if s.target_weight.sum() > 0]
-    if not keep:
-        raise ValueError("every segment is fully masked")
-    x = np.stack([s.features for s in keep]).astype(dtype)
-    y = np.stack([s.target for s in keep]).astype(np.float64)
-    wgt = np.stack([s.target_weight for s in keep]).astype(np.float64)
-    return _Batchset(x=x, y=y, wgt=wgt, mode="full")
+        return np.arange(len(segments)), segments.target, None
+    corner = model.config.loss_mode == "corner"
+    weight = segments.target_weight
+    rows = np.flatnonzero(weight[:, -1, -1] > 0 if corner else weight.sum(axis=(1, 2)) > 0)
+    if not len(rows):
+        raise ValueError(
+            "every segment's corner cell is masked" if corner else "every segment is fully masked"
+        )
+    if corner:
+        return rows, segments.target[rows, -1, -1], None
+    return rows, segments.target[rows], weight[rows]
 
 
-def _batch_loss(model, bs: _Batchset, sel: np.ndarray, train: bool):
-    """Returns (loss, grad wrt raw model output, weight mass)."""
-    pred = model.forward(bs.x[sel], train)
-    if bs.mode == "thread":
-        loss, g = mse_loss(pred, bs.y[sel])
+def _batch_loss(model, segments: Segments, batch, sel: np.ndarray, train: bool):
+    """Returns (loss, grad wrt raw model output, weight mass). Only the
+    selected windows are cast to the model's dtype."""
+    rows, y, weight = batch
+    pred = model.forward(segments.features[rows[sel]].astype(model.dtype), train)
+    if weight is not None:
+        w = weight[sel]
+        loss, g = mse_loss(pred, y[sel], w)
+        return loss, g, float(w.sum())
+    if model.kind == "thread":
+        loss, g = mse_loss(pred, y[sel])
         return loss, g, float(len(sel))
-    if bs.mode == "corner":
-        loss, gc = mse_loss(pred[:, -1, -1], bs.y[sel])
-        g = np.zeros_like(pred)
-        g[:, -1, -1] = gc
-        return loss, g, float(len(sel))
-    w = bs.wgt[sel]
-    loss, g = mse_loss(pred, bs.y[sel], w)
-    return loss, g, float(w.sum())
+    loss, gc = mse_loss(pred[:, -1, -1], y[sel])
+    g = np.zeros_like(pred)
+    g[:, -1, -1] = gc
+    return loss, g, float(len(sel))
 
 
-def train(model, segments: list[Segment], cfg: TrainConfig) -> list[float]:
+def train(model, segments: Segments, cfg: TrainConfig) -> list[float]:
     """Minibatch Adam on MSE; returns per-epoch mean training loss.
 
     Weight decay applies only to the reply model's convolution filters
     (Parameter.decay flags them); everything about the run is a pure
     function of (initial weights, segments, cfg.seed).
     """
-    bs = _prepare(model, segments, model.dtype)
+    batch = _prepare(model, segments)
     rng = np.random.default_rng(cfg.seed)
     decay = cfg.weight_decay if model.kind == "reply" else 0.0
     params = model.params()
     history: list[float] = []
-    n = len(bs)
+    n = len(batch[0])
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         num, mass = 0.0, 0.0
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             model.zero_grads()
-            loss, g, m = _batch_loss(model, bs, sel, train=True)
+            loss, g, m = _batch_loss(model, segments, batch, sel, train=True)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {len(history)}")
             model.backward(g)
@@ -352,14 +342,15 @@ def train(model, segments: list[Segment], cfg: TrainConfig) -> list[float]:
     return history
 
 
-def dataset_loss(model, segments: list[Segment]) -> float:
-    """Eval-mode mean loss over a segment set (same support as training),
+def dataset_loss(model, segments: Segments) -> float:
+    """Eval-mode mean loss over a segment batch (same support as training),
     in batches of 256 windows."""
-    bs = _prepare(model, segments, model.dtype)
+    batch = _prepare(model, segments)
+    n = len(batch[0])
     num, mass, batch_size = 0.0, 0.0, 256
-    for start in range(0, len(bs), batch_size):
-        sel = np.arange(start, min(start + batch_size, len(bs)))
-        loss, _, m = _batch_loss(model, bs, sel, train=False)
+    for start in range(0, n, batch_size):
+        sel = np.arange(start, min(start + batch_size, n))
+        loss, _, m = _batch_loss(model, segments, batch, sel, train=False)
         num += loss * m
         mass += m
     return num / mass
@@ -395,8 +386,8 @@ class GridSearchResult:
 
 def grid_search(
     base: ModelConfig,
-    train_segments: list[Segment],
-    val_segments: list[Segment],
+    train_segments: Segments,
+    val_segments: Segments,
     train_cfg: TrainConfig,
     space: SearchSpace,
     seed: int,

@@ -423,6 +423,62 @@ def test_evaluate_with_a_checkpoint_its_task_does_not_read_is_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, wrong, needed",
+    [
+        ("evaluate --task thread", "--checkpoint", "reply", "thread"),
+        ("evaluate --task reply", "--checkpoint", "thread", "reply"),
+        ("evaluate --task adaptive", "--thread-checkpoint", "reply", "thread"),
+        ("evaluate --task adaptive", "--reply-checkpoint", "thread", "reply"),
+        ("adaptive", "--thread-checkpoint", "reply", "thread"),
+        ("adaptive", "--reply-checkpoint", "thread", "reply"),
+        ("breakout", "--checkpoint", "thread", "reply"),
+    ],
+)
+def test_checkpoint_of_the_wrong_kind_is_config_error(
+    capsys, workdir, tmp_path, command, flag, wrong, needed
+):
+    out = tmp_path / "out.csv"
+    tail = dict(_short_runs(workdir))[command]
+    path = str(workdir[wrong])  # given last, so it replaces the right checkpoint
+    payload = _fail(capsys, [*command.split(), *tail, "--out", str(out), flag, path], 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"{path} holds a {wrong} model, not the {needed} model needed"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "60"), ("--t0", "5"), ("--rows", "3"),
+                                         ("--config", "/nonexistent.json")])
+def test_predict_from_a_grid_file_rejects_gridding_flags(capsys, workdir, tmp_path, flag, value):
+    out = tmp_path / "p.csv"
+    argv = ["predict", "--checkpoint", str(workdir["reply"]), "--grid", str(workdir["grid"]),
+            "--out", str(out), flag, value]
+    payload = _fail(capsys, argv, 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"predict --grid does not read {flag}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["breakout", "experiment breakout"])
+def test_durations_off_the_lattice_fail_before_any_work(
+    capsys, monkeypatch, workdir, tmp_path, command
+):
+    """Checked when the arguments are read: breakout never opens its
+    checkpoint and the experiment never trains its model."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran past the argument check")
+
+    monkeypatch.setattr(cli, "_model", no_work)
+    monkeypatch.setattr(cli, "breakout_experiment", no_work)
+    out = tmp_path / "out.csv"
+    tail = dict(_short_runs(workdir))[command]
+    payload = _fail(capsys, [*command.split(), *tail, "--out", str(out),
+                             "--durations", "300,450", "--d", "300"], 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == "start duration 450.0 is not a positive multiple of d = 300.0"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--search-filters", "--search-kernels", "--search-blocks"])
 @pytest.mark.parametrize("value", ["", "0", "2,-1", "2,x"])
 def test_bad_search_list_is_config_error(capsys, workdir, tmp_path, flag, value):

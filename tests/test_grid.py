@@ -27,7 +27,6 @@ from gridcast.grid import (
     slice_segments,
     time_split,
     window_at,
-    zeros_gap,
 )
 
 from conftest import brute_force_counts, cascade, stream_strategy
@@ -198,7 +197,7 @@ def test_gap_columns_need_a_successor_and_an_arrival_in_the_rows():
     assert gap_columns(g, 1) == [1]
     assert gap_columns(g, 0, 1) == [0]
     assert gap_columns(g, -2, 10) == [0, 1]
-    assert [seg.anchor[1] for seg in slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)] == [0, 1]
+    assert slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP).anchors[:, 1].tolist() == [0, 1]
 
 
 @given(stream_strategy(), st.sampled_from([30.0, 60.0, 150.0]), st.integers(1, 30))
@@ -390,19 +389,27 @@ def test_window_at_interior_and_overhang():
 
 
 # ---------------------------------------------------------------------------
-# zeros_gap
+# zeros gap: the thread-gap target, rows between consecutive arrivals
+
+
+def _tensor(grid):
+    return assemble_features(grid, CHANNEL_ORDER)
+
+
+def _gaps(g, col_range=None):
+    return slice_segments(_tensor(g), g, 1, 1, TargetKind.THREAD_GAP, col_range).target.tolist()
 
 
 def test_zeros_gap_same_interval():
     s = EventStream.from_cascades([cascade("a", 10.0), cascade("b", 20.0)])
     g = build_grid(s, d=60.0, t0=0.0, n_rows=2)
-    assert zeros_gap(g, 0) == 0
+    assert _gaps(g) == [0.0]
 
 
 def test_zeros_gap_floor_oracle():
     s = EventStream.from_cascades([cascade("a", 10.0), cascade("b", 130.0)])
     g = build_grid(s, d=60.0, t0=0.0, n_rows=3)
-    assert zeros_gap(g, 0) == 2
+    assert _gaps(g) == [2.0]
 
 
 def test_zeros_gap_direct_subtraction():
@@ -411,39 +418,85 @@ def test_zeros_gap_direct_subtraction():
     counts[5, 0] = 1
     counts[9, 1] = 1
     g = Grid(spec=spec, counts=counts, arrival_rows=np.array([5, 9]))
-    assert zeros_gap(g, 0) == 4
+    assert _gaps(g) == [4.0]
 
 
 def test_zeros_gap_out_of_range(small_grid):
-    with pytest.raises(GridError):
-        zeros_gap(small_grid, 2)
-    with pytest.raises(GridError):
-        zeros_gap(small_grid, -1)
+    # the last column (2) has no successor and a negative column is no column
+    assert _gaps(small_grid, col_range=(2, 10)) == []
+    arr = small_grid.arrival_rows
+    assert _gaps(small_grid, col_range=(-1, 1)) == [float(arr[1] - arr[0])]
 
 
-@given(stream_strategy(max_cascades=5), st.integers(2, 30))
+@given(stream_strategy(max_cascades=5), st.integers(1, 30))
 @settings(max_examples=40, deadline=None)
 def test_zeros_gap_telescopes(stream, n_rows):
     g = build_grid(stream, 60.0, 0.0, n_rows)
-    n = g.spec.n_cols
-    if n < 2:
+    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)
+    arr = g.arrival_rows
+    if not len(segs):
         return
-    total = sum(zeros_gap(g, j) for j in range(n - 1))
-    assert total == g.arrival_rows[-1] - g.arrival_rows[0]
+    last = segs.anchors[-1, 1] + 1
+    assert segs.target.sum() == arr[last] - arr[0]
+    if arr[-1] < n_rows:  # every thread arrives in the rows: one gap per column pair
+        assert last == g.spec.n_cols - 1
 
 
 # ---------------------------------------------------------------------------
 # slice_segments
 
 
-def _tensor(grid):
-    return assemble_features(grid, CHANNEL_ORDER)
+@given(stream_strategy(), st.integers(1, 30), st.sampled_from([(1, 1), (2, 3), (4, 2), (6, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_segment_rows_are_the_windows_at_their_anchors(stream, n_rows, hw):
+    g = build_grid(stream, 60.0, 0.0, n_rows)
+    tensor = _tensor(g)
+    h, w = hw
+    gaps = slice_segments(tensor, g, h, w, TargetKind.THREAD_GAP)
+    rows = frontier_segments(tensor, g, h, w)
+    assert gaps.kind is TargetKind.THREAD_GAP and rows.kind is TargetKind.NEXT_ROW
+    live = 1.0 - g.mask
+    for segs in (gaps, rows):
+        n = len(segs)
+        assert segs.features.shape == (n, 3, h, w) and segs.anchors.shape == (n, 2)
+        for k, (i, j) in enumerate(segs.anchors):
+            assert np.array_equal(segs.features[k], window_at(tensor.data, i, j, h, w))
+    arr = g.arrival_rows
+    assert gaps.target.shape == (len(gaps),) and gaps.target_weight is None
+    for k, (i, j) in enumerate(gaps.anchors):
+        assert i == arr[j] and gaps.target[k] == arr[j + 1] - arr[j]
+    assert rows.target.shape == rows.target_weight.shape == (len(rows), h, w)
+    for k, (i, j) in enumerate(rows.anchors):
+        assert np.array_equal(rows.target[k], window_at(g.counts, i + 1, j, h, w))
+        assert np.array_equal(rows.target_weight[k], window_at(live, i + 1, j, h, w))
+
+
+def test_segments_index_to_the_sub_batch(small_grid):
+    for segs in (
+        slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.THREAD_GAP),
+        frontier_segments(_tensor(small_grid), small_grid, 3, 2),
+    ):
+        tail = segs[-1:]
+        assert len(tail) == 1 and tail.kind is segs.kind
+        for name in ("features", "anchors", "target"):
+            assert np.array_equal(getattr(tail, name), getattr(segs, name)[-1:])
+        if segs.target_weight is not None:
+            assert np.array_equal(tail.target_weight, segs.target_weight[-1:])
 
 
 def test_next_row_on_single_row_grid_is_empty():
     s = EventStream((cascade("a", 0.0),))
     g = build_grid(s, d=60.0, t0=0.0, n_rows=1)
-    assert frontier_segments(_tensor(g), g, 2, 2) == []
+    segs = frontier_segments(_tensor(g), g, 2, 2)
+    assert len(segs) == 0
+    assert segs.features.shape == (0, 3, 2, 2) and segs.anchors.shape == (0, 2)
+    assert segs.target.shape == segs.target_weight.shape == (0, 2, 2)
+
+
+def test_thread_gap_with_one_column_is_empty():
+    g = build_grid(EventStream((cascade("a", 0.0),)), d=60.0, t0=0.0, n_rows=3)
+    segs = slice_segments(_tensor(g), g, 4, 2, TargetKind.THREAD_GAP)
+    assert segs.features.shape == (0, 3, 4, 2) and segs.target.shape == (0,)
 
 
 def test_slice_segments_sends_next_row_to_frontier_segments(small_grid):
@@ -456,13 +509,13 @@ def test_thread_gap_two_columns_single_segment():
     g = build_grid(s, d=60.0, t0=0.0, n_rows=3)
     segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)
     assert len(segs) == 1
-    assert segs[0].target == float(zeros_gap(g, 0))
-    assert segs[0].anchor == (int(g.arrival_rows[0]), 0)
+    assert segs.target.tolist() == [2.0]
+    assert segs.anchors.tolist() == [[int(g.arrival_rows[0]), 0]]
 
 
-def _below(s, r, c, h, w):
+def _below(anchor, r, c, h, w):
     """Grid cell one row below window cell (r, c), or None off the grid."""
-    i, j = s.anchor
+    i, j = anchor
     g, col = i - h + 2 + r, j - w + 1 + c
     return (g, col) if g >= 0 and col >= 0 else None
 
@@ -470,34 +523,33 @@ def _below(s, r, c, h, w):
 def test_next_row_targets_reconstruct_counts(small_grid):
     for w in (small_grid.spec.n_cols, 2):
         segs = frontier_segments(_tensor(small_grid), small_grid, 3, w)
-        assert segs
-        for s in segs:
+        assert len(segs)
+        for anchor, target in zip(segs.anchors, segs.target):
             for r in range(3):
                 for c in range(w):
-                    cell = _below(s, r, c, 3, w)
+                    cell = _below(anchor, r, c, 3, w)
                     want = small_grid.counts[cell] if cell else 0
-                    assert s.target[r, c] == want
+                    assert target[r, c] == want
 
 
 def test_next_row_window_shape_and_exclusion(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
-    for s in segs:
-        assert s.features.shape == (3, 3, 2)
-        i, j = s.anchor
+    assert segs.features.shape[1:] == (3, 3, 2)
+    for (i, j), feats in zip(segs.anchors, segs.features):
         # window bottom row is grid row i; the target row i+1 is excluded
         assert np.array_equal(
-            s.features[0, -1, :], window_at(small_grid.counts.astype(float), i, j, 1, 2)[0]
+            feats[0, -1, :], window_at(small_grid.counts.astype(float), i, j, 1, 2)[0]
         )
 
 
 def test_next_row_weights_follow_mask(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, 3)
-    for s in segs:
+    for anchor, weight in zip(segs.anchors, segs.target_weight):
         for r in range(3):
             for c in range(3):
-                cell = _below(s, r, c, 3, 3)
+                cell = _below(anchor, r, c, 3, 3)
                 want = 1.0 - small_grid.mask[cell] if cell else 0.0
-                assert s.target_weight[r, c] == want
+                assert weight[r, c] == want
 
 
 def test_thread_gap_skips_unmaterialised_anchor():
@@ -506,7 +558,7 @@ def test_thread_gap_skips_unmaterialised_anchor():
     )
     g = build_grid(s, d=60.0, t0=0.0, n_rows=3)  # c arrives at row 10, beyond
     segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)
-    assert [s.anchor[1] for s in segs] == [0, 1]
+    assert segs.anchors[:, 1].tolist() == [0, 1]
 
 
 def test_slice_rejects_bad_dims(small_grid):
@@ -516,7 +568,7 @@ def test_slice_rejects_bad_dims(small_grid):
 
 def test_window_padding_covers_oversized_request(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 50, 50)
-    assert segs[0].features.shape == (3, 50, 50)
+    assert segs.features[0].shape == (3, 50, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -526,30 +578,27 @@ def test_window_padding_covers_oversized_request(small_grid):
 def test_frontier_anchor_tracks_newest_arrival(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
     arr = small_grid.arrival_rows
-    for s in segs:
-        i, j = s.anchor
+    for i, j in segs.anchors:
         assert arr[j] <= i
         assert j == small_grid.spec.n_cols - 1 or arr[j + 1] > i
 
 
 def test_frontier_corner_is_always_live(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
-    assert segs, "expected at least one frontier segment"
-    for s in segs:
-        assert s.target_weight[-1, -1] == 1.0
+    assert len(segs), "expected at least one frontier segment"
+    assert (segs.target_weight[:, -1, -1] == 1.0).all()
 
 
 def test_frontier_targets_match_counts(small_grid):
     w = 2
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, w)
-    for s in segs:
-        i, j = s.anchor
+    for (i, j), target, feats in zip(segs.anchors, segs.target, segs.features):
         cols = np.arange(max(0, j - w + 1), j + 1)
         want = np.zeros(w)
         want[w - len(cols) :] = small_grid.counts[i + 1, cols]
-        assert np.array_equal(s.target[-1], want)
+        assert np.array_equal(target[-1], want)
         assert np.array_equal(
-            s.features, window_at(_tensor(small_grid).data, i, j, 3, w)
+            feats, window_at(_tensor(small_grid).data, i, j, 3, w)
         )
 
 
@@ -557,9 +606,9 @@ def test_frontier_skips_rows_before_first_arrival():
     s = EventStream.from_cascades([cascade("a", 200.0), cascade("b", 260.0)])
     g = build_grid(s, d=60.0, t0=0.0, n_rows=6)
     segs = frontier_segments(_tensor(g), g, 2, 2)
-    assert min(seg.anchor[0] for seg in segs) == int(g.arrival_rows[0])
+    assert segs.anchors[:, 0].min() == int(g.arrival_rows[0])
 
 
 def test_frontier_respects_row_range(small_grid):
     segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2, row_range=(1, 3))
-    assert {s.anchor[0] for s in segs} <= {1, 2}
+    assert set(segs.anchors[:, 0].tolist()) <= {1, 2}

@@ -1,9 +1,12 @@
-"""Two structural rules, checked with ast. Which modules may know the run
+"""Three structural rules, checked with ast. Which modules may know the run
 settings: the library takes plain arguments, and only the recipes and the
-command line read RunSettings. And which options the nn stack keeps: a
+command line read RunSettings. Which options the nn stack keeps: a
 parameter or dataclass field with a default stays only if a caller
-outside the tests leaves it out."""
+outside the tests leaves it out. And the benchmark's workloads call only
+names and keyword arguments that the package still has."""
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import gridcast
@@ -135,3 +138,73 @@ class Plain:
     assert sorted(_options(ast.parse(source), "m")) == sorted([
         "m.f(b)", "m.f(d)", "m.f.<lambda>(x)", "m.f.inner(y)", "m.D.y", "m.D.m(z)",
     ])
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark calls
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _package_references(tree: ast.Module):
+    """(dotted name, keyword names or None) for every gridcast.<module>.<name>...
+    chain in tree reached through `from gridcast import <module>`, with the
+    keywords of each call made on it."""
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "gridcast"
+        for alias in node.names
+    }
+    called = {id(node.func): [k.arg for k in node.keywords if k.arg]
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    refs = []
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in modules:
+            refs.append((".".join([modules[base.id], *chain]), called.get(id(node))))
+    return refs
+
+
+def _resolve(dotted: str):
+    module, *names = dotted.split(".")
+    obj = importlib.import_module(f"gridcast.{module}")
+    for name in names:
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    refs = _package_references(ast.parse(WORKLOADS.read_text(encoding="utf-8")))
+    assert len(refs) >= 30  # the walk sees the workloads' calls
+    for dotted, keywords in refs:
+        try:
+            obj = _resolve(dotted)
+        except AttributeError:
+            raise AssertionError(f"perfbench/workloads.py uses {dotted}, which is gone") from None
+        if keywords:
+            params = inspect.signature(obj).parameters
+            missing = [k for k in keywords if k not in params]
+            assert not missing, f"perfbench/workloads.py passes {missing} to {dotted}"
+
+
+def test_the_reference_walk_sees_chains_and_keywords():
+    source = """
+from gridcast import grid, models as m
+grid.slice_segments(t, g, 1, 1, grid.TargetKind.THREAD_GAP, col_range=(0, 2))
+m.TrainConfig(lr=1.0).epochs
+other.thing(x=1)
+"""
+    refs = dict(_package_references(ast.parse(source)))
+    assert refs["grid.slice_segments"] == ["col_range"]
+    assert refs["models.TrainConfig"] == ["lr"]
+    assert "grid.TargetKind.THREAD_GAP" in refs and "other.thing" not in refs
+    try:
+        _resolve("grid.Segment")
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("a name the package no longer has resolved")
