@@ -123,6 +123,8 @@ def search_on_split(grid: Grid, config: ModelConfig, settings: RunSettings):
     """grid_search over the settings' search space around config: each candidate trained
     for budget_epochs (0: epochs) on the training side, its last fifth of segments held out."""
     segs = _training_side(grid, config, settings)
+    if len(segs) < 2:
+        raise ConfigError(f"grid search needs at least 2 training segments, got {len(segs)}")
     n_val = max(1, len(segs) // 5)
     budget = replace(settings.train_config(), epochs=settings.budget_epochs or settings.epochs)
     return grid_search(config, segs[:-n_val], segs[-n_val:], budget, settings.search_space(),

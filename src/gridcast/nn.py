@@ -134,8 +134,9 @@ def conv2d_backward(
     """Gradients of the causal conv w.r.t. input, filters, and bias.
 
     d/df[o,c,a,b] = sum over cells of upstream[n,o,i,j] * x[n,c,i-a*tau,j-b*tau];
-    d/dx scatters each tap's contribution back up-left. Zero-padded reads
-    contribute nothing, which the padded-buffer bookkeeping reproduces.
+    d/dx[n,c,i,j] = sum over o, a, b of f[o,c,a,b] * upstream[n,o,i+a*tau,j+b*tau],
+    gathered from the upstream zero-padded at the bottom-right, where the
+    reads past the last row or column land.
     """
     dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
     xp, taps = _taps(x, filters, tau, dtype)
@@ -149,12 +150,17 @@ def conv2d_backward(
     # a tap's index slices only the two spatial axes, so it applies as is
     u = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
     xc = xp.transpose(1, 0, 2, 3)
+    # the last tap reads the unshifted top-left corner, so storing the
+    # upstream there pads it at the bottom-right, and the mirror tap
+    # (K-1-a, K-1-b) reads it shifted up a*tau rows and left b*tau columns
+    up = np.zeros((c_out,) + xc.shape[1:], dtype=dtype)
+    up[taps[-1][1]] = upstream.transpose(1, 0, 2, 3)
     grad_f = np.empty(filters.shape, dtype=dtype)
-    grad_xc = np.zeros(xc.shape, dtype=dtype)
-    for (a, b), sl in taps:
+    grad_xc = np.zeros((c_in, n * hgt * wid), dtype=dtype)
+    for ((a, b), sl), (_, mirror) in zip(taps, reversed(taps)):
         grad_f[:, :, a, b] = u @ xc[sl].reshape(c_in, -1).T
-        grad_xc[sl] += (filters[:, :, a, b].T @ u).reshape(c_in, n, hgt, wid)
-    grad_x = grad_xc[taps[0][1]].transpose(1, 0, 2, 3)  # tap (0, 0) reads x itself
+        grad_xc += filters[:, :, a, b].T @ up[mirror].reshape(c_out, -1)
+    grad_x = grad_xc.reshape(c_in, n, hgt, wid).transpose(1, 0, 2, 3)
     return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))
 
 
@@ -204,14 +210,15 @@ def batch_norm(
     axes = (0, 2, 3)
     if train:
         mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        xc = x - mu[None, :, None, None]
+        var = (xc * xc).mean(axis=axes)  # what x.var computes, without its second mean
         running.mean = BN_MOMENTUM * running.mean + (1.0 - BN_MOMENTUM) * mu.astype(np.float64)
         running.var = BN_MOMENTUM * running.var + (1.0 - BN_MOMENTUM) * var.astype(np.float64)
     else:
-        mu = running.mean.astype(x.dtype)
+        xc = x - running.mean.astype(x.dtype)[None, :, None, None]
         var = running.var.astype(x.dtype)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    xhat = xc * inv_std[None, :, None, None]
     out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
     return out, (xhat, inv_std, gamma, train)
 
@@ -255,17 +262,30 @@ def _channel_shape(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return slope.reshape((1, -1) + (1,) * (x.ndim - 2))
 
 
+def _prelu_gain(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """d prelu / dx: 1 where x > 0, else the channel's slope.
+
+    For slopes in [0, 1] with the sign bit clear that is max(x > 0, slope),
+    which has no data-dependent branch; any other slope takes np.where.
+    """
+    s = _channel_shape(x, slope)
+    if np.signbit(slope).any() or not (slope <= 1).all():
+        return np.where(x > 0, 1, s)
+    return np.maximum(x > 0, s)
+
+
 def prelu(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """max(x, 0) + slope * min(x, 0), one slope per channel."""
-    return np.where(x > 0, x, _channel_shape(x, slope) * x)
+    """max(x, 0) + slope * min(x, 0), one slope per channel: x times its
+    gain, which for any slope but NaN gives the bits of
+    np.where(x > 0, x, slope * x), signed zeros included."""
+    return x * _prelu_gain(x, slope)
 
 
 def prelu_backward(
     x: np.ndarray, slope: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    grad_x = np.where(x > 0, upstream, _channel_shape(x, slope) * upstream)
-    neg = np.where(x > 0, 0.0, x)
-    grad_slope = (upstream * neg).sum(axis=(0, *range(2, x.ndim)))
+    grad_x = upstream * _prelu_gain(x, slope)
+    grad_slope = (upstream * np.minimum(x, 0)).sum(axis=(0, *range(2, x.ndim)))
     return grad_x, grad_slope
 
 

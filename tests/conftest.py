@@ -1,10 +1,12 @@
-"""Shared fixtures: tiny streams, grids, stub predictors, strategies."""
+"""Shared fixtures: tiny streams, grids, stub predictors, strategies,
+and the earlier np.where / scatter-form kernels kept as oracles."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from gridcast import nn
 from gridcast.grid import EventStream, Grid, ThreadCascade, build_grid
 from gridcast.models import ModelConfig, build_model
 
@@ -153,6 +155,63 @@ def predict_plane(model, features: np.ndarray) -> np.ndarray:
 def zero_weights(model) -> None:
     for p in model.params():
         p.value[...] = 0
+
+
+# ---------------------------------------------------------------------------
+# oracle kernels: the forms nn replaced with faster ones of the same bits
+
+
+def where_prelu(x, slope):
+    return np.where(x > 0, x, slope.reshape((1, -1) + (1,) * (x.ndim - 2)) * x)
+
+
+def where_prelu_backward(x, slope, upstream):
+    grad_x = np.where(x > 0, upstream, slope.reshape((1, -1) + (1,) * (x.ndim - 2)) * upstream)
+    neg = np.where(x > 0, 0.0, x)
+    return grad_x, (upstream * neg).sum(axis=(0, *range(2, x.ndim)))
+
+
+def scatter_conv2d_backward(x, filters, tau, upstream):
+    """Each tap's input gradient added into a strided window of a padded
+    channel-major buffer."""
+    dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
+    xp, taps = nn._taps(x, filters, tau, dtype)
+    n, c_in, hgt, wid = x.shape
+    c_out = filters.shape[0]
+    u = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    xc = xp.transpose(1, 0, 2, 3)
+    grad_f = np.empty(filters.shape, dtype=dtype)
+    grad_xc = np.zeros(xc.shape, dtype=dtype)
+    for (a, b), sl in taps:
+        grad_f[:, :, a, b] = u @ xc[sl].reshape(c_in, -1).T
+        grad_xc[sl] += (filters[:, :, a, b].T @ u).reshape(c_in, n, hgt, wid)
+    grad_x = grad_xc[taps[0][1]].transpose(1, 0, 2, 3)
+    return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))
+
+
+def two_pass_batch_norm(x, gamma, beta, train, running):
+    """batch_norm with the variance from x.var, which takes its own mean."""
+    axes = (0, 2, 3)
+    if train:
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running.mean = nn.BN_MOMENTUM * running.mean + (1.0 - nn.BN_MOMENTUM) * mu.astype(np.float64)
+        running.var = nn.BN_MOMENTUM * running.var + (1.0 - nn.BN_MOMENTUM) * var.astype(np.float64)
+    else:
+        mu = running.mean.astype(x.dtype)
+        var = running.var.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
+    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return out, (xhat, inv_std, gamma, train)
+
+
+ORACLE_KERNELS = {
+    "prelu": where_prelu,
+    "prelu_backward": where_prelu_backward,
+    "conv2d_backward": scatter_conv2d_backward,
+    "batch_norm": two_pass_batch_norm,
+}
 
 
 # ---------------------------------------------------------------------------

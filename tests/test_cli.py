@@ -725,6 +725,29 @@ def test_grid_search_single_candidate(capsys, workdir, tmp_path):
     assert len(rows) == 1 and float(rows[0][3]) >= 0.0
 
 
+def test_grid_search_on_one_training_segment_is_config_error(capsys, tmp_path):
+    # two threads, at 0 s and 2000 s: the thread task's training side has
+    # one gap window, and holding it out would leave nothing to train on
+    events = tmp_path / "two_threads.ndjson"
+    events.write_text(
+        "".join(
+            json.dumps({"thread_id": tid, "kind": "thread", "ts": ts}) + "\n"
+            for tid, ts in (("a", 0.0), ("b", 2000.0))
+        ),
+        encoding="utf-8",
+    )
+    argv = ["--in", str(events), "--epochs", "1"]
+    _ok(capsys, ["train-thread", *argv, "--out", str(tmp_path / "th.ckpt")])
+    payload = _fail(
+        capsys,
+        ["grid-search", "--task", "thread", *argv,
+         "--search-filters", "2", "--search-kernels", "2", "--search-blocks", "1"],
+        2,
+    )
+    assert payload["error"] == "config"
+    assert "at least 2 training segments, got 1" in payload["message"]
+
+
 def test_evaluate_thread_and_reply(capsys, workdir, tmp_path):
     for task, ckpt in (("thread", workdir["thread"]), ("reply", workdir["reply"])):
         out = tmp_path / f"eval_{task}.csv"

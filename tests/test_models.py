@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import predict_plane, tiny_config, tiny_model, zero_weights
+from conftest import ORACLE_KERNELS, predict_plane, tiny_config, tiny_model, zero_weights
 
 from gridcast import nn
 from gridcast.config import RunSettings
@@ -37,6 +37,7 @@ from gridcast.models import (
     training_segments,
 )
 from gridcast.synth import SynthParams, synth_generate
+from gridcast.tcn import state_arrays
 
 LN2 = float(np.log(2.0))
 
@@ -353,6 +354,36 @@ def test_float32_training_runs_conv_backward_in_float32(monkeypatch, kind, loss_
     # per batch: two block convs and block 0's projection, plus the reply head
     assert len(seen) == 2 * (4 if kind == "reply" else 3)
     assert set(seen) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize(
+    "kind, loss_mode, channels",
+    [
+        ("reply", "corner", CHANNEL_ORDER),
+        ("reply", "full", CHANNEL_ORDER),
+        ("thread", "corner", CHANNEL_ORDER),
+        ("thread", "corner", (Channel.COUNTS,)),  # a one-channel input
+    ],
+)
+def test_training_is_bit_identical_with_the_oracle_kernels(monkeypatch, kind, loss_mode, channels):
+    """Two seeded epochs with nn's kernels and with the np.where PReLU, the
+    scatter-form conv backward pass and the two-pass batch-norm variance
+    give the same losses, parameters, running statistics and last-batch
+    gradients, bit for bit."""
+    rng = np.random.default_rng(23)
+    cfg = tiny_config(kind, k_h=3, k_w=3, n_blocks=3, loss_mode=loss_mode, channels=channels)
+    segs = make_segs(rng, cfg, rng.uniform(0.0, 4.0, 12))
+    runs = []
+    for oracle in (False, True):
+        with monkeypatch.context() as patch:
+            if oracle:
+                for name, kernel in ORACLE_KERNELS.items():
+                    patch.setattr(nn, name, kernel)
+            model = build_model(cfg, seed=4)
+            history = train(model, segs, TrainConfig(epochs=2, batch_size=4, seed=9))
+        runs.append((history, [(name, a.tobytes()) for name, a in state_arrays(model)],
+                     [p.grad.tobytes() for p in model.params()]))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

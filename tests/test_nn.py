@@ -1,7 +1,19 @@
 """Numeric kernels: forwards against naive oracles, backwards against
-central finite differences, Adam against an independent recurrence."""
+central finite differences, Adam against an independent recurrence,
+and the faster kernels against the forms they replaced, bit for bit."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import (
+    scatter_conv2d_backward,
+    two_pass_batch_norm,
+    where_prelu,
+    where_prelu_backward,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridcast import nn
 from gridcast.nn import (
@@ -194,6 +206,48 @@ def test_conv_backward_float32_agrees_with_float64(c_in, c_out, k, tau):
         assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
 
 
+@settings(max_examples=80, deadline=None)
+# one-cell windows in a batch, where a gather per sample would turn each
+# tap into matrix-vector products that round differently
+@example(n=32, hgt=1, wid=1, c_in=2, c_out=4, k=3, tau=1, dtype=np.float32, seed=0)
+@example(n=2, hgt=1, wid=1, c_in=3, c_out=2, k=1, tau=1, dtype=np.float64, seed=0)
+@given(
+    n=st.sampled_from([1, 2, 32]),
+    hgt=st.integers(1, 16),
+    wid=st.integers(1, 16),
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    k=st.sampled_from([1, 3]),
+    tau=st.sampled_from([1, 2, 4]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_backward_matches_the_scatter_form(n, hgt, wid, c_in, c_out, k, tau, dtype, seed):
+    """The gather-form input gradient and the filter and bias gradients
+    equal the scatter form's bit for bit. The one exception is the input
+    gradient of a one-channel input with several output channels: its
+    per-tap product is a (1, c_out) @ (c_out, cells) vector-matrix product,
+    whose BLAS rounding depends on the column a cell sits in, and the two
+    forms put a cell in different columns. Training never reads that
+    gradient: only the stack's input has one channel when the filters are
+    more than one, and its gradient is dropped."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c_in, hgt, wid)).astype(dtype)
+    f = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
+    up = rng.normal(size=(n, c_out, hgt, wid)).astype(dtype)
+    got = conv2d_backward(x, f, tau, up)
+    want = scatter_conv2d_backward(x, f, tau, up)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+    if c_in == 1 and c_out > 1:
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-5 if dtype == np.float32 else 1e-12,
+                                   atol=1e-6 if dtype == np.float32 else 1e-13)
+    else:
+        assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+
+
 def test_conv_backward_zero_upstream():
     x = np.ones((1, 1, 3, 3))
     f = np.ones((2, 1, 2, 2))
@@ -210,6 +264,33 @@ def test_batch_norm_train_standardises():
     out, _ = batch_norm(x, np.ones(1), np.zeros(1), True, RunningStats.fresh(1))
     assert abs(out.mean()) < 1e-12
     assert abs(out.var() - 1.0) < 1e-4  # eps shrinks the variance slightly
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=hnp.array_shapes(min_dims=4, max_dims=4, max_side=9),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    train=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_norm_matches_the_two_pass_variance(shape, dtype, train, scale, seed):
+    """Centring once gives the output, the cache and the running moments
+    that x.mean followed by x.var gives, bit for bit."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    x = (scale * (rng.normal(size=shape) + 3.0 * rng.normal())).astype(dtype)
+    gamma = rng.normal(size=c).astype(dtype)
+    beta = rng.normal(size=c).astype(dtype)
+    start = RunningStats(mean=rng.normal(size=c), var=rng.uniform(0.5, 2.0, c))
+    runs = []
+    for kernel in (batch_norm, two_pass_batch_norm):
+        running = RunningStats(mean=start.mean.copy(), var=start.var.copy())
+        out, (xhat, inv_std, _, _) = kernel(x, gamma, beta, train, running)
+        runs.append((out, xhat, inv_std, running.mean, running.var))
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_batch_norm_running_update_rule():
@@ -301,6 +382,76 @@ def test_prelu_backward_matches_fd():
         gx, gs = prelu_backward(x, slope, up)
         assert np.allclose(gx, _fd(loss, x), atol=1e-7)
         assert np.allclose(gs, _fd(loss, slope), atol=1e-7)
+
+
+def _special_floats(dtype):
+    fi = np.finfo(dtype)
+    return [0.0, -0.0, np.inf, -np.inf, np.nan, fi.smallest_subnormal,
+            -fi.smallest_subnormal, fi.tiny, -fi.tiny, fi.max, -fi.max]
+
+
+@st.composite
+def _prelu_case(draw, slopes):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.sampled_from([(3, 4), (2, 3, 4, 5)]))
+    width = 32 if dtype == np.float32 else 64
+    elements = st.one_of(st.sampled_from(_special_floats(dtype)), st.floats(width=width))
+    x, up = (draw(hnp.arrays(dtype, shape, elements=elements)) for _ in range(2))
+    if len(shape) == 4:
+        # channel-major views, the layout of conv2d_backward's input gradient
+        x, up = (np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+                 if draw(st.booleans()) else a for a in (x, up))
+    slope = np.array(draw(st.lists(slopes, min_size=shape[1], max_size=shape[1])), dtype=dtype)
+    return x, slope, up
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _check_prelu_against_where(x, slope, up):
+    with np.errstate(all="ignore"):
+        out = prelu(x, slope)
+        gx, gs = prelu_backward(x, slope, up)
+        want_gx, want_gs = where_prelu_backward(x, slope, up)
+        assert _same_bits(out, where_prelu(x, slope))
+    assert _same_bits(gx, want_gx)
+    assert gs.dtype == want_gs.dtype and np.array_equal(gs, want_gs, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prelu_case(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+def test_prelu_branch_free_matches_where(case):
+    """Slopes in [0, 1] run without np.where and give its bits, signed
+    zeros, subnormals, infinities and NaNs included."""
+    with mock.patch.object(np, "where", side_effect=AssertionError("np.where on the fast path")):
+        with np.errstate(all="ignore"):
+            prelu(*case[:2])
+            prelu_backward(*case)
+    _check_prelu_against_where(*case)
+
+
+@pytest.mark.parametrize("slope", [0.25, 1.5])
+def test_prelu_matches_where_at_the_reply_training_shape(slope):
+    """Batch 32 of 16-channel 16x12 windows: sums long enough that any
+    change in the slope gradient's summation order shows."""
+    rng = np.random.default_rng(11)
+    x, up = rng.normal(size=(2, 32, 16, 16, 12)).astype(np.float32)
+    _check_prelu_against_where(x, np.full(16, slope, np.float32), up)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prelu_case(st.sampled_from([-0.5, 1.5, 0.25])), st.sampled_from([-0.5, 1.5]))
+def test_prelu_slope_outside_zero_one_takes_where(case, outside):
+    x, slope, up = case
+    slope[0] = outside
+    with mock.patch.object(np, "where", wraps=np.where) as where:
+        with np.errstate(all="ignore"):
+            prelu(x, slope)
+        assert where.called
+    _check_prelu_against_where(x, slope, up)
 
 
 def test_softplus_and_sigmoid_identities():
