@@ -1,27 +1,32 @@
-"""The binary container that grid files and checkpoints share.
+"""The binary container that grid files and checkpoints share, and the
+only code that reads or writes their bytes.
 
-Layout, all integers little-endian:
+Layout (version 2), all integers little-endian:
 
     magic        8 bytes naming the file kind
     u32          format version
+    u32          CRC-32 of everything after this field
     u64          header length in bytes
     header       canonical JSON (sorted keys, no spaces): the caller's
-                 fields plus payload_bytes and payload_crc32
-    payload      raw bytes, covered by the CRC-32
+                 fields plus "arrays", a manifest of name, shape and
+                 little-endian dtype per array
+    payload      the arrays back to back, C order, in manifest order
 
-The CRC covers the payload only. A damaged header is caught when it no
-longer decodes as UTF-8 JSON or its fields no longer fit the payload;
-an edit that leaves it valid and consistent (a digit of t0, say) is not.
+A loader checks the magic, the version, the CRC, the JSON, the manifest
+and its dtypes, and that the arrays tile the payload exactly.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-_PREFIX = struct.Struct("<IQ")  # version, header length
+import numpy as np
+
+_PREFIX = struct.Struct("<IIQ")  # after the magic: version, CRC-32, header length
 
 
 @dataclass(frozen=True)
@@ -31,45 +36,71 @@ class Format:
     name: str  # used in messages: "not a {name} file"
     magic: bytes
     version: int
-    error: type[Exception]  # wrong magic
+    dtypes: tuple[str, ...]  # the array dtypes the file may hold
+    error: type[Exception]  # wrong magic, or a manifest this build does not read
     version_error: type[Exception]
-    corrupt_error: type[Exception]  # damaged header or payload
+    corrupt_error: type[Exception]  # truncation, CRC mismatch, arrays that do not tile
 
 
-def write_container(fmt: Format, path: str | Path, header: dict, payload: bytes) -> None:
-    header = {**header, "payload_bytes": len(payload), "payload_crc32": zlib.crc32(payload)}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def write_container(fmt: Format, path: str | Path, header: dict, arrays) -> None:
+    """Write header and the (name, array) pairs, one array at a time."""
+    arrays = [(name, np.ascontiguousarray(a, a.dtype.newbyteorder("<"))) for name, a in arrays]
+    manifest = [{"name": n, "shape": list(a.shape), "dtype": a.dtype.str} for n, a in arrays]
+    blob = json.dumps({**header, "arrays": manifest}, sort_keys=True, separators=(",", ":"))
+    blob = blob.encode("utf-8")
+    head = fmt.magic + _PREFIX.pack(fmt.version, 0, len(blob)) + blob
+    checked = len(fmt.magic) + 8  # the CRC covers what follows it
+    crc = zlib.crc32(head[checked:])
     with open(path, "wb") as fh:
-        fh.write(fmt.magic + _PREFIX.pack(fmt.version, len(blob)) + blob)
-        fh.write(payload)
+        fh.write(head)
+        for _, a in arrays:
+            crc = zlib.crc32(a, crc)
+            fh.write(a)
+        fh.seek(checked - 4)
+        fh.write(struct.pack("<I", crc))
 
 
-def read_container(fmt: Format, path: str | Path) -> tuple[dict, bytes]:
-    """Return (header without the payload fields, payload) of a file
-    written by write_container, raising fmt's errors on any damage."""
-    raw = Path(path).read_bytes()
-    start = len(fmt.magic) + _PREFIX.size
-    if len(raw) < start or raw[: len(fmt.magic)] != fmt.magic:
+def read_container(fmt: Format, path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """Return (header without "arrays", [(name, array)]) of a file written
+    by write_container, raising fmt's errors on any damage. The arrays
+    are read-only views of the one copy of the file."""
+    raw = memoryview(Path(path).read_bytes())
+    at = len(fmt.magic)
+    if raw[:at] != fmt.magic:
         raise fmt.error(f"{path}: not a {fmt.name} file (bad magic)")
-    version, hlen = _PREFIX.unpack_from(raw, len(fmt.magic))
+    if len(raw) < at + _PREFIX.size:
+        raise fmt.corrupt_error(f"{path}: truncated before the header")
+    version, crc, hlen = _PREFIX.unpack_from(raw, at)
     if version != fmt.version:
         raise fmt.version_error(
             f"{path}: {fmt.name} format version {version}, this build reads {fmt.version}"
         )
-    if start + hlen > len(raw):
-        raise fmt.corrupt_error(f"{path}: truncated header")
+    if zlib.crc32(raw[at + 8 :]) != crc:  # all that follows the CRC
+        raise fmt.corrupt_error(
+            f"{path}: CRC mismatch, the header or payload is damaged or truncated"
+        )
+    at += _PREFIX.size
+    if at + hlen > len(raw):
+        raise fmt.corrupt_error(f"{path}: truncated header of {hlen} bytes")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = json.loads(raw[at : at + hlen].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise fmt.corrupt_error(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or not {"payload_bytes", "payload_crc32"} <= header.keys():
-        raise fmt.corrupt_error(f"{path}: header lacks the payload length and CRC")
-    payload = raw[start + hlen :]
-    want = header.pop("payload_bytes")
-    if len(payload) != want:
-        raise fmt.corrupt_error(
-            f"{path}: truncated or padded payload: {len(payload)} bytes, header says {want}"
-        )
-    if zlib.crc32(payload) != header.pop("payload_crc32"):
-        raise fmt.corrupt_error(f"{path}: payload CRC mismatch")
-    return header, payload
+    try:
+        manifest = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in header.pop("arrays")]
+        if not all(type(n) is int and n >= 0 for _, shape, _ in manifest for n in shape):
+            raise ValueError("array shapes must be lists of counts")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise fmt.error(f"{path}: malformed array manifest: {exc!r}") from exc
+    arrays, pos = [], at + hlen
+    for name, shape, dtype in manifest:
+        if dtype not in fmt.dtypes:
+            raise fmt.error(f"{path}: array {name!r} has dtype {dtype!r}, not one of {fmt.dtypes}")
+        end = pos + math.prod(shape) * np.dtype(dtype).itemsize
+        if end > len(raw):
+            raise fmt.corrupt_error(f"{path}: payload ends inside {name!r}")
+        arrays.append((name, np.frombuffer(raw[pos:end], dtype=dtype).reshape(shape)))
+        pos = end
+    if pos != len(raw):
+        raise fmt.corrupt_error(f"{path}: {len(raw) - pos} stray payload bytes")
+    return header, arrays

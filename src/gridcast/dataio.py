@@ -11,8 +11,9 @@ thread never appears, a reply before its thread post, or a malformed
 line is an error that names the offending line.
 
 Grids serialise to the binary container checkpoints also use (see
-container.py): the spec in the header, then counts and arrival rows
-as little-endian int64.
+container.py), version 2: d, t0 and dropped_events in the header, and
+the arrays counts (n_rows x n_cols) and arrival_rows (n_cols), both
+little-endian int64, so the shape is read from the manifest.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ class GridFileError(ValueError):
     pass
 
 
-GRID_FILE = Format("grid", b"GCASTGRD", 1, GridFileError, GridFileError, GridFileError)
+GRID_FILE = Format("grid", b"GCASTGRD", 2, ("<i8",), GridFileError, GridFileError, GridFileError)
 
 
 @dataclass(frozen=True)
@@ -147,42 +148,26 @@ def serialize_events(stream: EventStream, path: str | Path) -> None:
 
 
 def save_grid(grid: Grid, path: str | Path) -> None:
-    counts = np.ascontiguousarray(grid.counts, dtype="<i8").tobytes()
-    arrival = np.ascontiguousarray(grid.arrival_rows, dtype="<i8").tobytes()
-    header = {
-        "d": grid.spec.d,
-        "t0": grid.spec.t0,
-        "n_rows": grid.spec.n_rows,
-        "n_cols": grid.spec.n_cols,
-        "dropped_events": grid.dropped_events,
-    }
-    write_container(GRID_FILE, path, header, counts + arrival)
+    header = {"d": grid.spec.d, "t0": grid.spec.t0, "dropped_events": grid.dropped_events}
+    arrays = [("counts", grid.counts.astype("<i8", copy=False)),
+              ("arrival_rows", grid.arrival_rows.astype("<i8", copy=False))]
+    write_container(GRID_FILE, path, header, arrays)
 
 
 def load_grid(path: str | Path) -> Grid:
-    header, payload = read_container(GRID_FILE, path)
+    header, arrays = read_container(GRID_FILE, path)
+    if [name for name, _ in arrays] != ["counts", "arrival_rows"]:
+        raise GridFileError(f"{path}: the arrays are not counts, then arrival_rows")
+    (_, counts), (_, arrival) = arrays
     try:
-        if not all(isinstance(header[k], int) for k in ("n_rows", "n_cols", "dropped_events")):
-            raise TypeError("n_rows, n_cols and dropped_events must be integers")
-        spec = GridSpec(
-            d=header["d"], t0=header["t0"], n_rows=header["n_rows"], n_cols=header["n_cols"]
+        return Grid(
+            spec=GridSpec(header["d"], header["t0"], *counts.shape),
+            counts=counts.astype(np.int64),
+            arrival_rows=arrival.astype(np.int64),
+            dropped_events=header["dropped_events"],
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise GridFileError(f"{path}: malformed header: {exc!r}") from exc
-    cells = spec.n_rows * spec.n_cols * 8
-    if len(payload) != cells + spec.n_cols * 8:
-        raise GridFileError(
-            f"{path}: payload is {len(payload)} bytes, a {spec.n_rows}x{spec.n_cols} "
-            f"grid takes {cells + spec.n_cols * 8}"
-        )
-    counts = np.frombuffer(payload[:cells], dtype="<i8").reshape(spec.n_rows, spec.n_cols)
-    arrival = np.frombuffer(payload[cells:], dtype="<i8")
-    return Grid(
-        spec=spec,
-        counts=counts.astype(np.int64),
-        arrival_rows=arrival.astype(np.int64),
-        dropped_events=header["dropped_events"],
-    )
+        raise GridFileError(f"{path}: malformed grid: {exc!r}") from exc
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

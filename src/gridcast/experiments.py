@@ -70,7 +70,10 @@ def synth_corpus(settings: RunSettings) -> EventStream:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return synth_generate(params)
+    stream = synth_generate(params)
+    if not stream.cascades:
+        raise ConfigError(f"the generator drew no thread before horizon {settings.horizon}")
+    return stream
 
 
 def grid_for(stream: EventStream, settings: RunSettings) -> Grid:

@@ -238,6 +238,8 @@ def build_grid(stream: EventStream, d: float, t0: float, n_rows: int) -> Grid:
 def rows_covering(stream: EventStream, d: float, t0: float) -> int:
     """Smallest row count that keeps every event of the stream in window."""
     _check_lattice(d, t0)
+    if not stream.cascades:
+        raise GridError("an empty stream covers no rows")
     last = max(c.last_event_time for c in stream.cascades)
     return interval_index(last, t0, d) + 1
 

@@ -57,8 +57,6 @@ class TCNStack:
                  k_w: int, n_blocks: int, dtype):
         if min(c_in, n_filters, k_h, k_w, n_blocks) < 1:
             raise ValueError("stack dimensions must be >= 1")
-        self.c_in = c_in
-        self._ladder = (n_filters, k_h, k_w, n_blocks)
         self.blocks = [
             TemporalBlock(rng, c_in if l == 0 else n_filters, n_filters, k_h, k_w, 2**l,
                           dtype, f"stack.block{l}")
@@ -85,14 +83,6 @@ class TCNStack:
             out.append((f"{block.name}.norm.running_mean", block.norm.running.mean))
             out.append((f"{block.name}.norm.running_var", block.norm.running.var))
         return out
-
-    def astype(self, dtype) -> "TCNStack":
-        """Copy at another precision: the same ladder built fresh, then
-        loaded with this stack's parameters and running stats."""
-        rng = np.random.default_rng(0)  # initial weights are overwritten
-        clone = TCNStack(rng, self.c_in, *self._ladder, dtype)
-        load_state(clone, state_arrays(self))
-        return clone
 
 
 def state_arrays(owner) -> list[tuple[str, np.ndarray]]:
@@ -148,8 +138,11 @@ def causality_probe(
     i, j = cell
     if not (0 <= i < height and 0 <= j < width):
         raise ValueError(f"probe cell {cell} outside a {height}x{width} input")
-    probe = stack.astype(np.float64)
-    out = probe.forward(np.ones((1, probe.c_in, height, width)), train=False)
+    n_filters, c_in, k_h, k_w = stack.blocks[0].conv.weight.value.shape
+    rng = np.random.default_rng(0)  # initial weights are overwritten
+    probe = TCNStack(rng, c_in, n_filters, k_h, k_w, len(stack.blocks), np.float64)
+    load_state(probe, state_arrays(stack))
+    out = probe.forward(np.ones((1, c_in, height, width)), train=False)
     up = np.zeros_like(out)
     up[0, :, i, j] = 1.0
     influence = np.abs(probe.backward(up)[0]).sum(axis=0)

@@ -9,6 +9,7 @@ import pytest
 from conftest import predict_plane, tiny_model
 
 from gridcast.checkpoint import (
+    FORMAT,
     MAGIC,
     CheckpointCorruptError,
     CheckpointError,
@@ -17,8 +18,10 @@ from gridcast.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from gridcast.container import write_container
 
-HLEN_OFF = len(MAGIC) + 4  # u64 header length lives after magic + version
+CRC_OFF = len(MAGIC) + 4  # u32 CRC-32 of everything after it, after magic + version
+HLEN_OFF = CRC_OFF + 4  # then the u64 header length
 HDR_OFF = HLEN_OFF + 8
 
 
@@ -32,15 +35,20 @@ def _scramble(model, seed=0):
     return model
 
 
+def _sealed(raw: bytes) -> bytes:
+    """raw with its CRC recomputed, so the loader gets past the CRC check."""
+    return raw[:CRC_OFF] + struct.pack("<I", zlib.crc32(raw[HLEN_OFF:])) + raw[HLEN_OFF:]
+
+
 def _mutate_header(path, fn):
-    """Rewrite the JSON header in place, fixing up the stored length."""
+    """Rewrite the JSON header in place, fixing up the stored length and CRC."""
     raw = Path(path).read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, HLEN_OFF)
     header = json.loads(raw[HDR_OFF : HDR_OFF + hlen])
     fn(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     Path(path).write_bytes(
-        raw[:HLEN_OFF] + struct.pack("<Q", len(blob)) + blob + raw[HDR_OFF + hlen :]
+        _sealed(raw[:HLEN_OFF] + struct.pack("<Q", len(blob)) + blob + raw[HDR_OFF + hlen :])
     )
 
 
@@ -155,10 +163,12 @@ def test_rejects_shape_mismatch_naming_parameter(ckpt_path):
     model = tiny_model("thread")
     save_checkpoint(model, ckpt_path)
 
-    def grow_first(header):
-        header["arrays"][0]["shape"][0] += 1
+    def flatten_first(header):
+        """Same element count, so the arrays still tile the payload."""
+        entry = header["arrays"][0]
+        entry["shape"] = [int(np.prod(entry["shape"]))]
 
-    _mutate_header(ckpt_path, grow_first)
+    _mutate_header(ckpt_path, flatten_first)
     first_name = model.params()[0].name
     with pytest.raises(CheckpointFormatError) as exc:
         load_checkpoint(ckpt_path)
@@ -178,8 +188,8 @@ def test_rejects_unknown_array_name(ckpt_path):
 
 
 def test_rejects_missing_arrays(ckpt_path):
-    """Drop the last manifest entry and its payload bytes; length and CRC
-    stay self-consistent, so the loader must notice the array is gone."""
+    """Drop the last manifest entry and its payload bytes; the arrays
+    tile and the CRC matches, so the loader must notice the array is gone."""
     save_checkpoint(tiny_model("thread"), ckpt_path)
     raw = Path(ckpt_path).read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, HLEN_OFF)
@@ -187,10 +197,10 @@ def test_rejects_missing_arrays(ckpt_path):
     entry = header["arrays"].pop()
     nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * np.dtype(entry["dtype"]).itemsize
     trimmed = raw[HDR_OFF + hlen : len(raw) - nbytes]
-    header["payload_bytes"] -= nbytes
-    header["payload_crc32"] = zlib.crc32(trimmed)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    ckpt_path.write_bytes(raw[:HLEN_OFF] + struct.pack("<Q", len(blob)) + blob + trimmed)
+    ckpt_path.write_bytes(
+        _sealed(raw[:HLEN_OFF] + struct.pack("<Q", len(blob)) + blob + trimmed)
+    )
     with pytest.raises(CheckpointFormatError, match="missing"):
         load_checkpoint(ckpt_path)
 
@@ -212,8 +222,8 @@ def _drop_last_entry(header):
     ids=["grown", "dropped"],
 )
 def test_manifest_that_does_not_tile_the_payload_is_corrupt(ckpt_path, edit, message):
-    """The payload and its CRC stay as written, so only the manifest
-    walk can tell that the arrays no longer tile the payload."""
+    """The payload stays as written and the CRC is recomputed, so only the
+    manifest walk can tell that the arrays no longer tile the payload."""
     save_checkpoint(tiny_model("thread"), ckpt_path)
     _mutate_header(ckpt_path, edit)
     with pytest.raises(CheckpointCorruptError, match=message):
@@ -232,23 +242,20 @@ def test_rejects_a_model_header_without_loss_mode(ckpt_path):
 
 
 def test_rejects_empty_manifest(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
-
-    def clear(header):
-        header["arrays"] = []
-
-    _mutate_header(ckpt_path, clear)
+    header = {"meta": {}, "model": tiny_model("thread").config.to_json_dict()}
+    write_container(FORMAT, ckpt_path, header, [])
     with pytest.raises(CheckpointFormatError, match="manifest"):
         load_checkpoint(ckpt_path)
 
 
 @pytest.mark.parametrize("dtype", [",f4", "<,4", ">f4", "<f,"])
 def test_rejects_a_dtype_it_never_writes(ckpt_path, dtype):
-    """One-byte edits of a manifest dtype. numpy raises SyntaxError on the
-    first two and would read byte-swapped or structured arrays from the
-    others; the loader accepts only "<f4" and "<f8"."""
+    """One-byte edits of a manifest dtype, with the CRC recomputed. numpy
+    raises SyntaxError on the first two and would read byte-swapped or
+    structured arrays from the others; the loader accepts only "<f4" and
+    "<f8"."""
     save_checkpoint(tiny_model("thread"), ckpt_path)
     raw = ckpt_path.read_bytes()
-    ckpt_path.write_bytes(raw.replace(b'"<f4"', f'"{dtype}"'.encode(), 1))
+    ckpt_path.write_bytes(_sealed(raw.replace(b'"<f4"', f'"{dtype}"'.encode(), 1)))
     with pytest.raises(CheckpointFormatError, match="dtype"):
         load_checkpoint(ckpt_path)

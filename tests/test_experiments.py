@@ -48,6 +48,21 @@ def test_experiment_runs_and_writes_its_csv(name, tmp_path, capsys):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_experiment_on_an_empty_corpus_is_a_config_error(name, tmp_path, capsys):
+    """Seed 0 draws no thread before --horizon 1: exit 2 with one error line."""
+    argv, _ = RUNS[name]
+    assert argv[:2] == ["--horizon", "20000"]
+    out = tmp_path / f"{name}.csv"
+    assert main(["experiment", name, "--horizon", "1", *argv[2:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "config", "message": "the generator drew no thread before horizon 1.0",
+    }
+    assert not out.exists()
+
+
 def test_benchmark_recipe_builds_the_two_model_constants():
     assert SYNTH_BENCHMARK_SETTINGS.model_config("reply") == REPLY_MODEL
     assert thread_config(SYNTH_BENCHMARK_SETTINGS) == THREAD_MODEL

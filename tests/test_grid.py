@@ -162,6 +162,11 @@ def test_non_finite_lattice_is_rejected(small_stream, value):
             GridSpec(d=d, t0=t0, n_rows=10, n_cols=2)
 
 
+def test_rows_covering_rejects_an_empty_stream():
+    with pytest.raises(GridError, match="empty stream"):
+        rows_covering(EventStream.from_cascades([]), 60.0, 0.0)
+
+
 def test_rows_covering_is_tight(small_stream):
     n = rows_covering(small_stream, 60.0, 0.0)
     g = build_grid(small_stream, 60.0, 0.0, n)

@@ -1,9 +1,11 @@
-"""Three structural rules, checked with ast. Which modules may know the run
+"""Four structural rules, checked with ast. Which modules may know the run
 settings: the library takes plain arguments, and only the recipes and the
-command line read RunSettings. Which options the nn stack keeps: a
-parameter or dataclass field with a default stays only if a caller
-outside the tests leaves it out. And the benchmark's workloads call only
-names and keyword arguments that the package still has."""
+command line read RunSettings. Which module knows the byte layout of
+grid files and checkpoints: only container.py imports zlib or struct.
+Which options the nn stack keeps: a parameter or dataclass field with a
+default stays only if a caller outside the tests leaves it out. And the
+benchmark's workloads call only names and keyword arguments that the
+package still has."""
 import ast
 import importlib
 import inspect
@@ -47,6 +49,43 @@ def test_the_check_sees_every_import_form():
         assert _imports_config(ast.parse(line)), line
     assert not _imports_config(ast.parse("from .configuration import x"))
 
+
+# ---------------------------------------------------------------------------
+# the byte layout lives in container.py
+
+BYTE_MODULES = {"zlib", "struct"}
+
+
+def _imports_byte_modules(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in BYTE_MODULES for a in node.names):
+                return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in BYTE_MODULES:
+                return True
+    return False
+
+
+def test_only_the_container_imports_zlib_or_struct():
+    sources = sorted(Path(gridcast.__file__).parent.glob("*.py"))
+    importers = {
+        p.name for p in sources
+        if _imports_byte_modules(ast.parse(p.read_text(encoding="utf-8")))
+    }
+    assert importers == {"container.py"}, "only container.py may read or write file bytes"
+
+
+def test_the_byte_check_sees_every_import_form():
+    for line in ["import zlib", "import struct as s", "import os, zlib",
+                 "from zlib import crc32", "from struct import pack"]:
+        assert _imports_byte_modules(ast.parse(line)), line
+    for line in ["import structlog", "from .struct import x", "from . import zlib_notes"]:
+        assert not _imports_byte_modules(ast.parse(line)), line
+
+
+# ---------------------------------------------------------------------------
+# the nn stack's options
 
 # The options (parameters and dataclass fields with a default) that the
 # nn stack keeps. An option that only tests pass does not belong here.

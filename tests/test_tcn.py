@@ -55,7 +55,6 @@ def test_build_ladder_dilations_double():
     assert [b.conv.weight.value.shape for b in stack.blocks] == [
         (5, 2, 3, 3), (5, 5, 3, 3), (5, 5, 3, 3), (5, 5, 3, 3)
     ]
-    assert stack.c_in == 2
     assert stack.blocks[0].proj is not None
     assert all(b.proj is None for b in stack.blocks[1:])
 
@@ -155,18 +154,6 @@ def test_stack_input_gradient_matches_fd():
         x[idx] += eps
         fd[idx] = (fp - fm) / (2 * eps)
     assert np.allclose(gx, fd, atol=1e-6)
-
-
-def test_astype_preserves_eval_output():
-    rng = np.random.default_rng(10)
-    stack = TCNStack(rng, 2, 3, 3, 3, 2, np.float32)
-    x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
-    wide = stack.astype(np.float64)
-    assert all(p.value.dtype == np.float64 for p in wide.params())
-    assert all(p.value.dtype == np.float32 for p in stack.params())
-    a = stack.forward(x.copy(), train=False)
-    b = wide.forward(x.astype(np.float64), train=False)
-    assert np.allclose(a, b, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
