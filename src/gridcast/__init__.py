@@ -49,7 +49,6 @@ from .grid import (
     assemble_features,
     build_grid,
     gap_columns,
-    pad_top_left,
     relative_time_channel,
     rows_covering,
     frontier_segments,

@@ -39,8 +39,8 @@ FORMAT = Format(
 )
 
 
-def save_checkpoint(model, path: str | Path, meta: dict | None = None) -> None:
-    header = {"meta": meta or {}, "model": model.config.to_json_dict()}
+def save_checkpoint(model, path: str | Path, meta: dict) -> None:
+    header = {"meta": meta, "model": model.config.to_json_dict()}
     write_container(FORMAT, path, header, state_arrays(model))
 
 

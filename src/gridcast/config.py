@@ -171,11 +171,7 @@ SEARCH = ("search_filters", "search_kernels", "search_blocks", "budget_epochs")
 _TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunSettings)}
 
 
-def load_settings(
-    config_path: str | None = None,
-    overrides: dict | None = None,
-    base: RunSettings = RunSettings(),
-) -> RunSettings:
+def load_settings(config_path: str | None, overrides: dict, base: RunSettings) -> RunSettings:
     """The base settings, then config-file values, then flag overrides."""
     values: dict = {}
     if config_path:
@@ -194,7 +190,7 @@ def load_settings(
             if type(val) is not want and not (want is float and type(val) is int):
                 raise ConfigError(f"{config_path}: {key!r} must be {want.__name__}, got {val!r}")
         values.update(raw)
-    for key, val in (overrides or {}).items():
+    for key, val in overrides.items():
         if val is None:
             continue
         if key not in _TYPES:

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .forecast import ForecastState, adaptive_forecast, roll_until
-from .grid import Channel, Grid, assemble_features, gap_columns, window_at
+from .grid import Channel, Grid, assemble_features, window_at
 from .models import arrival_time
 
 SECONDS_PER_HOUR = 3600.0
@@ -50,7 +50,7 @@ class EvalReport:
     unit: str
     n: int
     stddev: float
-    label: str = ""
+    label: str
 
     def __post_init__(self):
         if self.mae < 0 or self.n < 1:
@@ -99,7 +99,7 @@ class MeanGapBaseline(_Baseline):
 
     gap_intervals: float
 
-    def predict_gap(self, features, col_index=None) -> float:
+    def predict_gap(self, features, col_index) -> float:
         return float(self.gap_intervals)
 
 
@@ -110,8 +110,8 @@ class PersistenceGapBaseline(_Baseline):
     thread_times: np.ndarray
     d: float
 
-    def predict_gap(self, features, col_index=None) -> float:
-        j = (col_index or 1) - 1
+    def predict_gap(self, features, col_index) -> float:
+        j = col_index - 1
         if j < 1:
             return 0.0
         return float((self.thread_times[j] - self.thread_times[j - 1]) / self.d)
@@ -123,14 +123,14 @@ class MeanRowBaseline(_Baseline):
 
     mean_count: float
 
-    def predict_next_row(self, features, row_index=None) -> np.ndarray:
+    def predict_next_row(self, features, row_index) -> np.ndarray:
         return np.full(features.shape[-1], self.mean_count, dtype=np.float64)
 
 
 class PersistenceRowBaseline(_Baseline):
     """Repeats each column's newest observed count."""
 
-    def predict_next_row(self, features, row_index=None) -> np.ndarray:
+    def predict_next_row(self, features, row_index) -> np.ndarray:
         return np.maximum(features[0, -1, :].astype(np.float64), 0.0)
 
 
@@ -157,7 +157,7 @@ def evaluate_thread_arrival(
     model,
     grid: Grid,
     thread_times,
-    indices=None,
+    indices,
     mode: str = "measure",
 ) -> EvalReport:
     """Per-thread next-arrival error in hours.
@@ -169,7 +169,7 @@ def evaluate_thread_arrival(
     tt = np.asarray(thread_times, dtype=np.float64)
     if tt.shape != (grid.spec.n_cols,):
         raise ValueError("need one true thread time per grid column")
-    indices = gap_columns(grid) if indices is None else list(indices)
+    indices = list(indices)
     if not indices:
         raise ValueError("no evaluable thread indices")
     h, w = model.window
@@ -191,7 +191,7 @@ def evaluate_reply_counts(
     model,
     grid: Grid,
     n_intervals: int,
-    start_row: int | None = None,
+    start_row: int,
 ) -> EvalReport:
     """One-step-ahead per-cell errors over n_intervals consecutive rows.
 
@@ -201,8 +201,6 @@ def evaluate_reply_counts(
     n_rows, n_cols = grid.spec.n_rows, grid.spec.n_cols
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    if start_row is None:
-        start_row = n_rows - n_intervals
     if start_row < 1 or start_row + n_intervals > n_rows:
         raise ValueError(
             f"rows [{start_row}, {start_row + n_intervals}) fall outside the grid"
@@ -230,10 +228,10 @@ def evaluate_adaptive(
     reply_model,
     grid: Grid,
     thread_times,
-    n_threads: int = 6,
+    n_threads: int,
+    n_start_points: int,
+    seed: int,
     checkpoints: tuple[int, ...] = (2, 4, 6, 8, 10),
-    n_start_points: int = 20,
-    seed: int = 0,
     n_intervals: int | None = None,
 ) -> tuple[list[EvalReport], list[EvalReport]]:
     """Closed-loop evaluation from seeded start points.

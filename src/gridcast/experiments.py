@@ -44,12 +44,12 @@ from .grid import EventStream, Grid, GridError, build_grid, gap_columns, rows_co
 from .models import ModelConfig, build_model, grid_search, train, training_segments
 from .synth import SynthParams, synth_generate
 
+SYNTH_BENCHMARK_SETTINGS = RunSettings(horizon=120_000.0)
 # The two nets of the synthetic benchmark. The thread task has little
 # signal to learn (Poisson arrivals), so its net is narrower and shallower.
-REPLY_MODEL = ModelConfig(kind="reply")
+REPLY_MODEL = SYNTH_BENCHMARK_SETTINGS.model_config("reply")
 THREAD_MODEL = replace(REPLY_MODEL, kind="thread", n_filters=8, n_blocks=1)
 
-SYNTH_BENCHMARK_SETTINGS = RunSettings(horizon=120_000.0)
 BREAKOUT_SETTINGS = replace(SYNTH_BENCHMARK_SETTINGS, breakout_fraction=0.25, breakout_boost=4.0)
 # small models, so that each candidate d retrains quickly
 INTERVAL_SWEEP_SETTINGS = RunSettings(

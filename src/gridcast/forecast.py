@@ -251,7 +251,7 @@ def breakout_classify(
 
 
 def build_breakout_state(
-    grid: Grid, column: int, class_row: int, context_cols: int = 16
+    grid: Grid, column: int, class_row: int, context_cols: int
 ) -> tuple[ForecastState, int]:
     """Truncate a grid to what was observable at `class_row` for the
     given cascade: rows [0, class_row) and a trailing window of columns
@@ -293,8 +293,8 @@ def breakout_curve(
     grid: Grid,
     reply_model,
     start_durations: list[float],
-    horizon_intervals: int | None = None,
-    context_cols: int = 16,
+    horizon_intervals: int | None,
+    context_cols: int,
 ) -> list[BreakoutCurvePoint]:
     """Correct-verdict rate at each start duration over the whole stream.
 

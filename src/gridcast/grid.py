@@ -96,7 +96,7 @@ class GridSpec:
 
     def __post_init__(self):
         _check_lattice(self.d, self.t0)
-        if self.n_rows < 1 or self.n_cols < 0:
+        if self.n_rows < 1 or self.n_cols < 1:
             raise GridError(f"bad grid shape {self.n_rows}x{self.n_cols}")
 
 
@@ -188,6 +188,17 @@ def _check_lattice(d: float, t0: float) -> None:
         raise GridError(f"interval length must be positive, got {d}")
 
 
+def _check_epoch(stream: EventStream, t0: float) -> None:
+    """Raise GridError unless the non-empty stream starts at or after t0.
+    The first thread post is the earliest event: cascades are sorted and
+    replies never precede their thread."""
+    first = stream.cascades[0]
+    if first.thread_time < t0:
+        raise GridError(
+            f"event before t0 in cascade {first.thread_id!r}: {first.thread_time} < {t0}"
+        )
+
+
 def interval_index(t: float, t0: float, d: float) -> int:
     """Index i with t0 + i*d <= t < t0 + (i+1)*d under float comparison.
 
@@ -213,17 +224,13 @@ def build_grid(stream: EventStream, d: float, t0: float, n_rows: int) -> Grid:
         raise GridError("cannot grid an empty stream")
     if n_rows < 1:
         raise GridError("need at least one row")
+    _check_epoch(stream, t0)
 
     n_cols = len(stream)
     counts = np.zeros((n_rows, n_cols), dtype=np.int64)
     arrival = np.zeros(n_cols, dtype=np.int64)
     dropped = 0
     for j, casc in enumerate(stream.cascades):
-        if casc.thread_time < t0:
-            raise GridError(
-                f"event before t0 in cascade {casc.thread_id!r}: "
-                f"{casc.thread_time} < {t0}"
-            )
         arrival[j] = interval_index(casc.thread_time, t0, d)
         for t in (casc.thread_time,) + casc.reply_times:
             i = interval_index(t, t0, d)
@@ -240,6 +247,7 @@ def rows_covering(stream: EventStream, d: float, t0: float) -> int:
     _check_lattice(d, t0)
     if not stream.cascades:
         raise GridError("an empty stream covers no rows")
+    _check_epoch(stream, t0)
     last = max(c.last_event_time for c in stream.cascades)
     return interval_index(last, t0, d) + 1
 
@@ -263,13 +271,9 @@ def relative_time_channel(grid: Grid) -> np.ndarray:
     dividing by zero.
     """
     rows = np.arange(grid.spec.n_rows, dtype=np.int64)[:, None]
-    raw = np.maximum(rows - grid.arrival_rows[None, :], 0).astype(np.float64)
-    # columns with arrival beyond the window never start counting
-    beyond = grid.arrival_rows >= grid.spec.n_rows
-    raw[:, beyond] = 0.0
-    colmax = raw.max(axis=0)
-    denom = np.where(colmax > 0, colmax, 1.0)
-    return raw / denom[None, :]
+    arrival = grid.arrival_rows[None, :]
+    elapsed = np.maximum(rows - arrival, 0).astype(np.float64)
+    return elapsed / np.maximum(grid.spec.n_rows - 1 - arrival, 1)
 
 
 def assemble_features(
@@ -303,20 +307,13 @@ class FeatureTensor:
             raise GridError(f"feature tensor shape {self.data.shape} != {expect}")
 
 
-def pad_top_left(matrix: np.ndarray, pad_rows: int, pad_cols: int) -> np.ndarray:
-    """Zero-pad above and to the left; the causal direction only."""
-    if pad_rows < 0 or pad_cols < 0:
-        raise GridError("padding must be non-negative")
-    widths = [(0, 0)] * (matrix.ndim - 2) + [(pad_rows, 0), (pad_cols, 0)]
-    return np.pad(matrix, widths)
-
-
 def window_at(data: np.ndarray, row: int, col: int, h: int, w: int) -> np.ndarray:
     """h x w window whose bottom-right cell is (row, col), zero-padded
-    top-left where it overhangs the tensor."""
+    top-left (the causal direction only) where it overhangs the tensor."""
     r0, c0 = row - h + 1, col - w + 1
     block = data[..., max(r0, 0) : row + 1, max(c0, 0) : col + 1]
-    return pad_top_left(block, max(0, -r0), max(0, -c0))
+    widths = [(0, 0)] * (data.ndim - 2) + [(max(0, -r0), 0), (max(0, -c0), 0)]
+    return np.pad(block, widths)
 
 
 class TargetKind(Enum):
@@ -361,7 +358,7 @@ def _windows(data: np.ndarray, anchors: np.ndarray, h: int, w: int) -> np.ndarra
     return out
 
 
-def gap_columns(grid: Grid, lo: int = 0, hi: int | None = None) -> list[int]:
+def gap_columns(grid: Grid, lo: int, hi: int | None = None) -> list[int]:
     """Columns j in [lo, hi) with a scorable gap: column j + 1 exists
     and thread j arrives inside the materialised rows."""
     last = grid.spec.n_cols - 1
@@ -375,7 +372,7 @@ def slice_segments(
     h: int,
     w: int,
     kind: TargetKind,
-    col_range: tuple[int, int] | None = None,
+    col_range: tuple[int, int],
 ) -> Segments:
     """Cut thread-gap training windows out of a feature tensor.
 
@@ -390,8 +387,7 @@ def slice_segments(
         raise GridError("window dims must be >= 1")
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
-    lo, hi = col_range if col_range is not None else (0, None)
-    cols = np.array(gap_columns(grid, lo, hi), dtype=np.int64)
+    cols = np.array(gap_columns(grid, *col_range), dtype=np.int64)
     arrivals = grid.arrival_rows
     anchors = np.stack([arrivals[cols], cols], axis=1)
     gaps = arrivals[cols + 1] - arrivals[cols]
@@ -403,7 +399,7 @@ def frontier_segments(
     grid: Grid,
     h: int,
     w: int,
-    row_range: tuple[int, int] | None = None,
+    row_range: tuple[int, int],
 ) -> Segments:
     """Next-row windows whose right edge tracks the arrived frontier.
 
@@ -420,7 +416,7 @@ def frontier_segments(
     if tensor.spec != grid.spec:
         raise GridError("feature tensor and grid describe different specs")
     n_rows = grid.spec.n_rows
-    lo, hi = row_range if row_range is not None else (0, n_rows - 1)
+    lo, hi = row_range
     rows = np.arange(max(lo, 0), min(hi, n_rows - 1), dtype=np.int64)
     cols = np.searchsorted(grid.arrival_rows, rows, side="right") - 1
     anchors = np.stack([rows, cols], axis=1)[cols >= 0]

@@ -60,12 +60,12 @@ MODEL_KINDS = ("thread", "reply")
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
+    window: tuple[int, int]
+    n_filters: int
+    k_h: int
+    k_w: int
+    n_blocks: int
     channels: tuple[Channel, ...] = CHANNEL_ORDER
-    window: tuple[int, int] = (16, 12)
-    n_filters: int = 16
-    k_h: int = 3
-    k_w: int = 3
-    n_blocks: int = 3
     loss_mode: str = "corner"
 
     def __post_init__(self):

@@ -29,9 +29,9 @@ class SynthParams:
     mu_reply: float
     theta: float
     horizon: float
-    breakout_fraction: float = 0.0
-    breakout_boost: float = 1.0
-    seed: int = 0
+    breakout_fraction: float
+    breakout_boost: float
+    seed: int
 
     def __post_init__(self):
         for name, value in vars(self).items():

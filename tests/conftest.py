@@ -1,5 +1,6 @@
 """Shared fixtures: tiny streams, grids, stub predictors, strategies,
-and the earlier np.where / scatter-form kernels kept as oracles."""
+and the earlier np.where / scatter-form kernels and column-max relative
+time kept as oracles."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from gridcast import nn
+from gridcast.container import write_container
+from gridcast.dataio import GRID_FILE
 from gridcast.grid import EventStream, Grid, ThreadCascade, build_grid
 from gridcast.models import ModelConfig, build_model
 
@@ -34,6 +37,13 @@ def small_stream() -> EventStream:
 @pytest.fixture
 def small_grid(small_stream) -> Grid:
     return build_grid(small_stream, d=60.0, t0=0.0, n_rows=5)
+
+
+def write_zero_column_grid(path) -> None:
+    """A well-formed grid file, CRC included, whose grid has no columns."""
+    header = {"d": 60.0, "t0": 0.0, "dropped_events": 0}
+    arrays = [("counts", np.zeros((3, 0), dtype="<i8")), ("arrival_rows", np.zeros(0, dtype="<i8"))]
+    write_container(GRID_FILE, path, header, arrays)
 
 
 def lattice_stream(gaps_intervals, d: float = 300.0, replies_per=0) -> EventStream:
@@ -212,6 +222,17 @@ ORACLE_KERNELS = {
     "conv2d_backward": scatter_conv2d_backward,
     "batch_norm": two_pass_batch_norm,
 }
+
+
+def column_max_relative_time(grid: Grid) -> np.ndarray:
+    """relative_time_channel as a reduction: intervals since arrival,
+    zeroed in columns that arrive past the last row, over each column's
+    maximum (1 where that is 0)."""
+    rows = np.arange(grid.spec.n_rows, dtype=np.int64)[:, None]
+    raw = np.maximum(rows - grid.arrival_rows[None, :], 0).astype(np.float64)
+    raw[:, grid.arrival_rows >= grid.spec.n_rows] = 0.0
+    colmax = raw.max(axis=0)
+    return raw / np.where(colmax > 0, colmax, 1.0)[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def test_criterion_7_breakout_protocol():
 def test_criterion_8_determinism_and_persistence(tmp_path):
     params = SynthParams(
         lambda_thread=1.0 / 300.0, mu_reply=0.05, theta=120.0,
-        horizon=9_000.0, seed=11,
+        horizon=9_000.0, breakout_fraction=0.0, breakout_boost=1.0, seed=11,
     )
     assert synth_generate(params) == synth_generate(params)  # identical datasets
 

@@ -40,17 +40,17 @@ def test_mean_fills_rows_with_global_mean():
     grid = Grid(GridSpec(d=D, t0=0.0, n_rows=2, n_cols=2), counts, np.zeros(2, np.int64))
     mean = train_mean_cell_count(grid, 0, 2)
     assert mean == 2.0
-    out = MeanRowBaseline(mean).predict_next_row(np.zeros((1, 2, 2)))
+    out = MeanRowBaseline(mean).predict_next_row(np.zeros((1, 2, 2)), 2)
     assert out.shape == (2,)
     assert np.all(out == 2.0)
 
 
 def test_persistence_repeats_last_row():
     window = np.array([[[0.0, 2.0], [4.0, 1.0]]])  # COUNTS channel only
-    out = PersistenceRowBaseline().predict_next_row(window)
+    out = PersistenceRowBaseline().predict_next_row(window, 2)
     assert np.array_equal(out, [4.0, 1.0])
 
 
 def test_single_element_history():
     gap = train_mean_gap_intervals(_times(7.0), 2, D)
-    assert MeanGapBaseline(gap).predict_gap(None) == 7.0
+    assert MeanGapBaseline(gap).predict_gap(None, 2) == 7.0

@@ -61,7 +61,7 @@ def test_thread_roundtrip_predictions_bit_identical(ckpt_path):
     model = _scramble(tiny_model("thread", seed=1), seed=10)
     feats = np.random.default_rng(2).uniform(0, 3, size=(3, 6, 4))
     before = model.predict_gap(feats)
-    save_checkpoint(model, ckpt_path)
+    save_checkpoint(model, ckpt_path, {})
     loaded, _ = load_checkpoint(ckpt_path)
     assert loaded.predict_gap(feats) == before
     for pa, pb in zip(model.params(), loaded.params()):
@@ -74,7 +74,7 @@ def test_reply_roundtrip_predictions_bit_identical(ckpt_path):
     model = _scramble(tiny_model("reply", seed=3), seed=11)
     feats = np.random.default_rng(4).uniform(0, 3, size=(3, 6, 4))
     before = predict_plane(model, feats)
-    save_checkpoint(model, ckpt_path)
+    save_checkpoint(model, ckpt_path, {})
     loaded, _ = load_checkpoint(ckpt_path)
     assert np.array_equal(predict_plane(loaded, feats), before)
     assert loaded.config == model.config
@@ -97,22 +97,16 @@ def test_meta_roundtrip(ckpt_path):
     assert got == meta
 
 
-def test_meta_defaults_to_empty_dict(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
-    _, meta = load_checkpoint(ckpt_path)
-    assert meta == {}
-
-
 def test_float64_model_roundtrips_at_full_precision(ckpt_path):
     model = _scramble(tiny_model("reply", seed=7, dtype=np.float64), seed=13)
-    save_checkpoint(model, ckpt_path)
+    save_checkpoint(model, ckpt_path, {})
     loaded, _ = load_checkpoint(ckpt_path)
     assert loaded.dtype == np.float64
     assert all(p.value.dtype == np.float64 for p in loaded.params())
 
 
 def test_rejects_bad_magic(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = ckpt_path.read_bytes()
     ckpt_path.write_bytes(b"NOTACKPT" + raw[8:])
     with pytest.raises(CheckpointError, match="magic"):
@@ -126,7 +120,7 @@ def test_rejects_tiny_file(ckpt_path):
 
 
 def test_rejects_future_version(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = bytearray(ckpt_path.read_bytes())
     struct.pack_into("<I", raw, len(MAGIC), 99)
     ckpt_path.write_bytes(bytes(raw))
@@ -135,7 +129,7 @@ def test_rejects_future_version(ckpt_path):
 
 
 def test_rejects_truncated_payload(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = ckpt_path.read_bytes()
     ckpt_path.write_bytes(raw[:-20])
     with pytest.raises(CheckpointCorruptError, match="payload"):
@@ -143,7 +137,7 @@ def test_rejects_truncated_payload(ckpt_path):
 
 
 def test_rejects_truncated_header(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = ckpt_path.read_bytes()
     ckpt_path.write_bytes(raw[: HDR_OFF + 5])
     with pytest.raises(CheckpointCorruptError, match="header"):
@@ -151,7 +145,7 @@ def test_rejects_truncated_header(ckpt_path):
 
 
 def test_rejects_flipped_payload_byte(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = bytearray(ckpt_path.read_bytes())
     raw[-1] ^= 0xFF
     ckpt_path.write_bytes(bytes(raw))
@@ -161,7 +155,7 @@ def test_rejects_flipped_payload_byte(ckpt_path):
 
 def test_rejects_shape_mismatch_naming_parameter(ckpt_path):
     model = tiny_model("thread")
-    save_checkpoint(model, ckpt_path)
+    save_checkpoint(model, ckpt_path, {})
 
     def flatten_first(header):
         """Same element count, so the arrays still tile the payload."""
@@ -177,7 +171,7 @@ def test_rejects_shape_mismatch_naming_parameter(ckpt_path):
 
 
 def test_rejects_unknown_array_name(ckpt_path):
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
 
     def rename(header):
         header["arrays"][0]["name"] = "mystery.weight"
@@ -190,7 +184,7 @@ def test_rejects_unknown_array_name(ckpt_path):
 def test_rejects_missing_arrays(ckpt_path):
     """Drop the last manifest entry and its payload bytes; the arrays
     tile and the CRC matches, so the loader must notice the array is gone."""
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = Path(ckpt_path).read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, HLEN_OFF)
     header = json.loads(raw[HDR_OFF : HDR_OFF + hlen])
@@ -224,14 +218,14 @@ def _drop_last_entry(header):
 def test_manifest_that_does_not_tile_the_payload_is_corrupt(ckpt_path, edit, message):
     """The payload stays as written and the CRC is recomputed, so only the
     manifest walk can tell that the arrays no longer tile the payload."""
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     _mutate_header(ckpt_path, edit)
     with pytest.raises(CheckpointCorruptError, match=message):
         load_checkpoint(ckpt_path)
 
 
 def test_rejects_a_model_header_without_loss_mode(ckpt_path):
-    save_checkpoint(tiny_model("reply"), ckpt_path)
+    save_checkpoint(tiny_model("reply"), ckpt_path, {})
 
     def drop(header):
         del header["model"]["loss_mode"]
@@ -254,7 +248,7 @@ def test_rejects_a_dtype_it_never_writes(ckpt_path, dtype):
     raises SyntaxError on the first two and would read byte-swapped or
     structured arrays from the others; the loader accepts only "<f4" and
     "<f8"."""
-    save_checkpoint(tiny_model("thread"), ckpt_path)
+    save_checkpoint(tiny_model("thread"), ckpt_path, {})
     raw = ckpt_path.read_bytes()
     ckpt_path.write_bytes(_sealed(raw.replace(b'"<f4"', f'"{dtype}"'.encode(), 1)))
     with pytest.raises(CheckpointFormatError, match="dtype"):

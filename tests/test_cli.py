@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import write_zero_column_grid
 
 from gridcast import cli
 from gridcast.cli import build_parser, main
@@ -286,6 +287,30 @@ def test_corrupt_checkpoint_is_runtime_error(capsys, tmp_path, workdir):
     ]
     payload = _fail(capsys, argv, 1)
     assert "magic" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [["grid", "--out", "g.bin"],
+                                  ["sweep-d", "--d-values", "300", "--out", "s.csv"]])
+def test_events_before_t0_are_reported_as_such(capsys, workdir, tmp_path, monkeypatch, argv):
+    """Every event of the log precedes --t0: the error names the cascade."""
+    monkeypatch.chdir(tmp_path)
+    payload = _fail(capsys, [*argv, "--in", str(workdir["events"]), "--t0", "100000"], 1)
+    assert payload["error"] == "GridError"
+    assert payload["message"].startswith("event before t0 in cascade 't000000': ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["thread", "reply"])
+def test_predict_rejects_a_grid_file_without_columns(capsys, workdir, tmp_path, kind):
+    grid_file = tmp_path / "empty.bin"
+    write_zero_column_grid(grid_file)
+    out = tmp_path / "p.csv"
+    argv = ["predict", "--checkpoint", str(workdir[kind]), "--grid", str(grid_file),
+            "--out", str(out)]
+    payload = _fail(capsys, argv, 1)
+    assert payload["error"] == "GridFileError"
+    assert "empty.bin: malformed grid" in payload["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

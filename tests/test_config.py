@@ -51,34 +51,34 @@ def test_model_config_rejects_unknown_names(field, value, fragment):
 
 
 def test_overrides_apply_and_none_is_skipped():
-    s = load_settings(None, {"d": 120.0, "epochs": None})
+    s = load_settings(None, {"d": 120.0, "epochs": None}, RunSettings())
     assert s.d == 120.0
     assert s.epochs == RunSettings().epochs
 
 
 def test_unknown_override_key_is_rejected():
     with pytest.raises(ConfigError, match="unknown setting 'dd'"):
-        load_settings(None, {"dd": 1.0})
+        load_settings(None, {"dd": 1.0}, RunSettings())
 
 
 def test_config_file_must_hold_a_json_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON object"):
-        load_settings(str(path))
+        load_settings(str(path), {}, RunSettings())
 
 
 def test_config_file_syntax_error_is_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="parse failure"):
-        load_settings(str(path))
+        load_settings(str(path), {}, RunSettings())
 
 
 def test_file_then_override_layering(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"d": 60.0, "epochs": 3}), encoding="utf-8")
-    s = load_settings(str(path), {"epochs": 9})
+    s = load_settings(str(path), {"epochs": 9}, RunSettings())
     assert (s.d, s.epochs) == (60.0, 9)
 
 
@@ -115,7 +115,7 @@ def test_search_lists_are_checked_with_the_settings(key, value):
     with pytest.raises(ValueError, match=f"{key}: expected comma-separated integers"):
         RunSettings(**{key: value})
     with pytest.raises(ConfigError, match=key):
-        load_settings(None, {key: value})
+        load_settings(None, {key: value}, RunSettings())
 
 
 @pytest.mark.parametrize(
@@ -133,13 +133,13 @@ def test_config_file_value_of_wrong_type_is_rejected(tmp_path, values, key):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(values), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"'{key}' must be"):
-        load_settings(str(path))
+        load_settings(str(path), {}, RunSettings())
 
 
 def test_config_file_int_stands_for_float(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"d": 300}), encoding="utf-8")
-    assert load_settings(str(path)).d == 300.0
+    assert load_settings(str(path), {}, RunSettings()).d == 300.0
 
 
 @pytest.mark.parametrize(
@@ -156,7 +156,7 @@ def test_config_file_int_stands_for_float(tmp_path):
 )
 def test_out_of_range_setting_is_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
-        load_settings(None, {key: value})
+        load_settings(None, {key: value}, RunSettings())
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RunSettings) if isinstance(f.default, float)]
@@ -168,7 +168,7 @@ def test_non_finite_float_setting_is_rejected_at_construction(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be finite"):
         RunSettings(**{key: value})
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        load_settings(None, {key: value})
+        load_settings(None, {key: value}, RunSettings())
 
 
 def test_non_finite_config_file_value_is_rejected(tmp_path):
@@ -176,4 +176,4 @@ def test_non_finite_config_file_value_is_rejected(tmp_path):
     path = tmp_path / "s.json"
     path.write_text('{"horizon": Infinity, "d": 300}', encoding="utf-8")
     with pytest.raises(ConfigError, match="horizon must be finite, got inf"):
-        load_settings(str(path))
+        load_settings(str(path), {}, RunSettings())

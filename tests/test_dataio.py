@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import cascade, stream_strategy
+from conftest import cascade, stream_strategy, write_zero_column_grid
 from hypothesis import given, settings
 
 from gridcast.dataio import (
@@ -217,6 +217,13 @@ def test_grid_file_truncation_and_corruption(tmp_path):
     raw[-1] ^= 0x01
     path.write_bytes(bytes(raw))
     with pytest.raises(GridFileError, match="CRC"):
+        load_grid(path)
+
+
+def test_grid_file_without_columns_is_rejected(tmp_path):
+    path = tmp_path / "empty.bin"
+    write_zero_column_grid(path)
+    with pytest.raises(GridFileError, match=r"empty\.bin: malformed grid: .*bad grid shape 3x0"):
         load_grid(path)
 
 

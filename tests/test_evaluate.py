@@ -23,7 +23,7 @@ from gridcast.evaluate import (
     train_mean_gap_intervals,
 )
 from gridcast.experiments import INTERVAL_SWEEP_SETTINGS, sweep_interval_length
-from gridcast.grid import EventStream, GridError, ThreadCascade, build_grid
+from gridcast.grid import EventStream, GridError, ThreadCascade, build_grid, gap_columns
 from gridcast.models import build_model
 from gridcast.synth import SynthParams, synth_generate
 
@@ -46,10 +46,10 @@ def lattice():
 def test_report_validation():
     with pytest.raises(ValueError):
         EvalReport(task=EvalTask.REPLY_COUNT, mae=2.0, rmse=1.0, unit="count",
-                   n=3, stddev=0.0)
+                   n=3, stddev=0.0, label="")
     with pytest.raises(ValueError):
         EvalReport(task=EvalTask.REPLY_COUNT, mae=1.0, rmse=1.0, unit="count",
-                   n=0, stddev=0.0)
+                   n=0, stddev=0.0, label="")
 
 
 def test_config_digest_is_stable_and_order_free():
@@ -66,17 +66,19 @@ def test_config_digest_is_stable_and_order_free():
 def test_thread_arrival_true_gaps_score_exact_zero(lattice):
     stream, grid = lattice
     tt = stream.thread_times
-    report = evaluate_thread_arrival(TrueGapStub(tt, D), grid, tt)
+    report = evaluate_thread_arrival(TrueGapStub(tt, D), grid, tt, gap_columns(grid, 0))
     assert report.mae == 0.0 and report.rmse == 0.0
     assert report.n == 5 and report.unit == "hours"
-    sim = evaluate_thread_arrival(TrueGapStub(tt, D), grid, tt, mode="simulate")
+    sim = evaluate_thread_arrival(TrueGapStub(tt, D), grid, tt, gap_columns(grid, 0),
+                                  mode="simulate")
     assert sim.mae == 0.0  # integer gaps survive lattice quantisation
 
 
 def test_thread_arrival_plus_one_gap_is_exactly_d(lattice):
     stream, grid = lattice
     tt = stream.thread_times
-    report = evaluate_thread_arrival(TrueGapStub(tt, D, offset=1.0), grid, tt)
+    report = evaluate_thread_arrival(TrueGapStub(tt, D, offset=1.0), grid, tt,
+                                     gap_columns(grid, 0))
     assert report.mae == D / HOUR
     assert report.rmse == D / HOUR
     assert report.stddev == 0.0
@@ -87,7 +89,7 @@ def test_thread_arrival_mean_baseline_hand_value(lattice):
     tt = stream.thread_times
     g = train_mean_gap_intervals(tt, 6, D)
     assert g == 2.4  # gaps 2,3,1,2,4 intervals
-    report = evaluate_thread_arrival(MeanGapBaseline(g), grid, tt)
+    report = evaluate_thread_arrival(MeanGapBaseline(g), grid, tt, gap_columns(grid, 0))
     # |720 - gap_s| for gaps 600,900,300,600,1200 -> mean 264 s
     assert report.mae == pytest.approx(264.0 / HOUR)
 
@@ -96,7 +98,8 @@ def test_thread_arrival_persistence_baseline_hand_value():
     stream = lattice_stream([2, 3], d=D)
     grid = build_grid(stream, d=D, t0=0.0, n_rows=6)
     tt = stream.thread_times
-    report = evaluate_thread_arrival(PersistenceGapBaseline(tt, D), grid, tt)
+    report = evaluate_thread_arrival(PersistenceGapBaseline(tt, D), grid, tt,
+                                     gap_columns(grid, 0))
     # first gap predicted 0 (no history): error 600; second repeats 2
     # intervals against a true 3: error 300
     assert report.mae == pytest.approx(450.0 / HOUR)
@@ -107,7 +110,7 @@ def test_thread_arrival_validation(lattice):
     tt = stream.thread_times
     stub = TrueGapStub(tt, D)
     with pytest.raises(ValueError):
-        evaluate_thread_arrival(stub, grid, tt[:-1])
+        evaluate_thread_arrival(stub, grid, tt[:-1], gap_columns(grid, 0))
     with pytest.raises(ValueError):
         evaluate_thread_arrival(stub, grid, tt, indices=[])
     with pytest.raises(IndexError):
@@ -122,14 +125,14 @@ def test_thread_arrival_validation(lattice):
 
 def test_reply_counts_true_rows_score_exact_zero(small_grid):
     report = evaluate_reply_counts(TrueRowStub(small_grid), small_grid,
-                                   n_intervals=3)
+                                   n_intervals=3, start_row=2)
     assert report.mae == 0.0 and report.rmse == 0.0
     assert report.unit == "count"
 
 
 def test_reply_counts_offset_two_scores_exactly_two(small_grid):
     report = evaluate_reply_counts(TrueRowStub(small_grid, offset=2.0),
-                                   small_grid, n_intervals=3)
+                                   small_grid, n_intervals=3, start_row=2)
     assert report.mae == 2.0
     assert report.stddev == 0.0
 
@@ -153,11 +156,11 @@ def test_reply_counts_persistence_baseline_hand_value(small_grid):
 def test_reply_counts_validation(small_grid):
     stub = ConstRowStub(0.0)
     with pytest.raises(ValueError):
-        evaluate_reply_counts(stub, small_grid, n_intervals=0)
+        evaluate_reply_counts(stub, small_grid, n_intervals=0, start_row=1)
     with pytest.raises(ValueError):
         evaluate_reply_counts(stub, small_grid, n_intervals=2, start_row=0)
     with pytest.raises(ValueError):
-        evaluate_reply_counts(stub, small_grid, n_intervals=9)
+        evaluate_reply_counts(stub, small_grid, n_intervals=9, start_row=1)
 
 
 def test_train_mean_cell_count_hand_value(small_grid):
@@ -240,7 +243,7 @@ def test_adaptive_bounds_the_roll_to_the_last_checkpoint(unit_lattice):
     tt = stream.thread_times
     with pytest.raises(GridError, match="rows rolled, more than the"):
         evaluate_adaptive(ConstGapStub(1e12), ConstRowStub(0.0), grid, tt,
-                          n_threads=1, checkpoints=(2,))
+                          n_threads=1, n_start_points=20, seed=0, checkpoints=(2,))
 
 
 def test_adaptive_insufficient_data(small_grid, small_stream):
@@ -248,7 +251,7 @@ def test_adaptive_insufficient_data(small_grid, small_stream):
     with pytest.raises(ValueError, match="insufficient"):
         evaluate_adaptive(
             TrueGapStub(tt, 60.0), TrueRowStub(small_grid), small_grid, tt,
-            n_threads=6,
+            n_threads=6, n_start_points=20, seed=0,
         )
 
 
@@ -257,10 +260,10 @@ def test_adaptive_validation(unit_lattice):
     tt = stream.thread_times
     with pytest.raises(ValueError):
         evaluate_adaptive(TrueGapStub(tt, D), TrueRowStub(grid), grid,
-                          tt[:-1], n_threads=2)
+                          tt[:-1], n_threads=2, n_start_points=20, seed=0)
     with pytest.raises(ValueError):
         evaluate_adaptive(TrueGapStub(tt, D), TrueRowStub(grid), grid, tt,
-                          n_threads=0)
+                          n_threads=0, n_start_points=20, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +273,7 @@ def test_adaptive_validation(unit_lattice):
 def _sweep_stream():
     return synth_generate(SynthParams(
         lambda_thread=1 / 300.0, mu_reply=0.05, theta=300.0,
-        horizon=9000.0, seed=5,
+        horizon=9000.0, breakout_fraction=0.0, breakout_boost=1.0, seed=5,
     ))
 
 

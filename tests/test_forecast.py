@@ -362,11 +362,11 @@ def test_build_breakout_state_trims_rows_and_columns(small_grid):
 
 def test_build_breakout_state_validation(small_grid):
     with pytest.raises(GridError):
-        build_breakout_state(small_grid, column=9, class_row=2)
+        build_breakout_state(small_grid, column=9, class_row=2, context_cols=16)
     with pytest.raises(GridError):
-        build_breakout_state(small_grid, column=0, class_row=0)
+        build_breakout_state(small_grid, column=0, class_row=0, context_cols=16)
     with pytest.raises(GridError):
-        build_breakout_state(small_grid, column=0, class_row=6)
+        build_breakout_state(small_grid, column=0, class_row=6, context_cols=16)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ def _curve_fixture():
 
 def test_breakout_curve_hand_rates_prefix_only():
     stream, grid = _curve_fixture()
-    pts = breakout_curve(stream, grid, None, [60.0, 120.0], horizon_intervals=0)
+    pts = breakout_curve(stream, grid, None, [60.0, 120.0], horizon_intervals=0, context_cols=16)
     # one interval in: c's prefix is 8 <= 26/3 -> missed breakout (2/3 right)
     # two intervals in: c's prefix is 9 > 26/3 -> all three verdicts right
     assert [p.start_duration for p in pts] == [60.0, 120.0]
@@ -412,22 +412,22 @@ def test_breakout_curve_with_perfect_rows_is_exact():
     # horizon 2 with one observed interval leaves one predicted row; true
     # rows push c to its real total of 9 > 26/3, fixing the s=60 miss
     pts = breakout_curve(stream, grid, TrueRowStub(grid), [60.0],
-                         horizon_intervals=2)
+                         horizon_intervals=2, context_cols=16)
     assert pts[0].correct_rate == 1.0
 
 
 def test_breakout_curve_clamps_late_arrivals():
     stream, grid = _curve_fixture()
-    pts = breakout_curve(stream, grid, None, [600.0], horizon_intervals=0)
+    pts = breakout_curve(stream, grid, None, [600.0], horizon_intervals=0, context_cols=16)
     assert pts[0].correct_rate == 1.0  # full columns observed everywhere
 
 
 def test_breakout_curve_validation():
     stream, grid = _curve_fixture()
     with pytest.raises(GridError, match="multiple"):
-        breakout_curve(stream, grid, None, [90.0], horizon_intervals=0)
+        breakout_curve(stream, grid, None, [90.0], horizon_intervals=0, context_cols=16)
     with pytest.raises(GridError, match="multiple"):
-        breakout_curve(stream, grid, None, [0.0], horizon_intervals=0)
+        breakout_curve(stream, grid, None, [0.0], horizon_intervals=0, context_cols=16)
     short = EventStream.from_cascades([cascade("a", 0.0)])
     with pytest.raises(GridError, match="disagree"):
-        breakout_curve(short, grid, None, [60.0], horizon_intervals=0)
+        breakout_curve(short, grid, None, [60.0], horizon_intervals=0, context_cols=16)

@@ -21,7 +21,6 @@ from gridcast.grid import (
     frontier_segments,
     gap_columns,
     interval_index,
-    pad_top_left,
     relative_time_channel,
     rows_covering,
     slice_segments,
@@ -29,7 +28,7 @@ from gridcast.grid import (
     window_at,
 )
 
-from conftest import brute_force_counts, cascade, stream_strategy
+from conftest import brute_force_counts, cascade, column_max_relative_time, stream_strategy
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +166,12 @@ def test_rows_covering_rejects_an_empty_stream():
         rows_covering(EventStream.from_cascades([]), 60.0, 0.0)
 
 
+@pytest.mark.parametrize("t0", [30.0, 1000.0])  # some events before t0, then all
+def test_rows_covering_rejects_events_before_t0(small_stream, t0):
+    with pytest.raises(GridError, match=f"event before t0 in cascade 'a': 0.0 < {t0}"):
+        rows_covering(small_stream, 60.0, t0)
+
+
 def test_rows_covering_is_tight(small_stream):
     n = rows_covering(small_stream, 60.0, 0.0)
     g = build_grid(small_stream, 60.0, 0.0, n)
@@ -198,11 +203,12 @@ def test_gap_columns_need_a_successor_and_an_arrival_in_the_rows():
     g = build_grid(s, d=60.0, t0=0.0, n_rows=3)
     assert g.arrival_rows.tolist() == [0, 1, 3, 3]
     # c arrives beyond the last row; d, the last column, has no successor
-    assert gap_columns(g) == [0, 1]
+    assert gap_columns(g, 0) == [0, 1]
     assert gap_columns(g, 1) == [1]
     assert gap_columns(g, 0, 1) == [0]
     assert gap_columns(g, -2, 10) == [0, 1]
-    assert slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP).anchors[:, 1].tolist() == [0, 1]
+    assert slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP,
+                          (0, g.spec.n_cols)).anchors[:, 1].tolist() == [0, 1]
 
 
 @given(stream_strategy(), st.sampled_from([30.0, 60.0, 150.0]), st.integers(1, 30))
@@ -313,6 +319,18 @@ def test_reltime_bounded_monotone_zero_on_mask(stream, n_rows):
     assert np.all(np.diff(r, axis=0) >= -1e-15)
 
 
+@given(st.integers(1, 60), st.lists(st.integers(0, 70), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_reltime_closed_form_equals_the_column_max_oracle(n_rows, arrivals):
+    """Bit for bit, columns arriving past the last row included."""
+    n_cols = len(arrivals)
+    g = Grid(GridSpec(1.0, 0.0, n_rows, n_cols), np.zeros((n_rows, n_cols), dtype=np.int64),
+             np.array(arrivals, dtype=np.int64))
+    got, want = relative_time_channel(g), column_max_relative_time(g)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # feature assembly
 
@@ -349,19 +367,23 @@ def test_channel_order_canonicalised(small_grid):
 # padding and windows
 
 
+# window_at pads only where the window overhangs the top or left edge
+
+
 def test_pad_noop():
     m = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(pad_top_left(m, 0, 0), m)
+    out = window_at(m, 1, 2, 2, 3)
+    assert np.array_equal(out, m) and out is not m
 
 
 def test_pad_single_cell():
-    assert pad_top_left(np.array([[1.0]]), 1, 1).tolist() == [[0, 0], [0, 1]]
+    assert window_at(np.array([[1.0]]), 0, 0, 2, 2).tolist() == [[0, 0], [0, 1]]
 
 
 def test_pad_positional_oracle():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(4, 5))
-    out = pad_top_left(m, 2, 3)
+    out = window_at(m, 3, 4, 6, 8)
     assert out.shape == (6, 8)
     assert np.array_equal(out[2:, 3:], m)
     assert np.count_nonzero(out) == np.count_nonzero(m)
@@ -372,15 +394,12 @@ def test_pad_positional_oracle():
 )
 @settings(max_examples=30, deadline=None)
 def test_pad_composes(a, b, c, e):
+    """A window of a padded window is the window padded once by the sum."""
     m = np.arange(12.0).reshape(3, 4)
-    once = pad_top_left(m, a + c, b + e)
-    twice = pad_top_left(pad_top_left(m, a, b), c, e)
+    once = window_at(m, 2, 3, 3 + a + c, 4 + b + e)
+    inner = window_at(m, 2, 3, 3 + a, 4 + b)
+    twice = window_at(inner, 2 + a, 3 + b, 3 + a + c, 4 + b + e)
     assert np.array_equal(once, twice)
-
-
-def test_pad_rejects_negative():
-    with pytest.raises(GridError):
-        pad_top_left(np.ones((2, 2)), -1, 0)
 
 
 def test_window_at_interior_and_overhang():
@@ -402,6 +421,7 @@ def _tensor(grid):
 
 
 def _gaps(g, col_range=None):
+    col_range = col_range or (0, g.spec.n_cols)
     return slice_segments(_tensor(g), g, 1, 1, TargetKind.THREAD_GAP, col_range).target.tolist()
 
 
@@ -437,7 +457,7 @@ def test_zeros_gap_out_of_range(small_grid):
 @settings(max_examples=40, deadline=None)
 def test_zeros_gap_telescopes(stream, n_rows):
     g = build_grid(stream, 60.0, 0.0, n_rows)
-    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)
+    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP, (0, g.spec.n_cols))
     arr = g.arrival_rows
     if not len(segs):
         return
@@ -457,8 +477,8 @@ def test_segment_rows_are_the_windows_at_their_anchors(stream, n_rows, hw):
     g = build_grid(stream, 60.0, 0.0, n_rows)
     tensor = _tensor(g)
     h, w = hw
-    gaps = slice_segments(tensor, g, h, w, TargetKind.THREAD_GAP)
-    rows = frontier_segments(tensor, g, h, w)
+    gaps = slice_segments(tensor, g, h, w, TargetKind.THREAD_GAP, (0, g.spec.n_cols))
+    rows = frontier_segments(tensor, g, h, w, (0, g.spec.n_rows))
     assert gaps.kind is TargetKind.THREAD_GAP and rows.kind is TargetKind.NEXT_ROW
     live = 1.0 - g.mask
     for segs in (gaps, rows):
@@ -478,8 +498,9 @@ def test_segment_rows_are_the_windows_at_their_anchors(stream, n_rows, hw):
 
 def test_segments_index_to_the_sub_batch(small_grid):
     for segs in (
-        slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.THREAD_GAP),
-        frontier_segments(_tensor(small_grid), small_grid, 3, 2),
+        slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.THREAD_GAP,
+                       (0, small_grid.spec.n_cols)),
+        frontier_segments(_tensor(small_grid), small_grid, 3, 2, (0, small_grid.spec.n_rows)),
     ):
         tail = segs[-1:]
         assert len(tail) == 1 and tail.kind is segs.kind
@@ -492,7 +513,7 @@ def test_segments_index_to_the_sub_batch(small_grid):
 def test_next_row_on_single_row_grid_is_empty():
     s = EventStream((cascade("a", 0.0),))
     g = build_grid(s, d=60.0, t0=0.0, n_rows=1)
-    segs = frontier_segments(_tensor(g), g, 2, 2)
+    segs = frontier_segments(_tensor(g), g, 2, 2, (0, g.spec.n_rows))
     assert len(segs) == 0
     assert segs.features.shape == (0, 3, 2, 2) and segs.anchors.shape == (0, 2)
     assert segs.target.shape == segs.target_weight.shape == (0, 2, 2)
@@ -500,19 +521,20 @@ def test_next_row_on_single_row_grid_is_empty():
 
 def test_thread_gap_with_one_column_is_empty():
     g = build_grid(EventStream((cascade("a", 0.0),)), d=60.0, t0=0.0, n_rows=3)
-    segs = slice_segments(_tensor(g), g, 4, 2, TargetKind.THREAD_GAP)
+    segs = slice_segments(_tensor(g), g, 4, 2, TargetKind.THREAD_GAP, (0, g.spec.n_cols))
     assert segs.features.shape == (0, 3, 4, 2) and segs.target.shape == (0,)
 
 
 def test_slice_segments_sends_next_row_to_frontier_segments(small_grid):
     with pytest.raises(GridError, match="frontier_segments"):
-        slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.NEXT_ROW)
+        slice_segments(_tensor(small_grid), small_grid, 3, 2, TargetKind.NEXT_ROW,
+                       (0, small_grid.spec.n_cols))
 
 
 def test_thread_gap_two_columns_single_segment():
     s = EventStream.from_cascades([cascade("a", 10.0), cascade("b", 130.0)])
     g = build_grid(s, d=60.0, t0=0.0, n_rows=3)
-    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)
+    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP, (0, g.spec.n_cols))
     assert len(segs) == 1
     assert segs.target.tolist() == [2.0]
     assert segs.anchors.tolist() == [[int(g.arrival_rows[0]), 0]]
@@ -527,7 +549,7 @@ def _below(anchor, r, c, h, w):
 
 def test_next_row_targets_reconstruct_counts(small_grid):
     for w in (small_grid.spec.n_cols, 2):
-        segs = frontier_segments(_tensor(small_grid), small_grid, 3, w)
+        segs = frontier_segments(_tensor(small_grid), small_grid, 3, w, (0, small_grid.spec.n_rows))
         assert len(segs)
         for anchor, target in zip(segs.anchors, segs.target):
             for r in range(3):
@@ -538,7 +560,7 @@ def test_next_row_targets_reconstruct_counts(small_grid):
 
 
 def test_next_row_window_shape_and_exclusion(small_grid):
-    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2, (0, small_grid.spec.n_rows))
     assert segs.features.shape[1:] == (3, 3, 2)
     for (i, j), feats in zip(segs.anchors, segs.features):
         # window bottom row is grid row i; the target row i+1 is excluded
@@ -548,7 +570,7 @@ def test_next_row_window_shape_and_exclusion(small_grid):
 
 
 def test_next_row_weights_follow_mask(small_grid):
-    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 3)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 3, (0, small_grid.spec.n_rows))
     for anchor, weight in zip(segs.anchors, segs.target_weight):
         for r in range(3):
             for c in range(3):
@@ -562,17 +584,18 @@ def test_thread_gap_skips_unmaterialised_anchor():
         [cascade("a", 0.0), cascade("b", 60.0), cascade("c", 600.0)]
     )
     g = build_grid(s, d=60.0, t0=0.0, n_rows=3)  # c arrives at row 10, beyond
-    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP)
+    segs = slice_segments(_tensor(g), g, 2, 2, TargetKind.THREAD_GAP, (0, g.spec.n_cols))
     assert segs.anchors[:, 1].tolist() == [0, 1]
 
 
 def test_slice_rejects_bad_dims(small_grid):
     with pytest.raises(GridError):
-        slice_segments(_tensor(small_grid), small_grid, 0, 2, TargetKind.THREAD_GAP)
+        slice_segments(_tensor(small_grid), small_grid, 0, 2, TargetKind.THREAD_GAP,
+                       (0, small_grid.spec.n_cols))
 
 
 def test_window_padding_covers_oversized_request(small_grid):
-    segs = frontier_segments(_tensor(small_grid), small_grid, 50, 50)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 50, 50, (0, small_grid.spec.n_rows))
     assert segs.features[0].shape == (3, 50, 50)
 
 
@@ -581,7 +604,7 @@ def test_window_padding_covers_oversized_request(small_grid):
 
 
 def test_frontier_anchor_tracks_newest_arrival(small_grid):
-    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2, (0, small_grid.spec.n_rows))
     arr = small_grid.arrival_rows
     for i, j in segs.anchors:
         assert arr[j] <= i
@@ -589,14 +612,14 @@ def test_frontier_anchor_tracks_newest_arrival(small_grid):
 
 
 def test_frontier_corner_is_always_live(small_grid):
-    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, 2, (0, small_grid.spec.n_rows))
     assert len(segs), "expected at least one frontier segment"
     assert (segs.target_weight[:, -1, -1] == 1.0).all()
 
 
 def test_frontier_targets_match_counts(small_grid):
     w = 2
-    segs = frontier_segments(_tensor(small_grid), small_grid, 3, w)
+    segs = frontier_segments(_tensor(small_grid), small_grid, 3, w, (0, small_grid.spec.n_rows))
     for (i, j), target, feats in zip(segs.anchors, segs.target, segs.features):
         cols = np.arange(max(0, j - w + 1), j + 1)
         want = np.zeros(w)
@@ -610,7 +633,7 @@ def test_frontier_targets_match_counts(small_grid):
 def test_frontier_skips_rows_before_first_arrival():
     s = EventStream.from_cascades([cascade("a", 200.0), cascade("b", 260.0)])
     g = build_grid(s, d=60.0, t0=0.0, n_rows=6)
-    segs = frontier_segments(_tensor(g), g, 2, 2)
+    segs = frontier_segments(_tensor(g), g, 2, 2, (0, g.spec.n_rows))
     assert segs.anchors[:, 0].min() == int(g.arrival_rows[0])
 
 

@@ -2,10 +2,11 @@
 settings: the library takes plain arguments, and only the recipes and the
 command line read RunSettings. Which module knows the byte layout of
 grid files and checkpoints: only container.py imports zlib or struct.
-Which options the nn stack keeps: a parameter or dataclass field with a
-default stays only if a caller outside the tests leaves it out. And the
-benchmark's workloads call only names and keyword arguments that the
-package still has."""
+Which options the package keeps: a parameter or dataclass field with a
+default stays only if a caller outside the tests (the package itself or
+any file under perfbench/) leaves it out. And the benchmark calls only
+names and keyword arguments that the package still has, and leaves out
+only parameters that still have a default."""
 import ast
 import importlib
 import inspect
@@ -85,11 +86,10 @@ def test_the_byte_check_sees_every_import_form():
 
 
 # ---------------------------------------------------------------------------
-# the nn stack's options
+# the package's options
 
 # The options (parameters and dataclass fields with a default) that the
-# nn stack keeps. An option that only tests pass does not belong here.
-STACK_MODULES = ("nn", "tcn", "models")
+# package keeps. An option that only tests leave out does not belong here.
 ALLOWED_OPTIONS = {
     # perfbench calls these without the argument, or builds the configs from their defaults
     "nn.conv2d_causal_dilated(bias)",
@@ -101,10 +101,20 @@ ALLOWED_OPTIONS = {
     "models.build_model(dtype)",
     "models.ThreadArrivalModel.predict_gap(col_index)",
     "models.ReplyCountModel.predict_next_row(row_index)",
-    *(f"models.ModelConfig.{name}"
-      for name in ("channels", "window", "n_filters", "k_h", "k_w", "n_blocks", "loss_mode")),
+    "models.ModelConfig.channels",
+    "models.ModelConfig.loss_mode",
     *(f"models.TrainConfig.{name}"
       for name in ("lr", "weight_decay", "epochs", "batch_size", "seed")),
+    "grid.ThreadCascade.reply_times",
+    "grid.Grid.dropped_events",
+    "grid.assemble_features(channels)",
+    "grid.gap_columns(hi)",
+    "forecast.ForecastState.from_grid(thread_times)",
+    "forecast.breakout_classify(cascade_id)",
+    "forecast.breakout_classify(start_duration)",
+    "evaluate.evaluate_thread_arrival(mode)",
+    "evaluate.evaluate_adaptive(checkpoints)",
+    "evaluate.evaluate_adaptive(n_intervals)",
     # the package's own calls leave these out
     "nn.Parameter.step_count",
     "nn.Parameter.name",
@@ -112,6 +122,21 @@ ALLOWED_OPTIONS = {
     "nn.Parameter.of(name)",
     "nn.Parameter.of(decay)",
     "nn.mse_loss(weight)",
+    "grid.Grid.crop(cols)",
+    "evaluate._report(label)",
+    "evaluate._report(stddev)",
+    "cli._settings(base)",
+    "cli.build_parser.sub(parent)",
+    "cli.main(argv)",
+    # the command line's defaults: each field is a flag that a command may leave out
+    *(f"config.RunSettings.{name}" for name in (
+        "d", "t0", "rows", "channels", "window_h", "window_w", "n_filters", "kernel_size",
+        "filter_shape", "n_blocks", "loss_mode", "lr", "weight_decay", "epochs", "batch_size",
+        "seed", "train_frac", "lambda_thread", "mu_reply", "theta", "horizon",
+        "breakout_fraction", "breakout_boost", "n_threads", "n_intervals", "n_start_points",
+        "span_seconds", "context_cols", "horizon_intervals", "search_filters",
+        "search_kernels", "search_blocks", "budget_epochs",
+    )),
 }
 
 
@@ -146,15 +171,14 @@ def _options(node: ast.AST, prefix: str) -> list[str]:
     return out
 
 
-def test_the_nn_stack_keeps_only_the_options_its_callers_use():
-    root = Path(gridcast.__file__).parent
+def test_the_package_keeps_only_the_options_its_callers_use():
+    sources = sorted(Path(gridcast.__file__).parent.glob("*.py"))
+    assert len(sources) >= 13
     options = [
-        opt
-        for module in STACK_MODULES
-        for opt in _options(ast.parse((root / f"{module}.py").read_text(encoding="utf-8")), module)
+        opt for p in sources for opt in _options(ast.parse(p.read_text(encoding="utf-8")), p.stem)
     ]
     assert sorted(set(options) - ALLOWED_OPTIONS) == [], "options outside the budget"
-    assert len(options) <= len(ALLOWED_OPTIONS) == 27
+    assert len(options) <= len(ALLOWED_OPTIONS) == 71
 
 
 def test_the_option_count_sees_every_form():
@@ -182,29 +206,30 @@ class Plain:
 # ---------------------------------------------------------------------------
 # the names the benchmark calls
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _package_references(tree: ast.Module):
-    """(dotted name, keyword names or None) for every gridcast.<module>.<name>...
-    chain in tree reached through `from gridcast import <module>`, with the
-    keywords of each call made on it."""
+    """(dotted name, call or None) for every gridcast.<module>.<name>...
+    chain in tree reached through `from gridcast import <module>`, with
+    the ast.Call made on it, if any. Chains through a dunder attribute
+    (such as a traced function's __wrapped__) are skipped."""
     modules = {
         alias.asname or alias.name: alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "gridcast"
         for alias in node.names
     }
-    called = {id(node.func): [k.arg for k in node.keywords if k.arg]
-              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     refs = []
     for node in ast.walk(tree):
         chain, base = [], node
         while isinstance(base, ast.Attribute):
             chain.insert(0, base.attr)
             base = base.value
-        if chain and isinstance(base, ast.Name) and base.id in modules:
-            refs.append((".".join([modules[base.id], *chain]), called.get(id(node))))
+        if (chain and isinstance(base, ast.Name) and base.id in modules
+                and not any(name.startswith("__") for name in chain)):
+            refs.append((".".join([modules[base.id], *chain]), calls.get(id(node))))
     return refs
 
 
@@ -216,18 +241,38 @@ def _resolve(dotted: str):
     return obj
 
 
+def _unbound(obj, call: ast.Call) -> str | None:
+    """Why the call's arguments do not bind to obj's signature (an unknown
+    keyword, too many positionals, or a parameter without a default that
+    the call leaves out), or None if they do. A call that unpacks *args
+    or **kwargs is not checked."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return None
+    try:
+        inspect.signature(obj).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
 def test_every_name_the_benchmark_calls_resolves():
-    refs = _package_references(ast.parse(WORKLOADS.read_text(encoding="utf-8")))
-    assert len(refs) >= 30  # the walk sees the workloads' calls
-    for dotted, keywords in refs:
-        try:
-            obj = _resolve(dotted)
-        except AttributeError:
-            raise AssertionError(f"perfbench/workloads.py uses {dotted}, which is gone") from None
-        if keywords:
-            params = inspect.signature(obj).parameters
-            missing = [k for k in keywords if k not in params]
-            assert not missing, f"perfbench/workloads.py passes {missing} to {dotted}"
+    sources = sorted(PERFBENCH.rglob("*.py"))
+    assert {p.name for p in sources} >= {"workloads.py", "test_tracing.py"}
+    n_calls = 0
+    for path in sources:
+        where = path.relative_to(PERFBENCH.parent)
+        for dotted, call in _package_references(ast.parse(path.read_text(encoding="utf-8"))):
+            try:
+                obj = _resolve(dotted)
+            except AttributeError:
+                raise AssertionError(f"{where} uses {dotted}, which is gone") from None
+            if call is not None:
+                n_calls += 1
+                problem = _unbound(obj, call)
+                assert problem is None, f"{where} calls {dotted}: {problem}"
+    assert n_calls >= 60  # the walk sees the benchmark's calls
 
 
 def test_the_reference_walk_sees_chains_and_keywords():
@@ -235,15 +280,31 @@ def test_the_reference_walk_sees_chains_and_keywords():
 from gridcast import grid, models as m
 grid.slice_segments(t, g, 1, 1, grid.TargetKind.THREAD_GAP, col_range=(0, 2))
 m.TrainConfig(lr=1.0).epochs
+grid.assemble_features.__wrapped__(g)
 other.thing(x=1)
 """
     refs = dict(_package_references(ast.parse(source)))
-    assert refs["grid.slice_segments"] == ["col_range"]
-    assert refs["models.TrainConfig"] == ["lr"]
+    assert [k.arg for k in refs["grid.slice_segments"].keywords] == ["col_range"]
+    assert [k.arg for k in refs["models.TrainConfig"].keywords] == ["lr"]
     assert "grid.TargetKind.THREAD_GAP" in refs and "other.thing" not in refs
+    assert refs["grid.assemble_features"] is None
+    assert not any("__wrapped__" in name for name in refs)
     try:
         _resolve("grid.Segment")
     except AttributeError:
         pass
     else:
         raise AssertionError("a name the package no longer has resolved")
+
+
+def test_the_call_check_sees_missing_and_unknown_arguments():
+    def check(source: str):
+        (dotted, call), = _package_references(ast.parse(f"from gridcast import grid\n{source}"))
+        return _unbound(_resolve(dotted), call)
+
+    assert check("grid.gap_columns(g, 0)") is None
+    assert check("grid.gap_columns(g, lo=0, hi=3)") is None
+    assert "lo" in check("grid.gap_columns(g)")
+    assert "span" in check("grid.gap_columns(g, 0, span=3)")
+    assert check("grid.gap_columns(g, 0, 1, 2)") is not None
+    assert check("grid.gap_columns(*args)") is None

@@ -64,13 +64,13 @@ def make_segs(rng, cfg, targets, corner_weights=1.0) -> Segments:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(kind="ticker")
+        tiny_config("ticker")
     with pytest.raises(ValueError):
-        ModelConfig(kind="reply", loss_mode="edges")
+        tiny_config("reply", loss_mode="edges")
     with pytest.raises(ValueError):
-        ModelConfig(kind="thread", window=(0, 4))
+        tiny_config("thread", window=(0, 4))
     with pytest.raises(ValueError):
-        ModelConfig(kind="thread", n_blocks=0)
+        tiny_config("thread", n_blocks=0)
 
 
 def test_config_json_roundtrip():
@@ -470,10 +470,11 @@ def test_arrival_time_errors():
 @pytest.mark.parametrize("kind", ["thread", "reply"])
 def test_training_segments_match_the_explicit_split(kind):
     stream = synth_generate(SynthParams(
-        lambda_thread=1 / 300.0, mu_reply=0.05, theta=300.0, horizon=9000.0, seed=5,
+        lambda_thread=1 / 300.0, mu_reply=0.05, theta=300.0, horizon=9000.0,
+        breakout_fraction=0.0, breakout_boost=1.0, seed=5,
     ))
     grid = build_grid(stream, 300.0, 0.0, rows_covering(stream, 300.0, 0.0))
-    cfg = ModelConfig(kind=kind, channels=(Channel.COUNTS, Channel.MASK), window=(6, 4))
+    cfg = tiny_config(kind, channels=(Channel.COUNTS, Channel.MASK))
     tensor = assemble_features(grid, cfg.channels)
     r_split, col_split = time_split(grid, 0.6)
     if kind == "thread":

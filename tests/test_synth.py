@@ -7,7 +7,7 @@ from gridcast.synth import SynthParams, synth_generate
 
 def _params(**kw):
     base = dict(lambda_thread=1 / 600.0, mu_reply=0.05, theta=300.0,
-                horizon=86400.0, seed=0)
+                horizon=86400.0, breakout_fraction=0.0, breakout_boost=1.0, seed=0)
     base.update(kw)
     return SynthParams(**base)
 
