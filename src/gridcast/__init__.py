@@ -58,7 +58,6 @@ from .grid import (
 from .models import (
     ModelConfig,
     ReplyCountModel,
-    SearchSpace,
     ThreadArrivalModel,
     TrainConfig,
     arrival_time,

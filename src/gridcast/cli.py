@@ -168,23 +168,20 @@ def cmd_grid_search(args) -> None:
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
-    result = search_on_split(grid, s.model_config(args.task), s)
+    results = search_on_split(grid, args.task, s)
     if args.out:
         write_csv(
             args.out,
             ["n_filters", "kernel", "n_blocks", "val_loss"],
-            [
-                (e.config.n_filters, e.config.k_h, e.config.n_blocks, e.val_loss)
-                for e in result.entries
-            ],
+            [(c.n_filters, c.k_h, c.n_blocks, loss) for c, loss in results],
         )
-    best = result.best
+    best, _ = min(results, key=lambda entry: entry[1])  # the first of equal losses
     _say(
         {
             "best_n_filters": best.n_filters,
             "best_kernel": best.k_h,
             "best_n_blocks": best.n_blocks,
-            "candidates": len(result.entries),
+            "candidates": len(results),
             "out": args.out or "",
         }
     )

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 from .grid import CHANNEL_SETS
-from .models import LOSS_MODES, ModelConfig, SearchSpace, TrainConfig
+from .models import LOSS_MODES, ModelConfig, TrainConfig
+from .synth import SynthParams
 
 
 class ConfigError(ValueError):
@@ -143,28 +145,31 @@ class RunSettings:
 
     def train_config(self) -> TrainConfig:
         try:
-            return TrainConfig(
-                lr=self.lr, weight_decay=self.weight_decay, epochs=self.epochs,
-                batch_size=self.batch_size, seed=self.seed,
-            )
+            return TrainConfig(**{name: getattr(self, name) for name in _names(TrainConfig)})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def search_space(self) -> SearchSpace:
-        return SearchSpace(
-            n_filters=tuple(parse_int_list(self.search_filters)),
-            kernel_sizes=tuple(parse_int_list(self.search_kernels)),
-            n_blocks=tuple(parse_int_list(self.search_blocks)),
-        )
+    def search_configs(self, kind: str) -> list[ModelConfig]:
+        """The grid-search candidates: this model at each search_filters x
+        search_kernels x search_blocks triple, in that nested order."""
+        lists = (parse_int_list(self.search_filters), parse_int_list(self.search_kernels),
+                 parse_int_list(self.search_blocks))
+        return [
+            replace(self, n_filters=f, kernel_size=k, n_blocks=b).model_config(kind)
+            for f, k, b in product(*lists)
+        ]
+
+
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 # the fields each stage reads, by RunSettings' groups
 GRIDDING = ("d", "t0", "rows")
 MODEL = ("channels", "window_h", "window_w", "n_filters", "kernel_size", "filter_shape",
          "n_blocks", "loss_mode")
-TRAINING = ("lr", "weight_decay", "epochs", "batch_size", "seed", "train_frac")
-GENERATOR = ("lambda_thread", "mu_reply", "theta", "horizon", "breakout_fraction",
-             "breakout_boost", "seed")
+TRAINING = (*_names(TrainConfig), "train_frac")
+GENERATOR = _names(SynthParams)
 SEARCH = ("search_filters", "search_kernels", "search_blocks", "budget_epochs")
 
 # the type each setting takes, the rule the CLI flags use too

@@ -160,14 +160,16 @@ def load_grid(path: str | Path) -> Grid:
         raise GridFileError(f"{path}: the arrays are not counts, then arrival_rows")
     (_, counts), (_, arrival) = arrays
     try:
-        return Grid(
+        grid = Grid(
             spec=GridSpec(header["d"], header["t0"], *counts.shape),
             counts=counts.astype(np.int64),
             arrival_rows=arrival.astype(np.int64),
             dropped_events=header["dropped_events"],
         )
+        grid.validate()  # a GridError is a ValueError
     except (KeyError, TypeError, ValueError) as exc:
         raise GridFileError(f"{path}: malformed grid: {exc!r}") from exc
+    return grid
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

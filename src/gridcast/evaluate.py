@@ -127,11 +127,15 @@ class MeanRowBaseline(_Baseline):
         return np.full(features.shape[-1], self.mean_count, dtype=np.float64)
 
 
+@dataclass
 class PersistenceRowBaseline(_Baseline):
-    """Repeats each column's newest observed count."""
+    """Repeats each column's newest observed count, read from the grid's
+    counts rather than from the feature window."""
+
+    counts: np.ndarray
 
     def predict_next_row(self, features, row_index) -> np.ndarray:
-        return np.maximum(features[0, -1, :].astype(np.float64), 0.0)
+        return self.counts[row_index - 1, : features.shape[-1]].astype(np.float64)
 
 
 def train_mean_gap_intervals(thread_times, n_train_cols: int, d: float) -> float:

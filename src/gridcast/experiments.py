@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, RunSettings
+from .config import GENERATOR, ConfigError, RunSettings
 from .evaluate import (
     EvalReport,
     MeanGapBaseline,
@@ -45,11 +45,6 @@ from .models import ModelConfig, build_model, grid_search, train, training_segme
 from .synth import SynthParams, synth_generate
 
 SYNTH_BENCHMARK_SETTINGS = RunSettings(horizon=120_000.0)
-# The two nets of the synthetic benchmark. The thread task has little
-# signal to learn (Poisson arrivals), so its net is narrower and shallower.
-REPLY_MODEL = SYNTH_BENCHMARK_SETTINGS.model_config("reply")
-THREAD_MODEL = replace(REPLY_MODEL, kind="thread", n_filters=8, n_blocks=1)
-
 BREAKOUT_SETTINGS = replace(SYNTH_BENCHMARK_SETTINGS, breakout_fraction=0.25, breakout_boost=4.0)
 # small models, so that each candidate d retrains quickly
 INTERVAL_SWEEP_SETTINGS = RunSettings(
@@ -62,12 +57,7 @@ SWEEP_D_VALUES = (60.0, 150.0, 300.0, 600.0, 1200.0)
 def synth_corpus(settings: RunSettings) -> EventStream:
     """The synthetic corpus that the settings' generator fields describe."""
     try:
-        params = SynthParams(
-            lambda_thread=settings.lambda_thread, mu_reply=settings.mu_reply,
-            theta=settings.theta, horizon=settings.horizon,
-            breakout_fraction=settings.breakout_fraction,
-            breakout_boost=settings.breakout_boost, seed=settings.seed,
-        )
+        params = SynthParams(**{name: getattr(settings, name) for name in GENERATOR})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     stream = synth_generate(params)
@@ -83,12 +73,15 @@ def grid_for(stream: EventStream, settings: RunSettings) -> Grid:
 
 
 def thread_config(settings: RunSettings) -> ModelConfig:
-    """The settings' model as a thread net of THREAD_MODEL's width and depth."""
-    return replace(
-        settings.model_config("thread"),
-        n_filters=THREAD_MODEL.n_filters,
-        n_blocks=THREAD_MODEL.n_blocks,
-    )
+    """The settings' model as a thread net of 8 filters and 1 block. The thread
+    task has little signal to learn (Poisson arrivals), so its net is narrower
+    and shallower."""
+    return replace(settings, n_filters=8, n_blocks=1).model_config("thread")
+
+
+# the two nets of the synthetic benchmark
+REPLY_MODEL = SYNTH_BENCHMARK_SETTINGS.model_config("reply")
+THREAD_MODEL = thread_config(SYNTH_BENCHMARK_SETTINGS)
 
 
 def breakout_durations(d: float) -> list[float]:
@@ -122,16 +115,18 @@ def train_on_split(grid: Grid, config: ModelConfig, settings: RunSettings, seed)
     return model, train(model, segs, settings.train_config()), len(segs)
 
 
-def search_on_split(grid: Grid, config: ModelConfig, settings: RunSettings):
-    """grid_search over the settings' search space around config: each candidate trained
-    for budget_epochs (0: epochs) on the training side, its last fifth of segments held out."""
-    segs = _training_side(grid, config, settings)
+def search_on_split(grid: Grid, kind: str, settings: RunSettings):
+    """(config, validation loss) for each of the settings' search_configs(kind), each
+    trained for budget_epochs (0: epochs) on the training side, its last fifth of
+    segments held out."""
+    candidates = settings.search_configs(kind)
+    segs = _training_side(grid, candidates[0], settings)
     if len(segs) < 2:
         raise ConfigError(f"grid search needs at least 2 training segments, got {len(segs)}")
     n_val = max(1, len(segs) // 5)
-    budget = replace(settings.train_config(), epochs=settings.budget_epochs or settings.epochs)
-    return grid_search(config, segs[:-n_val], segs[-n_val:], budget, settings.search_space(),
-                       seed=settings.seed)
+    budget = replace(settings, epochs=settings.budget_epochs or settings.epochs).train_config()
+    losses = grid_search(candidates, segs[:-n_val], segs[-n_val:], budget, settings.seed)
+    return list(zip(candidates, losses))
 
 
 def held_out_report(
@@ -162,7 +157,7 @@ def synth_benchmark(settings: RunSettings) -> list[tuple[str, str, EvalReport]]:
         for name, m in [
             ("model", reply_model),
             ("historical-mean", MeanRowBaseline(train_mean_cell_count(grid, 0, r_split))),
-            ("persistence", PersistenceRowBaseline()),
+            ("persistence", PersistenceRowBaseline(grid.counts)),
         ]
     ]
 

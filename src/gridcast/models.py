@@ -20,8 +20,7 @@ nothing here depends on wall-clock or iteration order ambiguity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,29 +78,16 @@ class ModelConfig:
             raise ValueError("kernel dims must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "channels": [c.name for c in self.channels],
-            "window": list(self.window),
-            "n_filters": self.n_filters,
-            "k_h": self.k_h,
-            "k_w": self.k_w,
-            "n_blocks": self.n_blocks,
-            "loss_mode": self.loss_mode,
-        }
+        """Every field, with channels by name and the window as a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "window": list(self.window), "channels": [c.name for c in self.channels]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            kind=d["kind"],
-            channels=tuple(Channel[name] for name in d["channels"]),
-            window=tuple(d["window"]),
-            n_filters=int(d["n_filters"]),
-            k_h=int(d["k_h"]),
-            k_w=int(d["k_w"]),
-            n_blocks=int(d["n_blocks"]),
-            loss_mode=d["loss_mode"],
-        )
+        """The inverse of to_json_dict; a missing field raises KeyError."""
+        values = {f.name: d[f.name] for f in fields(cls)}
+        return cls(**{**values, "window": tuple(values["window"]),
+                      "channels": tuple(Channel[name] for name in values["channels"])})
 
 
 @dataclass(frozen=True)
@@ -360,56 +346,24 @@ def dataset_loss(model, segments: Segments) -> float:
 # hyperparameter grid search
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    n_filters: tuple[int, ...]
-    kernel_sizes: tuple[int, ...]
-    n_blocks: tuple[int, ...]
-
-
-def enumerate_space(space: SearchSpace) -> list[tuple[int, int, int]]:
-    """(n_filters, k, n_blocks) triples in deterministic order."""
-    return list(product(space.n_filters, space.kernel_sizes, space.n_blocks))
-
-
-@dataclass(frozen=True)
-class SearchEntry:
-    config: ModelConfig
-    val_loss: float
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    best: ModelConfig
-    entries: tuple[SearchEntry, ...]
-
-
 def grid_search(
-    base: ModelConfig,
+    candidates: list[ModelConfig],
     train_segments: Segments,
     val_segments: Segments,
     train_cfg: TrainConfig,
-    space: SearchSpace,
     seed: int,
-) -> GridSearchResult:
-    """Exhaustive sweep over filters x kernel x depth, each candidate
-    trained with train_cfg; lowest validation loss wins, first
-    configuration breaking ties. Candidates are independent, so the loop
-    could run in parallel; evaluation order never affects the winner."""
-    candidates = enumerate_space(space)
+) -> list[float]:
+    """The validation loss of each candidate, built from seed [seed, index]
+    and trained with train_cfg. Candidates are independent, so the loop
+    could run in parallel; no loss depends on the order they run in."""
     if not candidates:
-        raise ValueError(f"empty search space {space}")
-    entries: list[SearchEntry] = []
-    best_idx, best_loss = -1, np.inf
-    for idx, (f, k, b) in enumerate(candidates):
-        cfg = replace(base, n_filters=f, k_h=k, k_w=k, n_blocks=b)
+        raise ValueError("no candidates to search")
+    losses = []
+    for idx, cfg in enumerate(candidates):
         model = build_model(cfg, seed=np.random.default_rng([seed, idx]))
         train(model, train_segments, train_cfg)
-        val = dataset_loss(model, val_segments)
-        entries.append(SearchEntry(config=cfg, val_loss=val))
-        if val < best_loss:
-            best_idx, best_loss = idx, val
-    return GridSearchResult(best=entries[best_idx].config, entries=tuple(entries))
+        losses.append(dataset_loss(model, val_segments))
+    return losses
 
 
 # ---------------------------------------------------------------------------

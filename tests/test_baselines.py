@@ -46,8 +46,18 @@ def test_mean_fills_rows_with_global_mean():
 
 
 def test_persistence_repeats_last_row():
-    window = np.array([[[0.0, 2.0], [4.0, 1.0]]])  # COUNTS channel only
-    out = PersistenceRowBaseline().predict_next_row(window, 2)
+    counts = np.array([[0, 2], [4, 1], [3, 3]], dtype=np.int64)
+    out = PersistenceRowBaseline(counts).predict_next_row(np.zeros((1, 1, 2)), 2)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [4.0, 1.0])
+
+
+def test_persistence_reads_counts_not_the_feature_window():
+    """Channel 0 of the window holds anything but counts, as it would under
+    a scaled count channel: the baseline still repeats the counts."""
+    counts = np.array([[0, 2], [4, 1]], dtype=np.int64)
+    window = np.log1p(counts[None, -1:].astype(np.float64)) - 7.0
+    out = PersistenceRowBaseline(counts).predict_next_row(window, 2)
     assert np.array_equal(out, [4.0, 1.0])
 
 

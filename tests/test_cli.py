@@ -9,13 +9,15 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import write_zero_column_grid
 
 from gridcast import cli
 from gridcast.cli import build_parser, main
 from gridcast.config import MODEL, RunSettings, load_settings
-from gridcast.dataio import load_grid
+from gridcast.dataio import load_grid, save_grid
+from gridcast.grid import Grid, GridSpec
 
 
 def _run(capsys, argv):
@@ -310,6 +312,20 @@ def test_predict_rejects_a_grid_file_without_columns(capsys, workdir, tmp_path, 
     payload = _fail(capsys, argv, 1)
     assert payload["error"] == "GridFileError"
     assert "empty.bin: malformed grid" in payload["message"]
+    assert not out.exists()
+
+
+def test_predict_rejects_a_grid_file_that_breaks_its_invariants(capsys, workdir, tmp_path):
+    """A negative count, counts before arrival, and arrival rows out of order."""
+    counts = np.array([[5, 7], [0, 0], [-3, 0], [1, 0]], dtype=np.int64)
+    grid_file = tmp_path / "bad.bin"
+    save_grid(Grid(GridSpec(300.0, 0.0, 4, 2), counts, np.array([2, 0], np.int64)), grid_file)
+    out = tmp_path / "p.csv"
+    argv = ["predict", "--checkpoint", str(workdir["reply"]), "--grid", str(grid_file),
+            "--out", str(out)]
+    payload = _fail(capsys, argv, 1)
+    assert payload["error"] == "GridFileError"
+    assert "bad.bin: malformed grid" in payload["message"]
     assert not out.exists()
 
 
@@ -748,6 +764,21 @@ def test_grid_search_single_candidate(capsys, workdir, tmp_path):
     header, rows = _read_csv(out)
     assert header == ["n_filters", "kernel", "n_blocks", "val_loss"]
     assert len(rows) == 1 and float(rows[0][3]) >= 0.0
+
+
+def test_grid_search_picks_the_first_of_equal_losses(capsys, monkeypatch, workdir, tmp_path):
+    settings = RunSettings(search_filters="2,4", search_kernels="2", search_blocks="1,2")
+    configs = settings.search_configs("reply")
+    losses = [0.5, 0.25, 0.75, 0.25]
+    monkeypatch.setattr(cli, "search_on_split",
+                        lambda grid, kind, s: list(zip(configs, losses)))
+    out = tmp_path / "gs.csv"
+    payload = _ok(capsys, ["grid-search", "--in", str(workdir["events"]), "--task", "reply",
+                           "--out", str(out)])
+    assert payload["candidates"] == 4
+    assert (payload["best_n_filters"], payload["best_kernel"], payload["best_n_blocks"]) == (2, 2, 2)
+    _, rows = _read_csv(out)
+    assert [float(row[3]) for row in rows] == losses
 
 
 def test_grid_search_on_one_training_segment_is_config_error(capsys, tmp_path):

@@ -16,7 +16,7 @@ from gridcast.dataio import (
     serialize_events,
     write_csv,
 )
-from gridcast.grid import EventStream, build_grid
+from gridcast.grid import EventStream, Grid, GridSpec, build_grid
 
 
 def _write_lines(path, lines):
@@ -224,6 +224,26 @@ def test_grid_file_without_columns_is_rejected(tmp_path):
     path = tmp_path / "empty.bin"
     write_zero_column_grid(path)
     with pytest.raises(GridFileError, match=r"empty\.bin: malformed grid: .*bad grid shape 3x0"):
+        load_grid(path)
+
+
+@pytest.mark.parametrize(
+    "counts, arrival_rows, rule",
+    [
+        ([[1, 0], [-1, 1], [0, 0]], [0, 1], "negative cell count"),
+        ([[1, 2], [0, 1], [0, 0]], [0, 1], "nonzero count on a pre-arrival cell"),
+        ([[1, 0], [0, 0], [0, 0]], [0, 1], "arrival cell missing its thread event"),
+        ([[0, 1], [1, 0], [0, 0]], [1, 0], "arrival rows not non-decreasing"),
+    ],
+    ids=["negative", "pre-arrival", "arrival-cell", "arrival-order"],
+)
+def test_grid_file_that_breaks_a_grid_invariant_is_rejected(tmp_path, counts, arrival_rows, rule):
+    """Each grid breaks exactly one rule of Grid.validate; the file itself is well formed."""
+    counts = np.array(counts, dtype=np.int64)
+    grid = Grid(GridSpec(60.0, 0.0, *counts.shape), counts, np.array(arrival_rows, np.int64))
+    path = tmp_path / "bad.bin"
+    save_grid(grid, path)
+    with pytest.raises(GridFileError, match=rf"bad\.bin: malformed grid: .*{rule}"):
         load_grid(path)
 
 

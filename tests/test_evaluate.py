@@ -146,7 +146,7 @@ def test_reply_counts_zero_stub_hand_value(small_grid):
 
 
 def test_reply_counts_persistence_baseline_hand_value(small_grid):
-    report = evaluate_reply_counts(PersistenceRowBaseline(), small_grid,
+    report = evaluate_reply_counts(PersistenceRowBaseline(small_grid.counts), small_grid,
                                    n_intervals=2, start_row=3)
     # row 3 predicted by row 2 = [1,0,-]; row 4 by row 3 = [0,1,0]
     # errors: |1-0|, |0-1|, then |0-0|, |1-0|, |0-2| -> mean 1.0

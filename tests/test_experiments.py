@@ -2,17 +2,20 @@
 through `gridcast experiment`."""
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 from conftest import ConstGapStub, ConstRowStub, lattice_stream
 
 from gridcast.cli import main
 from gridcast.evaluate import evaluate_reply_counts, evaluate_thread_arrival
+from gridcast.config import RunSettings
 from gridcast.experiments import (
     REPLY_MODEL,
     SYNTH_BENCHMARK_SETTINGS,
     THREAD_MODEL,
     held_out_report,
+    search_on_split,
     thread_config,
 )
 from gridcast.grid import build_grid, rows_covering
@@ -66,6 +69,19 @@ def test_experiment_on_an_empty_corpus_is_a_config_error(name, tmp_path, capsys)
 def test_benchmark_recipe_builds_the_two_model_constants():
     assert SYNTH_BENCHMARK_SETTINGS.model_config("reply") == REPLY_MODEL
     assert thread_config(SYNTH_BENCHMARK_SETTINGS) == THREAD_MODEL
+    assert THREAD_MODEL == replace(REPLY_MODEL, kind="thread", n_filters=8, n_blocks=1)
+
+
+@pytest.mark.parametrize("filter_shape, k_w", [("KxK", 2), ("Kx1", 1)])
+def test_search_on_split_trains_the_settings_filter_shape(filter_shape, k_w):
+    stream = lattice_stream([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3], replies_per=2)
+    grid = build_grid(stream, 300.0, 0.0, rows_covering(stream, 300.0, 0.0))
+    settings = RunSettings(window_h=4, window_w=3, filter_shape=filter_shape, epochs=1,
+                           search_filters="2", search_kernels="2", search_blocks="1,2")
+    results = search_on_split(grid, "thread", settings)
+    assert [(c.k_h, c.k_w, c.n_blocks) for c, _ in results] == [(2, k_w, 1), (2, k_w, 2)]
+    assert [c for c, _ in results] == settings.search_configs("thread")
+    assert all(loss >= 0.0 for _, loss in results)
 
 
 def test_held_out_report_scores_the_test_side_of_the_split():

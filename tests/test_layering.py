@@ -1,7 +1,9 @@
-"""Four structural rules, checked with ast. Which modules may know the run
+"""Five structural rules, checked with ast. Which modules may know the run
 settings: the library takes plain arguments, and only the recipes and the
 command line read RunSettings. Which module knows the byte layout of
 grid files and checkpoints: only container.py imports zlib or struct.
+Which module turns a kernel size and filter shape into k_h and k_w: only
+config.py passes them by keyword.
 Which options the package keeps: a parameter or dataclass field with a
 default stays only if a caller outside the tests (the package itself or
 any file under perfbench/) leaves it out. And the benchmark calls only
@@ -83,6 +85,37 @@ def test_the_byte_check_sees_every_import_form():
         assert _imports_byte_modules(ast.parse(line)), line
     for line in ["import structlog", "from .struct import x", "from . import zlib_notes"]:
         assert not _imports_byte_modules(ast.parse(line)), line
+
+
+# ---------------------------------------------------------------------------
+# the kernel-shape rule lives in config.py
+
+KERNEL_DIMS = {"k_h", "k_w"}
+
+
+def _passes_kernel_dims(tree: ast.Module) -> bool:
+    """Whether a call in tree passes k_h= or k_w= by keyword."""
+    return any(
+        isinstance(node, ast.Call) and any(k.arg in KERNEL_DIMS for k in node.keywords)
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_settings_choose_a_kernel_shape():
+    sources = sorted(Path(gridcast.__file__).parent.glob("*.py"))
+    callers = {
+        p.name for p in sources if _passes_kernel_dims(ast.parse(p.read_text(encoding="utf-8")))
+    }
+    assert callers == {"config.py"}, "only RunSettings.model_config may set k_h or k_w"
+
+
+def test_the_kernel_check_sees_the_keyword_form():
+    for line in ["ModelConfig(kind='reply', k_h=3, k_w=1)", "replace(base, k_w=k)",
+                 "f(g(k_h=k))"]:
+        assert _passes_kernel_dims(ast.parse(line)), line
+    for line in ["TCNStack(rng, c, f, config.k_h, config.k_w, b, dt)", "k_h = 3",
+                 "f(kernel=3)", "def f(k_h=3): ..."]:
+        assert not _passes_kernel_dims(ast.parse(line)), line
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,14 @@ from gridcast.grid import (
     time_split,
 )
 from gridcast.models import (
-    GridSearchResult,
     ModelConfig,
     ReplyCountModel,
-    SearchSpace,
     ThreadArrivalModel,
     TrainConfig,
     TrainingDiverged,
     arrival_time,
     build_model,
     dataset_loss,
-    enumerate_space,
     grid_search,
     train,
     training_segments,
@@ -390,57 +387,63 @@ def test_training_is_bit_identical_with_the_oracle_kernels(monkeypatch, kind, lo
 # hyperparameter search
 
 
-def test_enumerate_space_default_has_eighty_candidates():
-    combos = enumerate_space(RunSettings().search_space())
-    assert len(combos) == 80
-    assert combos[0] == (16, 3, 3)
-    assert combos[-1] == (128, 9, 7)
-    assert len(set(combos)) == 80
+def test_search_configs_default_has_eighty_candidates():
+    configs = RunSettings().search_configs("reply")
+    triples = [(c.n_filters, c.k_h, c.n_blocks) for c in configs]
+    assert len(triples) == 80
+    assert triples[0] == (16, 3, 3)
+    assert triples[-1] == (128, 9, 7)
+    assert len(set(triples)) == 80
+    assert all(c.k_w == c.k_h for c in configs)
 
 
 def test_grid_search_singleton_space():
     rng = np.random.default_rng(16)
     cfg = tiny_config("thread")
     segs = make_segs(rng, cfg, [2.0] * 6)
-    space = SearchSpace(n_filters=(4,), kernel_sizes=(2,), n_blocks=(1,))
-    res = grid_search(cfg, segs[:4], segs[4:], TrainConfig(epochs=2), space, seed=0)
-    assert isinstance(res, GridSearchResult)
-    assert len(res.entries) == 1
-    assert res.best == res.entries[0].config
-    assert res.best.n_filters == 4 and res.best.k_h == 2 and res.best.k_w == 2
+    losses = grid_search([cfg], segs[:4], segs[4:], TrainConfig(epochs=2), seed=0)
+    assert len(losses) == 1
+    model = build_model(cfg, seed=np.random.default_rng([0, 0]))
+    train(model, segs[:4], TrainConfig(epochs=2))
+    assert losses[0] == dataset_loss(model, segs[4:])
 
 
-@pytest.mark.parametrize("field", ["n_filters", "kernel_sizes", "n_blocks"])
-def test_grid_search_rejects_an_empty_space(field):
+def test_grid_search_rejects_an_empty_candidate_list():
     cfg = tiny_config("thread")
     segs = make_segs(np.random.default_rng(16), cfg, [2.0] * 2)
-    space = replace(SearchSpace(n_filters=(4,), kernel_sizes=(2,), n_blocks=(1,)), **{field: ()})
-    with pytest.raises(ValueError, match="empty search space"):
-        grid_search(cfg, segs[:1], segs[1:], TrainConfig(epochs=1), space, seed=0)
+    with pytest.raises(ValueError, match="no candidates"):
+        grid_search([], segs[:1], segs[1:], TrainConfig(epochs=1), seed=0)
 
 
 def test_grid_search_best_is_argmin_of_entries():
+    """One finite loss per candidate, in candidate order: each is the loss of
+    the candidate trained alone from seed [seed, its index]."""
     rng = np.random.default_rng(17)
     cfg = tiny_config("thread")
     segs = make_segs(rng, cfg, [float(i % 3) for i in range(8)])
-    space = SearchSpace(n_filters=(2, 4), kernel_sizes=(2,), n_blocks=(1, 2))
-    res = grid_search(cfg, segs[:6], segs[6:], TrainConfig(epochs=2),
-                      space, seed=3)
-    assert len(res.entries) == 4
-    losses = [e.val_loss for e in res.entries]
-    assert res.best == res.entries[int(np.argmin(losses))].config
+    candidates = [replace(cfg, n_filters=f, n_blocks=b) for f in (2, 4) for b in (1, 2)]
+    losses = grid_search(candidates, segs[:6], segs[6:], TrainConfig(epochs=2), seed=3)
+    assert len(losses) == 4
     assert all(np.isfinite(losses))
+    assert grid_search(candidates[2:3], segs[:6], segs[6:], TrainConfig(epochs=2), seed=3) != \
+        losses[2:3]  # the seed follows the index
+    best = int(np.argmin(losses))
+    model = build_model(candidates[best], seed=np.random.default_rng([3, best]))
+    train(model, segs[:6], TrainConfig(epochs=2))
+    assert dataset_loss(model, segs[6:]) == min(losses)
 
 
 def test_grid_search_preserves_base_fields():
-    rng = np.random.default_rng(18)
-    cfg = tiny_config("reply", loss_mode="full")
-    segs = make_segs(rng, cfg, [1.0] * 4)
-    space = SearchSpace(n_filters=(4,), kernel_sizes=(3,), n_blocks=(1,))
-    res = grid_search(cfg, segs[:3], segs[3:], TrainConfig(epochs=1), space, seed=0)
-    assert res.best.kind == "reply"
-    assert res.best.loss_mode == "full"
-    assert res.best.window == cfg.window
+    settings = RunSettings(loss_mode="full", window_h=6, window_w=4, search_filters="4",
+                           search_kernels="3", search_blocks="1,2")
+    configs = settings.search_configs("reply")
+    assert [(c.n_filters, c.k_h, c.k_w, c.n_blocks) for c in configs] == [
+        (4, 3, 3, 1), (4, 3, 3, 2)
+    ]
+    assert all(c.kind == "reply" and c.loss_mode == "full" and c.window == (6, 4)
+               for c in configs)
+    segs = make_segs(np.random.default_rng(18), configs[0], [1.0] * 4)
+    assert len(grid_search(configs, segs[:3], segs[3:], TrainConfig(epochs=1), seed=0)) == 2
 
 
 # ---------------------------------------------------------------------------
