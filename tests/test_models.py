@@ -415,6 +415,15 @@ def test_grid_search_rejects_an_empty_candidate_list():
         grid_search([], segs[:1], segs[1:], TrainConfig(epochs=1), seed=0)
 
 
+@pytest.mark.parametrize("name", ["search_filters", "search_kernels", "search_blocks"],
+                         ids=["n_filters", "kernel_sizes", "n_blocks"])
+def test_grid_search_rejects_an_empty_space(name):
+    """The search space is the product of the three search lists; an empty
+    list is refused when the settings are built, before any candidate."""
+    with pytest.raises(ValueError, match=f"{name}: expected comma-separated integers"):
+        RunSettings(**{name: ""})
+
+
 def test_grid_search_best_is_argmin_of_entries():
     """One finite loss per candidate, in candidate order: each is the loss of
     the candidate trained alone from seed [seed, its index]."""
