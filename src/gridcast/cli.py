@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import GENERATOR, GRIDDING, MODEL, SEARCH, TRAINING
+from .config import GENERATOR, GRIDDING, MODEL, SEARCH, SEARCHED, TRAINING
 from .config import ConfigError, RunSettings, load_settings, parse_float_list
 from .dataio import (
     load_grid,
@@ -271,7 +271,9 @@ def cmd_breakout(args) -> None:
 def cmd_evaluate(args) -> None:
     adaptive = args.task == "adaptive"
     needs = ("thread_checkpoint", "reply_checkpoint") if adaptive else ("checkpoint",)
-    for name in ("checkpoint", "thread_checkpoint", "reply_checkpoint"):
+    unread = (("checkpoint", "train_frac") if adaptive
+              else ("thread_checkpoint", "reply_checkpoint", "n_threads", "n_start_points"))
+    for name in needs + unread:
         if (name in needs) != (getattr(args, name) is not None):
             verb = "needs" if name in needs else "does not read"
             raise ConfigError(f"--task {args.task} {verb} --{name.replace('_', '-')}")
@@ -411,7 +413,8 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True)
         p.set_defaults(task=task)
 
-    p = sub("grid-search", cmd_grid_search, trains + SEARCH, help="hyperparameter sweep")
+    searches = tuple(name for name in trains if name not in SEARCHED) + SEARCH
+    p = sub("grid-search", cmd_grid_search, searches, help="hyperparameter sweep")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--task", choices=["thread", "reply"], required=True)
     p.add_argument("--out", default=None)

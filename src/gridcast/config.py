@@ -10,7 +10,7 @@ from itertools import product
 from pathlib import Path
 
 from .grid import CHANNEL_SETS
-from .models import LOSS_MODES, ModelConfig, TrainConfig
+from .models import ModelConfig, TrainConfig
 from .synth import SynthParams
 
 
@@ -49,9 +49,6 @@ _LOWER_BOUNDS = {
     "n_start_points": 1,
     "context_cols": 1,
     "horizon_intervals": -1,
-    "budget_epochs": 0,
-    "epochs": 1,
-    "batch_size": 1,
 }
 
 
@@ -98,7 +95,6 @@ class RunSettings:
     search_filters: str = "16,32,64,128"
     search_kernels: str = "3,5,7,9"
     search_blocks: str = "3,4,5,6,7"
-    budget_epochs: int = 0  # 0: full epochs
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -116,48 +112,44 @@ class RunSettings:
             )
         if self.filter_shape not in ("KxK", "Kx1"):
             raise ValueError(f"unknown filter shape {self.filter_shape!r}, not KxK or Kx1")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}, not one of {LOSS_MODES}")
         for name, low in _LOWER_BOUNDS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("search_filters", "search_kernels", "search_blocks"):
+        for name in SEARCH:
             try:
                 parse_int_list(getattr(self, name))
             except ConfigError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
+        # the library configs' own rules, checked by building what the settings describe
+        self.model_config("reply")
+        self.train_config()
+        self.synth_params()
 
     def model_config(self, kind: str) -> ModelConfig:
         k_w = 1 if self.filter_shape == "Kx1" else self.kernel_size
-        try:
-            return ModelConfig(
-                kind=kind,
-                channels=CHANNEL_SETS[self.channels],
-                window=(self.window_h, self.window_w),
-                n_filters=self.n_filters,
-                k_h=self.kernel_size,
-                k_w=k_w,
-                n_blocks=self.n_blocks,
-                loss_mode=self.loss_mode,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ModelConfig(
+            kind=kind,
+            channels=CHANNEL_SETS[self.channels],
+            window=(self.window_h, self.window_w),
+            n_filters=self.n_filters,
+            k_h=self.kernel_size,
+            k_w=k_w,
+            n_blocks=self.n_blocks,
+            loss_mode=self.loss_mode,
+        )
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(**{name: getattr(self, name) for name in _names(TrainConfig)})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return TrainConfig(**{name: getattr(self, name) for name in _names(TrainConfig)})
+
+    def synth_params(self) -> SynthParams:
+        return SynthParams(**{name: getattr(self, name) for name in _names(SynthParams)})
 
     def search_configs(self, kind: str) -> list[ModelConfig]:
         """The grid-search candidates: this model at each search_filters x
         search_kernels x search_blocks triple, in that nested order."""
-        lists = (parse_int_list(self.search_filters), parse_int_list(self.search_kernels),
-                 parse_int_list(self.search_blocks))
-        return [
-            replace(self, n_filters=f, kernel_size=k, n_blocks=b).model_config(kind)
-            for f, k, b in product(*lists)
-        ]
+        lists = (parse_int_list(getattr(self, name)) for name in SEARCH)
+        return [replace(self, n_filters=f, kernel_size=k, n_blocks=b).model_config(kind)
+                for f, k, b in product(*lists)]
 
 
 def _names(cls) -> tuple[str, ...]:
@@ -170,7 +162,9 @@ MODEL = ("channels", "window_h", "window_w", "n_filters", "kernel_size", "filter
          "n_blocks", "loss_mode")
 TRAINING = (*_names(TrainConfig), "train_frac")
 GENERATOR = _names(SynthParams)
-SEARCH = ("search_filters", "search_kernels", "search_blocks", "budget_epochs")
+SEARCH = ("search_filters", "search_kernels", "search_blocks")
+# the model fields a grid search takes from its search lists, not from the settings
+SEARCHED = ("n_filters", "kernel_size", "n_blocks")
 
 # the type each setting takes, the rule the CLI flags use too
 _TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunSettings)}

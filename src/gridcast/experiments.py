@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import GENERATOR, ConfigError, RunSettings
+from .config import ConfigError, RunSettings
 from .evaluate import (
     EvalReport,
     MeanGapBaseline,
@@ -42,7 +42,7 @@ from .evaluate import (
 from .forecast import BreakoutCurvePoint, ForecastState, breakout_curve, roll_reply_row
 from .grid import EventStream, Grid, GridError, build_grid, gap_columns, rows_covering, time_split
 from .models import ModelConfig, build_model, grid_search, train, training_segments
-from .synth import SynthParams, synth_generate
+from .synth import synth_generate
 
 SYNTH_BENCHMARK_SETTINGS = RunSettings(horizon=120_000.0)
 BREAKOUT_SETTINGS = replace(SYNTH_BENCHMARK_SETTINGS, breakout_fraction=0.25, breakout_boost=4.0)
@@ -56,11 +56,7 @@ SWEEP_D_VALUES = (60.0, 150.0, 300.0, 600.0, 1200.0)
 
 def synth_corpus(settings: RunSettings) -> EventStream:
     """The synthetic corpus that the settings' generator fields describe."""
-    try:
-        params = SynthParams(**{name: getattr(settings, name) for name in GENERATOR})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    stream = synth_generate(params)
+    stream = synth_generate(settings.synth_params())
     if not stream.cascades:
         raise ConfigError(f"the generator drew no thread before horizon {settings.horizon}")
     return stream
@@ -117,15 +113,14 @@ def train_on_split(grid: Grid, config: ModelConfig, settings: RunSettings, seed)
 
 def search_on_split(grid: Grid, kind: str, settings: RunSettings):
     """(config, validation loss) for each of the settings' search_configs(kind), each
-    trained for budget_epochs (0: epochs) on the training side, its last fifth of
-    segments held out."""
+    trained with the settings on the training side, its last fifth of segments held out."""
     candidates = settings.search_configs(kind)
     segs = _training_side(grid, candidates[0], settings)
     if len(segs) < 2:
         raise ConfigError(f"grid search needs at least 2 training segments, got {len(segs)}")
     n_val = max(1, len(segs) // 5)
-    budget = replace(settings, epochs=settings.budget_epochs or settings.epochs).train_config()
-    losses = grid_search(candidates, segs[:-n_val], segs[-n_val:], budget, settings.seed)
+    losses = grid_search(candidates, segs[:-n_val], segs[-n_val:], settings.train_config(),
+                         settings.seed)
     return list(zip(candidates, losses))
 
 
@@ -247,14 +242,11 @@ def sweep_interval_length(
     ds = sorted(float(d) for d in d_values)
     if not ds:
         raise GridError("empty candidate set")
-    th_cfg = settings.model_config("thread")
-    rp_cfg = settings.model_config("reply")
     rows = []
     for d in ds:
-        n_rows = rows_covering(stream, d, settings.t0)
-        if n_rows < 2:
+        grid = grid_for(stream, replace(settings, d=d, rows=0))
+        if grid.spec.n_rows < 2:
             raise GridError(f"d={d} too large: fewer than 2 rows materialise")
-        grid = build_grid(stream, d, settings.t0, n_rows)
         r_split, col_split = time_split(grid, settings.train_frac)
 
         # one thread training segment per gap column before the split
@@ -262,13 +254,13 @@ def sweep_interval_length(
         if len(gap_columns(grid, 0, col_split)) < 2 or not test_idx:
             raise GridError(f"d={d}: not enough threads on either side of the split")
         th_seed = np.random.default_rng([settings.seed, 1])
-        th_model = train_on_split(grid, th_cfg, settings, th_seed)[0]
+        th_model = train_on_split(grid, settings.model_config("thread"), settings, th_seed)[0]
         th_report = evaluate_thread_arrival(
             th_model, grid, stream.thread_times, test_idx, mode="simulate"
         )
 
         rp_seed = np.random.default_rng([settings.seed, 2])
-        rp_model = train_on_split(grid, rp_cfg, settings, rp_seed)[0]
+        rp_model = train_on_split(grid, settings.model_config("reply"), settings, rp_seed)[0]
         span_int = max(1, round(settings.span_seconds / d))
         reply_mae, n_reply = _self_fed_span_mae(rp_model, grid, r_split, span_int)
 

@@ -71,11 +71,12 @@ class ModelConfig:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if min(self.window) < 1 or self.n_filters < 1 or self.n_blocks < 1:
-            raise ValueError("window, n_filters and n_blocks must be >= 1")
-        if self.k_h < 1 or self.k_w < 1:
-            raise ValueError("kernel dims must be >= 1")
+            raise ValueError(f"unknown loss mode {self.loss_mode!r}, not one of {LOSS_MODES}")
+        if min(self.window) < 1:
+            raise ValueError(f"window must be >= 1 in both dims, got {self.window}")
+        for name in ("n_filters", "k_h", "k_w", "n_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
         """Every field, with channels by name and the window as a list."""
@@ -99,8 +100,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class _ModelBase:

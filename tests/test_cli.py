@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from conftest import write_zero_column_grid
 
-from gridcast import cli
+from gridcast import cli, experiments
 from gridcast.cli import build_parser, main
 from gridcast.config import MODEL, RunSettings, load_settings
 from gridcast.dataio import load_grid, save_grid
 from gridcast.grid import Grid, GridSpec
+from gridcast.models import TrainConfig
 
 
 def _run(capsys, argv):
@@ -62,6 +63,8 @@ TINY = [
     "--window-h", "6", "--window-w", "4",
     "--n-filters", "2", "--kernel-size", "2", "--n-blocks", "1",
 ]
+# grid-search takes width, kernel size and depth only from its search lists
+SEARCH_TINY = [*TINY[:-6], "--search-filters", "2", "--search-kernels", "2", "--search-blocks", "1"]
 SYNTH = [
     "--seed", "7", "--lambda-thread", "0.01", "--mu-reply", "0.05",
     "--theta", "120", "--horizon", "4000",
@@ -104,7 +107,6 @@ def _short_runs(workdir):
     events, grid = str(workdir["events"]), str(workdir["grid"])
     thread, reply = str(workdir["thread"]), str(workdir["reply"])
     ckpts = ["--thread-checkpoint", thread, "--reply-checkpoint", reply]
-    search = ["--search-filters", "2", "--search-kernels", "2", "--search-blocks", "1"]
     experiment = ["--horizon", "20000", *TINY[2:]]
     return [
         ("ingest", ["--in", events]),
@@ -112,8 +114,8 @@ def _short_runs(workdir):
         ("grid", ["--in", events, "--d", "300"]),
         ("train-thread", ["--in", events, *TINY]),
         ("train-reply", ["--in", events, *TINY]),
-        ("grid-search --task thread", ["--in", events, *TINY, *search]),
-        ("grid-search --task reply", ["--in", events, *TINY, *search]),
+        ("grid-search --task thread", ["--in", events, *SEARCH_TINY]),
+        ("grid-search --task reply", ["--in", events, *SEARCH_TINY]),
         ("predict", ["--checkpoint", thread, "--in", events, "--d", "300"]),
         ("predict", ["--checkpoint", reply, "--grid", grid]),
         ("adaptive", ["--in", events, *ckpts, "--d", "300",
@@ -135,22 +137,44 @@ def _short_runs(workdir):
 _FIELDS = {f.name for f in dataclasses.fields(RunSettings)}
 
 
+def _checking(frame) -> bool:
+    """Whether frame runs inside RunSettings.__post_init__."""
+    while frame is not None:
+        if frame.f_code is RunSettings.__post_init__.__code__:
+            return True
+        frame = frame.f_back
+    return False
+
+
 def _recording_load_settings(reads: set):
     """load_settings whose result adds to reads each field read from it.
-    Reads inside __post_init__ and the dataclasses module (replace,
-    asdict) check or copy the settings rather than use them, so they
-    are left out."""
+    Reads while RunSettings.__post_init__ is on the stack, and reads by
+    the dataclasses module (replace, asdict), check or copy the settings
+    rather than use them, so they are left out. A copy made with replace
+    records only the fields it took from the settings it copies: the
+    fields the copy replaced hold the caller's values, not the settings'."""
+    copied = []  # the recorded fields that replace is taking from its original
 
     class RecordingSettings(RunSettings):
+        def __post_init__(self):
+            object.__setattr__(self, "_recorded", frozenset(copied))
+            copied.clear()
+            super().__post_init__()
+
         def __getattribute__(self, name):
-            if name in _FIELDS:
-                code = sys._getframe(1).f_code
-                if code.co_name != "__post_init__" and code.co_filename != dataclasses.__file__:
+            if name in _FIELDS and name in object.__getattribute__(self, "_recorded"):
+                frame = sys._getframe(1)
+                if frame.f_code.co_filename == dataclasses.__file__:
+                    copied.append(name)
+                elif not _checking(frame):
                     reads.add(name)
             return object.__getattribute__(self, name)
 
     def load(config_path, overrides, base):
-        return load_settings(config_path, overrides, RecordingSettings(**dataclasses.asdict(base)))
+        settings = load_settings(config_path, overrides,
+                                 RecordingSettings(**dataclasses.asdict(base)))
+        object.__setattr__(settings, "_recorded", _FIELDS)
+        return settings
 
     return load
 
@@ -176,9 +200,20 @@ def test_recording_leaves_out_checks_and_copies():
     assert reads == {"d", *MODEL}
 
 
+def test_recording_leaves_out_the_fields_a_copy_replaced():
+    reads = set()
+    s = _recording_load_settings(reads)(None, {}, RunSettings())
+    copy = dataclasses.replace(s, d=60.0, rows=0)
+    assert reads == set()
+    assert (copy.d, copy.t0, copy.rows) == (60.0, 0.0, 0)
+    assert reads == {"t0"}
+    assert dataclasses.replace(copy, t0=5.0).model_config("reply").n_filters == 16
+    assert reads == {"t0", *MODEL}
+
+
 def test_every_subcommand_has_one_flag_per_setting(settings_read):
     """Each runnable subcommand has one flag for each setting its command
-    reads, and none for the others: 171 flags over the 14 commands; and
+    reads, and none for the others: 167 flags over the 14 commands; and
     --config if it reads any setting."""
     runnable = dict(_runnable_parsers(build_parser()))
     assert set(runnable) == set(settings_read)
@@ -193,7 +228,7 @@ def test_every_subcommand_has_one_flag_per_setting(settings_read):
             assert (action.type, action.default) == (type(f.default), None), (name, f.name)
         # --config exactly when the command reads some setting
         assert any(a.dest == "config" for a in sub._actions) == bool(settings_read[name]), name
-    assert sum(len(reads) for reads in settings_read.values()) == 171
+    assert sum(len(reads) for reads in settings_read.values()) == 167
     assert set().union(*settings_read.values()) == set(fields)
 
 
@@ -388,6 +423,29 @@ def test_zero_training_setting_fails_before_the_sweep_grids(
     assert not out.exists()
 
 
+def test_bad_model_setting_fails_before_the_corpus_is_drawn(
+    capsys, monkeypatch, workdir, tmp_path
+):
+    """The settings build their model config when loaded, so the sweep
+    never generates its corpus."""
+    drawn = []
+    synth_generate = experiments.synth_generate
+
+    def counting_synth_generate(params):
+        drawn.append(params)
+        return synth_generate(params)
+
+    monkeypatch.setattr(experiments, "synth_generate", counting_synth_generate)
+    out = tmp_path / "out"
+    tail = dict(_short_runs(workdir))["experiment sweep"]
+    payload = _fail(capsys, ["experiment", "sweep", *tail, "--out", str(out),
+                             "--n-filters", "0"], 2)
+    assert payload["error"] == "config"
+    assert "n_filters must be >= 1, got 0" in payload["message"]
+    assert drawn == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -461,6 +519,27 @@ def test_evaluate_with_a_checkpoint_its_task_does_not_read_is_config_error(
     payload = _fail(capsys, argv, 2)
     assert payload["error"] == "config"
     assert payload["message"] == f"--task {task} does not read {unread}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("evaluate --task thread", "--n-threads", "3"),
+        ("evaluate --task thread", "--n-start-points", "7"),
+        ("evaluate --task reply", "--n-threads", "3"),
+        ("evaluate --task reply", "--n-start-points", "7"),
+        ("evaluate --task adaptive", "--train-frac", "0.3"),
+    ],
+)
+def test_evaluate_with_a_setting_its_task_does_not_read_is_config_error(
+    capsys, workdir, tmp_path, command, flag, value
+):
+    out = tmp_path / "e.csv"
+    tail = dict(_short_runs(workdir))[command]
+    payload = _fail(capsys, [*command.split(), *tail, "--out", str(out), flag, value], 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"--task {command.split()[-1]} does not read {flag}"
     assert not out.exists()
 
 
@@ -755,8 +834,7 @@ def test_grid_search_single_candidate(capsys, workdir, tmp_path):
         capsys,
         [
             "grid-search", "--in", str(workdir["events"]), "--task", "reply",
-            "--out", str(out), *TINY,
-            "--search-filters", "2", "--search-kernels", "2", "--search-blocks", "1",
+            "--out", str(out), *SEARCH_TINY,
         ],
     )
     assert payload["candidates"] == 1
@@ -764,6 +842,34 @@ def test_grid_search_single_candidate(capsys, workdir, tmp_path):
     header, rows = _read_csv(out)
     assert header == ["n_filters", "kernel", "n_blocks", "val_loss"]
     assert len(rows) == 1 and float(rows[0][3]) >= 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--n-filters", "2"), ("--kernel-size", "2"),
+                                         ("--n-blocks", "1"), ("--budget-epochs", "1")])
+def test_grid_search_refuses_the_flags_its_search_lists_replace(
+    capsys, workdir, tmp_path, flag, value
+):
+    out = tmp_path / "gs.csv"
+    tail = dict(_short_runs(workdir))["grid-search --task reply"]
+    payload = _fail(capsys, ["grid-search", "--task", "reply", *tail, "--out", str(out),
+                             flag, value], 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"unrecognized arguments: {flag} {value}"
+    assert not out.exists()
+
+
+def test_grid_search_trains_each_candidate_for_its_epochs(capsys, monkeypatch, workdir, tmp_path):
+    handed = []
+
+    def recording_grid_search(candidates, train_segments, val_segments, train_cfg, seed):
+        handed.append(train_cfg)
+        return [0.0] * len(candidates)
+
+    monkeypatch.setattr(experiments, "grid_search", recording_grid_search)
+    tail = dict(_short_runs(workdir))["grid-search --task reply"]
+    assert tail[tail.index("--epochs") + 1] == "1"
+    _ok(capsys, ["grid-search", "--task", "reply", *tail, "--out", str(tmp_path / "gs.csv")])
+    assert handed == [TrainConfig(lr=1e-3, weight_decay=1e-2, epochs=1, batch_size=16, seed=0)]
 
 
 def test_grid_search_picks_the_first_of_equal_losses(capsys, monkeypatch, workdir, tmp_path):

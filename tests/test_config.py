@@ -45,7 +45,7 @@ def test_channel_subsets_map_to_channel_tuples():
     ],
 )
 def test_model_config_rejects_unknown_names(field, value, fragment):
-    # the settings refuse the name when built, before any model config
+    # the settings refuse the name when built
     with pytest.raises(ValueError, match=fragment):
         RunSettings(**{field: value})
 
@@ -149,7 +149,6 @@ def test_config_file_int_stands_for_float(tmp_path):
         ("train_frac", 0.0),
         ("train_frac", 1.0),
         ("train_frac", 1.5),
-        ("budget_epochs", -1),
         ("d", 0.0),
         ("d", -5.0),
     ],
@@ -157,6 +156,29 @@ def test_config_file_int_stands_for_float(tmp_path):
 def test_out_of_range_setting_is_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         load_settings(None, {key: value}, RunSettings())
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_filters", 0, "n_filters must be >= 1, got 0"),
+        ("kernel_size", 0, "k_h must be >= 1, got 0"),
+        ("window_w", 0, "window must be >= 1 in both dims, got (16, 0)"),
+        ("n_blocks", 0, "n_blocks must be >= 1, got 0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("loss_mode", "x", "unknown loss mode 'x', not one of ('corner', 'full')"),
+        ("lambda_thread", -1.0, "lambda_thread must be positive"),
+        ("theta", 0.0, "theta must be positive"),
+        ("breakout_fraction", 1.5, "breakout_fraction must lie in [0, 1]"),
+    ],
+)
+def test_library_config_rule_fails_at_settings_load(key, value, message):
+    """The settings build the model, training and generator configs they
+    describe, so each of their rules fails here, naming its field."""
+    with pytest.raises(ConfigError) as info:
+        load_settings(None, {key: value}, RunSettings())
+    assert str(info.value) == f"bad config values: {message}"
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RunSettings) if isinstance(f.default, float)]

@@ -168,7 +168,7 @@ ALLOWED_OPTIONS = {
         "seed", "train_frac", "lambda_thread", "mu_reply", "theta", "horizon",
         "breakout_fraction", "breakout_boost", "n_threads", "n_intervals", "n_start_points",
         "span_seconds", "context_cols", "horizon_intervals", "search_filters",
-        "search_kernels", "search_blocks", "budget_epochs",
+        "search_kernels", "search_blocks",
     )),
 }
 
@@ -211,7 +211,7 @@ def test_the_package_keeps_only_the_options_its_callers_use():
         opt for p in sources for opt in _options(ast.parse(p.read_text(encoding="utf-8")), p.stem)
     ]
     assert sorted(set(options) - ALLOWED_OPTIONS) == [], "options outside the budget"
-    assert len(options) <= len(ALLOWED_OPTIONS) == 71
+    assert len(options) <= len(ALLOWED_OPTIONS) == 70
 
 
 def test_the_option_count_sees_every_form():
