@@ -95,6 +95,13 @@ def _durations(args, s: RunSettings) -> list[float]:
     return durations
 
 
+def _refuse_decay(args, command: str) -> None:
+    """A thread model's training never decays (see models.train), so a
+    command that trains one does not read --weight-decay."""
+    if args.task == "thread" and args.weight_decay is not None:
+        raise ConfigError(f"{command} does not read --weight-decay")
+
+
 def _model(path: str, kind: str):
     """The model of the checkpoint at path, which must hold a kind model."""
     model, _ = load_checkpoint(path)
@@ -150,6 +157,7 @@ def cmd_grid(args) -> None:
 
 
 def cmd_train(args) -> None:
+    _refuse_decay(args, "train-thread")
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)
@@ -165,6 +173,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_grid_search(args) -> None:
+    _refuse_decay(args, "--task thread")
     s = _settings(args)
     stream = _stream(args)
     grid = grid_for(stream, s)

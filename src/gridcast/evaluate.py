@@ -123,8 +123,8 @@ class MeanRowBaseline(_Baseline):
 
     mean_count: float
 
-    def predict_next_row(self, features, row_index) -> np.ndarray:
-        return np.full(features.shape[-1], self.mean_count, dtype=np.float64)
+    def predict_next_rows(self, features, row_indices) -> np.ndarray:
+        return np.full((len(features), features.shape[-1]), self.mean_count, dtype=np.float64)
 
 
 @dataclass
@@ -134,8 +134,9 @@ class PersistenceRowBaseline(_Baseline):
 
     counts: np.ndarray
 
-    def predict_next_row(self, features, row_index) -> np.ndarray:
-        return self.counts[row_index - 1, : features.shape[-1]].astype(np.float64)
+    def predict_next_rows(self, features, row_indices) -> np.ndarray:
+        rows = np.asarray(row_indices) - 1
+        return self.counts[rows, : features.shape[-1]].astype(np.float64)
 
 
 def train_mean_gap_intervals(thread_times, n_train_cols: int, d: float) -> float:
@@ -215,7 +216,7 @@ def evaluate_reply_counts(
     errors = []
     for r in range(start_row, start_row + n_intervals):
         win = window_at(data, r - 1, n_cols - 1, h, n_cols)
-        pred = np.asarray(model.predict_next_row(win, r), dtype=np.float64)
+        pred = np.asarray(model.predict_next_rows(win[None], np.array([r])), dtype=np.float64)[0]
         live = mask[r] == 0
         errors.extend(np.abs(pred[live] - grid.counts[r, live]))
     if not errors:

@@ -6,18 +6,25 @@ appends a column whose arrival row advances by the rounded gap (the
 wall-clock time chains unrounded, so timing error telescopes cleanly),
 then rolls the reply model forward a fixed number of rows across every
 column. Appended cells obey the same discipline as real grids:
-pre-arrival cells stay structural zeros, an arrival cell carries at
-least the thread post itself, and the sentinel and relative-time
-channels are rebuilt from the arrival rows for every prediction, never
-cached.
+pre-arrival cells stay structural zeros, and an arrival cell carries at
+least the thread post itself. The window a model reads is rebuilt from
+the counts and arrival rows for every prediction, never cached; only
+its own cells are computed (grid.feature_window), with the bits that
+assembling the whole state's features would give them.
+
+Every reply roll goes through roll_reply_rows, which advances any number
+of independent states by one row each with one batched prediction per
+state width, so a breakout curve rolls all of a duration's cascades in
+lockstep.
 
 Model protocol (duck-typed so ground-truth stand-ins drop in):
   - gap predictors expose .window, .channels and
     predict_gap(features, col_index) -> float >= 0, where col_index is
     the index of the column being created;
   - row predictors expose .window, .channels and
-    predict_next_row(features, row_index) -> per-column floats >= 0,
-    where row_index is the absolute grid row being predicted.
+    predict_next_rows(features (N, C, h, w), row_indices (N,)) -> (N, w)
+    floats >= 0, where row_indices[k] is the absolute grid row that
+    window k's prediction fills.
 Trained models ignore the index arguments.
 
 Breakout verdicts accumulate the raw (unrounded) per-interval
@@ -38,7 +45,7 @@ from .grid import (
     GridError,
     GridSpec,
     assemble_features,
-    window_at,
+    feature_window,
 )
 from .models import arrival_time
 
@@ -94,32 +101,54 @@ class ForecastState:
         )
 
     def features(self, channels: tuple[Channel, ...]) -> np.ndarray:
-        """Channel stack over the whole current state, rebuilt fresh."""
+        """Channel stack over the whole current state, rebuilt fresh: a
+        full view for inspection. Rolls build only the window they read
+        (grid.feature_window)."""
         return assemble_features(self.to_grid(), channels).data
 
 
-def roll_reply_row(state: ForecastState, reply_model) -> np.ndarray:
-    """Append one predicted row across all columns.
+def roll_reply_rows(states: list[ForecastState], reply_model) -> list[np.ndarray]:
+    """Append one predicted row across all columns of each state.
 
-    Returns the model's raw per-column estimates before rounding and
-    mask discipline; the state itself stores rounded integer counts.
+    The states are independent; those of equal width share one batched
+    prediction. Returns each state's raw per-column estimates before
+    rounding and mask discipline; the states store rounded integer
+    counts. Every prediction is checked before any state grows, so a bad
+    one leaves all of them unchanged.
     """
     h, _ = reply_model.window
-    new_row = state.n_rows
-    data = state.features(reply_model.channels)
-    window = window_at(data, state.n_rows - 1, state.n_cols - 1, h, state.n_cols)
-    raw = np.asarray(reply_model.predict_next_row(window, new_row), dtype=np.float64)
-    if raw.shape != (state.n_cols,):
-        raise GridError(f"row prediction shape {raw.shape} != ({state.n_cols},)")
-    # one range check: NaN fails it too, and int64 holds every value inside
-    if not np.all((raw >= 0) & (raw < 2.0**63)):
-        raise GridError("reply-count prediction negative, non-finite or >= 2**63")
-    vals = np.round(raw).astype(np.int64)
-    vals[state.arrival_rows > new_row] = 0  # still pre-arrival
-    at_arrival = state.arrival_rows == new_row
-    vals[at_arrival] = np.maximum(vals[at_arrival], 1)  # thread post itself
-    state.counts = np.vstack([state.counts, vals[None, :]])
-    return raw
+    by_width: dict[int, list[int]] = {}
+    for k, state in enumerate(states):
+        by_width.setdefault(state.n_cols, []).append(k)
+    raws: list[np.ndarray] = [None] * len(states)
+    for width, members in by_width.items():
+        windows = np.stack([
+            feature_window(states[k].counts, states[k].arrival_rows, reply_model.channels,
+                           states[k].n_rows - 1, width - 1, h, width)
+            for k in members
+        ])
+        rows = np.array([states[k].n_rows for k in members], dtype=np.int64)
+        pred = np.asarray(reply_model.predict_next_rows(windows, rows), dtype=np.float64)
+        if pred.shape != (len(members), width):
+            raise GridError(f"row prediction shape {pred.shape} != ({len(members)}, {width})")
+        # one range check: NaN fails it too, and int64 holds every value inside
+        if not np.all((pred >= 0) & (pred < 2.0**63)):
+            raise GridError("reply-count prediction negative, non-finite or >= 2**63")
+        for k, raw in zip(members, pred):
+            raws[k] = raw
+    for state, raw in zip(states, raws):
+        new_row = state.n_rows
+        vals = np.round(raw).astype(np.int64)
+        vals[state.arrival_rows > new_row] = 0  # still pre-arrival
+        at_arrival = state.arrival_rows == new_row
+        vals[at_arrival] = np.maximum(vals[at_arrival], 1)  # thread post itself
+        state.counts = np.vstack([state.counts, vals[None, :]])
+    return raws
+
+
+def roll_reply_row(state: ForecastState, reply_model) -> np.ndarray:
+    """roll_reply_rows for one state: its raw per-column estimates."""
+    return roll_reply_rows([state], reply_model)[0]
 
 
 def roll_until(state: ForecastState, reply_model, n_rows: int) -> None:
@@ -171,10 +200,8 @@ def adaptive_forecast(
     h, w = thread_model.window
     for _ in range(n_threads):
         roll_until(state, reply_model, int(state.arrival_rows[-1]) + 1)
-        data = state.features(thread_model.channels)
-        window = window_at(
-            data, int(state.arrival_rows[-1]), state.n_cols - 1, h, w
-        )
+        window = feature_window(state.counts, state.arrival_rows, thread_model.channels,
+                                int(state.arrival_rows[-1]), state.n_cols - 1, h, w)
         o_hat = float(thread_model.predict_gap(window, state.n_cols))
         append_thread_column(state, o_hat)
         for _ in range(n_intervals):
@@ -227,27 +254,48 @@ def breakout_classify(
     Holding the model's outputs fixed, the verdict is monotone in the
     prefix: more observed events never flip breakout to non-breakout.
     """
+    return _breakout_verdicts(
+        [state], [column], reply_model, l_bar, horizon_intervals, [cascade_id], start_duration
+    )[0]
+
+
+def _breakout_verdicts(
+    states: list[ForecastState],
+    columns: list[int],
+    reply_model,
+    l_bar: float,
+    horizon_intervals: int,
+    cascade_ids: list[str],
+    start_duration: float,
+) -> list[BreakoutVerdict]:
+    """breakout_classify for each (state, column), the states rolled in
+    lockstep."""
     if l_bar <= 0:
         raise GridError("average cascade size must be positive")
     if horizon_intervals < 0:
         raise GridError("horizon must be >= 0")
-    if not 0 <= column < state.n_cols:
-        raise GridError(f"column {column} outside state")
-    total = float(state.counts[:, column].sum())
-    prefix = total
+    for state, column in zip(states, columns):
+        if not 0 <= column < state.n_cols:
+            raise GridError(f"column {column} outside state")
+    prefixes = [float(state.counts[:, column].sum()) for state, column in zip(states, columns)]
+    totals = list(prefixes)
     if horizon_intervals > 0 and reply_model is not None:
         for _ in range(horizon_intervals):
-            raw = roll_reply_row(state, reply_model)
-            total += float(raw[column])
+            raws = roll_reply_rows(states, reply_model)
+            for k, (raw, column) in enumerate(zip(raws, columns)):
+                totals[k] += float(raw[column])
     threshold = 2.0 * l_bar
-    return BreakoutVerdict(
-        cascade_id=cascade_id,
-        start_duration=start_duration,
-        prefix_total=prefix,
-        predicted_total=total,
-        threshold=threshold,
-        is_breakout=total > threshold,
-    )
+    return [
+        BreakoutVerdict(
+            cascade_id=cascade_id,
+            start_duration=start_duration,
+            prefix_total=prefix,
+            predicted_total=total,
+            threshold=threshold,
+            is_breakout=total > threshold,
+        )
+        for cascade_id, prefix, total in zip(cascade_ids, prefixes, totals)
+    ]
 
 
 def build_breakout_state(
@@ -298,9 +346,9 @@ def breakout_curve(
 ) -> list[BreakoutCurvePoint]:
     """Correct-verdict rate at each start duration over the whole stream.
 
-    Durations must be positive multiples of the grid's interval length.
-    Ground truth: final cascade size strictly above twice the stream's
-    average. The roll-out horizon shrinks with the duration (observed
+    Durations must be positive multiples of the grid's interval length,
+    and all cascades of one duration roll in lockstep. Ground truth:
+    final cascade size strictly above twice the stream's average. The roll-out horizon shrinks with the duration (observed
     intervals replace predicted ones) and never goes negative. For
     cascades arriving near the grid bottom the observed prefix is
     clamped to the materialised rows.
@@ -314,21 +362,18 @@ def breakout_curve(
     points = []
     for s in start_durations:
         s_int = duration_intervals(s, grid.spec.d)
-        correct = 0
-        for j, casc in enumerate(stream.cascades):
+        remaining = max(0, horizon_intervals - s_int)
+        states, columns = [], []
+        for j in range(grid.spec.n_cols):
             class_row = min(int(grid.arrival_rows[j]) + s_int, grid.spec.n_rows)
             state, col = build_breakout_state(grid, j, class_row, context_cols)
-            remaining = max(0, horizon_intervals - s_int)
-            verdict = breakout_classify(
-                state,
-                col,
-                reply_model if remaining > 0 else None,
-                l_bar,
-                remaining,
-                cascade_id=casc.thread_id,
-                start_duration=s,
-            )
-            correct += int(verdict.is_breakout == truth[j])
+            states.append(state)
+            columns.append(col)
+        verdicts = _breakout_verdicts(
+            states, columns, reply_model if remaining > 0 else None, l_bar, remaining,
+            [casc.thread_id for casc in stream.cascades], s,
+        )
+        correct = sum(int(v.is_breakout == t) for v, t in zip(verdicts, truth))
         points.append(
             BreakoutCurvePoint(
                 start_duration=s, correct_rate=correct / len(stream), n=len(stream)

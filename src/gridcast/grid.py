@@ -270,10 +270,30 @@ def relative_time_channel(grid: Grid) -> np.ndarray:
     in the last row, or beyond the window) stays all zero rather than
     dividing by zero.
     """
-    rows = np.arange(grid.spec.n_rows, dtype=np.int64)[:, None]
-    arrival = grid.arrival_rows[None, :]
-    elapsed = np.maximum(rows - arrival, 0).astype(np.float64)
-    return elapsed / np.maximum(grid.spec.n_rows - 1 - arrival, 1)
+    rows = np.arange(grid.spec.n_rows, dtype=np.int64)
+    return _relative_time(rows, grid.arrival_rows, grid.spec.n_rows)
+
+
+def _relative_time(rows: np.ndarray, arrival_rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """relative_time_channel at the given rows of a grid with n_rows rows."""
+    arrival = arrival_rows[None, :]
+    elapsed = np.maximum(rows[:, None] - arrival, 0).astype(np.float64)
+    return elapsed / np.maximum(n_rows - 1 - arrival, 1)
+
+
+def _fill_features(out, counts, arrival_rows, n_rows, rows, chans) -> None:
+    """Write the chans planes of the given absolute rows of a grid with
+    n_rows rows into out (C, len(rows), n_cols); counts holds those rows'
+    counts and arrival_rows their columns' arrival rows. A cell depends
+    only on its row, its count, its column's arrival row and n_rows, so
+    any block of rows and columns gets the bits of the whole grid's."""
+    for k, ch in enumerate(chans):
+        if ch is Channel.COUNTS:
+            out[k] = counts
+        elif ch is Channel.RELTIME:
+            out[k] = _relative_time(rows, arrival_rows, n_rows)
+        else:
+            out[k] = rows[:, None] < arrival_rows[None, :]
 
 
 def assemble_features(
@@ -282,15 +302,41 @@ def assemble_features(
 ) -> "FeatureTensor":
     """Stack the requested channels into a float64 C x H x W tensor."""
     chans = canonical_channels(channels)
-    planes = []
-    for ch in chans:
-        if ch is Channel.COUNTS:
-            planes.append(grid.counts.astype(np.float64))
-        elif ch is Channel.RELTIME:
-            planes.append(relative_time_channel(grid).astype(np.float64))
-        else:
-            planes.append(grid.mask.astype(np.float64))
-    return FeatureTensor(channels=chans, data=np.stack(planes), spec=grid.spec)
+    n_rows, n_cols = grid.counts.shape
+    data = np.empty((len(chans), n_rows, n_cols), dtype=np.float64)
+    rows = np.arange(n_rows, dtype=np.int64)
+    _fill_features(data, grid.counts, grid.arrival_rows, n_rows, rows, chans)
+    return FeatureTensor(channels=chans, data=data, spec=grid.spec)
+
+
+def feature_window(
+    counts: np.ndarray,
+    arrival_rows: np.ndarray,
+    channels: Iterable[Channel],
+    row: int,
+    col: int,
+    h: int,
+    w: int,
+) -> np.ndarray:
+    """window_at(assemble_features(grid, channels).data, row, col, h, w)
+    for the grid with these counts and arrival rows, bit for bit, built
+    from the window's own cells only: float64 (C, h, w), zero-padded
+    top-left where the window overhangs the grid."""
+    n_rows, n_cols = counts.shape
+    if not (0 <= row < n_rows and 0 <= col < n_cols):
+        raise GridError(f"window corner ({row}, {col}) outside the {n_rows}x{n_cols} grid")
+    chans = canonical_channels(channels)
+    r0, c0 = max(row - h + 1, 0), max(col - w + 1, 0)
+    out = np.zeros((len(chans), h, w), dtype=np.float64)
+    _fill_features(
+        out[:, h - (row + 1 - r0) :, w - (col + 1 - c0) :],
+        counts[r0 : row + 1, c0 : col + 1],
+        arrival_rows[c0 : col + 1],
+        n_rows,
+        np.arange(r0, row + 1, dtype=np.int64),
+        chans,
+    )
+    return out
 
 
 @dataclass(frozen=True)

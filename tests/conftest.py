@@ -1,6 +1,6 @@
 """Shared fixtures: tiny streams, grids, stub predictors, strategies,
-and the earlier np.where / scatter-form kernels and column-max relative
-time kept as oracles."""
+and, kept as oracles, the earlier np.where / scatter-form kernels, the
+column-max relative time and the per-cascade roll and breakout curve."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,7 +10,22 @@ from hypothesis import strategies as st
 from gridcast import nn
 from gridcast.container import write_container
 from gridcast.dataio import GRID_FILE
-from gridcast.grid import EventStream, Grid, ThreadCascade, build_grid
+from gridcast.forecast import (
+    BreakoutCurvePoint,
+    average_cascade_size,
+    build_breakout_state,
+    default_breakout_horizon,
+    duration_intervals,
+)
+from gridcast.grid import (
+    EventStream,
+    Grid,
+    GridError,
+    ThreadCascade,
+    assemble_features,
+    build_grid,
+    window_at,
+)
 from gridcast.models import ModelConfig, build_model
 
 
@@ -108,8 +123,8 @@ class ConstRowStub:
         self.channels = CHANNEL_ORDER
         self.kind = "reply"
 
-    def predict_next_row(self, features, row_index=None) -> np.ndarray:
-        return np.full(features.shape[-1], self.value, dtype=np.float64)
+    def predict_next_rows(self, features, row_indices) -> np.ndarray:
+        return np.full((len(features), features.shape[-1]), self.value, dtype=np.float64)
 
 
 class TrueRowStub:
@@ -128,10 +143,11 @@ class TrueRowStub:
         self.channels = CHANNEL_ORDER
         self.kind = "reply"
 
-    def predict_next_row(self, features, row_index=None) -> np.ndarray:
-        n = features.shape[-1]
+    def predict_next_rows(self, features, row_indices) -> np.ndarray:
+        return np.stack([self._row(features.shape[-1], int(r)) for r in row_indices])
+
+    def _row(self, n: int, r: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.float64)
-        r = int(row_index)
         if r < self.grid.spec.n_rows:
             m = min(n, self.grid.spec.n_cols)
             out[:m] = self.grid.counts[r, :m]
@@ -233,6 +249,52 @@ def column_max_relative_time(grid: Grid) -> np.ndarray:
     raw[:, grid.arrival_rows >= grid.spec.n_rows] = 0.0
     colmax = raw.max(axis=0)
     return raw / np.where(colmax > 0, colmax, 1.0)[None, :]
+
+
+# ---------------------------------------------------------------------------
+# oracle rolls: one state at a time, from the features of the whole state
+
+
+def per_state_roll(state, reply_model) -> np.ndarray:
+    """roll_reply_row before the lockstep roll: every feature of the state
+    assembled, the window cut with window_at and predicted alone."""
+    h, _ = reply_model.window
+    data = assemble_features(state.to_grid(), reply_model.channels).data
+    window = window_at(data, state.n_rows - 1, state.n_cols - 1, h, state.n_cols)
+    new_row = state.n_rows
+    raw = np.asarray(reply_model.predict_next_rows(window[None], np.array([new_row])),
+                     dtype=np.float64)[0]
+    if not np.all((raw >= 0) & (raw < 2.0**63)):
+        raise GridError("reply-count prediction negative, non-finite or >= 2**63")
+    vals = np.round(raw).astype(np.int64)
+    vals[state.arrival_rows > new_row] = 0
+    at_arrival = state.arrival_rows == new_row
+    vals[at_arrival] = np.maximum(vals[at_arrival], 1)
+    state.counts = np.vstack([state.counts, vals[None, :]])
+    return raw
+
+
+def per_cascade_breakout_curve(stream, grid, reply_model, start_durations, horizon_intervals,
+                               context_cols) -> list[BreakoutCurvePoint]:
+    """breakout_curve before the lockstep roll: each cascade's prefix state
+    built, rolled with per_state_roll and judged alone."""
+    l_bar = average_cascade_size(stream)
+    if horizon_intervals is None:
+        horizon_intervals = default_breakout_horizon(stream, grid.spec.d)
+    points = []
+    for s in start_durations:
+        s_int = duration_intervals(s, grid.spec.d)
+        correct = 0
+        for j, casc in enumerate(stream.cascades):
+            class_row = min(int(grid.arrival_rows[j]) + s_int, grid.spec.n_rows)
+            state, col = build_breakout_state(grid, j, class_row, context_cols)
+            total = float(state.counts[:, col].sum())
+            if reply_model is not None:
+                for _ in range(max(0, horizon_intervals - s_int)):
+                    total += float(per_state_roll(state, reply_model)[col])
+            correct += int((total > 2.0 * l_bar) == (casc.size > 2.0 * l_bar))
+        points.append(BreakoutCurvePoint(s, correct / len(stream), len(stream)))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -40,16 +40,16 @@ def test_mean_fills_rows_with_global_mean():
     grid = Grid(GridSpec(d=D, t0=0.0, n_rows=2, n_cols=2), counts, np.zeros(2, np.int64))
     mean = train_mean_cell_count(grid, 0, 2)
     assert mean == 2.0
-    out = MeanRowBaseline(mean).predict_next_row(np.zeros((1, 2, 2)), 2)
-    assert out.shape == (2,)
+    out = MeanRowBaseline(mean).predict_next_rows(np.zeros((3, 1, 2, 2)), np.array([2, 5, 9]))
+    assert out.shape == (3, 2)
     assert np.all(out == 2.0)
 
 
 def test_persistence_repeats_last_row():
     counts = np.array([[0, 2], [4, 1], [3, 3]], dtype=np.int64)
-    out = PersistenceRowBaseline(counts).predict_next_row(np.zeros((1, 1, 2)), 2)
+    out = PersistenceRowBaseline(counts).predict_next_rows(np.zeros((2, 1, 1, 2)), np.array([2, 1]))
     assert out.dtype == np.float64
-    assert np.array_equal(out, [4.0, 1.0])
+    assert np.array_equal(out, [[4.0, 1.0], [0.0, 2.0]])
 
 
 def test_persistence_reads_counts_not_the_feature_window():
@@ -57,8 +57,8 @@ def test_persistence_reads_counts_not_the_feature_window():
     a scaled count channel: the baseline still repeats the counts."""
     counts = np.array([[0, 2], [4, 1]], dtype=np.int64)
     window = np.log1p(counts[None, -1:].astype(np.float64)) - 7.0
-    out = PersistenceRowBaseline(counts).predict_next_row(window, 2)
-    assert np.array_equal(out, [4.0, 1.0])
+    out = PersistenceRowBaseline(counts).predict_next_rows(window[None], np.array([2]))
+    assert np.array_equal(out, [[4.0, 1.0]])
 
 
 def test_single_element_history():

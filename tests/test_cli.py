@@ -858,6 +858,19 @@ def test_grid_search_refuses_the_flags_its_search_lists_replace(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, where", [("train-thread", "train-thread"),
+                                            ("grid-search --task thread", "--task thread")])
+def test_a_thread_model_refuses_weight_decay(capsys, workdir, tmp_path, command, where):
+    """models.train never decays a thread model, so the flag would change nothing."""
+    out = tmp_path / "th.out"
+    tail = dict(_short_runs(workdir))[command]
+    payload = _fail(capsys, [*command.split(), *tail, "--out", str(out),
+                             "--weight-decay", "0.9"], 2)
+    assert payload["error"] == "config"
+    assert payload["message"] == f"{where} does not read --weight-decay"
+    assert not out.exists()
+
+
 def test_grid_search_trains_each_candidate_for_its_epochs(capsys, monkeypatch, workdir, tmp_path):
     handed = []
 

@@ -1,8 +1,19 @@
 """Closed-loop simulation and breakout identification."""
 import numpy as np
 import pytest
-from conftest import ConstGapStub, ConstRowStub, TrueRowStub, cascade, tiny_model, zero_weights
+from conftest import (
+    ConstGapStub,
+    ConstRowStub,
+    TrueRowStub,
+    cascade,
+    per_cascade_breakout_curve,
+    per_state_roll,
+    tiny_config,
+    tiny_model,
+    zero_weights,
+)
 
+from gridcast import models
 from gridcast.forecast import (
     ForecastState,
     adaptive_forecast,
@@ -13,6 +24,7 @@ from gridcast.forecast import (
     build_breakout_state,
     default_breakout_horizon,
     roll_reply_row,
+    roll_reply_rows,
 )
 from gridcast.grid import (
     CHANNEL_ORDER,
@@ -23,6 +35,7 @@ from gridcast.grid import (
     assemble_features,
     build_grid,
 )
+from gridcast.synth import SynthParams, synth_generate
 
 LN2 = float(np.log(2.0))
 
@@ -101,12 +114,12 @@ def test_roll_zeroes_pre_arrival_and_seeds_arrival(small_grid):
 
 def test_roll_rejects_bad_stub_output(small_grid):
     class BadShape(ConstRowStub):
-        def predict_next_row(self, features, row_index=None):
-            return np.zeros(2)
+        def predict_next_rows(self, features, row_indices):
+            return np.zeros((len(features), 2))
 
     class Negative(ConstRowStub):
-        def predict_next_row(self, features, row_index=None):
-            return np.full(features.shape[-1], -0.5)
+        def predict_next_rows(self, features, row_indices):
+            return np.full((len(features), features.shape[-1]), -0.5)
 
     state = ForecastState.from_grid(small_grid)
     with pytest.raises(GridError, match="shape"):
@@ -115,12 +128,34 @@ def test_roll_rejects_bad_stub_output(small_grid):
         roll_reply_row(state, Negative(0.0))
 
 
+class OneBadRowStub(ConstRowStub):
+    """Predicts 1 in every window but those predicting row bad_row, which
+    read the stub's value."""
+
+    def __init__(self, value: float, bad_row: int):
+        super().__init__(value)
+        self.bad_row = bad_row
+
+    def predict_next_rows(self, features, row_indices):
+        out = np.ones((len(features), features.shape[-1]))
+        out[np.asarray(row_indices) == self.bad_row] = self.value
+        return out
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, 2.0**63])
 def test_roll_rejects_prediction_outside_int64_range(small_grid, value):
     state = ForecastState.from_grid(small_grid)
     with pytest.raises(GridError, match="non-finite"):
         roll_reply_row(state, ConstRowStub(value))
     assert state.n_rows == small_grid.spec.n_rows  # nothing appended
+    # one bad state stops a lockstep roll before any state grows, though
+    # its width's batch is predicted after the others have passed
+    states = [ForecastState.from_grid(small_grid.crop(n, slice(0, w)))
+              for n, w in ((2, 1), (3, 3), (4, 2), (5, 3))]
+    before = [state.counts.copy() for state in states]
+    with pytest.raises(GridError, match="non-finite"):
+        roll_reply_rows(states, OneBadRowStub(value, bad_row=4))
+    assert all(np.array_equal(st.counts, b) for st, b in zip(states, before))
 
 
 def test_roll_stores_largest_prediction_below_2_63(small_grid):
@@ -431,3 +466,61 @@ def test_breakout_curve_validation():
     short = EventStream.from_cascades([cascade("a", 0.0)])
     with pytest.raises(GridError, match="disagree"):
         breakout_curve(short, grid, None, [60.0], horizon_intervals=0, context_cols=16)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep roll against the per-state oracle
+
+D = 300.0
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """A boosted synthetic corpus cut off before its last arrivals, so late
+    cascades have clamped prefixes and some arrive past the last row, and
+    a tiny float32 reply model trained one epoch on it."""
+    stream = synth_generate(SynthParams(lambda_thread=1 / 600, mu_reply=0.05, theta=300.0,
+                                        horizon=20_000.0, breakout_fraction=0.25,
+                                        breakout_boost=4.0, seed=3))
+    grid = build_grid(stream, d=D, t0=0.0, n_rows=60)
+    assert (grid.arrival_rows >= grid.spec.n_rows).any()
+    config = tiny_config("reply")
+    model = models.build_model(config, seed=1)
+    segments = models.training_segments(grid, config, 0.7)
+    models.train(model, segments, models.TrainConfig(epochs=1, batch_size=16))
+    return stream, grid, model
+
+
+def _predictors(grid, model):
+    return {"trained": model, "true-rows": TrueRowStub(grid, offset=0.3)}
+
+
+@pytest.mark.parametrize("predictor", ["trained", "true-rows"])
+@pytest.mark.parametrize("horizon, context_cols", [(None, 16), (0, 16), (12, 1), (20, 4)])
+def test_lockstep_curve_equals_the_per_cascade_oracle(corpus, predictor, horizon, context_cols):
+    stream, grid, model = corpus
+    reply = _predictors(grid, model)[predictor]
+    durations = [k * D for k in (1, 2, 3, 5, 10, 40)]
+    got = breakout_curve(stream, grid, reply, durations, horizon, context_cols)
+    want = per_cascade_breakout_curve(stream, grid, reply, durations, horizon, context_cols)
+    assert got == want
+
+
+@pytest.mark.parametrize("predictor", ["trained", "true-rows"])
+@pytest.mark.parametrize("chunk_cells", [models.PREDICT_CHUNK_CELLS, 48])
+def test_roll_reply_rows_equals_per_state_rolls(corpus, monkeypatch, predictor, chunk_cells):
+    """States of widths 1 to 4 and of many row counts, in batches of one
+    chunk and of several."""
+    monkeypatch.setattr(models, "PREDICT_CHUNK_CELLS", chunk_cells)
+    stream, grid, model = corpus
+    reply = _predictors(grid, model)[predictor]
+    starts = [build_breakout_state(grid, j, min(int(grid.arrival_rows[j]) + k, 60), 4)[0]
+              for j in range(grid.spec.n_cols) for k in (1, 3)]
+    assert {st.n_cols for st in starts} == {1, 2, 3, 4}
+    lockstep = [ForecastState.from_grid(st.to_grid()) for st in starts]
+    alone = [ForecastState.from_grid(st.to_grid()) for st in starts]
+    for _ in range(3):
+        raws = roll_reply_rows(lockstep, reply)
+        for state, raw in zip(alone, raws):
+            assert raw.tobytes() == per_state_roll(state, reply).tobytes()
+    assert all(np.array_equal(a.counts, b.counts) for a, b in zip(lockstep, alone))

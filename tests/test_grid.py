@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast.grid import (
     CHANNEL_ORDER,
+    CHANNEL_SETS,
     Channel,
     EventStream,
     Grid,
@@ -18,6 +19,7 @@ from gridcast.grid import (
     assemble_features,
     build_grid,
     canonical_channels,
+    feature_window,
     frontier_segments,
     gap_columns,
     interval_index,
@@ -410,6 +412,39 @@ def test_window_at_interior_and_overhang():
     assert over.shape == (1, 3, 2)
     assert over[0, :2, :].sum() == 0 and over[0, 2, 0] == 0
     assert over[0, 2, 1] == data[0, 0, 0]
+
+
+@given(
+    n_rows=st.integers(1, 20),
+    arrivals=st.lists(st.integers(0, 24), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+    corner=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    h=st.integers(1, 20),
+    w=st.integers(1, 10),
+    chans=st.sampled_from(sorted(CHANNEL_SETS)),
+)
+@example(n_rows=3, arrivals=[0], seed=0, corner=(2, 0), h=16, w=1, chans="full")
+@example(n_rows=4, arrivals=[0, 2, 9], seed=1, corner=(3, 2), h=3, w=3, chans="M")
+@example(n_rows=9, arrivals=[1, 4, 6], seed=2, corner=(5, 2), h=4, w=5, chans="S")
+@settings(max_examples=150, deadline=None)
+def test_feature_window_is_the_assembled_window(n_rows, arrivals, seed, corner, h, w, chans):
+    """Top padding (n_rows < h), width 1, columns arriving past the last
+    row and pre-arrival cells, for each channel set, to the bit."""
+    arrival_rows = np.array(sorted(arrivals), dtype=np.int64)
+    counts = np.random.default_rng(seed).integers(0, 9, (n_rows, len(arrival_rows)))
+    counts[np.arange(n_rows)[:, None] < arrival_rows[None, :]] = 0
+    grid = Grid(GridSpec(60.0, 0.0, n_rows, len(arrival_rows)), counts, arrival_rows)
+    row, col = corner[0] % n_rows, corner[1] % len(arrival_rows)
+    want = window_at(assemble_features(grid, CHANNEL_SETS[chans]).data, row, col, h, w)
+    got = feature_window(counts, arrival_rows, CHANNEL_SETS[chans], row, col, h, w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row, col", [(-1, 0), (5, 0), (0, -1), (0, 3)])
+def test_feature_window_corner_must_lie_in_the_grid(small_grid, row, col):
+    with pytest.raises(GridError, match="outside"):
+        feature_window(small_grid.counts, small_grid.arrival_rows, CHANNEL_ORDER, row, col, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Five structural rules, checked with ast. Which modules may know the run
+"""Six structural rules, checked with ast. Which modules may know the run
 settings: the library takes plain arguments, and only the recipes and the
 command line read RunSettings. Which module knows the byte layout of
 grid files and checkpoints: only container.py imports zlib or struct.
@@ -6,9 +6,11 @@ Which module turns a kernel size and filter shape into k_h and k_w: only
 config.py passes them by keyword.
 Which options the package keeps: a parameter or dataclass field with a
 default stays only if a caller outside the tests (the package itself or
-any file under perfbench/) leaves it out. And the benchmark calls only
+any file under perfbench/) leaves it out. The benchmark calls only
 names and keyword arguments that the package still has, and leaves out
-only parameters that still have a default."""
+only parameters that still have a default. And no roll path in
+forecast.py assembles the features of a whole state: it builds only the
+window its model reads."""
 import ast
 import importlib
 import inspect
@@ -116,6 +118,65 @@ def test_the_kernel_check_sees_the_keyword_form():
     for line in ["TCNStack(rng, c, f, config.k_h, config.k_w, b, dt)", "k_h = 3",
                  "f(kernel=3)", "def f(k_h=3): ..."]:
         assert not _passes_kernel_dims(ast.parse(line)), line
+
+
+# ---------------------------------------------------------------------------
+# a roll builds only the window its model reads
+
+FORECAST = Path(gridcast.__file__).parent / "forecast.py"
+ROLL_PATHS = ("roll_reply_rows", "roll_reply_row", "adaptive_forecast", "breakout_classify",
+              "breakout_curve")
+
+
+def _assemblers(tree: ast.Module, roots) -> list[str]:
+    """The roots whose bodies reference assemble_features, directly or
+    through a function or method that tree defines (by name, so a local
+    of the same name counts too)."""
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def used(name: str) -> set[str]:
+        nodes = list(ast.walk(defs[name]))
+        return ({n.id for n in nodes if isinstance(n, ast.Name)}
+                | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+    def reaches(name: str, seen: set[str]) -> bool:
+        seen.add(name)
+        names = used(name)
+        return "assemble_features" in names or any(
+            reaches(n, seen) for n in names if n in defs and n not in seen)
+
+    return [root for root in roots if reaches(root, set())]
+
+
+def test_no_roll_path_assembles_the_features_of_a_whole_state():
+    tree = ast.parse(FORECAST.read_text(encoding="utf-8"))
+    assert _assemblers(tree, ROLL_PATHS) == [], "a roll reads grid.feature_window only"
+    # ForecastState.features stays as the full-tensor view, and the walk sees it
+    assert _assemblers(tree, ["features"]) == ["features"]
+
+
+def test_the_roll_check_follows_calls_and_methods():
+    source = """
+def roll(state):
+    return helper(state)
+
+def helper(state):
+    return state.features(())
+
+class State:
+    def features(self, channels):
+        return grid.assemble_features(self, channels)
+
+def direct(g):
+    return assemble_features(g)
+
+def clean(state):
+    return feature_window(state.counts, state.arrival_rows)
+"""
+    tree = ast.parse(source)
+    assert _assemblers(tree, ["roll", "helper", "features", "direct", "clean"]) == [
+        "roll", "helper", "features", "direct"]
 
 
 # ---------------------------------------------------------------------------
