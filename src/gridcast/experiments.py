@@ -39,7 +39,13 @@ from .evaluate import (
     train_mean_cell_count,
     train_mean_gap_intervals,
 )
-from .forecast import BreakoutCurvePoint, ForecastState, breakout_curve, roll_reply_rows
+from .forecast import (
+    BreakoutCurvePoint,
+    ForecastState,
+    breakout_curve,
+    lockstep_groups,
+    roll_reply_rows,
+)
 from .grid import EventStream, Grid, GridError, build_grid, gap_columns, rows_covering, time_split
 from .models import ModelConfig, build_model, grid_search, train, training_segments
 from .synth import synth_generate
@@ -201,7 +207,7 @@ class SweepResult:
 
 def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[float, int]:
     """Roll the reply model over its own outputs for span_int rows from
-    each aligned start in the test region, all starts in lockstep;
+    each aligned start in the test region, the starts in lockstep groups;
     absolute error of per-column totals against truth. Thread arrival
     rows are taken as known.
 
@@ -214,17 +220,17 @@ def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[
     starts = list(range(r_split, n_rows - span_int + 1, span_int))
     if not starts:
         raise GridError("test region shorter than the evaluation span")
-    states = [ForecastState.from_grid(grid.crop(r0)) for r0 in starts]
-    for _ in range(span_int):
-        roll_reply_rows(states, model)
     errors = []
-    for r0, state in zip(starts, states):
-        pred = state.counts[r0 : r0 + span_int]
-        arr = grid.arrival_rows
-        cols = np.where((arr >= r0 - span_int) & (arr < r0 + span_int))[0]
-        true = grid.counts[r0 : r0 + span_int]
-        for c in cols:
-            errors.append(abs(int(pred[:, c].sum()) - int(true[:, c].sum())))
+    arr = grid.arrival_rows
+    for group in lockstep_groups((ForecastState.from_grid(grid.crop(r0)), r0) for r0 in starts):
+        for _ in range(span_int):
+            roll_reply_rows([state for state, _ in group], model)
+        for state, r0 in group:
+            pred = state.counts[r0 : r0 + span_int]
+            cols = np.where((arr >= r0 - span_int) & (arr < r0 + span_int))[0]
+            true = grid.counts[r0 : r0 + span_int]
+            for c in cols:
+                errors.append(abs(int(pred[:, c].sum()) - int(true[:, c].sum())))
     if not errors:
         raise GridError("no recently-arrived columns in the sweep test region")
     return float(np.mean(errors)), len(errors)

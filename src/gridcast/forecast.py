@@ -8,14 +8,17 @@ then rolls the reply model forward a fixed number of rows across every
 column. Appended cells obey the same discipline as real grids:
 pre-arrival cells stay structural zeros, and an arrival cell carries at
 least the thread post itself. The window a model reads is rebuilt from
-the counts and arrival rows for every prediction, never cached; only
-its own cells are computed (grid.feature_window), with the bits that
-assembling the whole state's features would give them.
+the counts and arrival rows for every prediction, never cached. A reply
+roll computes only its window's own cells (grid.feature_window), with
+the bits that assembling the whole state's features would give them;
+the gap prediction, once per simulated thread, cuts its window from the
+whole state's features (ForecastState.features).
 
 Every reply roll goes through roll_reply_rows, which advances any number
 of independent states by one row each with one batched prediction per
-state width, so a breakout curve rolls all of a duration's cascades in
-lockstep.
+state width. A breakout curve rolls a duration's cascades, and the
+d-sweep its starts, in lockstep groups of at most LOCKSTEP_CELLS state
+cells (lockstep_groups).
 
 Model protocol (duck-typed so ground-truth stand-ins drop in):
   - gap predictors expose .window, .channels and
@@ -46,6 +49,7 @@ from .grid import (
     GridSpec,
     assemble_features,
     feature_window,
+    window_at,
 )
 from .models import arrival_time
 
@@ -101,10 +105,37 @@ class ForecastState:
         )
 
     def features(self, channels: tuple[Channel, ...]) -> np.ndarray:
-        """Channel stack over the whole current state, rebuilt fresh: a
-        full view for inspection. Rolls build only the window they read
-        (grid.feature_window)."""
+        """Channel stack over the whole current state, rebuilt fresh: the
+        full view the gap prediction reads. Reply rolls build only the
+        window they read (grid.feature_window)."""
         return assemble_features(self.to_grid(), channels).data
+
+
+# A lockstep roll holds its whole group of states at once, where a
+# one-by-one roll held one. A group closes once its states hold this
+# many count cells (2 MB of int64). On a breakout curve over the
+# benchmark's wide shape (1977 cascades, 4016 rows) the peak RSS was
+# 107 MB one by one, 114 MB at this budget, 135 MB at 4x it and 988 MB
+# unbounded, and the curve ran as fast at this budget as at 8x it; on
+# the benchmark's 174-cascade curve (about 0.55M cells per duration) the
+# time was the same at 2**18, 2**19 and 2**20.
+LOCKSTEP_CELLS = 2**18
+
+
+def lockstep_groups(pairs):
+    """Split an iterable of (state, tag) pairs into consecutive lists
+    whose states hold at most LOCKSTEP_CELLS count cells together, or
+    one state that alone holds more. The iterable is drawn only as each
+    group fills, so states built lazily are held one group at a time."""
+    group, cells = [], 0
+    for state, tag in pairs:
+        if group and cells + state.counts.size > LOCKSTEP_CELLS:
+            yield group
+            group, cells = [], 0
+        group.append((state, tag))
+        cells += state.counts.size
+    if group:
+        yield group
 
 
 def roll_reply_rows(states: list[ForecastState], reply_model) -> list[np.ndarray]:
@@ -200,8 +231,8 @@ def adaptive_forecast(
     h, w = thread_model.window
     for _ in range(n_threads):
         roll_until(state, reply_model, int(state.arrival_rows[-1]) + 1)
-        window = feature_window(state.counts, state.arrival_rows, thread_model.channels,
-                                int(state.arrival_rows[-1]), state.n_cols - 1, h, w)
+        data = state.features(thread_model.channels)
+        window = window_at(data, int(state.arrival_rows[-1]), state.n_cols - 1, h, w)
         o_hat = float(thread_model.predict_gap(window, state.n_cols))
         append_thread_column(state, o_hat)
         for _ in range(n_intervals):
@@ -347,9 +378,11 @@ def breakout_curve(
     """Correct-verdict rate at each start duration over the whole stream.
 
     Durations must be positive multiples of the grid's interval length,
-    and all cascades of one duration roll in lockstep. Ground truth:
-    final cascade size strictly above twice the stream's average. The roll-out horizon shrinks with the duration (observed
-    intervals replace predicted ones) and never goes negative. For
+    and the cascades of one duration roll in lockstep groups
+    (lockstep_groups). Ground truth: final cascade size strictly above
+    twice the stream's average. The roll-out horizon shrinks with the
+    duration (observed intervals replace predicted ones) and never goes
+    negative. For
     cascades arriving near the grid bottom the observed prefix is
     clamped to the materialised rows.
     """
@@ -359,20 +392,24 @@ def breakout_curve(
     if horizon_intervals is None:
         horizon_intervals = default_breakout_horizon(stream, grid.spec.d)
     truth = [c.size > 2.0 * l_bar for c in stream.cascades]
+    thread_ids = [c.thread_id for c in stream.cascades]
     points = []
     for s in start_durations:
         s_int = duration_intervals(s, grid.spec.d)
         remaining = max(0, horizon_intervals - s_int)
-        states, columns = [], []
-        for j in range(grid.spec.n_cols):
-            class_row = min(int(grid.arrival_rows[j]) + s_int, grid.spec.n_rows)
-            state, col = build_breakout_state(grid, j, class_row, context_cols)
-            states.append(state)
-            columns.append(col)
-        verdicts = _breakout_verdicts(
-            states, columns, reply_model if remaining > 0 else None, l_bar, remaining,
-            [casc.thread_id for casc in stream.cascades], s,
+        prefixes = (
+            build_breakout_state(
+                grid, j, min(int(grid.arrival_rows[j]) + s_int, grid.spec.n_rows), context_cols
+            )
+            for j in range(grid.spec.n_cols)
         )
+        verdicts = []
+        for group in lockstep_groups(prefixes):
+            verdicts += _breakout_verdicts(
+                [state for state, _ in group], [col for _, col in group],
+                reply_model if remaining > 0 else None, l_bar, remaining,
+                thread_ids[len(verdicts) : len(verdicts) + len(group)], s,
+            )
         correct = sum(int(v.is_breakout == t) for v, t in zip(verdicts, truth))
         points.append(
             BreakoutCurvePoint(

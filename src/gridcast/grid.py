@@ -155,8 +155,7 @@ class Grid:
     @property
     def mask(self) -> np.ndarray:
         """Sentinel channel: 1 on structural-zero cells before arrival."""
-        rows = np.arange(self.spec.n_rows)[:, None]
-        return (rows < self.arrival_rows[None, :]).astype(np.uint8)
+        return _mask(np.arange(self.spec.n_rows), self.arrival_rows).astype(np.uint8)
 
     def crop(self, n_rows: int, cols: slice = slice(None)) -> "Grid":
         """A copy of the first n_rows rows of the given columns: what was
@@ -281,6 +280,12 @@ def _relative_time(rows: np.ndarray, arrival_rows: np.ndarray, n_rows: int) -> n
     return elapsed / np.maximum(n_rows - 1 - arrival, 1)
 
 
+def _mask(rows: np.ndarray, arrival_rows: np.ndarray) -> np.ndarray:
+    """Grid.mask at the given rows, as booleans: the cell's row lies
+    before its column's arrival row."""
+    return rows[:, None] < arrival_rows[None, :]
+
+
 def _fill_features(out, counts, arrival_rows, n_rows, rows, chans) -> None:
     """Write the chans planes of the given absolute rows of a grid with
     n_rows rows into out (C, len(rows), n_cols); counts holds those rows'
@@ -293,7 +298,7 @@ def _fill_features(out, counts, arrival_rows, n_rows, rows, chans) -> None:
         elif ch is Channel.RELTIME:
             out[k] = _relative_time(rows, arrival_rows, n_rows)
         else:
-            out[k] = rows[:, None] < arrival_rows[None, :]
+            out[k] = _mask(rows, arrival_rows)
 
 
 def assemble_features(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import ConstGapStub, ConstRowStub, TrueGapStub, TrueRowStub, lattice_stream
 
-from gridcast import experiments
+from gridcast import experiments, forecast
 from gridcast.evaluate import (
     EvalReport,
     EvalTask,
@@ -311,6 +311,14 @@ def test_sweep_rejects_oversized_and_empty_candidates():
         sweep_interval_length(stream, [20000.0], _SWEEP_CFG)
     with pytest.raises(GridError, match="empty"):
         sweep_interval_length(stream, [], _SWEEP_CFG)
+
+
+def test_sweep_rolls_the_same_in_any_lockstep_grouping(monkeypatch):
+    """Every start rolled alone gives the rows of the default groups."""
+    grouped = sweep_interval_length(_sweep_stream(), [300.0], _SWEEP_CFG)
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 1)
+    alone = sweep_interval_length(_sweep_stream(), [300.0], _SWEEP_CFG)
+    assert alone.rows == grouped.rows
 
 
 def test_sweep_builds_both_models_from_its_settings(monkeypatch):

@@ -1,4 +1,6 @@
 """Closed-loop simulation and breakout identification."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -13,7 +15,7 @@ from conftest import (
     zero_weights,
 )
 
-from gridcast import models
+from gridcast import forecast, models
 from gridcast.forecast import (
     ForecastState,
     adaptive_forecast,
@@ -524,3 +526,32 @@ def test_roll_reply_rows_equals_per_state_rolls(corpus, monkeypatch, predictor, 
         for state, raw in zip(alone, raws):
             assert raw.tobytes() == per_state_roll(state, reply).tobytes()
     assert all(np.array_equal(a.counts, b.counts) for a, b in zip(lockstep, alone))
+
+
+def test_lockstep_groups_close_at_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 10)
+    drawn = []
+
+    def pairs():
+        for tag, n_rows in enumerate([4, 4, 3, 12, 1, 9]):
+            drawn.append(tag)
+            yield SimpleNamespace(counts=np.zeros((n_rows, 1))), tag
+
+    groups = forecast.lockstep_groups(pairs())
+    assert [tag for _, tag in next(groups)] == [0, 1]
+    assert drawn == [0, 1, 2]  # states are drawn only as a group fills
+    # a state over the budget is a group of its own
+    assert [[tag for _, tag in group] for group in groups] == [[2], [3], [4, 5]]
+
+
+@pytest.mark.parametrize("predictor", ["trained", "true-rows"])
+def test_lockstep_curve_in_many_groups_equals_the_oracle(corpus, monkeypatch, predictor):
+    """A budget of a few states per group splits each duration's cascades
+    across groups of mixed widths."""
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 100)
+    stream, grid, model = corpus
+    reply = _predictors(grid, model)[predictor]
+    durations = [k * D for k in (1, 2, 5)]
+    got = breakout_curve(stream, grid, reply, durations, 12, 16)
+    want = per_cascade_breakout_curve(stream, grid, reply, durations, 12, 16)
+    assert got == want

@@ -429,16 +429,24 @@ def test_window_at_interior_and_overhang():
 @settings(max_examples=150, deadline=None)
 def test_feature_window_is_the_assembled_window(n_rows, arrivals, seed, corner, h, w, chans):
     """Top padding (n_rows < h), width 1, columns arriving past the last
-    row and pre-arrival cells, for each channel set, to the bit."""
+    row and pre-arrival cells, for each channel set, to the bit: against
+    the assembled tensor, and against planes built without the shared
+    channel code (counts, Grid.mask and the column-max relative time)."""
     arrival_rows = np.array(sorted(arrivals), dtype=np.int64)
     counts = np.random.default_rng(seed).integers(0, 9, (n_rows, len(arrival_rows)))
-    counts[np.arange(n_rows)[:, None] < arrival_rows[None, :]] = 0
     grid = Grid(GridSpec(60.0, 0.0, n_rows, len(arrival_rows)), counts, arrival_rows)
+    counts[grid.mask.astype(bool)] = 0
     row, col = corner[0] % n_rows, corner[1] % len(arrival_rows)
-    want = window_at(assemble_features(grid, CHANNEL_SETS[chans]).data, row, col, h, w)
     got = feature_window(counts, arrival_rows, CHANNEL_SETS[chans], row, col, h, w)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assembled = window_at(assemble_features(grid, CHANNEL_SETS[chans]).data, row, col, h, w)
+    planes = {Channel.COUNTS: counts.astype(np.float64),
+              Channel.RELTIME: column_max_relative_time(grid),
+              Channel.MASK: grid.mask.astype(np.float64)}
+    data = np.stack([planes[ch] for ch in canonical_channels(CHANNEL_SETS[chans])])
+    direct = window_at(data, row, col, h, w)
+    for want in (assembled, direct):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("row, col", [(-1, 0), (5, 0), (0, -1), (0, 3)])

@@ -8,7 +8,7 @@ Which options the package keeps: a parameter or dataclass field with a
 default stays only if a caller outside the tests (the package itself or
 any file under perfbench/) leaves it out. The benchmark calls only
 names and keyword arguments that the package still has, and leaves out
-only parameters that still have a default. And no roll path in
+only parameters that still have a default. And no reply roll path in
 forecast.py assembles the features of a whole state: it builds only the
 window its model reads."""
 import ast
@@ -124,7 +124,10 @@ def test_the_kernel_check_sees_the_keyword_form():
 # a roll builds only the window its model reads
 
 FORECAST = Path(gridcast.__file__).parent / "forecast.py"
-ROLL_PATHS = ("roll_reply_rows", "roll_reply_row", "adaptive_forecast", "breakout_classify",
+# adaptive_forecast is not among them: its gap prediction, once per
+# simulated thread, reads the whole state's features (ForecastState.features),
+# and its reply rolls go through roll_reply_row and roll_until.
+ROLL_PATHS = ("roll_reply_rows", "roll_reply_row", "roll_until", "breakout_classify",
               "breakout_curve")
 
 
@@ -152,8 +155,10 @@ def _assemblers(tree: ast.Module, roots) -> list[str]:
 def test_no_roll_path_assembles_the_features_of_a_whole_state():
     tree = ast.parse(FORECAST.read_text(encoding="utf-8"))
     assert _assemblers(tree, ROLL_PATHS) == [], "a roll reads grid.feature_window only"
-    # ForecastState.features stays as the full-tensor view, and the walk sees it
-    assert _assemblers(tree, ["features"]) == ["features"]
+    # ForecastState.features stays as the full view the gap prediction reads,
+    # and the walk sees it
+    assert _assemblers(tree, ["features", "adaptive_forecast"]) == [
+        "features", "adaptive_forecast"]
 
 
 def test_the_roll_check_follows_calls_and_methods():
