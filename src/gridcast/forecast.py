@@ -15,10 +15,11 @@ the gap prediction, once per simulated thread, cuts its window from the
 whole state's features (ForecastState.features).
 
 Every reply roll goes through roll_reply_rows, which advances any number
-of independent states by one row each with one batched prediction per
-state width. A breakout curve rolls a duration's cascades, and the
-d-sweep its starts, in lockstep groups of at most LOCKSTEP_CELLS state
-cells (lockstep_groups).
+of independent states by one row each with one batched prediction, their
+windows zero-padded on the right to the widest state. A breakout curve
+rolls a duration's cascades, and the d-sweep its starts, in lockstep
+groups of at most LOCKSTEP_CELLS state cells (lockstep_groups), so each
+step of a group is one batch.
 
 Model protocol (duck-typed so ground-truth stand-ins drop in):
   - gap predictors expose .window, .channels and
@@ -27,7 +28,8 @@ Model protocol (duck-typed so ground-truth stand-ins drop in):
   - row predictors expose .window, .channels and
     predict_next_rows(features (N, C, h, w), row_indices (N,)) -> (N, w)
     floats >= 0, where row_indices[k] is the absolute grid row that
-    window k's prediction fills.
+    window k's prediction fills; a window's columns past its state's
+    width are zero padding, and their predictions are dropped unchecked.
 Trained models ignore the index arguments.
 
 Breakout verdicts accumulate the raw (unrounded) per-interval
@@ -141,32 +143,35 @@ def lockstep_groups(pairs):
 def roll_reply_rows(states: list[ForecastState], reply_model) -> list[np.ndarray]:
     """Append one predicted row across all columns of each state.
 
-    The states are independent; those of equal width share one batched
-    prediction. Returns each state's raw per-column estimates before
-    rounding and mask discipline; the states store rounded integer
-    counts. Every prediction is checked before any state grows, so a bad
-    one leaves all of them unchanged.
+    The states are independent and share one batched prediction: each
+    window is zero-padded on the right to the widest state's width.
+    Convolutions that are causal in columns never read the padding, so
+    the real columns keep their bits; padding on the left would be read.
+    Returns each state's raw per-column estimates before rounding and
+    mask discipline; the states store rounded integer counts. Every
+    prediction is checked before any state grows, so a bad one leaves
+    all of them unchanged.
     """
     h, _ = reply_model.window
-    by_width: dict[int, list[int]] = {}
-    for k, state in enumerate(states):
-        by_width.setdefault(state.n_cols, []).append(k)
-    raws: list[np.ndarray] = [None] * len(states)
-    for width, members in by_width.items():
-        windows = np.stack([
-            feature_window(states[k].counts, states[k].arrival_rows, reply_model.channels,
-                           states[k].n_rows - 1, width - 1, h, width)
-            for k in members
-        ])
-        rows = np.array([states[k].n_rows for k in members], dtype=np.int64)
-        pred = np.asarray(reply_model.predict_next_rows(windows, rows), dtype=np.float64)
-        if pred.shape != (len(members), width):
-            raise GridError(f"row prediction shape {pred.shape} != ({len(members)}, {width})")
-        # one range check: NaN fails it too, and int64 holds every value inside
-        if not np.all((pred >= 0) & (pred < 2.0**63)):
-            raise GridError("reply-count prediction negative, non-finite or >= 2**63")
-        for k, raw in zip(members, pred):
-            raws[k] = raw
+    widths = np.array([state.n_cols for state in states])
+    windows = [
+        feature_window(state.counts, state.arrival_rows, reply_model.channels,
+                       state.n_rows - 1, state.n_cols - 1, h, state.n_cols)
+        for state in states
+    ]
+    batch = np.zeros((len(states), windows[0].shape[0], h, widths.max()))
+    for k, window in enumerate(windows):
+        batch[k, :, :, : widths[k]] = window
+    rows = np.array([state.n_rows for state in states], dtype=np.int64)
+    pred = np.asarray(reply_model.predict_next_rows(batch, rows), dtype=np.float64)
+    if pred.shape != (len(states), batch.shape[3]):
+        raise GridError(f"row prediction shape {pred.shape} != ({len(states)}, {batch.shape[3]})")
+    # one range check over the real columns: NaN fails it too, and int64
+    # holds every value inside
+    real = np.arange(pred.shape[1]) < widths[:, None]
+    if not np.all((pred >= 0) & (pred < 2.0**63) | ~real):
+        raise GridError("reply-count prediction negative, non-finite or >= 2**63")
+    raws = [raw[:width] for raw, width in zip(pred, widths)]
     for state, raw in zip(states, raws):
         new_row = state.n_rows
         vals = np.round(raw).astype(np.int64)

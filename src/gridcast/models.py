@@ -10,7 +10,11 @@ to one plane with a 1x1 conv plus softplus. Output cell (i, j)
 estimates the count one row below, counts[i+1, j], i.e. targets are
 shifted up one row so a cell only ever predicts its own future.
 Supervision is either the bottom-right corner cell only (default) or
-every cell whose shifted target exists and is past arrival.
+every cell whose shifted target exists and is past arrival. Serving
+(predict_next_rows) reads only a window's last output row, so the stack
+computes just that row's receptive-field cone: on a 16-row window the
+default three-block k = 3 ladder computes 7, 3 and 1 of the 16 rows in
+its blocks. In float32 the row keeps the bits of the whole-plane forward.
 
 Training is plain minibatch MSE with Adam over one grid.Segments
 batch: thread models read its gaps, corner-mode reply models the corner
@@ -52,13 +56,15 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-# The eval forward of predict_next_rows takes at most this many window
-# cells (N * h * w) at a time. Every layer keeps its forward input (batch
-# norm its xhat too), so the caches grow with the chunk. On a breakout
-# curve's 16 x 16 windows the rate was flat from 4 to 16 windows per chunk
-# and fell beyond, while the curve's traced peak memory went 10.6 MB at 16
-# windows, 15.1 MB at 32 and 41.0 MB unchunked (159 windows).
-PREDICT_CHUNK_CELLS = 4096
+# predict_next_rows takes at most this many window cells (N * h * w) per
+# forward. Every layer keeps its forward input (batch norm its xhat too)
+# after the forward returns, so the caches grow with the chunk. On the
+# benchmark's breakout curve (16 x 16 windows, up to 116 per lockstep
+# step; 2 vCPUs) the curve took 0.40, 0.34, 0.30 and 0.31 s at 2048,
+# 4096, 8192 and 16384 cells and 0.37 s unchunked (medians of 12
+# alternating runs in one process), and the breakout workload's peak RSS
+# was 59.5 MB at 4096 and 8192 cells against 66.5 MB unchunked.
+PREDICT_CHUNK_CELLS = 8192
 
 LOSS_MODES = ("corner", "full")
 MODEL_KINDS = ("thread", "reply")
@@ -224,15 +230,24 @@ class ReplyCountModel(_ModelBase):
 
     def predict_next_rows(self, features: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Predicted counts for the row just below each of N windows
-        (N, C, h, w): (N, w), from eval-mode forwards of at most
-        PREDICT_CHUNK_CELLS window cells each. row_indices is for
-        ground-truth stand-ins."""
+        (N, C, h, w): (N, w), the last row of the eval-mode forward, from
+        forwards of at most PREDICT_CHUNK_CELLS window cells each. The
+        stack computes only that row's receptive-field cone
+        (TCNStack.forward at one row), and the head runs over the whole
+        plane, as in forward, because its one-filter products are
+        matrix-vector ones that round by the plane's size. For one-column
+        windows the stack computes the row above too, so that no product
+        of the cone is one column wide where the full forward's are not
+        (see nn.conv2d_causal_dilated). So in float32, with at least two
+        filters, the result has the bits of forward(features,
+        train=False)[:, -1, :]. row_indices is for ground-truth stand-ins."""
         n, _, h, w = features.shape
+        rows = range(max(0, h - 2) if w == 1 else h - 1, h)
         step = max(1, PREDICT_CHUNK_CELLS // (h * w))
         out = np.empty((n, w), dtype=self.dtype)
         for lo in range(0, n, step):
-            x = features[lo : lo + step].astype(self.dtype)
-            out[lo : lo + step] = self.forward(x, train=False)[:, -1, :]
+            u = self.stack.forward(features[lo : lo + step].astype(self.dtype), False, *rows)
+            out[lo : lo + step] = softplus(self.head.forward(u)[:, 0, -1])
         return out
 
     def predict_next_row(

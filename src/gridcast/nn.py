@@ -77,10 +77,11 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dty
 # causal dilated 2-D convolution
 
 
-def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype):
+def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype, *rows: int):
     """Check a conv's operands; return x zero-padded at dtype and, per
     filter tap (a, b) in row-major order, the index of the padded window
-    that tap reads: x shifted down a*tau rows and right b*tau columns.
+    that tap reads: x shifted down a*tau rows and right b*tau columns,
+    at the given output rows (every row when none are given).
     """
     if tau < 1:
         raise ShapeError(f"dilation must be >= 1, got {tau}")
@@ -92,6 +93,9 @@ def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype):
     _, c_in_f, k_h, k_w = filters.shape
     if c_in_f != c_in:
         raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
+    if rows and not all(0 <= r < hgt for r in rows):
+        raise ShapeError(f"output rows {rows} outside an input of {hgt} rows")
+    out_rows = np.array(rows, dtype=np.intp)
     ph, pw = (k_h - 1) * tau, (k_w - 1) * tau
     xp = np.zeros((n, c_in, hgt + ph, wid + pw), dtype=dtype)
     xp[:, :, ph:, pw:] = x
@@ -99,30 +103,38 @@ def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype):
     for a in range(k_h):
         for b in range(k_w):
             rs, cs = ph - a * tau, pw - b * tau
-            taps.append(((a, b), np.s_[:, :, rs : rs + hgt, cs : cs + wid]))
+            shifted = out_rows + rs if rows else slice(rs, rs + hgt)
+            taps.append(((a, b), np.s_[:, :, shifted, cs : cs + wid]))
     return xp, taps
 
 
 def conv2d_causal_dilated(
-    x: np.ndarray, filters: np.ndarray, bias: np.ndarray | None = None, tau: int = 1
+    x: np.ndarray, filters: np.ndarray, bias: np.ndarray | None = None, tau: int = 1, *rows: int
 ) -> np.ndarray:
     """out[n,o,i,j] = b[o] + sum_{c,a,b} f[o,c,a,b] * x[n,c,i-a*tau,j-b*tau].
 
     Taps a, b run over [0, K-1]; indices off the top or left read zero,
     so the output keeps the input's spatial shape and cell (i, j) sees
-    only cells at rows <= i and columns <= j.
+    only cells at rows <= i and columns <= j. Given output rows, only
+    those are computed, in the order given: (N, c_out, len(rows), W).
+    In float32 each such cell has the bits of the full output's cell
+    while the per-tap products stay matrix-matrix: numpy sends a product
+    with one filter, or one column wide (one row of a one-column input),
+    down its matrix-vector path, which rounds by the product's width.
+    Float64 products round by their width too, in the last bits.
     """
     dtype = np.result_type(x.dtype, filters.dtype)
-    xp, taps = _taps(x, filters, tau, dtype)
+    xp, taps = _taps(x, filters, tau, dtype, *rows)
     c_out = filters.shape[0]
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
     n, c_in, hgt, wid = x.shape
-    # one (c_out, c_in) @ (c_in, h*w) GEMM per sample and tap
-    out = np.zeros((n, c_out, hgt * wid), dtype=dtype)
+    m = len(rows) or hgt
+    # one (c_out, c_in) @ (c_in, m*w) GEMM per sample and tap
+    out = np.zeros((n, c_out, m * wid), dtype=dtype)
     for (a, b), sl in taps:
-        out += filters[:, :, a, b] @ xp[sl].reshape(n, c_in, hgt * wid)
-    out = out.reshape(n, c_out, hgt, wid)
+        out += filters[:, :, a, b] @ xp[sl].reshape(n, c_in, m * wid)
+    out = out.reshape(n, c_out, m, wid)
     if bias is not None:
         out += bias[None, :, None, None].astype(dtype)
     return out
@@ -453,9 +465,11 @@ class ConvLayer:
         self.tau = tau
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *rows: int) -> np.ndarray:
+        """The conv at the given output rows (every row when none are
+        given); backward needs a forward at every row."""
         self._x = x
-        return conv2d_causal_dilated(x, self.weight.value, self.bias.value, self.tau)
+        return conv2d_causal_dilated(x, self.weight.value, self.bias.value, self.tau, *rows)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         grad_x, grad_f, grad_b = conv2d_backward(

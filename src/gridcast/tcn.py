@@ -4,7 +4,9 @@ A block is conv -> batch norm -> PReLU -> residual add -> PReLU, with a
 1x1 projection on the skip path only when the channel count changes.
 A stack is one fixed ladder: block l (from 0) uses dilation 2^l, as in
 the generic TCN, so the per-axis receptive field grows as
-r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1.
+r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1. Asked for some output
+rows only, a stack computes each block's share of their receptive field
+and nothing else.
 
 Causality caveat: in TRAIN mode batch norm couples every cell through
 the batch moments, so bit-exact causality statements hold in EVAL mode,
@@ -32,8 +34,12 @@ class TemporalBlock:
                                   name=f"{name}.proj")
         self.act2 = PReLULayer(c_out, dtype=dtype, name=f"{name}.act2")
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        y = self.act1.forward(self.norm.forward(self.conv.forward(x), train))
+    def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
+        """The block's output at the given rows of x (every row when none
+        are given)."""
+        y = self.act1.forward(self.norm.forward(self.conv.forward(x, *rows), train))
+        if rows:
+            x = x[:, :, list(rows)]
         skip = x if self.proj is None else self.proj.forward(x)
         return self.act2.forward(y + skip)
 
@@ -63,10 +69,39 @@ class TCNStack:
             for l in range(n_blocks)
         ]
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        for block in self.blocks:
-            x = block.forward(x, train)
+    def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
+        """x: (N, C, H, W) -> (N, F, H, W).
+
+        Given output rows, only those are computed and every other output
+        row is zero. Each block then computes just the rows that the given
+        ones read through the blocks after it (their receptive-field cone,
+        _cone), and reads its input cropped to the rows its cone reads, so
+        every computed cell sums the same values as in the full forward
+        (nn.conv2d_causal_dilated says when its bits match too).
+        """
+        if not rows:
+            for block in self.blocks:
+                x = block.forward(x, train)
+            return x
+        reads = self._cone(rows)
+        for block, read, out in zip(self.blocks, reads, reads[1:] + [sorted(set(rows))]):
+            y = block.forward(x[:, :, read[0] : read[-1] + 1], train, *(r - read[0] for r in out))
+            x = np.zeros(y.shape[:2] + x.shape[2:], dtype=y.dtype)
+            x[:, :, out] = y
         return x
+
+    def _cone(self, rows: tuple[int, ...]) -> list[list[int]]:
+        """Per block, the ascending input rows it reads for the given
+        output rows of the last block: block l reads row r - a * tau_l
+        for each row r it must produce and each tap a, and must produce
+        every row that block l + 1 reads. Rows above the top read zero
+        padding and are left out."""
+        reads = []
+        for block in reversed(self.blocks):
+            k_h, tau = block.conv.weight.value.shape[2], block.conv.tau
+            rows = sorted({r - a * tau for r in rows for a in range(k_h) if r >= a * tau})
+            reads.insert(0, rows)
+        return reads
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         for block in reversed(self.blocks):

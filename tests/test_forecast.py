@@ -150,14 +150,37 @@ def test_roll_rejects_prediction_outside_int64_range(small_grid, value):
     with pytest.raises(GridError, match="non-finite"):
         roll_reply_row(state, ConstRowStub(value))
     assert state.n_rows == small_grid.spec.n_rows  # nothing appended
-    # one bad state stops a lockstep roll before any state grows, though
-    # its width's batch is predicted after the others have passed
+    # one bad state stops a lockstep roll before any state grows
     states = [ForecastState.from_grid(small_grid.crop(n, slice(0, w)))
               for n, w in ((2, 1), (3, 3), (4, 2), (5, 3))]
     before = [state.counts.copy() for state in states]
     with pytest.raises(GridError, match="non-finite"):
         roll_reply_rows(states, OneBadRowStub(value, bad_row=4))
     assert all(np.array_equal(st.counts, b) for st, b in zip(states, before))
+
+
+def test_a_mixed_width_group_rolls_in_one_prediction(small_grid):
+    """One predict_next_rows call for states of widths 1 to 3, their
+    windows zero-padded on the right to width 3; the padding's
+    predictions (NaN here) are dropped unchecked."""
+    widths = [1, 3, 2]
+    states = [ForecastState.from_grid(small_grid.crop(n, slice(0, w)))
+              for n, w in zip((2, 3, 4), widths)]
+    calls = []
+
+    class CountingStub(ConstRowStub):
+        def predict_next_rows(self, features, row_indices):
+            calls.append((features.shape, list(row_indices)))
+            out = super().predict_next_rows(features, row_indices)
+            for k, w in enumerate(widths):
+                assert not features[k, :, :, w:].any()
+                out[k, w:] = np.nan
+            return out
+
+    raws = roll_reply_rows(states, CountingStub(2.0))
+    assert calls == [((3, len(CHANNEL_ORDER), 4, 3), [2, 3, 4])]
+    assert [raw.tolist() for raw in raws] == [[2.0] * w for w in widths]
+    assert [st.counts.shape for st in states] == [(3, 1), (4, 3), (5, 2)]
 
 
 def test_roll_stores_largest_prediction_below_2_63(small_grid):

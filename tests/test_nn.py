@@ -106,6 +106,30 @@ def test_conv_batched_equals_per_sample():
         assert np.allclose(batched[n], conv2d_causal_dilated(x[n : n + 1], f, b, 1)[0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_at_given_rows_is_those_rows_of_the_full_output(dtype):
+    """Bit for bit in float32 while the products stay matrix-matrix (two or
+    more filters, two or more rows or columns); float64 within rounding."""
+    rng = np.random.default_rng(4)
+    for c_in, c_out, k, tau, hgt, wid in [(3, 16, 3, 1, 16, 16), (16, 16, 3, 2, 13, 5),
+                                          (3, 4, 2, 1, 6, 2), (4, 2, 3, 4, 9, 1)]:
+        x = rng.normal(size=(3, c_in, hgt, wid)).astype(dtype)
+        f = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
+        b = rng.normal(size=c_out).astype(dtype)
+        full = conv2d_causal_dilated(x, f, b, tau)
+        for rows in [(hgt - 1, 0), (1, 3, 5), tuple(range(hgt))]:
+            got = conv2d_causal_dilated(x, f, b, tau, *rows)
+            assert got.shape == (3, c_out, len(rows), wid)
+            if dtype == np.float32:
+                assert got.tobytes() == full[:, :, list(rows)].tobytes()
+            else:
+                assert np.allclose(got, full[:, :, list(rows)], rtol=1e-12, atol=1e-12)
+    with pytest.raises(ShapeError, match="outside"):
+        conv2d_causal_dilated(x, f, b, tau, hgt)
+    with pytest.raises(ShapeError, match="outside"):
+        conv2d_causal_dilated(x, f, b, tau, -1)
+
+
 def test_conv_output_ignores_future_cells():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 1, 4, 4))
