@@ -41,10 +41,9 @@ from .evaluate import (
 )
 from .forecast import (
     BreakoutCurvePoint,
-    ForecastState,
+    Lockstep,
     breakout_curve,
-    lockstep_groups,
-    roll_reply_rows,
+    lockstep_size,
 )
 from .grid import EventStream, Grid, GridError, build_grid, gap_columns, rows_covering, time_split
 from .models import ModelConfig, build_model, grid_search, train, training_segments
@@ -207,9 +206,10 @@ class SweepResult:
 
 def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[float, int]:
     """Roll the reply model over its own outputs for span_int rows from
-    each aligned start in the test region, the starts in lockstep groups;
-    absolute error of per-column totals against truth. Thread arrival
-    rows are taken as known.
+    each aligned start in the test region, the starts in consecutive
+    Locksteps of the last h rows before them (lockstep_size); absolute
+    error of per-column totals against truth. Thread arrival rows are
+    taken as known.
 
     Only recently-arrived columns are scored: threads whose arrival
     falls within one span before or inside the rolled window. Columns
@@ -222,15 +222,20 @@ def _self_fed_span_mae(model, grid: Grid, r_split: int, span_int: int) -> tuple[
         raise GridError("test region shorter than the evaluation span")
     errors = []
     arr = grid.arrival_rows
-    for group in lockstep_groups((ForecastState.from_grid(grid.crop(r0)), r0) for r0 in starts):
+    h = model.window[0]
+    step = lockstep_size(h, grid.spec.n_cols)
+    for lo in range(0, len(starts), step):
+        group = starts[lo : lo + step]
+        lockstep = Lockstep.of([grid.counts[:r0] for r0 in group], [arr] * len(group), h)
+        pred = np.zeros((len(group), grid.spec.n_cols), dtype=np.int64)
         for _ in range(span_int):
-            roll_reply_rows([state for state, _ in group], model)
-        for state, r0 in group:
-            pred = state.counts[r0 : r0 + span_int]
+            lockstep.roll(model)
+            pred += lockstep.counts[:, -1]
+        for r0, totals in zip(group, pred):
             cols = np.where((arr >= r0 - span_int) & (arr < r0 + span_int))[0]
             true = grid.counts[r0 : r0 + span_int]
             for c in cols:
-                errors.append(abs(int(pred[:, c].sum()) - int(true[:, c].sum())))
+                errors.append(abs(int(totals[c]) - int(true[:, c].sum())))
     if not errors:
         raise GridError("no recently-arrived columns in the sweep test region")
     return float(np.mean(errors)), len(errors)

@@ -8,18 +8,16 @@ then rolls the reply model forward a fixed number of rows across every
 column. Appended cells obey the same discipline as real grids:
 pre-arrival cells stay structural zeros, and an arrival cell carries at
 least the thread post itself. The window a model reads is rebuilt from
-the counts and arrival rows for every prediction, never cached. A reply
-roll computes only its window's own cells (grid.feature_window), with
-the bits that assembling the whole state's features would give them;
-the gap prediction, once per simulated thread, cuts its window from the
-whole state's features (ForecastState.features).
+the counts and arrival rows for every prediction, never cached; the gap
+prediction, once per simulated thread, cuts it from the whole state's
+features (ForecastState.features).
 
-Every reply roll goes through roll_reply_rows, which advances any number
-of independent states by one row each with one batched prediction, their
-windows zero-padded on the right to the widest state. A breakout curve
-rolls a duration's cascades, and the d-sweep its starts, in lockstep
-groups of at most LOCKSTEP_CELLS state cells (lockstep_groups), so each
-step of a group is one batch.
+Every reply roll is a Lockstep roll: independent grids, each held as
+its last h rows, advance one row each with one window_features call and
+one batched prediction. roll_reply_rows wraps ForecastStates; a
+breakout curve and the d-sweep cut their Locksteps straight from the
+grid, at most LOCKSTEP_CELLS window cells each, so no roll holds a
+full-length prefix.
 
 Model protocol (duck-typed so ground-truth stand-ins drop in):
   - gap predictors expose .window, .channels and
@@ -39,7 +37,7 @@ compare against twice the average cascade size, strictly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +48,8 @@ from .grid import (
     GridError,
     GridSpec,
     assemble_features,
-    feature_window,
     window_at,
+    window_features,
 )
 from .models import arrival_time
 
@@ -109,77 +107,96 @@ class ForecastState:
     def features(self, channels: tuple[Channel, ...]) -> np.ndarray:
         """Channel stack over the whole current state, rebuilt fresh: the
         full view the gap prediction reads. Reply rolls build only the
-        window they read (grid.feature_window)."""
+        window they read (Lockstep.roll)."""
         return assemble_features(self.to_grid(), channels).data
 
 
-# A lockstep roll holds its whole group of states at once, where a
-# one-by-one roll held one. A group closes once its states hold this
-# many count cells (2 MB of int64). On a breakout curve over the
-# benchmark's wide shape (1977 cascades, 4016 rows) the peak RSS was
-# 107 MB one by one, 114 MB at this budget, 135 MB at 4x it and 988 MB
-# unbounded, and the curve ran as fast at this budget as at 8x it; on
-# the benchmark's 174-cascade curve (about 0.55M cells per duration) the
-# time was the same at 2**18, 2**19 and 2**20.
-LOCKSTEP_CELLS = 2**18
+# A Lockstep holds at most this many window cells (N * h * w), or one
+# window that alone holds more: an eval forward's working set (each
+# layer's activations, and the input it keeps after it returns) grows
+# with its batch. On the benchmark's breakout curve (16 x 16 windows,
+# seed 17; 2 vCPUs; fastest of 12 alternating runs in one process) it
+# took 0.31, 0.25, 0.23 and 0.23 s at 2048, 4096, 8192 and 16384 cells
+# and 0.28 s in one batch per step; with the kept inputs cleared after
+# each forward, 0.23 s at this budget against 0.33 s in one batch.
+LOCKSTEP_CELLS = 8192
 
 
-def lockstep_groups(pairs):
-    """Split an iterable of (state, tag) pairs into consecutive lists
-    whose states hold at most LOCKSTEP_CELLS count cells together, or
-    one state that alone holds more. The iterable is drawn only as each
-    group fills, so states built lazily are held one group at a time."""
-    group, cells = [], 0
-    for state, tag in pairs:
-        if group and cells + state.counts.size > LOCKSTEP_CELLS:
-            yield group
-            group, cells = [], 0
-        group.append((state, tag))
-        cells += state.counts.size
-    if group:
-        yield group
+def lockstep_size(h: int, w: int) -> int:
+    """How many h x w windows one Lockstep holds."""
+    return max(1, LOCKSTEP_CELLS // (h * w))
+
+
+@dataclass
+class Lockstep:
+    """N independent grids rolled together, each held as its last h rows,
+    h the reply model's window height: all that its window reads. The
+    arrays are those of grid.window_features, arrival rows zero right of
+    each width.
+    """
+
+    counts: np.ndarray
+    n_rows: np.ndarray
+    arrival_rows: np.ndarray
+    widths: np.ndarray
+
+    @classmethod
+    def of(cls, grids_counts, arrivals, h: int) -> "Lockstep":
+        """Stack grids given by their counts (n_rows, width), of which only
+        the last h rows are copied, and their columns' arrival rows."""
+        widths = np.array([len(arrival) for arrival in arrivals], dtype=np.int64)
+        counts = np.zeros((len(arrivals), h, widths.max()), dtype=np.int64)
+        arrival_rows = np.zeros((len(arrivals), widths.max()), dtype=np.int64)
+        for k, (grid_counts, arrival) in enumerate(zip(grids_counts, arrivals)):
+            tail = grid_counts[-h:]
+            counts[k, h - len(tail) :, : len(arrival)] = tail
+            arrival_rows[k, : len(arrival)] = arrival
+        n_rows = np.array([len(grid_counts) for grid_counts in grids_counts], dtype=np.int64)
+        return cls(counts, n_rows, arrival_rows, widths)
+
+    def roll(self, reply_model) -> np.ndarray:
+        """Append one predicted row across all columns of each grid, from
+        one batched prediction, and drop each tail's top row. Windows are
+        zero-padded on the right, which convolutions causal in columns
+        never read (padding on the left would be read). Returns the raw
+        estimates (N, w), zero right of each width; the grids store them
+        rounded, with the mask discipline. Every real column is checked
+        before any grid grows, so a bad one leaves all of them unchanged.
+        """
+        n, _, w = self.counts.shape
+        windows = window_features(self.counts, self.n_rows, self.arrival_rows, self.widths,
+                                  reply_model.channels)
+        pred = np.asarray(reply_model.predict_next_rows(windows, self.n_rows), dtype=np.float64)
+        if pred.shape != (n, w):
+            raise GridError(f"row prediction shape {pred.shape} != ({n}, {w})")
+        # one range check over the real columns: NaN fails it too, and int64
+        # holds every value inside
+        real = np.arange(w) < self.widths[:, None]
+        if not np.all((pred >= 0) & (pred < 2.0**63) | ~real):
+            raise GridError("reply-count prediction negative, non-finite or >= 2**63")
+        raw = np.where(real, pred, 0.0)
+        vals = np.round(raw).astype(np.int64)
+        new_row = self.n_rows[:, None]
+        vals[self.arrival_rows > new_row] = 0  # still pre-arrival
+        at_arrival = self.arrival_rows == new_row
+        vals[at_arrival] = np.maximum(vals[at_arrival], 1)  # thread post itself
+        self.counts = np.concatenate([self.counts[:, 1:], vals[:, None]], axis=1)
+        self.n_rows = self.n_rows + 1
+        return raw
 
 
 def roll_reply_rows(states: list[ForecastState], reply_model) -> list[np.ndarray]:
-    """Append one predicted row across all columns of each state.
-
-    The states are independent and share one batched prediction: each
-    window is zero-padded on the right to the widest state's width.
-    Convolutions that are causal in columns never read the padding, so
-    the real columns keep their bits; padding on the left would be read.
-    Returns each state's raw per-column estimates before rounding and
-    mask discipline; the states store rounded integer counts. Every
-    prediction is checked before any state grows, so a bad one leaves
-    all of them unchanged.
-    """
+    """Append one predicted row across all columns of each state: one
+    Lockstep roll of their last h rows. Returns each state's raw
+    per-column estimates (Lockstep.roll); a bad prediction leaves every
+    state unchanged."""
     h, _ = reply_model.window
-    widths = np.array([state.n_cols for state in states])
-    windows = [
-        feature_window(state.counts, state.arrival_rows, reply_model.channels,
-                       state.n_rows - 1, state.n_cols - 1, h, state.n_cols)
-        for state in states
-    ]
-    batch = np.zeros((len(states), windows[0].shape[0], h, widths.max()))
-    for k, window in enumerate(windows):
-        batch[k, :, :, : widths[k]] = window
-    rows = np.array([state.n_rows for state in states], dtype=np.int64)
-    pred = np.asarray(reply_model.predict_next_rows(batch, rows), dtype=np.float64)
-    if pred.shape != (len(states), batch.shape[3]):
-        raise GridError(f"row prediction shape {pred.shape} != ({len(states)}, {batch.shape[3]})")
-    # one range check over the real columns: NaN fails it too, and int64
-    # holds every value inside
-    real = np.arange(pred.shape[1]) < widths[:, None]
-    if not np.all((pred >= 0) & (pred < 2.0**63) | ~real):
-        raise GridError("reply-count prediction negative, non-finite or >= 2**63")
-    raws = [raw[:width] for raw, width in zip(pred, widths)]
-    for state, raw in zip(states, raws):
-        new_row = state.n_rows
-        vals = np.round(raw).astype(np.int64)
-        vals[state.arrival_rows > new_row] = 0  # still pre-arrival
-        at_arrival = state.arrival_rows == new_row
-        vals[at_arrival] = np.maximum(vals[at_arrival], 1)  # thread post itself
-        state.counts = np.vstack([state.counts, vals[None, :]])
-    return raws
+    lockstep = Lockstep.of([state.counts for state in states],
+                           [state.arrival_rows for state in states], h)
+    raw = lockstep.roll(reply_model)
+    for state, row, width in zip(states, lockstep.counts[:, -1], lockstep.widths):
+        state.counts = np.vstack([state.counts, row[None, :width]])
+    return [r[:width] for r, width in zip(raw, lockstep.widths)]
 
 
 def roll_reply_row(state: ForecastState, reply_model) -> np.ndarray:
@@ -282,7 +299,8 @@ def breakout_classify(
     cascade_id: str = "",
     start_duration: float = 0.0,
 ) -> BreakoutVerdict:
-    """Verdict for one cascade from its observed prefix state.
+    """Verdict for one cascade from its observed prefix state, which is
+    left unchanged.
 
     predicted_total = observed prefix + raw rolled-out estimates over
     horizon_intervals rows; breakout iff strictly above 2 * l_bar.
@@ -290,13 +308,21 @@ def breakout_classify(
     Holding the model's outputs fixed, the verdict is monotone in the
     prefix: more observed events never flip breakout to non-breakout.
     """
+    if l_bar <= 0:
+        raise GridError("average cascade size must be positive")
+    if horizon_intervals < 0:
+        raise GridError("horizon must be >= 0")
+    if not 0 <= column < state.n_cols:
+        raise GridError(f"column {column} outside state")
     return _breakout_verdicts(
-        [state], [column], reply_model, l_bar, horizon_intervals, [cascade_id], start_duration
+        [state.counts], [state.arrival_rows], [column], reply_model, l_bar, horizon_intervals,
+        [cascade_id], start_duration,
     )[0]
 
 
 def _breakout_verdicts(
-    states: list[ForecastState],
+    grids_counts: list[np.ndarray],
+    arrivals: list[np.ndarray],
     columns: list[int],
     reply_model,
     l_bar: float,
@@ -304,33 +330,19 @@ def _breakout_verdicts(
     cascade_ids: list[str],
     start_duration: float,
 ) -> list[BreakoutVerdict]:
-    """breakout_classify for each (state, column), the states rolled in
-    lockstep."""
-    if l_bar <= 0:
-        raise GridError("average cascade size must be positive")
-    if horizon_intervals < 0:
-        raise GridError("horizon must be >= 0")
-    for state, column in zip(states, columns):
-        if not 0 <= column < state.n_cols:
-            raise GridError(f"column {column} outside state")
-    prefixes = [float(state.counts[:, column].sum()) for state, column in zip(states, columns)]
-    totals = list(prefixes)
+    """breakout_classify for each prefix grid, given by its counts and
+    its columns' arrival rows and left unchanged, and its target column;
+    the grids roll in one Lockstep."""
+    prefixes = [float(counts[:, column].sum()) for counts, column in zip(grids_counts, columns)]
+    totals = np.array(prefixes)
     if horizon_intervals > 0 and reply_model is not None:
+        lockstep = Lockstep.of(grids_counts, arrivals, reply_model.window[0])
         for _ in range(horizon_intervals):
-            raws = roll_reply_rows(states, reply_model)
-            for k, (raw, column) in enumerate(zip(raws, columns)):
-                totals[k] += float(raw[column])
+            totals += lockstep.roll(reply_model)[np.arange(len(columns)), columns]
     threshold = 2.0 * l_bar
     return [
-        BreakoutVerdict(
-            cascade_id=cascade_id,
-            start_duration=start_duration,
-            prefix_total=prefix,
-            predicted_total=total,
-            threshold=threshold,
-            is_breakout=total > threshold,
-        )
-        for cascade_id, prefix, total in zip(cascade_ids, prefixes, totals)
+        BreakoutVerdict(cascade_id, start_duration, prefix, total, threshold, total > threshold)
+        for cascade_id, prefix, total in zip(cascade_ids, prefixes, totals.tolist())
     ]
 
 
@@ -382,38 +394,39 @@ def breakout_curve(
 ) -> list[BreakoutCurvePoint]:
     """Correct-verdict rate at each start duration over the whole stream.
 
-    Durations must be positive multiples of the grid's interval length,
-    and the cascades of one duration roll in lockstep groups
-    (lockstep_groups). Ground truth: final cascade size strictly above
-    twice the stream's average. The roll-out horizon shrinks with the
-    duration (observed intervals replace predicted ones) and never goes
-    negative. For
+    Durations must be positive multiples of the grid's interval length.
+    Each cascade's prefix is build_breakout_state's, and a duration's
+    prefixes roll in consecutive Locksteps (lockstep_size). Ground truth: final cascade size strictly above twice the stream's
+    average. The roll-out horizon shrinks with the duration (observed
+    intervals replace predicted ones) and never goes negative. For
     cascades arriving near the grid bottom the observed prefix is
     clamped to the materialised rows.
     """
     if len(stream) != grid.spec.n_cols:
         raise GridError("stream and grid disagree on cascade count")
+    if context_cols < 1:
+        raise GridError("context_cols must be >= 1")
     l_bar = average_cascade_size(stream)
     if horizon_intervals is None:
         horizon_intervals = default_breakout_horizon(stream, grid.spec.d)
     truth = [c.size > 2.0 * l_bar for c in stream.cascades]
     thread_ids = [c.thread_id for c in stream.cascades]
+    n_rows, n_cols = grid.counts.shape
+    step = n_cols if reply_model is None else lockstep_size(reply_model.window[0],
+                                                            min(context_cols, n_cols))
     points = []
     for s in start_durations:
         s_int = duration_intervals(s, grid.spec.d)
-        remaining = max(0, horizon_intervals - s_int)
-        prefixes = (
-            build_breakout_state(
-                grid, j, min(int(grid.arrival_rows[j]) + s_int, grid.spec.n_rows), context_cols
-            )
-            for j in range(grid.spec.n_cols)
-        )
         verdicts = []
-        for group in lockstep_groups(prefixes):
+        for lo in range(0, n_cols, step):
+            cols = range(lo, min(lo + step, n_cols))
+            ends = [min(int(grid.arrival_rows[j]) + s_int, n_rows) for j in cols]
+            firsts = [max(0, j - context_cols + 1) for j in cols]
             verdicts += _breakout_verdicts(
-                [state for state, _ in group], [col for _, col in group],
-                reply_model if remaining > 0 else None, l_bar, remaining,
-                thread_ids[len(verdicts) : len(verdicts) + len(group)], s,
+                [grid.counts[:r, c0 : j + 1] for j, r, c0 in zip(cols, ends, firsts)],
+                [grid.arrival_rows[c0 : j + 1] for j, c0 in zip(cols, firsts)],
+                [j - c0 for j, c0 in zip(cols, firsts)], reply_model, l_bar,
+                max(0, horizon_intervals - s_int), thread_ids[lo : lo + step], s,
             )
         correct = sum(int(v.is_breakout == t) for v, t in zip(verdicts, truth))
         points.append(

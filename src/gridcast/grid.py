@@ -273,75 +273,64 @@ def relative_time_channel(grid: Grid) -> np.ndarray:
     return _relative_time(rows, grid.arrival_rows, grid.spec.n_rows)
 
 
-def _relative_time(rows: np.ndarray, arrival_rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """relative_time_channel at the given rows of a grid with n_rows rows."""
-    arrival = arrival_rows[None, :]
-    elapsed = np.maximum(rows[:, None] - arrival, 0).astype(np.float64)
+def _relative_time(rows: np.ndarray, arrival_rows: np.ndarray, n_rows) -> np.ndarray:
+    """relative_time_channel at the given rows (..., h) of columns arriving
+    at arrival_rows (..., w), in grids of n_rows rows: (..., h, w)."""
+    arrival = arrival_rows[..., None, :]
+    elapsed = np.maximum(rows[..., :, None] - arrival, 0).astype(np.float64)
     return elapsed / np.maximum(n_rows - 1 - arrival, 1)
 
 
 def _mask(rows: np.ndarray, arrival_rows: np.ndarray) -> np.ndarray:
-    """Grid.mask at the given rows, as booleans: the cell's row lies
+    """Grid.mask at the given rows (..., h) of columns arriving at
+    arrival_rows (..., w), as booleans (..., h, w): the cell's row lies
     before its column's arrival row."""
-    return rows[:, None] < arrival_rows[None, :]
+    return rows[..., :, None] < arrival_rows[..., None, :]
 
 
-def _fill_features(out, counts, arrival_rows, n_rows, rows, chans) -> None:
-    """Write the chans planes of the given absolute rows of a grid with
-    n_rows rows into out (C, len(rows), n_cols); counts holds those rows'
-    counts and arrival_rows their columns' arrival rows. A cell depends
-    only on its row, its count, its column's arrival row and n_rows, so
-    any block of rows and columns gets the bits of the whole grid's."""
+def window_features(
+    counts: np.ndarray,
+    n_rows: np.ndarray,
+    arrival_rows: np.ndarray,
+    widths: np.ndarray,
+    channels: Iterable[Channel],
+) -> np.ndarray:
+    """The channels of N grids, each given by its last h rows: float64
+    (N, C, h, w). counts (N, h, w) holds those rows at the bottom, zero
+    above row 0 and right of the grid's width; n_rows (N,), arrival_rows
+    (N, w) and widths (N,) are the grids' row counts, arrival rows and
+    column counts. A cell depends only on its row, count, column's
+    arrival row and n_rows, so grid k's window has the bits of
+    window_at(assemble_features(grid_k).data, n_rows[k] - 1, widths[k] - 1,
+    h, widths[k]), zero-padded on the right to w."""
+    chans = canonical_channels(channels)
+    n, h, w = counts.shape
+    rows = n_rows[:, None] - h + np.arange(h)  # absolute rows, negative above row 0
+    live = (rows >= 0)[:, :, None] & (np.arange(w) < widths[:, None])[:, None, :]
+    out = np.empty((n, len(chans), h, w), dtype=np.float64)
     for k, ch in enumerate(chans):
         if ch is Channel.COUNTS:
-            out[k] = counts
+            out[:, k] = counts
         elif ch is Channel.RELTIME:
-            out[k] = _relative_time(rows, arrival_rows, n_rows)
+            # finite and >= 0, so the product keeps a live cell's bits
+            np.multiply(_relative_time(rows, arrival_rows, n_rows[:, None, None]), live,
+                        out=out[:, k])
         else:
-            out[k] = _mask(rows, arrival_rows)
+            out[:, k] = _mask(rows, arrival_rows) & live
+    return out
 
 
 def assemble_features(
     grid: Grid,
     channels: Iterable[Channel] = CHANNEL_ORDER,
 ) -> "FeatureTensor":
-    """Stack the requested channels into a float64 C x H x W tensor."""
-    chans = canonical_channels(channels)
+    """Stack the requested channels into a float64 C x H x W tensor: the
+    window_features of the whole grid."""
     n_rows, n_cols = grid.counts.shape
-    data = np.empty((len(chans), n_rows, n_cols), dtype=np.float64)
-    rows = np.arange(n_rows, dtype=np.int64)
-    _fill_features(data, grid.counts, grid.arrival_rows, n_rows, rows, chans)
-    return FeatureTensor(channels=chans, data=data, spec=grid.spec)
-
-
-def feature_window(
-    counts: np.ndarray,
-    arrival_rows: np.ndarray,
-    channels: Iterable[Channel],
-    row: int,
-    col: int,
-    h: int,
-    w: int,
-) -> np.ndarray:
-    """window_at(assemble_features(grid, channels).data, row, col, h, w)
-    for the grid with these counts and arrival rows, bit for bit, built
-    from the window's own cells only: float64 (C, h, w), zero-padded
-    top-left where the window overhangs the grid."""
-    n_rows, n_cols = counts.shape
-    if not (0 <= row < n_rows and 0 <= col < n_cols):
-        raise GridError(f"window corner ({row}, {col}) outside the {n_rows}x{n_cols} grid")
     chans = canonical_channels(channels)
-    r0, c0 = max(row - h + 1, 0), max(col - w + 1, 0)
-    out = np.zeros((len(chans), h, w), dtype=np.float64)
-    _fill_features(
-        out[:, h - (row + 1 - r0) :, w - (col + 1 - c0) :],
-        counts[r0 : row + 1, c0 : col + 1],
-        arrival_rows[c0 : col + 1],
-        n_rows,
-        np.arange(r0, row + 1, dtype=np.int64),
-        chans,
-    )
-    return out
+    data = window_features(grid.counts[None], np.array([n_rows]), grid.arrival_rows[None],
+                           np.array([n_cols]), chans)[0]
+    return FeatureTensor(channels=chans, data=data, spec=grid.spec)
 
 
 @dataclass(frozen=True)

@@ -56,16 +56,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-# predict_next_rows takes at most this many window cells (N * h * w) per
-# forward. Every layer keeps its forward input (batch norm its xhat too)
-# after the forward returns, so the caches grow with the chunk. On the
-# benchmark's breakout curve (16 x 16 windows, up to 116 per lockstep
-# step; 2 vCPUs) the curve took 0.40, 0.34, 0.30 and 0.31 s at 2048,
-# 4096, 8192 and 16384 cells and 0.37 s unchunked (medians of 12
-# alternating runs in one process), and the breakout workload's peak RSS
-# was 59.5 MB at 4096 and 8192 cells against 66.5 MB unchunked.
-PREDICT_CHUNK_CELLS = 8192
-
 LOSS_MODES = ("corner", "full")
 MODEL_KINDS = ("thread", "reply")
 
@@ -230,8 +220,7 @@ class ReplyCountModel(_ModelBase):
 
     def predict_next_rows(self, features: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Predicted counts for the row just below each of N windows
-        (N, C, h, w): (N, w), the last row of the eval-mode forward, from
-        forwards of at most PREDICT_CHUNK_CELLS window cells each. The
+        (N, C, h, w): (N, w), the last row of one eval-mode forward. The
         stack computes only that row's receptive-field cone
         (TCNStack.forward at one row), and the head runs over the whole
         plane, as in forward, because its one-filter products are
@@ -241,14 +230,10 @@ class ReplyCountModel(_ModelBase):
         (see nn.conv2d_causal_dilated). So in float32, with at least two
         filters, the result has the bits of forward(features,
         train=False)[:, -1, :]. row_indices is for ground-truth stand-ins."""
-        n, _, h, w = features.shape
+        _, _, h, w = features.shape
         rows = range(max(0, h - 2) if w == 1 else h - 1, h)
-        step = max(1, PREDICT_CHUNK_CELLS // (h * w))
-        out = np.empty((n, w), dtype=self.dtype)
-        for lo in range(0, n, step):
-            u = self.stack.forward(features[lo : lo + step].astype(self.dtype), False, *rows)
-            out[lo : lo + step] = softplus(self.head.forward(u)[:, 0, -1])
-        return out
+        u = self.stack.forward(features.astype(self.dtype), False, *rows)
+        return softplus(self.head.forward(u)[:, 0, -1])
 
     def predict_next_row(
         self, features: np.ndarray, row_index: int | None = None

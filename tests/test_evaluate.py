@@ -24,7 +24,7 @@ from gridcast.evaluate import (
 )
 from gridcast.experiments import INTERVAL_SWEEP_SETTINGS, sweep_interval_length
 from gridcast.grid import EventStream, GridError, ThreadCascade, build_grid, gap_columns
-from gridcast.models import build_model
+from gridcast.models import ReplyCountModel, build_model
 from gridcast.synth import SynthParams, synth_generate
 
 D = 300.0
@@ -319,6 +319,26 @@ def test_sweep_rolls_the_same_in_any_lockstep_grouping(monkeypatch):
     monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 1)
     alone = sweep_interval_length(_sweep_stream(), [300.0], _SWEEP_CFG)
     assert alone.rows == grouped.rows
+
+
+@pytest.mark.parametrize("cells", [1, 500, forecast.LOCKSTEP_CELLS])
+def test_sweep_rolls_within_the_cell_budget(monkeypatch, cells):
+    """Every self-fed step hands the reply model at most LOCKSTEP_CELLS
+    window cells (each window as wide as the grid), or one window that
+    alone has more."""
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", cells)
+    shapes = []
+    predict = ReplyCountModel.predict_next_rows
+
+    def recording(self, features, row_indices):
+        shapes.append(features.shape)
+        return predict(self, features, row_indices)
+
+    monkeypatch.setattr(ReplyCountModel, "predict_next_rows", recording)
+    sweep_interval_length(_sweep_stream(), [300.0], _SWEEP_CFG)
+    assert shapes
+    assert all(n * h * w <= cells or n == 1 for n, _, h, w in shapes)
+    assert (max(n for n, *_ in shapes) > 1) == (cells > 1)
 
 
 def test_sweep_builds_both_models_from_its_settings(monkeypatch):

@@ -1,5 +1,4 @@
 """Closed-loop simulation and breakout identification."""
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,6 +490,9 @@ def test_breakout_curve_validation():
     short = EventStream.from_cascades([cascade("a", 0.0)])
     with pytest.raises(GridError, match="disagree"):
         breakout_curve(short, grid, None, [60.0], horizon_intervals=0, context_cols=16)
+    for reply in (None, ConstRowStub(1.0)):
+        with pytest.raises(GridError, match="context_cols"):
+            breakout_curve(stream, grid, reply, [60.0], horizon_intervals=2, context_cols=0)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +534,12 @@ def test_lockstep_curve_equals_the_per_cascade_oracle(corpus, predictor, horizon
 
 
 @pytest.mark.parametrize("predictor", ["trained", "true-rows"])
-@pytest.mark.parametrize("chunk_cells", [models.PREDICT_CHUNK_CELLS, 48])
-def test_roll_reply_rows_equals_per_state_rolls(corpus, monkeypatch, predictor, chunk_cells):
-    """States of widths 1 to 4 and of many row counts, in batches of one
-    chunk and of several."""
-    monkeypatch.setattr(models, "PREDICT_CHUNK_CELLS", chunk_cells)
+@pytest.mark.parametrize("cells", [48, 72, 8192])
+def test_roll_reply_rows_equals_per_state_rolls(corpus, predictor, cells):
+    """States of widths 1 to 4 and of many row counts, rolled in
+    consecutive batches of at most `cells` window cells: 2, 3 and every
+    window of the trained model's 6 x 4, and 3, 4 and every window of
+    the stub's 4 x 4."""
     stream, grid, model = corpus
     reply = _predictors(grid, model)[predictor]
     starts = [build_breakout_state(grid, j, min(int(grid.arrival_rows[j]) + k, 60), 4)[0]
@@ -544,37 +547,68 @@ def test_roll_reply_rows_equals_per_state_rolls(corpus, monkeypatch, predictor, 
     assert {st.n_cols for st in starts} == {1, 2, 3, 4}
     lockstep = [ForecastState.from_grid(st.to_grid()) for st in starts]
     alone = [ForecastState.from_grid(st.to_grid()) for st in starts]
+    batch = max(1, cells // (reply.window[0] * 4))
     for _ in range(3):
-        raws = roll_reply_rows(lockstep, reply)
-        for state, raw in zip(alone, raws):
-            assert raw.tobytes() == per_state_roll(state, reply).tobytes()
+        for lo in range(0, len(starts), batch):
+            raws = roll_reply_rows(lockstep[lo : lo + batch], reply)
+            for state, raw in zip(alone[lo : lo + batch], raws):
+                assert raw.tobytes() == per_state_roll(state, reply).tobytes()
     assert all(np.array_equal(a.counts, b.counts) for a, b in zip(lockstep, alone))
-
-
-def test_lockstep_groups_close_at_the_cell_budget(monkeypatch):
-    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 10)
-    drawn = []
-
-    def pairs():
-        for tag, n_rows in enumerate([4, 4, 3, 12, 1, 9]):
-            drawn.append(tag)
-            yield SimpleNamespace(counts=np.zeros((n_rows, 1))), tag
-
-    groups = forecast.lockstep_groups(pairs())
-    assert [tag for _, tag in next(groups)] == [0, 1]
-    assert drawn == [0, 1, 2]  # states are drawn only as a group fills
-    # a state over the budget is a group of its own
-    assert [[tag for _, tag in group] for group in groups] == [[2], [3], [4, 5]]
 
 
 @pytest.mark.parametrize("predictor", ["trained", "true-rows"])
 def test_lockstep_curve_in_many_groups_equals_the_oracle(corpus, monkeypatch, predictor):
-    """A budget of a few states per group splits each duration's cascades
-    across groups of mixed widths."""
-    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 100)
+    """A budget of a few windows per Lockstep (3 of the trained model's
+    6 x 16, 4 of the stub's 4 x 16) splits each duration's cascades
+    across Locksteps of mixed widths."""
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 300)
     stream, grid, model = corpus
     reply = _predictors(grid, model)[predictor]
     durations = [k * D for k in (1, 2, 5)]
     got = breakout_curve(stream, grid, reply, durations, 12, 16)
     want = per_cascade_breakout_curve(stream, grid, reply, durations, 12, 16)
     assert got == want
+
+
+class ShapeRecorder(TrueRowStub):
+    """TrueRowStub that records the shape of every batch it is handed."""
+
+    def __init__(self, grid, window):
+        super().__init__(grid, offset=0.3, window=window)
+        self.shapes = []
+
+    def predict_next_rows(self, features, row_indices):
+        self.shapes.append(features.shape)
+        return super().predict_next_rows(features, row_indices)
+
+
+@pytest.mark.parametrize("cells", [50, 1000, forecast.LOCKSTEP_CELLS])
+def test_a_wide_context_curve_rolls_within_the_cell_budget(corpus, monkeypatch, cells):
+    """With context_cols past the grid's width every window is as wide as
+    the grid. No call gets more than LOCKSTEP_CELLS window cells, unless
+    it holds one window that alone has more, and the verdicts are the
+    oracle's."""
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", cells)
+    stream, grid, _ = corpus
+    reply = ShapeRecorder(grid, window=(4, 3))
+    durations = [D, 3 * D]
+    got = breakout_curve(stream, grid, reply, durations, 12, grid.spec.n_cols + 5)
+    assert reply.shapes
+    assert all(n * h * w <= cells or n == 1 for n, _, h, w in reply.shapes)
+    assert max(w for *_, w in reply.shapes) == grid.spec.n_cols
+    assert max(n for n, *_ in reply.shapes) == min(grid.spec.n_cols,
+                                                   max(1, cells // (4 * grid.spec.n_cols)))
+    assert got == per_cascade_breakout_curve(stream, grid, reply, durations, 12,
+                                             grid.spec.n_cols + 5)
+
+
+def test_breakout_classify_leaves_its_state_unchanged(corpus):
+    stream, grid, model = corpus
+    l_bar = average_cascade_size(stream)
+    for j in (0, 3, grid.spec.n_cols - 1):
+        state, col = build_breakout_state(grid, j, min(int(grid.arrival_rows[j]) + 2, 60), 4)
+        counts, n_rows = state.counts.copy(), state.n_rows
+        v = breakout_classify(state, col, model, l_bar, 6)
+        assert v.predicted_total >= v.prefix_total
+        assert state.n_rows == n_rows and state.counts.tobytes() == counts.tobytes()
+        assert breakout_classify(state, col, model, l_bar, 6) == v

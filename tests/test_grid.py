@@ -19,7 +19,6 @@ from gridcast.grid import (
     assemble_features,
     build_grid,
     canonical_channels,
-    feature_window,
     frontier_segments,
     gap_columns,
     interval_index,
@@ -28,6 +27,7 @@ from gridcast.grid import (
     slice_segments,
     time_split,
     window_at,
+    window_features,
 )
 
 from conftest import brute_force_counts, cascade, column_max_relative_time, stream_strategy
@@ -414,45 +414,60 @@ def test_window_at_interior_and_overhang():
     assert over[0, 2, 1] == data[0, 0, 0]
 
 
+@st.composite
+def grid_tails(draw):
+    """(n_rows, sorted arrival rows, counts seed) of one grid: widths 1 to
+    8, and arrivals past the last row."""
+    arrivals = draw(st.lists(st.integers(0, 24), min_size=1, max_size=8))
+    return draw(st.integers(1, 20)), sorted(arrivals), draw(st.integers(0, 2**16))
+
+
 @given(
-    n_rows=st.integers(1, 20),
-    arrivals=st.lists(st.integers(0, 24), min_size=1, max_size=8),
-    seed=st.integers(0, 2**16),
-    corner=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    grids=st.lists(grid_tails(), min_size=1, max_size=4),
     h=st.integers(1, 20),
-    w=st.integers(1, 10),
     chans=st.sampled_from(sorted(CHANNEL_SETS)),
 )
-@example(n_rows=3, arrivals=[0], seed=0, corner=(2, 0), h=16, w=1, chans="full")
-@example(n_rows=4, arrivals=[0, 2, 9], seed=1, corner=(3, 2), h=3, w=3, chans="M")
-@example(n_rows=9, arrivals=[1, 4, 6], seed=2, corner=(5, 2), h=4, w=5, chans="S")
+@example(grids=[(3, [0], 0)], h=16, chans="full")
+@example(grids=[(4, [0, 2, 9], 1), (2, [1], 3), (20, [0, 5, 19, 30], 4)], h=3, chans="M")
+@example(grids=[(9, [1, 4, 6], 2), (1, [0, 0], 5)], h=4, chans="S")
 @settings(max_examples=150, deadline=None)
-def test_feature_window_is_the_assembled_window(n_rows, arrivals, seed, corner, h, w, chans):
-    """Top padding (n_rows < h), width 1, columns arriving past the last
-    row and pre-arrival cells, for each channel set, to the bit: against
-    the assembled tensor, and against planes built without the shared
-    channel code (counts, Grid.mask and the column-max relative time)."""
-    arrival_rows = np.array(sorted(arrivals), dtype=np.int64)
-    counts = np.random.default_rng(seed).integers(0, 9, (n_rows, len(arrival_rows)))
-    grid = Grid(GridSpec(60.0, 0.0, n_rows, len(arrival_rows)), counts, arrival_rows)
-    counts[grid.mask.astype(bool)] = 0
-    row, col = corner[0] % n_rows, corner[1] % len(arrival_rows)
-    got = feature_window(counts, arrival_rows, CHANNEL_SETS[chans], row, col, h, w)
-    assembled = window_at(assemble_features(grid, CHANNEL_SETS[chans]).data, row, col, h, w)
-    planes = {Channel.COUNTS: counts.astype(np.float64),
-              Channel.RELTIME: column_max_relative_time(grid),
-              Channel.MASK: grid.mask.astype(np.float64)}
-    data = np.stack([planes[ch] for ch in canonical_channels(CHANNEL_SETS[chans])])
-    direct = window_at(data, row, col, h, w)
-    for want in (assembled, direct):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("row, col", [(-1, 0), (5, 0), (0, -1), (0, 3)])
-def test_feature_window_corner_must_lie_in_the_grid(small_grid, row, col):
-    with pytest.raises(GridError, match="outside"):
-        feature_window(small_grid.counts, small_grid.arrival_rows, CHANNEL_ORDER, row, col, 2, 2)
+def test_window_features_are_each_grids_assembled_window(grids, h, chans):
+    """A batch of N grids of mixed widths (1 included) and row counts (under
+    and over h), columns arriving past the last row and pre-arrival
+    cells, for each channel set, to the bit: each grid's window, zero
+    right of its width, against its assembled tensor, and against planes
+    built without the shared channel code (counts, Grid.mask and the
+    column-max relative time)."""
+    w = max(len(arrivals) for _, arrivals, _ in grids)
+    batch_counts = np.zeros((len(grids), h, w), dtype=np.int64)
+    batch_arrivals = np.zeros((len(grids), w), dtype=np.int64)
+    singles = []
+    for k, (n_rows, arrivals, seed) in enumerate(grids):
+        arrival_rows = np.array(arrivals, dtype=np.int64)
+        counts = np.random.default_rng(seed).integers(0, 9, (n_rows, len(arrivals)))
+        grid = Grid(GridSpec(60.0, 0.0, n_rows, len(arrivals)), counts, arrival_rows)
+        counts[grid.mask.astype(bool)] = 0
+        tail = counts[-h:]
+        batch_counts[k, h - len(tail) :, : len(arrivals)] = tail
+        batch_arrivals[k, : len(arrivals)] = arrival_rows
+        singles.append(grid)
+    n_rows = np.array([g.spec.n_rows for g in singles])
+    widths = np.array([g.spec.n_cols for g in singles])
+    got = window_features(batch_counts, n_rows, batch_arrivals, widths, CHANNEL_SETS[chans])
+    assert got.dtype == np.float64
+    assert got.shape == (len(grids), len(CHANNEL_SETS[chans]), h, w)
+    for window, grid in zip(got, singles):
+        width = grid.spec.n_cols
+        assert not window[..., width:].any()  # zero-padded on the right
+        window = window[..., :width].copy()
+        corner = (grid.spec.n_rows - 1, width - 1, h, width)
+        assembled = window_at(assemble_features(grid, CHANNEL_SETS[chans]).data, *corner)
+        planes = {Channel.COUNTS: grid.counts.astype(np.float64),
+                  Channel.RELTIME: column_max_relative_time(grid),
+                  Channel.MASK: grid.mask.astype(np.float64)}
+        data = np.stack([planes[ch] for ch in canonical_channels(CHANNEL_SETS[chans])])
+        for want in (assembled, window_at(data, *corner)):
+            assert window.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

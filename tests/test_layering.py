@@ -9,8 +9,9 @@ default stays only if a caller outside the tests (the package itself or
 any file under perfbench/) leaves it out. The benchmark calls only
 names and keyword arguments that the package still has, and leaves out
 only parameters that still have a default. And no reply roll path in
-forecast.py assembles the features of a whole state: it builds only the
-window its model reads."""
+forecast.py or the d-sweep assembles the features of a whole state or
+builds a full-length state: it holds the last h rows of its grids and
+builds only the window its model reads."""
 import ast
 import importlib
 import inspect
@@ -123,16 +124,26 @@ def test_the_kernel_check_sees_the_keyword_form():
 # ---------------------------------------------------------------------------
 # a roll builds only the window its model reads
 
-FORECAST = Path(gridcast.__file__).parent / "forecast.py"
+PACKAGE = Path(gridcast.__file__).parent
 # adaptive_forecast is not among them: its gap prediction, once per
 # simulated thread, reads the whole state's features (ForecastState.features),
 # and its reply rolls go through roll_reply_row and roll_until.
 ROLL_PATHS = ("roll_reply_rows", "roll_reply_row", "roll_until", "breakout_classify",
-              "breakout_curve")
+              "breakout_curve", "of", "roll", "_self_fed_span_mae")
+# what builds a full-length state: a roll cuts its Lockstep from the grid
+FULL_STATES = {"from_grid", "crop", "build_breakout_state"}
 
 
-def _assemblers(tree: ast.Module, roots) -> list[str]:
-    """The roots whose bodies reference assemble_features, directly or
+def _roll_tree() -> ast.Module:
+    """forecast.py and experiments.py as one module, so that a walk from the
+    d-sweep follows its calls into the Lockstep."""
+    body = [stmt for name in ("forecast.py", "experiments.py")
+            for stmt in ast.parse((PACKAGE / name).read_text(encoding="utf-8")).body]
+    return ast.Module(body=body, type_ignores=[])
+
+
+def _reaching(tree: ast.Module, roots, targets) -> list[str]:
+    """The roots whose bodies reference one of targets, directly or
     through a function or method that tree defines (by name, so a local
     of the same name counts too)."""
     defs = {node.name: node for node in ast.walk(tree)
@@ -146,19 +157,30 @@ def _assemblers(tree: ast.Module, roots) -> list[str]:
     def reaches(name: str, seen: set[str]) -> bool:
         seen.add(name)
         names = used(name)
-        return "assemble_features" in names or any(
+        return bool(names & set(targets)) or any(
             reaches(n, seen) for n in names if n in defs and n not in seen)
 
     return [root for root in roots if reaches(root, set())]
 
 
 def test_no_roll_path_assembles_the_features_of_a_whole_state():
-    tree = ast.parse(FORECAST.read_text(encoding="utf-8"))
-    assert _assemblers(tree, ROLL_PATHS) == [], "a roll reads grid.feature_window only"
+    tree = _roll_tree()
+    assert _reaching(tree, ROLL_PATHS, {"assemble_features"}) == [], (
+        "a roll reads grid.window_features only")
     # ForecastState.features stays as the full view the gap prediction reads,
     # and the walk sees it
-    assert _assemblers(tree, ["features", "adaptive_forecast"]) == [
+    assert _reaching(tree, ["features", "adaptive_forecast"], {"assemble_features"}) == [
         "features", "adaptive_forecast"]
+
+
+def test_no_roll_path_builds_a_full_length_state():
+    tree = _roll_tree()
+    assert _reaching(tree, ROLL_PATHS, FULL_STATES) == [], (
+        "a roll holds the last h rows of its grids, cut from the grid")
+    # the walk sees the prefix states that single verdicts are built from,
+    # and follows the d-sweep into the Lockstep's window
+    assert _reaching(tree, ["build_breakout_state"], FULL_STATES) == ["build_breakout_state"]
+    assert _reaching(tree, ["_self_fed_span_mae"], {"window_features"}) == ["_self_fed_span_mae"]
 
 
 def test_the_roll_check_follows_calls_and_methods():
@@ -177,11 +199,12 @@ def direct(g):
     return assemble_features(g)
 
 def clean(state):
-    return feature_window(state.counts, state.arrival_rows)
+    return window_features(state.counts, state.n_rows, state.arrival_rows, state.widths, ())
 """
     tree = ast.parse(source)
-    assert _assemblers(tree, ["roll", "helper", "features", "direct", "clean"]) == [
-        "roll", "helper", "features", "direct"]
+    assert _reaching(tree, ["roll", "helper", "features", "direct", "clean"],
+                     {"assemble_features"}) == ["roll", "helper", "features", "direct"]
+    assert _reaching(tree, ["roll", "clean"], {"crop", "features"}) == ["roll"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import ORACLE_KERNELS, predict_plane, tiny_config, tiny_model, zero_weights
 
-from gridcast import models, nn
+from gridcast import nn
 from gridcast.config import RunSettings
 from gridcast.grid import (
     CHANNEL_ORDER,
@@ -127,14 +127,13 @@ BENCH_REPLY = ModelConfig(kind="reply", window=(16, 12), n_filters=16, k_h=3, k_
 
 
 @pytest.mark.parametrize("cfg", [tiny_config("reply"), BENCH_REPLY], ids=["tiny", "bench"])
-def test_predict_next_rows_has_the_bits_of_the_full_forward(cfg, monkeypatch):
+def test_predict_next_rows_has_the_bits_of_the_full_forward(cfg):
     """The receptive-field cone against the whole-plane forward: float32
     bit for bit at widths 1 to 20, window heights at, under and far under
-    the receptive field (15 rows for the bench ladder), and batches on
-    both sides of a chunk boundary, here a small one; the float64 clone
-    within perfbench's clone tolerance, since float64 products round by
-    their width."""
-    monkeypatch.setattr(models, "PREDICT_CHUNK_CELLS", 96)
+    the receptive field (15 rows for the bench ladder), and batches of
+    one window and on both sides of 96 cells; the float64 clone within
+    perfbench's clone tolerance, since float64 products round by their
+    width."""
     rng = np.random.default_rng(21)
     model = build_model(cfg, seed=2)
     train(model, make_segs(rng, cfg, [2.0] * 8), TrainConfig(lr=1e-2, epochs=2, batch_size=4))
@@ -142,7 +141,7 @@ def test_predict_next_rows_has_the_bits_of_the_full_forward(cfg, monkeypatch):
     clone = model.astype(np.float64)
     for h in (cfg.window[0], 4, 1):
         for w in range(1, 21):
-            step = max(1, models.PREDICT_CHUNK_CELLS // (h * w))
+            step = max(1, 96 // (h * w))
             for n in sorted({1, step, step + 1}):
                 x = rng.uniform(0, 3, size=(n, len(cfg.channels), h, w))
                 rows = np.arange(n)
