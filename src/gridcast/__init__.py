@@ -49,7 +49,6 @@ from .grid import (
     assemble_features,
     build_grid,
     gap_columns,
-    relative_time_channel,
     rows_covering,
     frontier_segments,
     slice_segments,

@@ -69,13 +69,13 @@ class RunSettings:
     kernel_size: int = 3
     filter_shape: str = "KxK"  # KxK | Kx1
     n_blocks: int = 3
-    loss_mode: str = "corner"  # corner | full
+    loss_mode: str = ModelConfig.loss_mode  # corner | full
     # training
-    lr: float = 1e-3
-    weight_decay: float = 1e-2
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 0
+    lr: float = TrainConfig.lr
+    weight_decay: float = TrainConfig.weight_decay
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    seed: int = TrainConfig.seed
     train_frac: float = 0.7
     # synthetic generator
     lambda_thread: float = 1.0 / 600.0

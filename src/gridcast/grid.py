@@ -157,7 +157,7 @@ class Grid:
         """Sentinel channel: 1 on structural-zero cells before arrival."""
         return _mask(np.arange(self.spec.n_rows), self.arrival_rows).astype(np.uint8)
 
-    def crop(self, n_rows: int, cols: slice = slice(None)) -> "Grid":
+    def crop(self, n_rows: int, cols: slice) -> "Grid":
         """A copy of the first n_rows rows of the given columns: what was
         observable at row n_rows."""
         counts = self.counts[:n_rows, cols].copy()
@@ -262,20 +262,14 @@ def time_split(grid: Grid, frac: float) -> tuple[int, int]:
     return r_split, int(np.searchsorted(grid.arrival_rows, r_split))
 
 
-def relative_time_channel(grid: Grid) -> np.ndarray:
-    """Intervals since arrival, scaled to [0, 1] by each column's maximum.
+def _relative_time(rows: np.ndarray, arrival_rows: np.ndarray, n_rows) -> np.ndarray:
+    """The RELTIME channel at the given rows (..., h) of columns arriving
+    at arrival_rows (..., w), in grids of n_rows rows: (..., h, w).
 
+    Intervals since arrival, scaled to [0, 1] by each column's maximum.
     Pre-arrival cells are zero. A column whose maximum is zero (arrival
     in the last row, or beyond the window) stays all zero rather than
-    dividing by zero.
-    """
-    rows = np.arange(grid.spec.n_rows, dtype=np.int64)
-    return _relative_time(rows, grid.arrival_rows, grid.spec.n_rows)
-
-
-def _relative_time(rows: np.ndarray, arrival_rows: np.ndarray, n_rows) -> np.ndarray:
-    """relative_time_channel at the given rows (..., h) of columns arriving
-    at arrival_rows (..., w), in grids of n_rows rows: (..., h, w)."""
+    dividing by zero."""
     arrival = arrival_rows[..., None, :]
     elapsed = np.maximum(rows[..., :, None] - arrival, 0).astype(np.float64)
     return elapsed / np.maximum(n_rows - 1 - arrival, 1)

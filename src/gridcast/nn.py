@@ -45,12 +45,12 @@ class Parameter:
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    name: str
+    decay: bool  # eligible for L2 weight decay
     step_count: int = 0
-    name: str = ""
-    decay: bool = False  # eligible for L2 weight decay
 
     @classmethod
-    def of(cls, value: np.ndarray, name: str = "", decay: bool = False) -> "Parameter":
+    def of(cls, value: np.ndarray, name: str, decay: bool = False) -> "Parameter":
         value = np.asarray(value)
         return cls(
             value=value,

@@ -241,7 +241,7 @@ ORACLE_KERNELS = {
 
 
 def column_max_relative_time(grid: Grid) -> np.ndarray:
-    """relative_time_channel as a reduction: intervals since arrival,
+    """The RELTIME channel as a reduction: intervals since arrival,
     zeroed in columns that arrive past the last row, over each column's
     maximum (1 where that is 0)."""
     rows = np.arange(grid.spec.n_rows, dtype=np.int64)[:, None]

@@ -22,7 +22,6 @@ from gridcast.grid import (
     frontier_segments,
     gap_columns,
     interval_index,
-    relative_time_channel,
     rows_covering,
     slice_segments,
     time_split,
@@ -284,12 +283,16 @@ def test_validate_names_each_broken_invariant(edit, message):
 # relative-time channel
 
 
+def reltime(g: Grid) -> np.ndarray:
+    return assemble_features(g, (Channel.COUNTS, Channel.RELTIME)).data[1]
+
+
 def test_reltime_arrival_row_two_of_six():
     spec = GridSpec(d=1.0, t0=0.0, n_rows=6, n_cols=1)
     counts = np.zeros((6, 1), dtype=np.int64)
     counts[2, 0] = 1
     g = Grid(spec=spec, counts=counts, arrival_rows=np.array([2]))
-    r = relative_time_channel(g)[:, 0]
+    r = reltime(g)[:, 0]
     assert np.allclose(r, [0, 0, 0, 1 / 3, 2 / 3, 1], atol=0)
 
 
@@ -300,7 +303,7 @@ def test_reltime_all_masked_column_stays_zero():
         counts=np.zeros((4, 1), dtype=np.int64),
         arrival_rows=np.array([9]),
     )
-    assert not relative_time_channel(g).any()
+    assert not reltime(g).any()
 
 
 def test_reltime_arrival_in_last_row_stays_zero():
@@ -308,27 +311,29 @@ def test_reltime_arrival_in_last_row_stays_zero():
     counts = np.zeros((4, 1), dtype=np.int64)
     counts[3, 0] = 1
     g = Grid(spec=spec, counts=counts, arrival_rows=np.array([3]))
-    assert not relative_time_channel(g).any()
+    assert not reltime(g).any()
 
 
 @given(stream_strategy(), st.integers(2, 25))
 @settings(max_examples=40, deadline=None)
 def test_reltime_bounded_monotone_zero_on_mask(stream, n_rows):
     g = build_grid(stream, 60.0, 0.0, n_rows)
-    r = relative_time_channel(g)
+    r = reltime(g)
     assert r.min() >= 0.0 and r.max() <= 1.0
     assert not r[g.mask.astype(bool)].any()
     assert np.all(np.diff(r, axis=0) >= -1e-15)
 
 
 @given(st.integers(1, 60), st.lists(st.integers(0, 70), min_size=1, max_size=20))
+@example(5, [0, 1, 4])  # small_grid's rows and arrivals
 @settings(max_examples=200, deadline=None)
 def test_reltime_closed_form_equals_the_column_max_oracle(n_rows, arrivals):
-    """Bit for bit, columns arriving past the last row included."""
+    """The assembled channel, bit for bit, columns arriving past the last
+    row included."""
     n_cols = len(arrivals)
     g = Grid(GridSpec(1.0, 0.0, n_rows, n_cols), np.zeros((n_rows, n_cols), dtype=np.int64),
              np.array(arrivals, dtype=np.int64))
-    got, want = relative_time_channel(g), column_max_relative_time(g)
+    got, want = reltime(g), column_max_relative_time(g)
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
 
@@ -346,11 +351,6 @@ def test_assemble_counts_only_identity(small_grid):
 def test_assemble_full_mask_passthrough(small_grid):
     t = assemble_features(small_grid, CHANNEL_ORDER)
     assert np.array_equal(t.data[2], small_grid.mask.astype(float))
-
-
-def test_assemble_reltime_matches_recompute(small_grid):
-    t = assemble_features(small_grid, (Channel.COUNTS, Channel.RELTIME))
-    assert np.array_equal(t.data[1], relative_time_channel(small_grid))
 
 
 def test_assemble_requires_counts(small_grid):

@@ -1,4 +1,4 @@
-"""Six structural rules, checked with ast. Which modules may know the run
+"""Structural rules, checked with ast. Which modules may know the run
 settings: the library takes plain arguments, and only the recipes and the
 command line read RunSettings. Which module knows the byte layout of
 grid files and checkpoints: only container.py imports zlib or struct.
@@ -6,12 +6,17 @@ Which module turns a kernel size and filter shape into k_h and k_w: only
 config.py passes them by keyword.
 Which options the package keeps: a parameter or dataclass field with a
 default stays only if a caller outside the tests (the package itself or
-any file under perfbench/) leaves it out. The benchmark calls only
-names and keyword arguments that the package still has, and leaves out
-only parameters that still have a default. And no reply roll path in
-forecast.py or the d-sweep assembles the features of a whole state or
-builds a full-length state: it holds the last h rows of its grids and
-builds only the window its model reads."""
+any file under perfbench/) leaves it out. ALLOWED_OPTIONS lists them, and
+each entry outside the command line's flags must be left out by at least
+one call in the package or under perfbench/. Which names the package
+keeps: every public module-level function and class has a reference
+outside the tests and __init__.py, except the acceptance-criterion tools.
+The benchmark calls only names and keyword arguments that the package
+still has, and leaves out only parameters that still have a default. No
+reply roll path in forecast.py or the d-sweep assembles the features of
+a whole state or builds a full-length state: it holds the last h rows of
+its grids and builds only the window its model reads. And the adaptive
+evaluation still reaches the names whose meters the benchmark reads."""
 import ast
 import importlib
 import inspect
@@ -125,6 +130,7 @@ def test_the_kernel_check_sees_the_keyword_form():
 # a roll builds only the window its model reads
 
 PACKAGE = Path(gridcast.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # adaptive_forecast is not among them: its gap prediction, once per
 # simulated thread, reads the whole state's features (ForecastState.features),
 # and its reply rolls go through roll_reply_row and roll_until.
@@ -134,12 +140,18 @@ ROLL_PATHS = ("roll_reply_rows", "roll_reply_row", "roll_until", "breakout_class
 FULL_STATES = {"from_grid", "crop", "build_breakout_state"}
 
 
-def _roll_tree() -> ast.Module:
-    """forecast.py and experiments.py as one module, so that a walk from the
-    d-sweep follows its calls into the Lockstep."""
-    body = [stmt for name in ("forecast.py", "experiments.py")
+def _joined(*names: str) -> ast.Module:
+    """The package's modules of those file names as one module, so that a
+    walk follows calls from one into another."""
+    body = [stmt for name in names
             for stmt in ast.parse((PACKAGE / name).read_text(encoding="utf-8")).body]
     return ast.Module(body=body, type_ignores=[])
+
+
+def _roll_tree() -> ast.Module:
+    """forecast.py and experiments.py, so that a walk from the d-sweep
+    follows its calls into the Lockstep."""
+    return _joined("forecast.py", "experiments.py")
 
 
 def _reaching(tree: ast.Module, roots, targets) -> list[str]:
@@ -181,6 +193,21 @@ def test_no_roll_path_builds_a_full_length_state():
     # and follows the d-sweep into the Lockstep's window
     assert _reaching(tree, ["build_breakout_state"], FULL_STATES) == ["build_breakout_state"]
     assert _reaching(tree, ["_self_fed_span_mae"], {"window_features"}) == ["_self_fed_span_mae"]
+
+
+def test_the_adaptive_evaluation_reaches_the_metered_serving_names():
+    """perfbench's serving check runs a one-start evaluate_adaptive and an
+    adaptive_forecast on every workload, and its forecast.roll_reply_row
+    and forecast.ForecastState.features meters must read above zero. A
+    change that routes those rolls or the gap step around the metered
+    names fails here, not only in the benchmark's own tests."""
+    tree = _joined("forecast.py", "evaluate.py")
+    assert _reaching(tree, ["evaluate_adaptive"], {"roll_reply_row"}) == ["evaluate_adaptive"], (
+        "evaluate_adaptive must roll through forecast.roll_reply_row")
+    # forecast.py alone: evaluate.py's baselines take an argument named
+    # features, and the walk matches by name
+    assert _reaching(_joined("forecast.py"), ["adaptive_forecast"], {"features"}) == [
+        "adaptive_forecast"], "adaptive_forecast's gap step must read ForecastState.features"
 
 
 def test_the_roll_check_follows_calls_and_methods():
@@ -239,12 +266,8 @@ ALLOWED_OPTIONS = {
     "evaluate.evaluate_adaptive(n_intervals)",
     # the package's own calls leave these out
     "nn.Parameter.step_count",
-    "nn.Parameter.name",
-    "nn.Parameter.decay",
-    "nn.Parameter.of(name)",
     "nn.Parameter.of(decay)",
     "nn.mse_loss(weight)",
-    "grid.Grid.crop(cols)",
     "evaluate._report(label)",
     "evaluate._report(stddev)",
     "cli._settings(base)",
@@ -300,7 +323,7 @@ def test_the_package_keeps_only_the_options_its_callers_use():
         opt for p in sources for opt in _options(ast.parse(p.read_text(encoding="utf-8")), p.stem)
     ]
     assert sorted(set(options) - ALLOWED_OPTIONS) == [], "options outside the budget"
-    assert len(options) <= len(ALLOWED_OPTIONS) == 70
+    assert len(options) <= len(ALLOWED_OPTIONS) == 66
 
 
 def test_the_option_count_sees_every_form():
@@ -325,10 +348,194 @@ class Plain:
     ])
 
 
+def _package_trees(package: Path) -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+
+
+def _bench_trees(bench: Path) -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(bench.rglob("*.py"))]
+
+
+def _signatures(node: ast.AST, prefix: str, cls: str | None = None) -> dict:
+    """For every function, method and dataclass under node, keyed by the
+    qualified name its options carry: (the name a call uses, the class a
+    call must go through or None, the parameters a call passes by
+    position). A dataclass or __init__ is called by its class's name; a
+    classmethod only through its class; a bound self or cls is dropped."""
+    out = {}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            name = f"{prefix}.{child.name}"
+            if _is_dataclass(child):
+                out[name] = (child.name, None, tuple(
+                    st.target.id for st in child.body if isinstance(st, ast.AnnAssign)))
+            out.update(_signatures(child, name, child.name))
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            decorators = {getattr(d, "id", None) for d in child.decorator_list}
+            params = tuple(a.arg for a in child.args.posonlyargs + child.args.args)
+            if cls is not None and "staticmethod" not in decorators:
+                params = params[1:]
+            if cls is not None and child.name == "__init__":
+                out[name] = (cls, None, params)
+            else:
+                out[name] = (child.name, cls if "classmethod" in decorators else None, params)
+            out.update(_signatures(child, name))
+        else:
+            out.update(_signatures(child, prefix, cls))
+    return out
+
+
+def _calls(node: ast.AST, cls: str | None = None):
+    """(callee name, the name it is called through or None, call) for every
+    call under node. Inside a class's methods, cls stands for that class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Name):
+                yield (cls if func.id == "cls" and cls else func.id), None, child
+            elif isinstance(func, ast.Attribute):
+                via = getattr(func.value, "id", None) or getattr(func.value, "attr", None)
+                yield func.attr, (cls if via == "cls" and cls else via), child
+        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def _leaves_out(call: ast.Call, params: tuple[str, ...], param: str) -> bool:
+    """Whether the call leaves param out. One that unpacks *args or
+    **kwargs passes everything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return False
+    return param not in params[: len(call.args)] and param not in {k.arg for k in call.keywords}
+
+
+def _unused_options(options, modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """The options that no call in callers leaves out, matched to their
+    definitions in modules (by file stem)."""
+    signatures = {}
+    for stem, tree in modules.items():
+        signatures.update(_signatures(tree, stem))
+    calls = [call for tree in callers for call in _calls(tree)]
+    unused = []
+    for option in sorted(options):
+        qual, param = option[:-1].split("(") if option.endswith(")") else option.rsplit(".", 1)
+        if qual not in signatures:
+            unused.append(option)
+            continue
+        callee, through, params = signatures[qual]
+        if not any(name == callee and through in (None, via) and _leaves_out(call, params, param)
+                   for name, via, call in calls):
+            unused.append(option)
+    return unused
+
+
+def test_every_option_is_left_out_by_a_caller():
+    # the command line's flags are left out by whichever command does not set them
+    options = {opt for opt in ALLOWED_OPTIONS if not opt.startswith("config.RunSettings.")}
+    modules = _package_trees(PACKAGE)
+    unused = _unused_options(options, modules, [*modules.values(), *_bench_trees(PERFBENCH)])
+    assert unused == [], "every caller passes these: drop their defaults"
+
+
+def test_the_option_liveness_check_sees_every_call_form():
+    source = """
+from dataclasses import dataclass
+
+def f(a, b=1, *, c=2): ...
+
+@dataclass
+class D:
+    x: int
+    y: int = 0
+    z: int = 0
+
+    @classmethod
+    def of(cls, x, y=0):
+        return cls(x, y)
+
+class Layer:
+    def __init__(self, a, b=0): ...
+    def run(self, a, b=0): ...
+
+class Other:
+    @classmethod
+    def of(cls, x, y=0): ...
+
+def g(fs):
+    f(0, 1, c=3)
+    f(*fs)
+    D(1, 2, z=3)
+    Other.of(1)
+    Layer(1).run(1, b=2)
+    D.of(1, 2)
+    def sub(a, b=0): ...
+    sub(a=1, b=2)
+"""
+    tree = ast.parse(source)
+    options = ["m.f(b)", "m.f(c)", "m.D.y", "m.D.z", "m.D.of(y)", "m.Layer.__init__(b)",
+               "m.Layer.run(b)", "m.g.sub(b)", "m.gone(x)"]
+    # f(*fs) passes everything, so f(b) and f(c) stay unused; cls(x, y)
+    # leaves D's z out; Other.of is not D.of; Layer(1) leaves b out
+    assert _unused_options(options, {"m": tree}, [tree]) == sorted([
+        "m.f(b)", "m.f(c)", "m.D.y", "m.D.of(y)", "m.Layer.run(b)", "m.g.sub(b)", "m.gone(x)"])
+
+
+# ---------------------------------------------------------------------------
+# the package's names
+
+# the acceptance-criterion tools: public for the tests that run them
+CRITERION_TOOLS = {"nn.grad_check", "tcn.causality_probe", "tcn.receptive_field"}
+
+
+def _unreferenced_names(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """The public module-level functions and classes in modules (by file
+    stem, __init__ left out) that nothing references, as a name or an
+    attribute, outside their own definition, in modules or in others."""
+    modules = {stem: tree for stem, tree in modules.items() if stem != "__init__"}
+    statements = [st for tree in (*modules.values(), *others) for st in tree.body]
+    referenced = [
+        (st, {n.id for n in ast.walk(st) if isinstance(n, ast.Name)}
+         | {n.attr for n in ast.walk(st) if isinstance(n, ast.Attribute)})
+        for st in statements
+    ]
+    return sorted(
+        f"{stem}.{st.name}"
+        for stem, tree in modules.items() for st in tree.body
+        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not st.name.startswith("_")
+        and not any(st.name in names for other, names in referenced if other is not st)
+    )
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = _package_trees(PACKAGE)
+    assert _unreferenced_names(modules, _bench_trees(PERFBENCH)) == sorted(CRITERION_TOOLS), (
+        "a public name that only the tests use: delete it or make it private "
+        "(or, for a criterion tool that gained a caller, drop it from CRITERION_TOOLS)")
+
+
+def test_the_name_check_sees_references_and_skips_definitions():
+    lib = ast.parse("""
+from .other import used_by_import_only
+
+def called(): ...
+def recursive(n): return recursive(n - 1)
+class Attr: ...
+class Annotated: ...
+def _private(): ...
+def user(x: Annotated) -> None:
+    called()
+    return mod.Attr
+""")
+    init = ast.parse("from .lib import recursive\nrecursive(1)")
+    bench = ast.parse("import gridcast\ngridcast.lib.user(0)")
+    assert _unreferenced_names({"lib": lib, "__init__": init}, [bench]) == ["lib.recursive"]
+    assert _unreferenced_names({"lib": lib}, []) == ["lib.recursive", "lib.user"]
+
+
 # ---------------------------------------------------------------------------
 # the names the benchmark calls
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _package_references(tree: ast.Module):

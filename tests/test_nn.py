@@ -592,7 +592,7 @@ def test_adam_matches_reference_recurrence():
     rng = np.random.default_rng(9)
     theta0 = rng.normal(size=7)
     grads = [rng.normal(size=7) for _ in range(250)]
-    p = Parameter.of(theta0.copy())
+    p = Parameter.of(theta0.copy(), name="w")
     want = reference_adam([theta0], grads, 1e-3, 0.9, 0.999, 1e-8, 0.01)
     for g, w in zip(grads, want):
         p.grad[...] = g
@@ -601,7 +601,7 @@ def test_adam_matches_reference_recurrence():
 
 
 def test_adam_decay_moves_weight_with_zero_grad():
-    p = Parameter.of(np.array([1.0]))
+    p = Parameter.of(np.array([1.0]), name="w")
     p.grad[...] = 0.0
     adam_step(p, lr=1e-3, weight_decay=0.01)
     assert p.value[0] < 1.0
@@ -610,7 +610,7 @@ def test_adam_decay_moves_weight_with_zero_grad():
 def test_adam_first_step_size(monkeypatch):
     # with constant gradient g, the bias-corrected first step is lr * sign(g)
     monkeypatch.setattr(nn, "ADAM_EPS", 0.0)
-    p = Parameter.of(np.array([0.0]))
+    p = Parameter.of(np.array([0.0]), name="w")
     p.grad[...] = 0.37
     adam_step(p, lr=1e-3, weight_decay=0.0)
     assert np.allclose(p.value, [-1e-3])
@@ -622,7 +622,7 @@ def test_adam_first_step_size(monkeypatch):
 
 def test_grad_check_passes_on_true_gradient():
     rng = np.random.default_rng(10)
-    p = Parameter.of(rng.normal(size=4))
+    p = Parameter.of(rng.normal(size=4), name="w")
     target = rng.normal(size=4)
 
     def loss():
@@ -633,7 +633,7 @@ def test_grad_check_passes_on_true_gradient():
 
 
 def test_grad_check_catches_wrong_gradient():
-    p = Parameter.of(np.array([1.0, 2.0]))
+    p = Parameter.of(np.array([1.0, 2.0]), name="w")
 
     def loss():
         return float((p.value**2).sum())
