@@ -325,7 +325,6 @@ def test_reltime_bounded_monotone_zero_on_mask(stream, n_rows):
 
 
 @given(st.integers(1, 60), st.lists(st.integers(0, 70), min_size=1, max_size=20))
-@example(5, [0, 1, 4])  # small_grid's rows and arrivals
 @settings(max_examples=200, deadline=None)
 def test_reltime_closed_form_equals_the_column_max_oracle(n_rows, arrivals):
     """The assembled channel, bit for bit, columns arriving past the last
@@ -351,6 +350,11 @@ def test_assemble_counts_only_identity(small_grid):
 def test_assemble_full_mask_passthrough(small_grid):
     t = assemble_features(small_grid, CHANNEL_ORDER)
     assert np.array_equal(t.data[2], small_grid.mask.astype(float))
+
+
+def test_assemble_reltime_matches_recompute(small_grid):
+    t = assemble_features(small_grid, (Channel.COUNTS, Channel.RELTIME))
+    assert np.array_equal(t.data[1], column_max_relative_time(small_grid))
 
 
 def test_assemble_requires_counts(small_grid):
