@@ -112,14 +112,15 @@ class ForecastState:
 
 
 # A Lockstep holds at most this many window cells (N * h * w), or one
-# window that alone holds more: an eval forward's working set (each
-# layer's activations, and the input it keeps after it returns) grows
-# with its batch. On the benchmark's breakout curve (16 x 16 windows,
-# seed 17; 2 vCPUs; fastest of 12 alternating runs in one process) it
-# took 0.31, 0.25, 0.23 and 0.23 s at 2048, 4096, 8192 and 16384 cells
-# and 0.28 s in one batch per step; with the kept inputs cleared after
-# each forward, 0.23 s at this budget against 0.33 s in one batch.
-LOCKSTEP_CELLS = 8192
+# window that alone holds more: a serving forward's working set (each
+# layer's activations; it keeps no layer input or cache) grows with its
+# batch. On the benchmark's breakout curve (16 x 16 windows, seed 17;
+# 2 vCPUs; fastest of 12 alternating runs in one process) it took 0.20,
+# 0.15, 0.13, 0.12 and 0.13 s at 2048, 4096, 8192, 16384 and 32768 cells
+# and 0.14 s in one batch per step. When eval forwards still kept their
+# inputs it took 0.19 s at 8192 cells, 0.17 s at 16384 and 0.23 s in one
+# batch.
+LOCKSTEP_CELLS = 16384
 
 
 def lockstep_size(h: int, w: int) -> int:

@@ -14,7 +14,9 @@ every cell whose shifted target exists and is past arrival. Serving
 (predict_next_rows) reads only a window's last output row, so the stack
 computes just that row's receptive-field cone: on a 16-row window the
 default three-block k = 3 ladder computes 7, 3 and 1 of the 16 rows in
-its blocks. In float32 the row keeps the bits of the whole-plane forward.
+its blocks, from 15, 7 and 3 input rows. In float32 the row keeps the
+bits of the whole-plane forward. Serving keeps nothing in the layers;
+forward keeps what backward reads, in eval mode too.
 
 Training is plain minibatch MSE with Adam over one grid.Segments
 batch: thread models read its gaps, corner-mode reply models the corner
@@ -183,7 +185,7 @@ class ThreadArrivalModel(_ModelBase):
         g_anchor = self.fc1.backward(self.act.backward(self.fc2.backward(gz)))
         gu = np.zeros(u_shape, dtype=g_anchor.dtype)
         gu[:, :, -1, -1] = g_anchor
-        self.stack.backward(gu)
+        self.stack.backward(gu, False)
 
     def params(self) -> list[Parameter]:
         return self.stack.params() + self.fc1.params() + self.act.params() + self.fc2.params()
@@ -213,27 +215,28 @@ class ReplyCountModel(_ModelBase):
         z = self._cache
         gz = (grad_pred * sigmoid(z))[:, None]
         gu = self.head.backward(gz)
-        self.stack.backward(gu)
+        self.stack.backward(gu, False)
 
     def params(self) -> list[Parameter]:
         return self.stack.params() + self.head.params()
 
     def predict_next_rows(self, features: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Predicted counts for the row just below each of N windows
-        (N, C, h, w): (N, w), the last row of one eval-mode forward. The
-        stack computes only that row's receptive-field cone
-        (TCNStack.forward at one row), and the head runs over the whole
-        plane, as in forward, because its one-filter products are
-        matrix-vector ones that round by the plane's size. For one-column
-        windows the stack computes the row above too, so that no product
-        of the cone is one column wide where the full forward's are not
-        (see nn.conv2d_causal_dilated). So in float32, with at least two
-        filters, the result has the bits of forward(features,
-        train=False)[:, -1, :]. row_indices is for ground-truth stand-ins."""
+        (N, C, h, w): (N, w), the last row of one eval-mode forward,
+        which keeps nothing in the layers. The stack computes only that
+        row's receptive-field cone (TCNStack.forward at one row), and the
+        head runs over the whole plane, as in forward, because its
+        one-filter products are matrix-vector ones that round by the
+        plane's size. For one-column windows the stack computes the row
+        above too, so that no product of the cone is one column wide
+        where the full forward's are not (see nn.conv2d_causal_dilated).
+        So in float32, with at least two filters, the result has the bits
+        of forward(features, train=False)[:, -1, :]. row_indices is for
+        ground-truth stand-ins."""
         _, _, h, w = features.shape
         rows = range(max(0, h - 2) if w == 1 else h - 1, h)
         u = self.stack.forward(features.astype(self.dtype), False, *rows)
-        return softplus(self.head.forward(u)[:, 0, -1])
+        return softplus(self.head.serve(u)[:, 0, -1])
 
     def predict_next_row(
         self, features: np.ndarray, row_index: int | None = None

@@ -25,9 +25,21 @@ loss value, Adam's moments, running batch-norm statistics, float64
 model clones, and grad_check, which wants float64 throughout.
 Nothing here is thread-safe under concurrent mutation of the same
 Parameter; keep one writer per model.
+
+The conv, batch-norm and PReLU layers have two forwards. forward keeps
+what the layer's backward pass reads: the conv's and PReLU's input,
+batch norm's normalised input. serve keeps nothing, for serving calls
+that never run backward. Work that depends only on the layer is done
+once, not on every call: the conv's tap table once per geometry
+(_tap_table), the PReLU slope check once per value of the slopes
+(_unit_slopes), and eval batch norm's cast mean and inverse deviation
+once per value of the running stats (_eval_moments). The last two are
+keyed by the bytes of those values, so an in-place write (load_state,
+an Adam step) or a train-mode forward never meets a stale entry.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +89,50 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dty
 # causal dilated 2-D convolution
 
 
+def rows_read(rows: tuple[int, ...], k_h: int, tau: int) -> tuple[int, ...]:
+    """The ascending input rows that a conv's given output rows read: row
+    r - a*tau for each output row r and filter row a. Rows above the top
+    read zero padding and are left out."""
+    return tuple(sorted({r - a * tau for r in rows for a in range(k_h) if r >= a * tau}))
+
+
+@functools.lru_cache(maxsize=256)
+def _tap_table(k_h: int, k_w: int, tau: int, hgt: int, wid: int, rows: tuple[int, ...]):
+    """The zero rows padded on top of a conv's input and, per filter tap
+    (a, b) in row-major order, the index of the padded input that the tap
+    reads. One table per geometry, built on first use; the row arrays in
+    it are read-only."""
+    pw = (k_w - 1) * tau
+    if not rows:
+        top = (k_h - 1) * tau
+        return top, tuple(((a, b), np.s_[:, :, top - a * tau : top - a * tau + hgt,
+                                         pw - b * tau : pw - b * tau + wid])
+                          for a in range(k_h) for b in range(k_w))
+    if min(rows) < 0:
+        raise ShapeError(f"output rows {rows} outside the input")
+    held = rows_read(rows, k_h, tau)
+    if hgt != len(held):
+        raise ShapeError(f"input holds {hgt} rows, but output rows {rows} read {len(held)}")
+    # one zero row on top takes every read above the top row
+    pos = {r: i + 1 for i, r in enumerate(held)}
+    taps = []
+    for a in range(k_h):
+        read = np.array([pos.get(r - a * tau, 0) for r in rows], dtype=np.intp)
+        read.flags.writeable = False
+        taps += [((a, b), np.s_[:, :, read, pw - b * tau : pw - b * tau + wid])
+                 for b in range(k_w)]
+    return 1, tuple(taps)
+
+
 def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype, *rows: int):
-    """Check a conv's operands; return x zero-padded at dtype and, per
-    filter tap (a, b) in row-major order, the index of the padded window
-    that tap reads: x shifted down a*tau rows and right b*tau columns,
-    at the given output rows (every row when none are given).
+    """Check a conv's operands; return x zero-padded at dtype (x itself for a
+    1x1 conv over the whole plane, which needs no padding) and, per
+    filter tap (a, b) in row-major order, the index of the padded input
+    that tap reads. With no rows, x is the whole input and tap (a, b)
+    reads it shifted down a*tau rows and right b*tau columns. Given output
+    rows, x holds just the rows they read (rows_read), and tap (a, b)
+    reads, for each output row r, input row r - a*tau shifted right b*tau
+    columns.
     """
     if tau < 1:
         raise ShapeError(f"dilation must be >= 1, got {tau}")
@@ -93,18 +144,12 @@ def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype, *rows: int):
     _, c_in_f, k_h, k_w = filters.shape
     if c_in_f != c_in:
         raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
-    if rows and not all(0 <= r < hgt for r in rows):
-        raise ShapeError(f"output rows {rows} outside an input of {hgt} rows")
-    out_rows = np.array(rows, dtype=np.intp)
-    ph, pw = (k_h - 1) * tau, (k_w - 1) * tau
-    xp = np.zeros((n, c_in, hgt + ph, wid + pw), dtype=dtype)
-    xp[:, :, ph:, pw:] = x
-    taps = []
-    for a in range(k_h):
-        for b in range(k_w):
-            rs, cs = ph - a * tau, pw - b * tau
-            shifted = out_rows + rs if rows else slice(rs, rs + hgt)
-            taps.append(((a, b), np.s_[:, :, shifted, cs : cs + wid]))
+    top, taps = _tap_table(k_h, k_w, tau, hgt, wid, rows)
+    pw = (k_w - 1) * tau
+    if not (top or pw):  # a 1x1 conv over the whole plane reads x as it is
+        return x.astype(dtype, copy=False), taps
+    xp = np.zeros((n, c_in, hgt + top, wid + pw), dtype=dtype)
+    xp[:, :, top:, pw:] = x
     return xp, taps
 
 
@@ -116,12 +161,15 @@ def conv2d_causal_dilated(
     Taps a, b run over [0, K-1]; indices off the top or left read zero,
     so the output keeps the input's spatial shape and cell (i, j) sees
     only cells at rows <= i and columns <= j. Given output rows, only
-    those are computed, in the order given: (N, c_out, len(rows), W).
-    In float32 each such cell has the bits of the full output's cell
-    while the per-tap products stay matrix-matrix: numpy sends a product
-    with one filter, or one column wide (one row of a one-column input),
-    down its matrix-vector path, which rounds by the product's width.
-    Float64 products round by their width too, in the last bits.
+    those are computed, in the order given, from an x that holds just
+    the input rows they read, in ascending order (rows_read):
+    (N, c_out, len(rows), W). In float32 each such cell has the bits of
+    the full output's cell while the per-tap products stay
+    matrix-matrix: numpy sends a product with one filter, or one column
+    wide (one row of a one-column input), down its matrix-vector path,
+    which rounds by the product's width. Float64 products round by their
+    width too, in the last bits. Each tap multiplies a contiguous copy of
+    its filter slice.
     """
     dtype = np.result_type(x.dtype, filters.dtype)
     xp, taps = _taps(x, filters, tau, dtype, *rows)
@@ -130,10 +178,11 @@ def conv2d_causal_dilated(
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
     n, c_in, hgt, wid = x.shape
     m = len(rows) or hgt
+    per_tap = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))
     # one (c_out, c_in) @ (c_in, m*w) GEMM per sample and tap
     out = np.zeros((n, c_out, m * wid), dtype=dtype)
     for (a, b), sl in taps:
-        out += filters[:, :, a, b] @ xp[sl].reshape(n, c_in, m * wid)
+        out += per_tap[a, b] @ xp[sl].reshape(n, c_in, m * wid)
     out = out.reshape(n, c_out, m, wid)
     if bias is not None:
         out += bias[None, :, None, None].astype(dtype)
@@ -150,6 +199,12 @@ def conv2d_backward(
     gathered from the upstream zero-padded at the bottom-right, where the
     reads past the last row or column land.
     """
+    return _conv_grads(x, filters, tau, upstream, True)
+
+
+def _conv_grads(x: np.ndarray, filters: np.ndarray, tau: int, upstream: np.ndarray,
+                input_grad: bool):
+    """conv2d_backward, with None for the input gradient unless input_grad."""
     dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
     xp, taps = _taps(x, filters, tau, dtype)
     n, c_in, hgt, wid = x.shape
@@ -162,17 +217,21 @@ def conv2d_backward(
     # a tap's index slices only the two spatial axes, so it applies as is
     u = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
     xc = xp.transpose(1, 0, 2, 3)
-    # the last tap reads the unshifted top-left corner, so storing the
-    # upstream there pads it at the bottom-right, and the mirror tap
-    # (K-1-a, K-1-b) reads it shifted up a*tau rows and left b*tau columns
-    up = np.zeros((c_out,) + xc.shape[1:], dtype=dtype)
-    up[taps[-1][1]] = upstream.transpose(1, 0, 2, 3)
     grad_f = np.empty(filters.shape, dtype=dtype)
-    grad_xc = np.zeros((c_in, n * hgt * wid), dtype=dtype)
+    grad_x = None
+    if input_grad:
+        # the last tap reads the unshifted top-left corner, so storing the
+        # upstream there pads it at the bottom-right, and the mirror tap
+        # (K-1-a, K-1-b) reads it shifted up a*tau rows and left b*tau columns
+        up = np.zeros((c_out,) + xc.shape[1:], dtype=dtype)
+        up[taps[-1][1]] = upstream.transpose(1, 0, 2, 3)
+        grad_xc = np.zeros((c_in, n * hgt * wid), dtype=dtype)
     for ((a, b), sl), (_, mirror) in zip(taps, reversed(taps)):
         grad_f[:, :, a, b] = u @ xc[sl].reshape(c_in, -1).T
-        grad_xc += filters[:, :, a, b].T @ up[mirror].reshape(c_out, -1)
-    grad_x = grad_xc.reshape(c_in, n, hgt, wid).transpose(1, 0, 2, 3)
+        if input_grad:
+            grad_xc += filters[:, :, a, b].T @ up[mirror].reshape(c_out, -1)
+    if input_grad:
+        grad_x = grad_xc.reshape(c_in, n, hgt, wid).transpose(1, 0, 2, 3)
     return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))
 
 
@@ -210,7 +269,9 @@ def batch_norm(
     Training normalises by the batch moments and folds them into the
     running stats (new = BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch).
     Eval normalises by the running stats, making the op a fixed
-    per-channel affine map. Returns (out, cache) for the backward pass.
+    per-channel affine map, whose constants are computed once per value
+    of the stats; it allocates two arrays of x's size, the normalised
+    input and the output. Returns (out, cache) for the backward pass.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
@@ -222,17 +283,30 @@ def batch_norm(
     axes = (0, 2, 3)
     if train:
         mu = x.mean(axis=axes)
-        xc = x - mu[None, :, None, None]
-        var = (xc * xc).mean(axis=axes)  # what x.var computes, without its second mean
+        xhat = x - mu[None, :, None, None]
+        var = (xhat * xhat).mean(axis=axes)  # what x.var computes, without its second mean
         running.mean = BN_MOMENTUM * running.mean + (1.0 - BN_MOMENTUM) * mu.astype(np.float64)
         running.var = BN_MOMENTUM * running.var + (1.0 - BN_MOMENTUM) * var.astype(np.float64)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
     else:
-        xc = x - running.mean.astype(x.dtype)[None, :, None, None]
-        var = running.var.astype(x.dtype)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = xc * inv_std[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        mean, inv_std = _eval_moments(running.mean.tobytes(), running.var.tobytes(),
+                                      running.mean.dtype.str, x.dtype.str)
+        xhat = x - mean
+    xhat *= inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat
+    out += beta[None, :, None, None]
     return out, (xhat, inv_std, gamma, train)
+
+
+@functools.lru_cache(maxsize=64)
+def _eval_moments(mean: bytes, var: bytes, stats_dtype: str, dtype: str):
+    """Eval batch norm's constants for running stats with these bytes, at
+    dtype: the mean shaped (1, C, 1, 1) and 1 / sqrt(var + BN_EPS), both
+    read-only."""
+    mu = np.frombuffer(mean, dtype=stats_dtype).astype(dtype)[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(np.frombuffer(var, dtype=stats_dtype).astype(dtype) + BN_EPS)
+    mu.flags.writeable = inv_std.flags.writeable = False
+    return mu, inv_std
 
 
 def batch_norm_backward(
@@ -279,24 +353,40 @@ def _prelu_gain(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
 
     For slopes in [0, 1] with the sign bit clear that is max(x > 0, slope),
     which has no data-dependent branch; any other slope takes np.where.
+    The slope check runs once per value of the slopes.
     """
     s = _channel_shape(x, slope)
-    if np.signbit(slope).any() or not (slope <= 1).all():
-        return np.where(x > 0, 1, s)
-    return np.maximum(x > 0, s)
+    if _unit_slopes(slope.tobytes(), slope.dtype.str):
+        return np.maximum(x > 0, s)
+    return np.where(x > 0, 1, s)
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_slopes(slope: bytes, dtype: str) -> bool:
+    """Whether every slope with these bytes lies in [0, 1], sign bit clear."""
+    s = np.frombuffer(slope, dtype=dtype)
+    return not np.signbit(s).any() and bool((s <= 1).all())
+
+
+def _times_gain(a: np.ndarray, x: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """a times prelu's gain at x, written over the gain when the dtypes allow."""
+    gain = _prelu_gain(x, slope)
+    if gain.shape == a.shape and gain.dtype == a.dtype:
+        return np.multiply(a, gain, out=gain)
+    return a * gain
 
 
 def prelu(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """max(x, 0) + slope * min(x, 0), one slope per channel: x times its
     gain, which for any slope but NaN gives the bits of
     np.where(x > 0, x, slope * x), signed zeros included."""
-    return x * _prelu_gain(x, slope)
+    return _times_gain(x, x, slope)
 
 
 def prelu_backward(
     x: np.ndarray, slope: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    grad_x = upstream * _prelu_gain(x, slope)
+    grad_x = _times_gain(upstream, x, slope)
     grad_slope = (upstream * np.minimum(x, 0)).sum(axis=(0, *range(2, x.ndim)))
     return grad_x, grad_slope
 
@@ -465,19 +555,33 @@ class ConvLayer:
         self.tau = tau
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, *rows: int) -> np.ndarray:
-        """The conv at the given output rows (every row when none are
-        given); backward needs a forward at every row."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The conv over the whole plane, keeping x for backward."""
         self._x = x
+        return conv2d_causal_dilated(x, self.weight.value, self.bias.value, self.tau)
+
+    def serve(self, x: np.ndarray, *rows: int) -> np.ndarray:
+        """The conv at the given output rows, from an x that holds just the
+        rows they read (the whole plane when none are given), keeping
+        nothing."""
         return conv2d_causal_dilated(x, self.weight.value, self.bias.value, self.tau, *rows)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         grad_x, grad_f, grad_b = conv2d_backward(
             self._x, self.weight.value, self.tau, upstream
         )
+        self._accumulate(grad_f, grad_b)
+        return grad_x
+
+    def backward_params(self, upstream: np.ndarray) -> None:
+        """backward for a layer whose input needs no gradient: only the
+        filter and bias gradients are computed."""
+        _, grad_f, grad_b = _conv_grads(self._x, self.weight.value, self.tau, upstream, False)
+        self._accumulate(grad_f, grad_b)
+
+    def _accumulate(self, grad_f: np.ndarray, grad_b: np.ndarray) -> None:
         self.weight.grad += grad_f.astype(self.weight.grad.dtype)
         self.bias.grad += grad_b.astype(self.bias.grad.dtype)
-        return grad_x
 
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -493,6 +597,10 @@ class BatchNormLayer:
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         out, self._cache = batch_norm(x, self.gamma.value, self.beta.value, train, self.running)
         return out
+
+    def serve(self, x: np.ndarray) -> np.ndarray:
+        """The eval-mode forward, keeping no cache."""
+        return batch_norm(x, self.gamma.value, self.beta.value, False, self.running)[0]
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         grad_x, grad_gamma, grad_beta = batch_norm_backward(self._cache, upstream)
@@ -515,6 +623,10 @@ class PReLULayer:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
+        return prelu(x, self.slope.value)
+
+    def serve(self, x: np.ndarray) -> np.ndarray:
+        """The forward, keeping nothing."""
         return prelu(x, self.slope.value)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ A block is conv -> batch norm -> PReLU -> residual add -> PReLU, with a
 A stack is one fixed ladder: block l (from 0) uses dilation 2^l, as in
 the generic TCN, so the per-axis receptive field grows as
 r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1. Asked for some output
-rows only, a stack computes each block's share of their receptive field
-and nothing else.
+rows only, a stack serves them: each block computes its share of their
+receptive field and nothing else, is handed only the rows it reads, and
+no layer keeps an input or cache (nn's serve forwards).
 
 Causality caveat: in TRAIN mode batch norm couples every cell through
 the batch moments, so bit-exact causality statements hold in EVAL mode,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import BatchNormLayer, ConvLayer, Parameter, PReLULayer
+from .nn import BatchNormLayer, ConvLayer, Parameter, PReLULayer, ShapeError, rows_read
 
 
 class TemporalBlock:
@@ -34,18 +35,31 @@ class TemporalBlock:
                                   name=f"{name}.proj")
         self.act2 = PReLULayer(c_out, dtype=dtype, name=f"{name}.act2")
 
-    def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
-        """The block's output at the given rows of x (every row when none
-        are given)."""
-        y = self.act1.forward(self.norm.forward(self.conv.forward(x, *rows), train))
-        if rows:
-            x = x[:, :, list(rows)]
-        skip = x if self.proj is None else self.proj.forward(x)
-        return self.act2.forward(y + skip)
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        y = self.act1.forward(self.norm.forward(self.conv.forward(x), train))
+        y += x if self.proj is None else self.proj.forward(x)
+        return self.act2.forward(y)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def serve(self, x: np.ndarray, rows: tuple[int, ...], skip: np.ndarray) -> np.ndarray:
+        """The eval-mode output at the given rows, keeping nothing. x holds
+        just the rows the conv reads for them (nn.rows_read), and skip
+        indexes the given rows within x."""
+        y = self.act1.serve(self.norm.serve(self.conv.serve(x, *rows)))
+        x = x[:, :, skip]
+        y += x if self.proj is None else self.proj.serve(x)
+        return self.act2.serve(y)
+
+    def backward(self, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
+        """The gradient at the block's input, or None without input_grad,
+        which spares the conv's and the projection's input gradients."""
         g = self.act2.backward(upstream)  # grad at (main + skip)
-        g_main = self.conv.backward(self.norm.backward(self.act1.backward(g)))
+        g_main = self.norm.backward(self.act1.backward(g))
+        if not input_grad:
+            self.conv.backward_params(g_main)
+            if self.proj is not None:
+                self.proj.backward_params(g)
+            return None
+        g_main = self.conv.backward(g_main)
         g_skip = g if self.proj is None else self.proj.backward(g)
         return g_main + g_skip
 
@@ -68,45 +82,61 @@ class TCNStack:
                           dtype, f"stack.block{l}")
             for l in range(n_blocks)
         ]
+        self._cones: dict = {}  # serving plans, by output rows (_cone)
 
     def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
         """x: (N, C, H, W) -> (N, F, H, W).
 
-        Given output rows, only those are computed and every other output
-        row is zero. Each block then computes just the rows that the given
-        ones read through the blocks after it (their receptive-field cone,
-        _cone), and reads its input cropped to the rows its cone reads, so
-        every computed cell sums the same values as in the full forward
-        (nn.conv2d_causal_dilated says when its bits match too).
+        Given output rows, the forward is a serving call: eval mode only,
+        and no layer keeps its input or a batch-norm cache. Only the
+        given rows are computed and every other output row is zero. Each
+        block computes just the rows that the given ones read through the
+        blocks after it (their receptive-field cone, _cone) and is handed
+        only the rows it reads, so every computed cell sums the same
+        values as in the full forward (nn.conv2d_causal_dilated says when
+        its bits match too).
         """
         if not rows:
             for block in self.blocks:
                 x = block.forward(x, train)
             return x
-        reads = self._cone(rows)
-        for block, read, out in zip(self.blocks, reads, reads[1:] + [sorted(set(rows))]):
-            y = block.forward(x[:, :, read[0] : read[-1] + 1], train, *(r - read[0] for r in out))
-            x = np.zeros(y.shape[:2] + x.shape[2:], dtype=y.dtype)
-            x[:, :, out] = y
-        return x
+        if train:
+            raise ValueError("a forward at given rows runs in eval mode")
+        hgt = x.shape[2]
+        if not all(0 <= r < hgt for r in rows):
+            raise ShapeError(f"output rows {rows} outside an input of {hgt} rows")
+        rows = tuple(sorted(set(rows)))
+        first, plan = self._cone(rows)
+        x = x[:, :, first]
+        for block, (block_rows, skip) in zip(self.blocks, plan):
+            x = block.serve(x, block_rows, skip)
+        full = np.zeros(x.shape[:2] + (hgt,) + x.shape[3:], dtype=x.dtype)
+        full[:, :, list(rows)] = x
+        return full
 
-    def _cone(self, rows: tuple[int, ...]) -> list[list[int]]:
-        """Per block, the ascending input rows it reads for the given
-        output rows of the last block: block l reads row r - a * tau_l
-        for each row r it must produce and each tap a, and must produce
-        every row that block l + 1 reads. Rows above the top read zero
-        padding and are left out."""
-        reads = []
-        for block in reversed(self.blocks):
-            k_h, tau = block.conv.weight.value.shape[2], block.conv.tau
-            rows = sorted({r - a * tau for r in rows for a in range(k_h) if r >= a * tau})
-            reads.insert(0, rows)
-        return reads
+    def _cone(self, rows: tuple[int, ...]):
+        """The serving plan for the given ascending output rows, built once
+        per row set: the input rows block 0 reads (a slice when they are
+        contiguous), and per block the rows it computes, which are the rows
+        the block after it reads, with their positions among the rows it is
+        handed (nn.rows_read)."""
+        if rows not in self._cones:
+            plan, wanted = [], rows
+            for block in reversed(self.blocks):
+                held = rows_read(wanted, block.conv.weight.value.shape[2], block.conv.tau)
+                plan.insert(0, (wanted, np.searchsorted(held, wanted)))
+                wanted = held
+            contiguous = wanted[-1] - wanted[0] + 1 == len(wanted)
+            first = slice(wanted[0], wanted[-1] + 1) if contiguous else list(wanted)
+            self._cones[rows] = (first, plan)
+        return self._cones[rows]
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        for block in reversed(self.blocks):
-            upstream = block.backward(upstream)
-        return upstream
+    def backward(self, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
+        """The gradient at the stack's input, or None without input_grad:
+        then block 0 computes only its parameters' gradients."""
+        for block in reversed(self.blocks[1:]):
+            upstream = block.backward(upstream, True)
+        return self.blocks[0].backward(upstream, input_grad)
 
     def params(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.params()]
@@ -180,6 +210,6 @@ def causality_probe(
     out = probe.forward(np.ones((1, c_in, height, width)), train=False)
     up = np.zeros_like(out)
     up[0, :, i, j] = 1.0
-    influence = np.abs(probe.backward(up)[0]).sum(axis=0)
+    influence = np.abs(probe.backward(up, True)[0]).sum(axis=0)
     rows, cols = np.nonzero(influence > 0)
     return {(int(r), int(c)) for r, c in zip(rows, cols)}

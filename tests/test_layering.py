@@ -149,22 +149,44 @@ def _joined(*names: str) -> ast.Module:
 
 
 def _roll_tree() -> ast.Module:
-    """forecast.py and experiments.py, so that a walk from the d-sweep
-    follows its calls into the Lockstep."""
-    return _joined("forecast.py", "experiments.py")
+    """forecast.py, experiments.py and evaluate.py, so that a walk from the
+    d-sweep or the adaptive evaluation follows its calls into the Lockstep,
+    and a model call reaches the baselines that stand in for models."""
+    return _joined("forecast.py", "experiments.py", "evaluate.py")
+
+
+def _bound(fn: ast.AST) -> set[str]:
+    """The names a function binds itself: its parameters and those of the
+    functions and lambdas inside it, and every name it assigns, imports,
+    defines or catches."""
+    nodes = list(ast.walk(fn))
+    return ({n.arg for n in nodes if isinstance(n, ast.arg)}
+            | {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+            | {n.name for n in nodes[1:]
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            | {(a.asname or a.name).split(".")[0] for n in nodes
+               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+            | {n.name for n in nodes if isinstance(n, ast.ExceptHandler) and n.name})
 
 
 def _reaching(tree: ast.Module, roots, targets) -> list[str]:
     """The roots whose bodies reference one of targets, directly or
-    through a function or method that tree defines (by name, so a local
-    of the same name counts too)."""
-    defs = {node.name: node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    through a function or method that tree defines. A bare name counts
+    unless the function binds it itself (a parameter or local of the
+    same name is no call); an attribute always counts, and follows every
+    method of its name, since any of them may be the one called."""
+    defs: dict[str, list[ast.AST]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
 
     def used(name: str) -> set[str]:
-        nodes = list(ast.walk(defs[name]))
-        return ({n.id for n in nodes if isinstance(n, ast.Name)}
-                | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+        out = set()
+        for fn in defs[name]:
+            nodes, bound = list(ast.walk(fn)), _bound(fn)
+            out |= {n.id for n in nodes if isinstance(n, ast.Name) and n.id not in bound}
+            out |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        return out
 
     def reaches(name: str, seen: set[str]) -> bool:
         seen.add(name)
@@ -180,9 +202,10 @@ def test_no_roll_path_assembles_the_features_of_a_whole_state():
     assert _reaching(tree, ROLL_PATHS, {"assemble_features"}) == [], (
         "a roll reads grid.window_features only")
     # ForecastState.features stays as the full view the gap prediction reads,
-    # and the walk sees it
-    assert _reaching(tree, ["features", "adaptive_forecast"], {"assemble_features"}) == [
-        "features", "adaptive_forecast"]
+    # and the walk sees it, from the adaptive evaluation too
+    assert _reaching(tree, ["features", "adaptive_forecast", "evaluate_adaptive"],
+                     {"assemble_features"}) == ["features", "adaptive_forecast",
+                                                "evaluate_adaptive"]
 
 
 def test_no_roll_path_builds_a_full_length_state():
@@ -201,12 +224,10 @@ def test_the_adaptive_evaluation_reaches_the_metered_serving_names():
     and forecast.ForecastState.features meters must read above zero. A
     change that routes those rolls or the gap step around the metered
     names fails here, not only in the benchmark's own tests."""
-    tree = _joined("forecast.py", "evaluate.py")
+    tree = _roll_tree()
     assert _reaching(tree, ["evaluate_adaptive"], {"roll_reply_row"}) == ["evaluate_adaptive"], (
         "evaluate_adaptive must roll through forecast.roll_reply_row")
-    # forecast.py alone: evaluate.py's baselines take an argument named
-    # features, and the walk matches by name
-    assert _reaching(_joined("forecast.py"), ["adaptive_forecast"], {"features"}) == [
+    assert _reaching(tree, ["adaptive_forecast"], {"features"}) == [
         "adaptive_forecast"], "adaptive_forecast's gap step must read ForecastState.features"
 
 
@@ -227,11 +248,36 @@ def direct(g):
 
 def clean(state):
     return window_features(state.counts, state.n_rows, state.arrival_rows, state.widths, ())
+
+class Baseline:
+    def predict(self, features, helper=None):
+        for roll in features:
+            crop = [direct for direct in roll]
+        return features, helper, crop
+
+def shadowed(state):
+    import helper
+    from grid import direct as roll
+    try:
+        features = lambda direct: direct
+    except ValueError as crop:
+        pass
+    return features, helper, roll, crop
+
+def calls_predict(model):
+    return model.predict(None)
 """
     tree = ast.parse(source)
     assert _reaching(tree, ["roll", "helper", "features", "direct", "clean"],
                      {"assemble_features"}) == ["roll", "helper", "features", "direct"]
     assert _reaching(tree, ["roll", "clean"], {"crop", "features"}) == ["roll"]
+    # a parameter, loop variable, comprehension variable, import, lambda
+    # parameter or caught exception that shares a function's name is no call
+    assert _reaching(tree, ["predict", "shadowed", "calls_predict"],
+                     {"assemble_features", "crop"}) == []
+    # a method is followed through every definition of its name
+    tree.body.append(ast.parse("class Other:\n    def predict(self):\n        return crop()").body[0])
+    assert _reaching(tree, ["calls_predict"], {"crop"}) == ["calls_predict"]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from gridcast.models import (
     training_segments,
 )
 from gridcast.synth import SynthParams, synth_generate
-from gridcast.tcn import state_arrays
+from gridcast.tcn import TCNStack, load_state, state_arrays
 
 LN2 = float(np.log(2.0))
 
@@ -150,6 +150,68 @@ def test_predict_next_rows_has_the_bits_of_the_full_forward(cfg):
                 p64 = clone.predict_next_rows(x, rows)
                 q64 = clone.forward(x, train=False)[:, -1, :]
                 assert np.all(np.abs(p64 - q64) <= 1e-4 + 1e-3 * np.abs(q64))
+
+
+def test_memoised_constants_follow_every_change_of_the_parameters():
+    """The tap tables, PReLU slope checks and eval batch-norm constants are
+    memoised by value, so none goes stale: after an in-place load_state, a
+    negative slope, an Adam step and a train-mode forward, predict_next_rows
+    has the bits of a freshly built model holding the same state, computed
+    with every memo emptied."""
+    cfg = tiny_config("reply", k_h=3, k_w=3, n_blocks=3)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0, 3, size=(5, len(cfg.channels), *cfg.window))
+    rows = np.arange(5)
+    model, donor = build_model(cfg, seed=1), build_model(cfg, seed=2)
+    train(donor, make_segs(rng, cfg, [2.0] * 8), TrainConfig(lr=1e-2, epochs=1, batch_size=4))
+
+    def fresh():
+        for memo in (nn._tap_table, nn._unit_slopes, nn._eval_moments):
+            memo.cache_clear()
+        twin = build_model(cfg, seed=3)
+        load_state(twin, state_arrays(model))
+        return twin.predict_next_rows(x, rows)
+
+    def changed(before):
+        after = model.predict_next_rows(x, rows)
+        assert after.tobytes() == fresh().tobytes()
+        assert after.tobytes() != before.tobytes()  # the change reached the output
+        return after
+
+    p = model.predict_next_rows(x, rows)  # fills the memos
+    load_state(model, state_arrays(donor))
+    p = changed(p)
+    model.stack.blocks[1].act1.slope.value[:] = -0.5  # off the branch-free gain
+    p = changed(p)
+    train(model, make_segs(rng, cfg, [1.0] * 4), TrainConfig(lr=1e-2, epochs=1, batch_size=4))
+    p = changed(p)  # one Adam step, after one train-mode forward
+    model.forward(x.astype(np.float32), train=True)  # moves only the running stats
+    changed(p)
+
+
+def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeypatch):
+    """After predict_next_rows no layer holds its input and no batch norm
+    its cache. Each block's conv is handed only the rows it reads, 15, 7
+    and 3 of the default 16-row window, and computes 7, 3 and 1; the
+    projection reads block 0's 7 rows, the head the whole plane."""
+    cfg = RunSettings().model_config("reply")
+    model = build_model(cfg, seed=2)
+    seen = []
+    real = nn.conv2d_causal_dilated
+
+    def recording(x, filters, bias, tau, *rows):
+        seen.append((x.shape[2], len(rows)))
+        return real(x, filters, bias, tau, *rows)
+
+    monkeypatch.setattr(nn, "conv2d_causal_dilated", recording)
+    x = np.random.default_rng(5).uniform(0, 3, size=(4, len(cfg.channels), *cfg.window))
+    model.predict_next_rows(x, np.arange(4))
+    assert seen == [(15, 7), (7, 0), (7, 3), (3, 1), (16, 0)]
+    blocks = model.stack.blocks
+    layers = [model.head] + [layer for b in blocks for layer in (b.conv, b.proj, b.act1, b.act2)
+                             if layer is not None]
+    assert [layer._x for layer in layers] == [None] * len(layers)
+    assert [b.norm._cache for b in blocks] == [None] * len(blocks)
 
 
 def test_reply_prediction_ignores_future_rows():
@@ -363,23 +425,45 @@ def test_weight_decay_applies_only_to_reply_conv_filters():
     "kind, loss_mode", [("reply", "corner"), ("reply", "full"), ("thread", "corner")]
 )
 def test_float32_training_runs_conv_backward_in_float32(monkeypatch, kind, loss_mode):
-    """Every conv2d_backward call of a float32 model's training epoch gets a
-    float32 upstream: nothing between the loss and the convs widens it."""
+    """Every conv backward of a float32 model's training epoch gets a
+    float32 upstream: nothing between the loss and the convs widens it.
+    Block 0's conv and projection compute no input gradient."""
     seen = []
-    real = nn.conv2d_backward
+    real = nn._conv_grads
 
-    def recording(x, filters, tau, upstream):
-        seen.append(upstream.dtype)
-        return real(x, filters, tau, upstream)
+    def recording(x, filters, tau, upstream, input_grad):
+        seen.append((upstream.dtype, input_grad))
+        return real(x, filters, tau, upstream, input_grad)
 
-    monkeypatch.setattr(nn, "conv2d_backward", recording)
+    monkeypatch.setattr(nn, "_conv_grads", recording)
     rng = np.random.default_rng(19)
     model = tiny_model(kind, n_blocks=2, loss_mode=loss_mode)
     segs = make_segs(rng, model.config, [2.0] * 8)
     train(model, segs, TrainConfig(epochs=1, batch_size=4))
     # per batch: two block convs and block 0's projection, plus the reply head
     assert len(seen) == 2 * (4 if kind == "reply" else 3)
-    assert set(seen) == {np.dtype(np.float32)}
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.float32)}
+    assert sum(not input_grad for _, input_grad in seen) == 2 * 2
+
+
+@pytest.mark.parametrize("kind", ["reply", "thread"])
+def test_training_without_block_0s_input_gradient_is_bit_identical(monkeypatch, kind):
+    """Skipping the input gradient that both models drop changes no loss,
+    parameter, running statistic or last-batch gradient."""
+    rng = np.random.default_rng(29)
+    cfg = tiny_config(kind, k_h=3, k_w=3, n_blocks=3)
+    segs = make_segs(rng, cfg, rng.uniform(0.0, 4.0, 12))
+    skipping = TCNStack.backward
+    runs = []
+    for full in (False, True):
+        with monkeypatch.context() as patch:
+            if full:
+                patch.setattr(TCNStack, "backward", lambda self, up, _: skipping(self, up, True))
+            model = build_model(cfg, seed=4)
+            history = train(model, segs, TrainConfig(epochs=2, batch_size=4, seed=9))
+        runs.append((history, [(name, a.tobytes()) for name, a in state_arrays(model)],
+                     [p.grad.tobytes() for p in model.params()]))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(

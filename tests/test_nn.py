@@ -37,6 +37,7 @@ from gridcast.nn import (
     mse_loss,
     prelu,
     prelu_backward,
+    rows_read,
     sigmoid,
     softplus,
 )
@@ -109,7 +110,8 @@ def test_conv_batched_equals_per_sample():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_at_given_rows_is_those_rows_of_the_full_output(dtype):
     """Bit for bit in float32 while the products stay matrix-matrix (two or
-    more filters, two or more rows or columns); float64 within rounding."""
+    more filters, two or more rows or columns); float64 within rounding.
+    The input holds just the rows the given ones read."""
     rng = np.random.default_rng(4)
     for c_in, c_out, k, tau, hgt, wid in [(3, 16, 3, 1, 16, 16), (16, 16, 3, 2, 13, 5),
                                           (3, 4, 2, 1, 6, 2), (4, 2, 3, 4, 9, 1)]:
@@ -118,16 +120,25 @@ def test_conv_at_given_rows_is_those_rows_of_the_full_output(dtype):
         b = rng.normal(size=c_out).astype(dtype)
         full = conv2d_causal_dilated(x, f, b, tau)
         for rows in [(hgt - 1, 0), (1, 3, 5), tuple(range(hgt))]:
-            got = conv2d_causal_dilated(x, f, b, tau, *rows)
+            held = rows_read(rows, k, tau)
+            got = conv2d_causal_dilated(x[:, :, list(held)], f, b, tau, *rows)
             assert got.shape == (3, c_out, len(rows), wid)
             if dtype == np.float32:
                 assert got.tobytes() == full[:, :, list(rows)].tobytes()
             else:
                 assert np.allclose(got, full[:, :, list(rows)], rtol=1e-12, atol=1e-12)
     with pytest.raises(ShapeError, match="outside"):
-        conv2d_causal_dilated(x, f, b, tau, hgt)
-    with pytest.raises(ShapeError, match="outside"):
         conv2d_causal_dilated(x, f, b, tau, -1)
+    # the whole input is not the rows that one row reads
+    with pytest.raises(ShapeError, match="read 3"):
+        conv2d_causal_dilated(x, f, b, tau, hgt - 1)
+
+
+def test_rows_read_are_each_rows_taps_inside_the_input():
+    assert rows_read((15,), 3, 4) == (7, 11, 15)
+    assert rows_read((7, 11, 15), 3, 2) == (3, 5, 7, 9, 11, 13, 15)
+    assert rows_read((3, 1), 3, 2) == (1, 3)
+    assert rows_read((0,), 5, 1) == (0,)
 
 
 def test_conv_output_ignores_future_cells():

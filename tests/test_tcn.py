@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gridcast.nn import BN_EPS, grad_check
+from gridcast.nn import BN_EPS, ShapeError, grad_check
 from gridcast.tcn import TCNStack, TemporalBlock, causality_probe, receptive_field
 
 
@@ -120,6 +120,18 @@ def test_batched_forward_matches_per_sample_eval():
 # backward
 
 
+def test_a_forward_at_given_rows_is_eval_only_and_inside_the_input():
+    stack = TCNStack(np.random.default_rng(3), 2, 3, 2, 2, 2, np.float32)
+    x = np.ones((1, 2, 6, 4), dtype=np.float32)
+    full = stack.forward(x, train=False)
+    assert stack.forward(x, False, 5, 2).tobytes() == np.where(
+        np.isin(np.arange(6), [2, 5])[:, None], full, 0).tobytes()
+    with pytest.raises(ValueError, match="eval"):
+        stack.forward(x, True, 5)
+    with pytest.raises(ShapeError, match="outside"):
+        stack.forward(x, False, 6)
+
+
 def test_block_gradients_match_fd_eval_and_train():
     rng = np.random.default_rng(8)
     block = TemporalBlock(rng, 2, 3, 2, 2, 1, np.float64, "block")
@@ -132,8 +144,22 @@ def test_block_gradients_match_fd_eval_and_train():
         for p in block.params():
             p.zero_grad()
         block.forward(x, train=train)
-        block.backward(up)
+        block.backward(up, True)
         assert grad_check(loss, block.params()) < 1e-6, f"train={train}"
+
+
+def test_block_backward_without_input_gradient_keeps_the_parameter_gradients():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 2, 5, 4)).astype(np.float32)
+    up = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+    grads = []
+    for input_grad in (True, False):
+        block = TemporalBlock(np.random.default_rng(1), 2, 3, 3, 3, 2, np.float32, "block")
+        block.forward(x, train=True)
+        gx = block.backward(up, input_grad)
+        assert (gx is None) == (not input_grad)
+        grads.append([p.grad.tobytes() for p in block.params()])
+    assert grads[0] == grads[1]
 
 
 def test_stack_input_gradient_matches_fd():
@@ -142,7 +168,7 @@ def test_stack_input_gradient_matches_fd():
     x = rng.normal(size=(1, 1, 4, 4))
     up = rng.normal(size=(1, 2, 4, 4))
     stack.forward(x, train=False)
-    gx = stack.backward(up)
+    gx = stack.backward(up, True)
     assert gx.shape == x.shape
     eps = 1e-6
     fd = np.zeros_like(x)
