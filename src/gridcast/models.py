@@ -227,11 +227,12 @@ class ReplyCountModel(_ModelBase):
         row's receptive-field cone (TCNStack.forward at one row), and the
         head runs over the whole plane, as in forward, because its
         one-filter products are matrix-vector ones that round by the
-        plane's size. For one-column windows the stack computes the row
-        above too, so that no product of the cone is one column wide
-        where the full forward's are not (see nn.conv2d_causal_dilated).
-        So in float32, with at least two filters, the result has the bits
-        of forward(features, train=False)[:, -1, :]. row_indices is for
+        plane's size. One-column windows serve their last two rows, so no
+        product is one column wide where the full forward's are not
+        (nn.conv2d_causal_dilated); on 16 rows the blocks compute ranges
+        of 14, 10 and 2 rows, holding the cone's 14, 6 and 2. So in
+        float32, with two or more filters, the result has the bits of
+        forward(features, train=False)[:, -1, :]. row_indices is for
         ground-truth stand-ins."""
         _, _, h, w = features.shape
         rows = range(max(0, h - 2) if w == 1 else h - 1, h)

@@ -11,6 +11,7 @@ tricks: each backward pass is the derivative written out.
 Convolutions anchor the receptive field at the output cell itself and
 extend up/left only, via implicit top-left zero padding of (K-1)*tau.
 Strict one-step-ahead causality is the caller's job (shifted targets).
+A conv computes its whole plane or an evenly spaced range of its rows.
 
 Arrays have one layout: the conv and batch-norm kernels take
 (N, C, H, W) and dense takes (N, F), so the channel axis is always
@@ -40,6 +41,7 @@ an Adam step) or a train-mode forward never meets a stale entry.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,51 +91,48 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dty
 # causal dilated 2-D convolution
 
 
-def rows_read(rows: tuple[int, ...], k_h: int, tau: int) -> tuple[int, ...]:
-    """The ascending input rows that a conv's given output rows read: row
-    r - a*tau for each output row r and filter row a. Rows above the top
-    read zero padding and are left out."""
-    return tuple(sorted({r - a * tau for r in rows for a in range(k_h) if r >= a * tau}))
+def row_range(rows: tuple[int, ...]) -> range:
+    """rows as a range: ascending, evenly spaced and none negative, else ShapeError."""
+    out = range(rows[0], rows[-1] + 1, max(rows[1] - rows[0], 1) if len(rows) > 1 else 1)
+    if rows[0] < 0 or tuple(out) != rows:
+        raise ShapeError(f"output rows {rows} are not an evenly spaced range inside the input")
+    return out
+
+
+def rows_read(rows: range, k_h: int, tau: int) -> range:
+    """The shortest range holding the rows r - a*tau that output rows r read
+    through filter rows a, on which each tap's reads are evenly spaced: step
+    gcd(rows.step, tau), or tau for one output row, rows.step for one filter
+    row. Reads above the top row land in zero padding and are left out."""
+    step = math.gcd(rows.step if len(rows) > 1 else 0, tau if k_h > 1 else 0) or 1
+    low = min(r - a * tau for a in range(k_h) for r in rows if r >= a * tau)
+    return range(low, rows[-1] + 1, step)
 
 
 @functools.lru_cache(maxsize=256)
 def _tap_table(k_h: int, k_w: int, tau: int, hgt: int, wid: int, rows: tuple[int, ...]):
-    """The zero rows padded on top of a conv's input and, per filter tap
-    (a, b) in row-major order, the index of the padded input that the tap
-    reads. One table per geometry, built on first use; the row arrays in
-    it are read-only."""
-    pw = (k_w - 1) * tau
-    if not rows:
-        top = (k_h - 1) * tau
-        return top, tuple(((a, b), np.s_[:, :, top - a * tau : top - a * tau + hgt,
-                                         pw - b * tau : pw - b * tau + wid])
-                          for a in range(k_h) for b in range(k_w))
-    if min(rows) < 0:
-        raise ShapeError(f"output rows {rows} outside the input")
-    held = rows_read(rows, k_h, tau)
+    """The zero rows and columns padded on top and left of a conv's input
+    and, per filter tap (a, b) in row-major order, the slice of the padded
+    input it reads for the given output rows (row_range) or the whole
+    plane, range(hgt). One table per geometry, built on first use."""
+    out = row_range(rows) if rows else range(hgt)
+    held = rows_read(out, k_h, tau) if rows else out
     if hgt != len(held):
         raise ShapeError(f"input holds {hgt} rows, but output rows {rows} read {len(held)}")
-    # one zero row on top takes every read above the top row
-    pos = {r: i + 1 for i, r in enumerate(held)}
+    top = (held.start - out.start + (k_h - 1) * tau) // held.step
+    step, m, pw = out.step // held.step or 1, len(out), (k_w - 1) * tau
     taps = []
     for a in range(k_h):
-        read = np.array([pos.get(r - a * tau, 0) for r in rows], dtype=np.intp)
-        read.flags.writeable = False
-        taps += [((a, b), np.s_[:, :, read, pw - b * tau : pw - b * tau + wid])
+        i = (k_h - 1 - a) * tau // held.step  # the padded row that tap a reads for out[0]
+        taps += [((a, b), np.s_[:, :, i : i + m * step : step, pw - b * tau : pw - b * tau + wid])
                  for b in range(k_w)]
-    return 1, tuple(taps)
+    return top, pw, tuple(taps)
 
 
 def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype, *rows: int):
     """Check a conv's operands; return x zero-padded at dtype (x itself for a
-    1x1 conv over the whole plane, which needs no padding) and, per
-    filter tap (a, b) in row-major order, the index of the padded input
-    that tap reads. With no rows, x is the whole input and tap (a, b)
-    reads it shifted down a*tau rows and right b*tau columns. Given output
-    rows, x holds just the rows they read (rows_read), and tap (a, b)
-    reads, for each output row r, input row r - a*tau shifted right b*tau
-    columns.
-    """
+    1x1 conv over the whole plane, which needs no padding) and the tap
+    table's slices of it (_tap_table)."""
     if tau < 1:
         raise ShapeError(f"dilation must be >= 1, got {tau}")
     if x.ndim != 4:
@@ -144,8 +143,7 @@ def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype, *rows: int):
     _, c_in_f, k_h, k_w = filters.shape
     if c_in_f != c_in:
         raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
-    top, taps = _tap_table(k_h, k_w, tau, hgt, wid, rows)
-    pw = (k_w - 1) * tau
+    top, pw, taps = _tap_table(k_h, k_w, tau, hgt, wid, rows)
     if not (top or pw):  # a 1x1 conv over the whole plane reads x as it is
         return x.astype(dtype, copy=False), taps
     xp = np.zeros((n, c_in, hgt + top, wid + pw), dtype=dtype)
@@ -160,11 +158,11 @@ def conv2d_causal_dilated(
 
     Taps a, b run over [0, K-1]; indices off the top or left read zero,
     so the output keeps the input's spatial shape and cell (i, j) sees
-    only cells at rows <= i and columns <= j. Given output rows, only
-    those are computed, in the order given, from an x that holds just
-    the input rows they read, in ascending order (rows_read):
-    (N, c_out, len(rows), W). In float32 each such cell has the bits of
-    the full output's cell while the per-tap products stay
+    only cells at rows <= i and columns <= j. Given output rows, an
+    ascending, evenly spaced range (row_range), only those are computed,
+    from an x that holds just the range of input rows they read
+    (rows_read): (N, c_out, len(rows), W). In float32 each such cell has
+    the bits of the full output's cell while the per-tap products stay
     matrix-matrix: numpy sends a product with one filter, or one column
     wide (one row of a one-column input), down its matrix-vector path,
     which rounds by the product's width. Float64 products round by their

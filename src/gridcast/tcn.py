@@ -5,9 +5,10 @@ A block is conv -> batch norm -> PReLU -> residual add -> PReLU, with a
 A stack is one fixed ladder: block l (from 0) uses dilation 2^l, as in
 the generic TCN, so the per-axis receptive field grows as
 r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1. Asked for some output
-rows only, a stack serves them: each block computes its share of their
-receptive field and nothing else, is handed only the rows it reads, and
-no layer keeps an input or cache (nn's serve forwards).
+rows only, an evenly spaced set, a stack serves them: each block
+computes the shortest evenly spaced range holding its share of their
+receptive field, is handed only the rows it reads, and no layer keeps
+an input or cache (nn's serve forwards).
 
 Causality caveat: in TRAIN mode batch norm couples every cell through
 the batch moments, so bit-exact causality statements hold in EVAL mode,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import BatchNormLayer, ConvLayer, Parameter, PReLULayer, ShapeError, rows_read
+from .nn import BatchNormLayer, ConvLayer, Parameter, PReLULayer, ShapeError, row_range, rows_read
 
 
 class TemporalBlock:
@@ -40,10 +41,10 @@ class TemporalBlock:
         y += x if self.proj is None else self.proj.forward(x)
         return self.act2.forward(y)
 
-    def serve(self, x: np.ndarray, rows: tuple[int, ...], skip: np.ndarray) -> np.ndarray:
+    def serve(self, x: np.ndarray, rows: range, skip: slice) -> np.ndarray:
         """The eval-mode output at the given rows, keeping nothing. x holds
         just the rows the conv reads for them (nn.rows_read), and skip
-        indexes the given rows within x."""
+        slices the given rows out of x."""
         y = self.act1.serve(self.norm.serve(self.conv.serve(x, *rows)))
         x = x[:, :, skip]
         y += x if self.proj is None else self.proj.serve(x)
@@ -87,14 +88,13 @@ class TCNStack:
     def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
         """x: (N, C, H, W) -> (N, F, H, W).
 
-        Given output rows, the forward is a serving call: eval mode only,
-        and no layer keeps its input or a batch-norm cache. Only the
-        given rows are computed and every other output row is zero. Each
-        block computes just the rows that the given ones read through the
-        blocks after it (their receptive-field cone, _cone) and is handed
-        only the rows it reads, so every computed cell sums the same
-        values as in the full forward (nn.conv2d_causal_dilated says when
-        its bits match too).
+        Given output rows, an evenly spaced set, the forward is a serving
+        call: eval mode only, no layer keeps its input or a batch-norm
+        cache, and every other output row is zero. Each block computes just
+        its share of the rows' receptive-field cone (_cone), from only the
+        rows it reads, so every computed cell sums the same values as in
+        the full forward (nn.conv2d_causal_dilated says when its bits match
+        too).
         """
         if not rows:
             for block in self.blocks:
@@ -106,29 +106,29 @@ class TCNStack:
         if not all(0 <= r < hgt for r in rows):
             raise ShapeError(f"output rows {rows} outside an input of {hgt} rows")
         rows = tuple(sorted(set(rows)))
-        first, plan = self._cone(rows)
+        first, plan, out = self._cone(rows)
         x = x[:, :, first]
         for block, (block_rows, skip) in zip(self.blocks, plan):
             x = block.serve(x, block_rows, skip)
         full = np.zeros(x.shape[:2] + (hgt,) + x.shape[3:], dtype=x.dtype)
-        full[:, :, list(rows)] = x
+        full[:, :, out] = x
         return full
 
     def _cone(self, rows: tuple[int, ...]):
         """The serving plan for the given ascending output rows, built once
-        per row set: the input rows block 0 reads (a slice when they are
-        contiguous), and per block the rows it computes, which are the rows
-        the block after it reads, with their positions among the rows it is
-        handed (nn.rows_read)."""
+        per row set, every row set an evenly spaced range cut by a slice:
+        block 0's rows of the stack input, per block the rows it computes
+        (what the block after it reads, nn.rows_read) and their slice of
+        the rows it is handed, which end with them, and the output rows."""
         if rows not in self._cones:
-            plan, wanted = [], rows
+            plan, wanted = [], row_range(rows)
+            out = slice(wanted.start, wanted.stop, wanted.step)
             for block in reversed(self.blocks):
                 held = rows_read(wanted, block.conv.weight.value.shape[2], block.conv.tau)
-                plan.insert(0, (wanted, np.searchsorted(held, wanted)))
+                skip = np.s_[held.index(wanted[0]) :: wanted.step // held.step or 1]
+                plan.insert(0, (wanted, skip))
                 wanted = held
-            contiguous = wanted[-1] - wanted[0] + 1 == len(wanted)
-            first = slice(wanted[0], wanted[-1] + 1) if contiguous else list(wanted)
-            self._cones[rows] = (first, plan)
+            self._cones[rows] = (slice(wanted.start, wanted.stop, wanted.step), plan, out)
         return self._cones[rows]
 
     def backward(self, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:

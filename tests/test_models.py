@@ -193,7 +193,8 @@ def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeyp
     """After predict_next_rows no layer holds its input and no batch norm
     its cache. Each block's conv is handed only the rows it reads, 15, 7
     and 3 of the default 16-row window, and computes 7, 3 and 1; the
-    projection reads block 0's 7 rows, the head the whole plane."""
+    projection reads block 0's 7 rows, the head the whole plane. A
+    one-column window's blocks compute ranges of 14, 10 and 2 rows."""
     cfg = RunSettings().model_config("reply")
     model = build_model(cfg, seed=2)
     seen = []
@@ -212,6 +213,11 @@ def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeyp
                              if layer is not None]
     assert [layer._x for layer in layers] == [None] * len(layers)
     assert [b.norm._cache for b in blocks] == [None] * len(blocks)
+    # a one-column window serves its last two rows; block 2 reads 6 of them,
+    # held by the evenly spaced hull of rows 6-15, which block 1 computes
+    seen.clear()
+    model.predict_next_rows(x[..., :1], np.arange(4))
+    assert seen == [(16, 14), (14, 0), (14, 10), (10, 2), (16, 0)]
 
 
 def test_reply_prediction_ignores_future_rows():

@@ -111,7 +111,7 @@ def test_conv_batched_equals_per_sample():
 def test_conv_at_given_rows_is_those_rows_of_the_full_output(dtype):
     """Bit for bit in float32 while the products stay matrix-matrix (two or
     more filters, two or more rows or columns); float64 within rounding.
-    The input holds just the rows the given ones read."""
+    The input holds just the range of rows the given ones read."""
     rng = np.random.default_rng(4)
     for c_in, c_out, k, tau, hgt, wid in [(3, 16, 3, 1, 16, 16), (16, 16, 3, 2, 13, 5),
                                           (3, 4, 2, 1, 6, 2), (4, 2, 3, 4, 9, 1)]:
@@ -119,15 +119,15 @@ def test_conv_at_given_rows_is_those_rows_of_the_full_output(dtype):
         f = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
         b = rng.normal(size=c_out).astype(dtype)
         full = conv2d_causal_dilated(x, f, b, tau)
-        for rows in [(hgt - 1, 0), (1, 3, 5), tuple(range(hgt))]:
-            held = rows_read(rows, k, tau)
-            got = conv2d_causal_dilated(x[:, :, list(held)], f, b, tau, *rows)
+        for rows in [range(0, hgt, hgt - 1), range(1, 6, 2), range(hgt)]:
+            got = conv2d_causal_dilated(x[:, :, rows_read(rows, k, tau)], f, b, tau, *rows)
             assert got.shape == (3, c_out, len(rows), wid)
             if dtype == np.float32:
-                assert got.tobytes() == full[:, :, list(rows)].tobytes()
+                assert got.tobytes() == full[:, :, rows].tobytes()
             else:
-                assert np.allclose(got, full[:, :, list(rows)], rtol=1e-12, atol=1e-12)
-    with pytest.raises(ShapeError, match="outside"):
+                assert np.allclose(got, full[:, :, rows], rtol=1e-12, atol=1e-12)
+    assert conv2d_causal_dilated(x[:, :, :0], f, b, tau).shape == (3, c_out, 0, wid)
+    with pytest.raises(ShapeError, match="evenly spaced range"):
         conv2d_causal_dilated(x, f, b, tau, -1)
     # the whole input is not the rows that one row reads
     with pytest.raises(ShapeError, match="read 3"):
@@ -135,10 +135,57 @@ def test_conv_at_given_rows_is_those_rows_of_the_full_output(dtype):
 
 
 def test_rows_read_are_each_rows_taps_inside_the_input():
-    assert rows_read((15,), 3, 4) == (7, 11, 15)
-    assert rows_read((7, 11, 15), 3, 2) == (3, 5, 7, 9, 11, 13, 15)
-    assert rows_read((3, 1), 3, 2) == (1, 3)
-    assert rows_read((0,), 5, 1) == (0,)
+    assert rows_read(range(15, 16), 3, 4) == range(7, 16, 4)
+    assert rows_read(range(7, 16, 4), 3, 2) == range(3, 16, 2)
+    assert rows_read(range(1, 4, 2), 3, 2) == range(1, 4, 2)
+    assert rows_read(range(0, 1), 5, 1) == range(0, 1)
+    # a one-column window's last two rows read 6 rows, held by a hull of 10
+    assert rows_read(range(14, 16), 3, 4) == range(6, 16)
+    assert rows_read(range(0, 9, 2), 1, 3) == range(0, 9, 2)  # one filter row reads its rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_conv_at_any_row_range_reads_slices_and_gives_those_rows(data):
+    """Any row range inside the input, for k_h and k_w in 1-3, tau in 1-4
+    and heights up to 12: rows_read holds every read inside the input and
+    starts at the lowest, every tap reads a slice, the rows equal the full
+    output's, float32 bit for bit while the products stay matrix-matrix
+    and float64 within rounding, and descending, uneven or negative rows
+    raise ShapeError."""
+    k_h, k_w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    tau = data.draw(st.integers(1, 4))
+    hgt, wid = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    start = data.draw(st.integers(0, hgt - 1))
+    rows = range(start, data.draw(st.integers(start + 1, hgt)), data.draw(st.integers(1, hgt)))
+    n, c_in = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    c_out = data.draw(st.integers(1, 3))
+
+    held = rows_read(rows, k_h, tau)
+    reads = {r - a * tau for r in rows for a in range(k_h) if r >= a * tau}
+    assert reads <= set(held) and held[0] == min(reads)
+    taps = nn._tap_table(k_h, k_w, tau, len(held), wid, tuple(rows))[-1]
+    assert all(isinstance(i, slice) for _, sl in taps for i in sl)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=(n, c_in, hgt, wid)).astype(dtype)
+        f = rng.normal(size=(c_out, c_in, k_h, k_w)).astype(dtype)
+        b = rng.normal(size=c_out).astype(dtype)
+        got = conv2d_causal_dilated(x[:, :, held], f, b, tau, *rows)
+        want = conv2d_causal_dilated(x, f, b, tau)[:, :, rows]
+        if dtype == np.float64:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        elif c_out > 1 and len(rows) * wid > 1:
+            assert got.tobytes() == want.tobytes()
+        else:  # a matrix-vector product rounds by its width
+            assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+    bad = [tuple(r - rows[-1] - 1 for r in rows), (start, start + 1, start + 3)]
+    if len(rows) > 1:
+        bad.append(tuple(reversed(rows)))
+    for rows in bad:
+        with pytest.raises(ShapeError, match="evenly spaced range"):
+            conv2d_causal_dilated(x, f, b, tau, *rows)
 
 
 def test_conv_output_ignores_future_cells():

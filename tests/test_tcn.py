@@ -130,6 +130,8 @@ def test_a_forward_at_given_rows_is_eval_only_and_inside_the_input():
         stack.forward(x, True, 5)
     with pytest.raises(ShapeError, match="outside"):
         stack.forward(x, False, 6)
+    with pytest.raises(ShapeError, match="evenly spaced"):
+        stack.forward(x, False, 1, 2, 4)
 
 
 def test_block_gradients_match_fd_eval_and_train():
