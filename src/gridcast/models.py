@@ -15,8 +15,8 @@ every cell whose shifted target exists and is past arrival. Serving
 computes just that row's receptive-field cone: on a 16-row window the
 default three-block k = 3 ladder computes 7, 3 and 1 of the 16 rows in
 its blocks, from 15, 7 and 3 input rows. In float32 the row keeps the
-bits of the whole-plane forward. Serving keeps nothing in the layers;
-forward keeps what backward reads, in eval mode too.
+bits of the whole-plane forward. forward keeps what backward reads, in
+eval mode too; serving keeps nothing.
 
 Training is plain minibatch MSE with Adam over one grid.Segments
 batch: thread models read its gaps, corner-mode reply models the corner
@@ -122,7 +122,7 @@ class _ModelBase:
             raise ValueError(f"config.kind must be {kind!r}")
         self.config = config
         self.dtype = dtype
-        self._cache = None
+        self._tape = None  # what backward reads of the last forward's head
         rng = np.random.default_rng(seed)
         self.stack = TCNStack(
             rng, len(config.channels), config.n_filters, config.k_h, config.k_w,
@@ -175,14 +175,16 @@ class ThreadArrivalModel(_ModelBase):
         """x: (N, C, h, w) -> predicted gaps (N,), all >= 0."""
         u = self.stack.forward(x, train)
         anchor = u[:, :, -1, -1]
-        z = self.fc2.forward(self.act.forward(self.fc1.forward(anchor)))[:, 0]
-        self._cache = (u.shape, z)
+        h1 = self.fc1.forward(anchor)
+        a1 = self.act.forward(h1)
+        z = self.fc2.forward(a1)[:, 0]
+        self._tape = (u.shape, anchor, h1, a1, z)
         return softplus(z)
 
     def backward(self, grad_pred: np.ndarray) -> None:
-        u_shape, z = self._cache
+        u_shape, anchor, h1, a1, z = self._tape
         gz = (grad_pred * sigmoid(z))[:, None]
-        g_anchor = self.fc1.backward(self.act.backward(self.fc2.backward(gz)))
+        g_anchor = self.fc1.backward(anchor, self.act.backward(h1, self.fc2.backward(a1, gz)))
         gu = np.zeros(u_shape, dtype=g_anchor.dtype)
         gu[:, :, -1, -1] = g_anchor
         self.stack.backward(gu, False)
@@ -208,14 +210,13 @@ class ReplyCountModel(_ModelBase):
         """x: (N, C, h, w) -> (N, h, w); cell (i, j) estimates counts[i+1, j]."""
         u = self.stack.forward(x, train)
         z = self.head.forward(u)[:, 0]
-        self._cache = z
+        self._tape = (u, z)
         return softplus(z)
 
     def backward(self, grad_pred: np.ndarray) -> None:
-        z = self._cache
+        u, z = self._tape
         gz = (grad_pred * sigmoid(z))[:, None]
-        gu = self.head.backward(gz)
-        self.stack.backward(gu, False)
+        self.stack.backward(self.head.backward(u, gz, True), False)
 
     def params(self) -> list[Parameter]:
         return self.stack.params() + self.head.params()
@@ -223,7 +224,7 @@ class ReplyCountModel(_ModelBase):
     def predict_next_rows(self, features: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Predicted counts for the row just below each of N windows
         (N, C, h, w): (N, w), the last row of one eval-mode forward,
-        which keeps nothing in the layers. The stack computes only that
+        which keeps nothing for backward. The stack computes only that
         row's receptive-field cone (TCNStack.forward at one row), and the
         head runs over the whole plane, as in forward, because its
         one-filter products are matrix-vector ones that round by the
@@ -237,7 +238,7 @@ class ReplyCountModel(_ModelBase):
         _, _, h, w = features.shape
         rows = range(max(0, h - 2) if w == 1 else h - 1, h)
         u = self.stack.forward(features.astype(self.dtype), False, *rows)
-        return softplus(self.head.serve(u)[:, 0, -1])
+        return softplus(self.head.forward(u)[:, 0, -1])
 
     def predict_next_row(
         self, features: np.ndarray, row_index: int | None = None

@@ -27,16 +27,16 @@ model clones, and grad_check, which wants float64 throughout.
 Nothing here is thread-safe under concurrent mutation of the same
 Parameter; keep one writer per model.
 
-The conv, batch-norm and PReLU layers have two forwards. forward keeps
-what the layer's backward pass reads: the conv's and PReLU's input,
-batch norm's normalised input. serve keeps nothing, for serving calls
-that never run backward. Work that depends only on the layer is done
-once, not on every call: the conv's tap table once per geometry
-(_tap_table), the PReLU slope check once per value of the slopes
-(_unit_slopes), and eval batch norm's cast mean and inverse deviation
-once per value of the running stats (_eval_moments). The last two are
-keyed by the bytes of those values, so an in-place write (load_state,
-an Adam step) or a train-mode forward never meets a stale entry.
+Layers hold parameters only: each has one forward, and its backward
+takes what that forward read or returned (its input, or batch norm's
+cache), so the caller keeps what backward needs. Work that depends
+only on the layer is done once, not on every call: the conv's tap table
+once per geometry (_tap_table), the PReLU slope check once per value of
+the slopes (_unit_slopes), and eval batch norm's cast mean and inverse
+deviation once per value of the running stats (_eval_moments). The
+last two are keyed by the bytes of those values, so an in-place write
+(load_state, an Adam step) or a train-mode forward never meets a stale
+entry.
 """
 from __future__ import annotations
 
@@ -515,16 +515,14 @@ def grad_check(loss_fn, params: list[Parameter]) -> float:
             numeric = (f_plus - f_minus) / (2.0 * eps)
             analytic = float(flat_g[idx])
             if not (np.isfinite(numeric) and np.isfinite(analytic)):
-                raise FloatingPointError(
-                    f"non-finite gradient for {p.name or 'param'}[{idx}]"
-                )
+                raise FloatingPointError(f"non-finite gradient for {p.name}[{idx}]")
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)
     return worst
 
 
 # ---------------------------------------------------------------------------
-# layer objects (thin stateful wrappers over the kernels above)
+# layer objects: the kernels above with their parameters
 
 
 class ConvLayer:
@@ -551,35 +549,22 @@ class ConvLayer:
             np.zeros(c_out, dtype=dtype), name=f"{name}.bias"
         )
         self.tau = tau
-        self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The conv over the whole plane, keeping x for backward."""
-        self._x = x
-        return conv2d_causal_dilated(x, self.weight.value, self.bias.value, self.tau)
-
-    def serve(self, x: np.ndarray, *rows: int) -> np.ndarray:
+    def forward(self, x: np.ndarray, *rows: int) -> np.ndarray:
         """The conv at the given output rows, from an x that holds just the
-        rows they read (the whole plane when none are given), keeping
-        nothing."""
+        rows they read, or over the whole plane when none are given."""
         return conv2d_causal_dilated(x, self.weight.value, self.bias.value, self.tau, *rows)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        grad_x, grad_f, grad_b = conv2d_backward(
-            self._x, self.weight.value, self.tau, upstream
-        )
-        self._accumulate(grad_f, grad_b)
-        return grad_x
-
-    def backward_params(self, upstream: np.ndarray) -> None:
-        """backward for a layer whose input needs no gradient: only the
-        filter and bias gradients are computed."""
-        _, grad_f, grad_b = _conv_grads(self._x, self.weight.value, self.tau, upstream, False)
-        self._accumulate(grad_f, grad_b)
-
-    def _accumulate(self, grad_f: np.ndarray, grad_b: np.ndarray) -> None:
+    def backward(self, x: np.ndarray, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
+        """The gradient at the whole-plane forward's input x, or None without
+        input_grad, which spares computing it; the filter and bias
+        gradients accumulate."""
+        f = self.weight.value
+        grad_x, grad_f, grad_b = (conv2d_backward(x, f, self.tau, upstream) if input_grad
+                                  else _conv_grads(x, f, self.tau, upstream, False))
         self.weight.grad += grad_f.astype(self.weight.grad.dtype)
         self.bias.grad += grad_b.astype(self.bias.grad.dtype)
+        return grad_x
 
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -590,18 +575,13 @@ class BatchNormLayer:
         self.gamma = Parameter.of(np.ones(channels, dtype=dtype), name=f"{name}.gamma")
         self.beta = Parameter.of(np.zeros(channels, dtype=dtype), name=f"{name}.beta")
         self.running = RunningStats.fresh(channels)
-        self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out, self._cache = batch_norm(x, self.gamma.value, self.beta.value, train, self.running)
-        return out
+    def forward(self, x: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
+        """(out, cache), as batch_norm returns them."""
+        return batch_norm(x, self.gamma.value, self.beta.value, train, self.running)
 
-    def serve(self, x: np.ndarray) -> np.ndarray:
-        """The eval-mode forward, keeping no cache."""
-        return batch_norm(x, self.gamma.value, self.beta.value, False, self.running)[0]
-
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        grad_x, grad_gamma, grad_beta = batch_norm_backward(self._cache, upstream)
+    def backward(self, cache: tuple, upstream: np.ndarray) -> np.ndarray:
+        grad_x, grad_gamma, grad_beta = batch_norm_backward(cache, upstream)
         self.gamma.grad += grad_gamma.astype(self.gamma.grad.dtype)
         self.beta.grad += grad_beta.astype(self.beta.grad.dtype)
         return grad_x
@@ -617,18 +597,12 @@ class PReLULayer:
         self.slope = Parameter.of(
             np.full(channels, 0.25, dtype=dtype), name=f"{name}.slope"
         )
-        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
         return prelu(x, self.slope.value)
 
-    def serve(self, x: np.ndarray) -> np.ndarray:
-        """The forward, keeping nothing."""
-        return prelu(x, self.slope.value)
-
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        grad_x, grad_s = prelu_backward(self._x, self.slope.value, upstream)
+    def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        grad_x, grad_s = prelu_backward(x, self.slope.value, upstream)
         self.slope.grad += grad_s.astype(self.slope.grad.dtype)
         return grad_x
 
@@ -642,14 +616,12 @@ class DenseLayer:
             he_normal(rng, (n_out, n_in), n_in, dtype), name=f"{name}.weight"
         )
         self.bias = Parameter.of(np.zeros(n_out, dtype=dtype), name=f"{name}.bias")
-        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
         return dense(x, self.weight.value, self.bias.value)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = dense_backward(self._x, self.weight.value, upstream)
+    def backward(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        grad_x, grad_w, grad_b = dense_backward(x, self.weight.value, upstream)
         self.weight.grad += grad_w.astype(self.weight.grad.dtype)
         self.bias.grad += grad_b.astype(self.bias.grad.dtype)
         return grad_x

@@ -7,8 +7,9 @@ the generic TCN, so the per-axis receptive field grows as
 r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1. Asked for some output
 rows only, an evenly spaced set, a stack serves them: each block
 computes the shortest evenly spaced range holding its share of their
-receptive field, is handed only the rows it reads, and no layer keeps
-an input or cache (nn's serve forwards).
+receptive field and is handed only the rows it reads. Layers keep
+nothing; the stack keeps the tapes of its last whole-plane forward,
+what backward reads.
 
 Causality caveat: in TRAIN mode batch norm couples every cell through
 the batch moments, so bit-exact causality statements hold in EVAL mode,
@@ -36,33 +37,31 @@ class TemporalBlock:
                                   name=f"{name}.proj")
         self.act2 = PReLULayer(c_out, dtype=dtype, name=f"{name}.act2")
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        y = self.act1.forward(self.norm.forward(self.conv.forward(x), train))
-        y += x if self.proj is None else self.proj.forward(x)
-        return self.act2.forward(y)
-
-    def serve(self, x: np.ndarray, rows: range, skip: slice) -> np.ndarray:
-        """The eval-mode output at the given rows, keeping nothing. x holds
-        just the rows the conv reads for them (nn.rows_read), and skip
-        slices the given rows out of x."""
-        y = self.act1.serve(self.norm.serve(self.conv.serve(x, *rows)))
+    def forward(self, x: np.ndarray, train: bool, skip: slice, *rows: int):
+        """(output, tape). Given output rows (nn.row_range), x holds just the
+        rows the conv reads for them (nn.rows_read), skip slices the rows
+        out of x, and the tape is None; else skip is the whole plane and the
+        tape (x, batch norm's cache, act1's input, act2's input) is what
+        backward reads."""
+        z, cache = self.norm.forward(self.conv.forward(x, *rows), train)
+        tape = None if rows else (x, cache, z)
+        y = self.act1.forward(z)
+        del z, cache  # a forward at given rows holds neither while the block runs on
         x = x[:, :, skip]
-        y += x if self.proj is None else self.proj.serve(x)
-        return self.act2.serve(y)
+        y += x if self.proj is None else self.proj.forward(x)
+        return self.act2.forward(y), None if tape is None else (*tape, y)
 
-    def backward(self, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
-        """The gradient at the block's input, or None without input_grad,
-        which spares the conv's and the projection's input gradients."""
-        g = self.act2.backward(upstream)  # grad at (main + skip)
-        g_main = self.norm.backward(self.act1.backward(g))
-        if not input_grad:
-            self.conv.backward_params(g_main)
-            if self.proj is not None:
-                self.proj.backward_params(g)
-            return None
-        g_main = self.conv.backward(g_main)
-        g_skip = g if self.proj is None else self.proj.backward(g)
-        return g_main + g_skip
+    def backward(self, tape: tuple, upstream: np.ndarray,
+                 input_grad: bool) -> np.ndarray | None:
+        """The gradient at the input of the whole-plane forward that gave the
+        tape, or None without input_grad, which spares the conv's and the
+        projection's input gradients."""
+        x, cache, z, y = tape
+        g = self.act2.backward(y, upstream)  # grad at (main + skip)
+        g_main = self.conv.backward(x, self.norm.backward(cache, self.act1.backward(z, g)),
+                                    input_grad)
+        g_skip = g if self.proj is None else self.proj.backward(x, g, input_grad)
+        return g_main + g_skip if input_grad else None
 
     def params(self) -> list[Parameter]:
         skip = [] if self.proj is None else [self.proj]
@@ -83,43 +82,45 @@ class TCNStack:
                           dtype, f"stack.block{l}")
             for l in range(n_blocks)
         ]
-        self._cones: dict = {}  # serving plans, by output rows (_cone)
+        whole = np.s_[:]
+        # forward plans, by output rows (_cone); no rows is the whole plane
+        self._cones: dict = {(): (whole, [((), whole)] * n_blocks, whole)}
+        self._tapes: list = [None] * n_blocks  # the last whole-plane forward's, for backward
 
     def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
         """x: (N, C, H, W) -> (N, F, H, W).
 
         Given output rows, an evenly spaced set, the forward is a serving
-        call: eval mode only, no layer keeps its input or a batch-norm
-        cache, and every other output row is zero. Each block computes just
-        its share of the rows' receptive-field cone (_cone), from only the
-        rows it reads, so every computed cell sums the same values as in
-        the full forward (nn.conv2d_causal_dilated says when its bits match
-        too).
+        call: eval mode only, nothing is kept for backward, and every other
+        output row is zero. Each block computes just its share of the rows'
+        receptive-field cone (_cone), from only the rows it reads, so every
+        computed cell sums the same values as in the full forward
+        (nn.conv2d_causal_dilated says when its bits match too).
         """
-        if not rows:
-            for block in self.blocks:
-                x = block.forward(x, train)
-            return x
-        if train:
-            raise ValueError("a forward at given rows runs in eval mode")
         hgt = x.shape[2]
+        if rows and train:
+            raise ValueError("a forward at given rows runs in eval mode")
         if not all(0 <= r < hgt for r in rows):
             raise ShapeError(f"output rows {rows} outside an input of {hgt} rows")
-        rows = tuple(sorted(set(rows)))
-        first, plan, out = self._cone(rows)
+        first, plan, out = self._cone(tuple(sorted(set(rows))))
+        tapes = [None] * len(plan) if rows else self._tapes
         x = x[:, :, first]
-        for block, (block_rows, skip) in zip(self.blocks, plan):
-            x = block.serve(x, block_rows, skip)
+        # a block's last tape goes as its new one comes: emptying the slot
+        # before the block runs made training slower (ROADMAP)
+        for l, (block, (block_rows, skip)) in enumerate(zip(self.blocks, plan)):
+            x, tapes[l] = block.forward(x, train, skip, *block_rows)
+        if not rows:
+            return x
         full = np.zeros(x.shape[:2] + (hgt,) + x.shape[3:], dtype=x.dtype)
         full[:, :, out] = x
         return full
 
     def _cone(self, rows: tuple[int, ...]):
-        """The serving plan for the given ascending output rows, built once
-        per row set, every row set an evenly spaced range cut by a slice:
-        block 0's rows of the stack input, per block the rows it computes
-        (what the block after it reads, nn.rows_read) and their slice of
-        the rows it is handed, which end with them, and the output rows."""
+        """The plan for the given ascending output rows, built once per row
+        set, every row set an evenly spaced range cut by a slice: block 0's
+        rows of the stack input, per block the rows it computes (what the
+        block after it reads, nn.rows_read) and their slice of the rows it
+        is handed, which end with them, and the output rows."""
         if rows not in self._cones:
             plan, wanted = [], row_range(rows)
             out = slice(wanted.start, wanted.stop, wanted.step)
@@ -132,11 +133,12 @@ class TCNStack:
         return self._cones[rows]
 
     def backward(self, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
-        """The gradient at the stack's input, or None without input_grad:
-        then block 0 computes only its parameters' gradients."""
-        for block in reversed(self.blocks[1:]):
-            upstream = block.backward(upstream, True)
-        return self.blocks[0].backward(upstream, input_grad)
+        """The gradient at the last whole-plane forward's input, or None
+        without input_grad: then block 0 computes only its parameters'
+        gradients."""
+        for block, tape in zip(self.blocks[:0:-1], self._tapes[:0:-1]):
+            upstream = block.backward(tape, upstream, True)
+        return self.blocks[0].backward(self._tapes[0], upstream, input_grad)
 
     def params(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.params()]

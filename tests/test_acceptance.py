@@ -161,36 +161,40 @@ def test_criterion_3_gradient_checks():
     TOL = 1e-4
     worst: dict[str, float] = {}
 
-    def weighted_sum_check(tag, layer, x, forward):
-        out = forward(x)
+    def weighted_sum_check(tag, layer, x, forward, backward):
+        """forward(x) gives (out, what backward reads), backward(that, upstream)."""
+        out, tape = forward(x)
         w = rng.normal(size=out.shape)
         for p in layer.params():
             p.zero_grad()
-        layer.backward(w.astype(out.dtype))
-        err = grad_check(lambda: float((forward(x) * w).sum()), layer.params())
+        backward(tape, w.astype(out.dtype))
+        err = grad_check(lambda: float((forward(x)[0] * w).sum()), layer.params())
         worst[tag] = err
         assert err < TOL, f"{tag}: relative error {err:.2e}"
 
     conv = ConvLayer(rng, 2, 3, 2, 3, tau=2, dtype=np.float64, name="conv")
     x = rng.normal(size=(2, 2, 6, 5))
-    weighted_sum_check("conv2d", conv, x, lambda a: conv.forward(a))
+    weighted_sum_check("conv2d", conv, x, lambda a: (conv.forward(a), a),
+                       lambda a, up: conv.backward(a, up, True))
 
     bn = BatchNormLayer(3, dtype=np.float64, name="norm")
     xb = rng.normal(size=(3, 3, 4, 4))
-    weighted_sum_check("batch-norm train", bn, xb, lambda a: bn.forward(a, train=True))
+    weighted_sum_check("batch-norm train", bn, xb, lambda a: bn.forward(a, train=True),
+                       bn.backward)
     bn_eval = BatchNormLayer(3, dtype=np.float64, name="norm")
     bn_eval.running.mean[...] = rng.normal(size=3)
     bn_eval.running.var[...] = rng.uniform(0.5, 2.0, size=3)
     weighted_sum_check(
-        "batch-norm eval", bn_eval, xb, lambda a: bn_eval.forward(a, train=False)
+        "batch-norm eval", bn_eval, xb, lambda a: bn_eval.forward(a, train=False),
+        bn_eval.backward,
     )
 
     act = PReLULayer(3, dtype=np.float64, name="act")
-    weighted_sum_check("prelu", act, xb, lambda a: act.forward(a))
+    weighted_sum_check("prelu", act, xb, lambda a: (act.forward(a), a), act.backward)
 
     dense = DenseLayer(rng, 5, 4, dtype=np.float64, name="dense")
     xd = rng.normal(size=(6, 5))
-    weighted_sum_check("dense", dense, xd, lambda a: dense.forward(a))
+    weighted_sum_check("dense", dense, xd, lambda a: (dense.forward(a), a), dense.backward)
 
     # composed models, trained-mode forward through stack + head
     for kind in ("thread", "reply"):

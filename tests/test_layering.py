@@ -4,6 +4,9 @@ command line read RunSettings. Which module knows the byte layout of
 grid files and checkpoints: only container.py imports zlib or struct.
 Which module turns a kernel size and filter shape into k_h and k_w: only
 config.py passes them by keyword.
+Which classes keep state between calls: no method of nn's layers (its
+classes with a forward) or of tcn.TemporalBlock assigns an attribute of
+self outside __init__, so layers hold parameters only.
 Which options the package keeps: a parameter or dataclass field with a
 default stays only if a caller outside the tests (the package itself or
 any file under perfbench/) leaves it out. ALLOWED_OPTIONS lists them, and
@@ -124,6 +127,92 @@ def test_the_kernel_check_sees_the_keyword_form():
     for line in ["TCNStack(rng, c, f, config.k_h, config.k_w, b, dt)", "k_h = 3",
                  "f(kernel=3)", "def f(k_h=3): ..."]:
         assert not _passes_kernel_dims(ast.parse(line)), line
+
+
+# ---------------------------------------------------------------------------
+# layers hold parameters only
+
+NN_LAYERS = {"ConvLayer", "BatchNormLayer", "PReLULayer", "DenseLayer"}
+
+
+def _layer_classes(tree: ast.Module) -> set[str]:
+    """The module-level classes in tree that define a forward."""
+    return {
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "forward" for f in node.body)
+    }
+
+
+def _assigns_self(tree: ast.Module, classes: set[str]) -> list[str]:
+    """Class.method for each method of the given classes, __init__ aside,
+    that assigns or deletes an attribute of its first parameter: as an
+    assignment, augmented, annotated or tuple target, or through setattr
+    or delattr."""
+    out = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in classes):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__" or not fn.args.args:
+                continue
+            me = fn.args.args[0].arg
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    owner = node.value
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                        "setattr", "delattr") and node.args:
+                    owner = node.args[0]
+                else:
+                    continue
+                if isinstance(owner, ast.Name) and owner.id == me:
+                    out.append(f"{cls.name}.{fn.name}")
+                    break
+    return out
+
+
+def test_layers_hold_parameters_only():
+    package = Path(gridcast.__file__).parent
+    trees = {name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("nn", "tcn")}
+    layers = _layer_classes(trees["nn"])
+    assert layers >= NN_LAYERS  # the rule sees every layer
+    stateful = _assigns_self(trees["nn"], layers) + _assigns_self(trees["tcn"], {"TemporalBlock"})
+    assert stateful == [], "a layer keeps state between calls; callers keep what backward reads"
+
+
+def test_the_layer_check_sees_every_assignment_form():
+    source = """
+class Layer:
+    def __init__(self, w):
+        self.w = w
+    def forward(self, x):
+        self.w.grad += x
+        self.w[0] = x
+        other.x = x
+        self._x = x
+        return x
+    def backward(me, up):
+        a, me.cache = up
+        me.n += 1
+    def annotated(self):
+        self.k: int = 1
+    def indirect(self):
+        setattr(self, "k", 1)
+    def clear(self):
+        del self.w
+    def reads(self):
+        return self.w.grad
+
+class Plain:
+    def step(self):
+        self.x = 1
+"""
+    tree = ast.parse(source)
+    assert _layer_classes(tree) == {"Layer"}
+    assert _assigns_self(tree, {"Layer"}) == [
+        "Layer.forward", "Layer.backward", "Layer.annotated", "Layer.indirect", "Layer.clear",
+    ]
 
 
 # ---------------------------------------------------------------------------

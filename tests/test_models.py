@@ -190,12 +190,24 @@ def test_memoised_constants_follow_every_change_of_the_parameters():
 
 
 def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeypatch):
-    """After predict_next_rows no layer holds its input and no batch norm
-    its cache. Each block's conv is handed only the rows it reads, 15, 7
-    and 3 of the default 16-row window, and computes 7, 3 and 1; the
-    projection reads block 0's 7 rows, the head the whole plane. A
-    one-column window's blocks compute ranges of 14, 10 and 2 rows."""
+    """predict_next_rows keeps nothing for backward: no tape lands on the
+    stack, and a call between a training forward and its backward leaves
+    the gradients bit-identical. Each block's conv is handed only the rows
+    it reads, 15, 7 and 3 of the default 16-row window, and computes 7, 3
+    and 1; the projection reads block 0's 7 rows, the head the whole plane.
+    A one-column window's blocks compute ranges of 14, 10 and 2 rows."""
     cfg = RunSettings().model_config("reply")
+    x = np.random.default_rng(5).uniform(0, 3, size=(4, len(cfg.channels), *cfg.window))
+
+    def grads(serve_between: bool) -> list[bytes]:
+        model = build_model(cfg, seed=2)
+        pred = model.forward(x.astype(np.float32), train=True)
+        if serve_between:
+            model.predict_next_rows(x, np.arange(4))
+        model.backward(nn.mse_loss(pred, np.ones(pred.shape))[1])
+        return [p.grad.tobytes() for p in model.params()]
+
+    assert grads(True) == grads(False)
     model = build_model(cfg, seed=2)
     seen = []
     real = nn.conv2d_causal_dilated
@@ -205,14 +217,9 @@ def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeyp
         return real(x, filters, bias, tau, *rows)
 
     monkeypatch.setattr(nn, "conv2d_causal_dilated", recording)
-    x = np.random.default_rng(5).uniform(0, 3, size=(4, len(cfg.channels), *cfg.window))
     model.predict_next_rows(x, np.arange(4))
     assert seen == [(15, 7), (7, 0), (7, 3), (3, 1), (16, 0)]
-    blocks = model.stack.blocks
-    layers = [model.head] + [layer for b in blocks for layer in (b.conv, b.proj, b.act1, b.act2)
-                             if layer is not None]
-    assert [layer._x for layer in layers] == [None] * len(layers)
-    assert [b.norm._cache for b in blocks] == [None] * len(blocks)
+    assert model.stack._tapes == [None] * len(model.stack.blocks)
     # a one-column window serves its last two rows; block 2 reads 6 of them,
     # held by the evenly spaced hull of rows 6-15, which block 1 computes
     seen.clear()

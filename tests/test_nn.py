@@ -717,11 +717,9 @@ def test_layers_accumulate_and_zero():
     layer = ConvLayer(rng, 1, 2, 2, 2, tau=1, dtype=np.float64)
     x = rng.normal(size=(1, 1, 3, 3))
     up = np.ones((1, 2, 3, 3))
-    layer.forward(x)
-    layer.backward(up)
+    layer.backward(x, up, True)
     g1 = layer.weight.grad.copy()
-    layer.forward(x)
-    layer.backward(up)
+    layer.backward(x, up, True)
     assert np.allclose(layer.weight.grad, 2 * g1)
     layer.weight.zero_grad()
     assert not layer.weight.grad.any()
@@ -739,7 +737,7 @@ def test_dense_layer_grad_check():
     for p in layer.params():
         p.zero_grad()
     out = layer.forward(x)
-    layer.backward(2 * (out - target))
+    layer.backward(x, 2 * (out - target))
     assert grad_check(loss, layer.params()) < 1e-8
 
 
@@ -749,7 +747,7 @@ def test_prelu_bn_layer_wrappers():
     assert np.allclose(act.slope.value, 0.25)
     bn = BatchNormLayer(2, dtype=np.float64, name="norm")
     x = rng.normal(size=(3, 2, 2, 2))
-    out = bn.forward(x, train=True)
+    out, cache = bn.forward(x, train=True)
     assert out.shape == x.shape
-    g = bn.backward(np.ones_like(out))
+    g = bn.backward(cache, np.ones_like(out))
     assert g.shape == x.shape

@@ -5,6 +5,8 @@ import pytest
 from gridcast.nn import BN_EPS, ShapeError, grad_check
 from gridcast.tcn import TCNStack, TemporalBlock, causality_probe, receptive_field
 
+WHOLE = np.s_[:]  # a block forward's skip slice over the whole plane
+
 
 def _zero_block(block):
     block.conv.weight.value[...] = 0.0
@@ -69,7 +71,7 @@ def test_zero_weight_block_is_identity_on_nonnegative_input():
     _zero_block(block)
     x = rng.uniform(0.0, 5.0, size=(1, 2, 4, 4))
     for train in (False, True):
-        out = block.forward(x, train=train)
+        out, _ = block.forward(x, train, WHOLE)
         assert (out == x).all(), f"train={train}"
 
 
@@ -95,15 +97,18 @@ def test_block_hand_trace_eval_mode():
     x = np.array([[[[-1.0, 2.0]]]])
     # conv: [-1, 5]; norm: (u-1)*2+0.5 -> [-3.5, 8.5]; prelu(0.25): [-0.875, 8.5]
     # + skip x: [-1.875, 10.5]; prelu(0.25): [-0.46875, 10.5]
-    out = block.forward(x, train=False)
+    out, tape = block.forward(x, False, WHOLE)
     assert np.allclose(out, [[[[-0.46875, 10.5]]]], atol=1e-6)
+    assert tape[0] is x and np.allclose(tape[2], [[[[-3.5, 8.5]]]])  # act1 reads the norm
+    served, tape = block.forward(x, False, WHOLE, 0)  # at given rows: the same, and no tape
+    assert served.tobytes() == out.tobytes() and tape is None
 
 
 def test_stack_forward_is_block_composition():
     rng = np.random.default_rng(6)
     stack = TCNStack(rng, 2, 4, 3, 3, 2, np.float64)
     x = rng.normal(size=(1, 2, 6, 5))
-    manual = stack.blocks[1].forward(stack.blocks[0].forward(x, train=False), train=False)
+    manual, _ = stack.blocks[1].forward(stack.blocks[0].forward(x, False, WHOLE)[0], False, WHOLE)
     assert np.allclose(stack.forward(x, train=False), manual)
 
 
@@ -141,12 +146,12 @@ def test_block_gradients_match_fd_eval_and_train():
     up = rng.normal(size=(2, 3, 3, 3))
     for train in (False, True):
         def loss():
-            return float((block.forward(x, train=train) * up).sum())
+            return float((block.forward(x, train, WHOLE)[0] * up).sum())
 
         for p in block.params():
             p.zero_grad()
-        block.forward(x, train=train)
-        block.backward(up, True)
+        _, tape = block.forward(x, train, WHOLE)
+        block.backward(tape, up, True)
         assert grad_check(loss, block.params()) < 1e-6, f"train={train}"
 
 
@@ -157,8 +162,8 @@ def test_block_backward_without_input_gradient_keeps_the_parameter_gradients():
     grads = []
     for input_grad in (True, False):
         block = TemporalBlock(np.random.default_rng(1), 2, 3, 3, 3, 2, np.float32, "block")
-        block.forward(x, train=True)
-        gx = block.backward(up, input_grad)
+        _, tape = block.forward(x, True, WHOLE)
+        gx = block.backward(tape, up, input_grad)
         assert (gx is None) == (not input_grad)
         grads.append([p.grad.tobytes() for p in block.params()])
     assert grads[0] == grads[1]
