@@ -28,6 +28,9 @@ Model protocol (duck-typed so ground-truth stand-ins drop in):
     floats >= 0, where row_indices[k] is the absolute grid row that
     window k's prediction fills; a window's columns past its state's
     width are zero padding, and their predictions are dropped unchecked.
+    It must not rely on side effects in the caller's process: on Linux
+    with several CPUs, breakout_curve makes part of its calls in forked
+    children (_run_jobs), where whatever the call changes is lost.
 Trained models ignore the index arguments.
 
 Breakout verdicts accumulate the raw (unrounded) per-interval
@@ -37,7 +40,12 @@ compare against twice the average cascade size, strictly.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -385,6 +393,123 @@ def duration_intervals(duration: float, d: float) -> int:
     return n
 
 
+def _breakout_calls(
+    grid: Grid,
+    cols: range,
+    s_int: int,
+    context_cols: int,
+    reply_model,
+    l_bar: float,
+    horizon_intervals: int,
+) -> list[bool]:
+    """One Lockstep group of breakout_curve: the breakout call of each
+    column in cols after s_int observed intervals."""
+    n_rows = grid.counts.shape[0]
+    ends = [min(int(grid.arrival_rows[j]) + s_int, n_rows) for j in cols]
+    firsts = [max(0, j - context_cols + 1) for j in cols]
+    verdicts = _breakout_verdicts(
+        [grid.counts[:r, c0 : j + 1] for j, r, c0 in zip(cols, ends, firsts)],
+        [grid.arrival_rows[c0 : j + 1] for j, c0 in zip(cols, firsts)],
+        [j - c0 for j, c0 in zip(cols, firsts)], reply_model, l_bar, horizon_intervals,
+        [""] * len(cols), 0.0,
+    )
+    return [v.is_breakout for v in verdicts]
+
+
+def _run_share(jobs: list, share: list[int]) -> tuple[dict, tuple | None]:
+    """Run the jobs of share in index order up to the first that raises.
+    Returns their results by index and (index, exception) of that one."""
+    results = {}
+    for i in share:
+        try:
+            results[i] = jobs[i]()
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _deal(costs: list[int], n_workers: int) -> list[list[int]]:
+    """Job indices per worker: largest cost first, each to the least
+    loaded worker (the lowest on ties); each share in index order."""
+    shares, loads = [[] for _ in range(n_workers)], [0] * n_workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _fork_share(jobs: list, share: list[int]):
+    """Fork a child that runs share and sends _run_share's outcome back
+    pickled; returns (pid, the pipe's reading end), or None if the fork
+    fails."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child never returns
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                pickle.dump(_run_share(jobs, share), out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _run_jobs(jobs: list, costs: list[int]) -> list:
+    """Run independent zero-argument jobs; returns their results in job
+    order, or raises the exception of the lowest-index job that fails, as
+    a loop over them would.
+
+    On Linux with more than one CPU in this process's affinity mask, one
+    child is forked per extra CPU, but no more than there are jobs of
+    positive cost to share (_deal; the parent takes the first share).
+    The parent runs its own share meanwhile, then reads and reaps every
+    child before it returns or raises. Anywhere else every job runs here,
+    as does a share whose fork fails: macOS numpy may use Accelerate,
+    which is not fork-safe, and Windows has no fork. OpenBLAS re-creates
+    its thread pool in a child. On Python 3.12 and later os.fork warns
+    when the process has other threads, as OpenBLAS's pool is.
+    """
+    n_cpus = len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+    own, *others = _deal(costs, max(1, min(n_cpus, sum(cost > 0 for cost in costs))))
+    children, outcomes = [], []
+    try:
+        for share in others:
+            child = _fork_share(jobs, share)
+            if child is None:
+                own = sorted(own + share)
+            else:
+                children.append(child)
+        outcomes.append(_run_share(jobs, own))
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                raise RuntimeError(f"breakout worker {pid} ended with exit code {code}")
+            outcomes.append(pickle.loads(payload))
+    finally:
+        for pid, pipe in children:  # left only when the parent raises early
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = {i: result for done, _ in outcomes for i, result in done.items()}
+    return [results[i] for i in range(len(jobs))]
+
+
 def breakout_curve(
     stream: EventStream,
     grid: Grid,
@@ -395,13 +520,20 @@ def breakout_curve(
 ) -> list[BreakoutCurvePoint]:
     """Correct-verdict rate at each start duration over the whole stream.
 
-    Durations must be positive multiples of the grid's interval length.
-    Each cascade's prefix is build_breakout_state's, and a duration's
-    prefixes roll in consecutive Locksteps (lockstep_size). Ground truth: final cascade size strictly above twice the stream's
-    average. The roll-out horizon shrinks with the duration (observed
-    intervals replace predicted ones) and never goes negative. For
-    cascades arriving near the grid bottom the observed prefix is
-    clamped to the materialised rows.
+    Durations must be positive multiples of the grid's interval length,
+    all checked before any prefix rolls. Each cascade's prefix is
+    build_breakout_state's, and a duration's prefixes roll in
+    consecutive Locksteps (lockstep_size). Ground truth: final cascade
+    size strictly above twice the stream's average. The roll-out horizon
+    shrinks with the duration (observed intervals replace predicted
+    ones) and never goes negative. For cascades arriving near the grid
+    bottom the observed prefix is clamped to the materialised rows.
+
+    Each (duration, Lockstep) pair is one independent job, costed as
+    rows rolled x cascades, and the jobs run through _run_jobs: on a
+    Linux host with several CPUs, forked children roll part of them, so
+    the reply model's predict_next_rows must not rely on side effects
+    in this process. The curve is the same on any number of CPUs.
     """
     if len(stream) != grid.spec.n_cols:
         raise GridError("stream and grid disagree on cascade count")
@@ -410,26 +542,25 @@ def breakout_curve(
     l_bar = average_cascade_size(stream)
     if horizon_intervals is None:
         horizon_intervals = default_breakout_horizon(stream, grid.spec.d)
-    truth = [c.size > 2.0 * l_bar for c in stream.cascades]
-    thread_ids = [c.thread_id for c in stream.cascades]
-    n_rows, n_cols = grid.counts.shape
+    s_ints = [duration_intervals(s, grid.spec.d) for s in start_durations]
+    n_cols = grid.spec.n_cols
     step = n_cols if reply_model is None else lockstep_size(reply_model.window[0],
                                                             min(context_cols, n_cols))
+    groups = [range(lo, min(lo + step, n_cols)) for lo in range(0, n_cols, step)]
+    jobs, costs = [], []
+    for s_int in s_ints:
+        horizon = max(0, horizon_intervals - s_int)
+        for cols in groups:
+            jobs.append(partial(_breakout_calls, grid, cols, s_int, context_cols, reply_model,
+                                l_bar, horizon))
+            costs.append(len(cols) * horizon * (reply_model is not None))
+    calls = _run_jobs(jobs, costs)
+    truth = [c.size > 2.0 * l_bar for c in stream.cascades]
     points = []
-    for s in start_durations:
-        s_int = duration_intervals(s, grid.spec.d)
-        verdicts = []
-        for lo in range(0, n_cols, step):
-            cols = range(lo, min(lo + step, n_cols))
-            ends = [min(int(grid.arrival_rows[j]) + s_int, n_rows) for j in cols]
-            firsts = [max(0, j - context_cols + 1) for j in cols]
-            verdicts += _breakout_verdicts(
-                [grid.counts[:r, c0 : j + 1] for j, r, c0 in zip(cols, ends, firsts)],
-                [grid.arrival_rows[c0 : j + 1] for j, c0 in zip(cols, firsts)],
-                [j - c0 for j, c0 in zip(cols, firsts)], reply_model, l_bar,
-                max(0, horizon_intervals - s_int), thread_ids[lo : lo + step], s,
-            )
-        correct = sum(int(v.is_breakout == t) for v, t in zip(verdicts, truth))
+    for k, s in enumerate(start_durations):
+        judged = [call for group in calls[k * len(groups) : (k + 1) * len(groups)]
+                  for call in group]
+        correct = sum(int(call == t) for call, t in zip(judged, truth))
         points.append(
             BreakoutCurvePoint(
                 start_duration=s, correct_rate=correct / len(stream), n=len(stream)

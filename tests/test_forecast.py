@@ -1,5 +1,10 @@
 """Closed-loop simulation and breakout identification."""
 
+import os
+import sys
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 from conftest import (
@@ -587,7 +592,9 @@ def test_a_wide_context_curve_rolls_within_the_cell_budget(corpus, monkeypatch, 
     """With context_cols past the grid's width every window is as wide as
     the grid. No call gets more than LOCKSTEP_CELLS window cells, unless
     it holds one window that alone has more, and the verdicts are the
-    oracle's."""
+    oracle's. It runs on one CPU: the recorder sees only the calls made
+    in this process, and on more CPUs forked children make some."""
+    _on_cpus(monkeypatch, 1)
     monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", cells)
     stream, grid, _ = corpus
     reply = ShapeRecorder(grid, window=(4, 3))
@@ -600,6 +607,179 @@ def test_a_wide_context_curve_rolls_within_the_cell_budget(corpus, monkeypatch, 
                                                    max(1, cells // (4 * grid.spec.n_cols)))
     assert got == per_cascade_breakout_curve(stream, grid, reply, durations, 12,
                                              grid.spec.n_cols + 5)
+
+
+# ---------------------------------------------------------------------------
+# the curve's jobs on several CPUs
+
+on_linux = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                              reason="the curve forks on Linux only")
+
+
+def _on_cpus(monkeypatch, n):
+    """Make this process's affinity mask hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from here on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@on_linux
+@pytest.mark.parametrize("context_cols", [16, 4, 1])
+@pytest.mark.parametrize("horizon", [6, None, 0])
+def test_the_curve_on_two_cpus_is_the_one_cpu_curve(corpus, monkeypatch, horizon, context_cols):
+    """A child rolls part of the curve when a model rolls at all, and
+    every curve is repr-equal to the one-CPU run and to the oracle."""
+    stream, grid, model = corpus
+    durations = [k * D for k in (1, 2, 3, 5, 10)]
+    forks = _counted_forks(monkeypatch)
+    curves = {}
+    for n in (2, 1):
+        _on_cpus(monkeypatch, n)
+        curves[n] = [breakout_curve(stream, grid, reply, durations, horizon, context_cols)
+                     for reply in (model, None)]
+        _assert_no_child()
+    assert len(forks) == (horizon != 0)
+    want = [per_cascade_breakout_curve(stream, grid, reply, durations, horizon, context_cols)
+            for reply in (model, None)]
+    assert repr(curves[2]) == repr(curves[1]) == repr(want)
+
+
+class NegativeRowStub(TrueRowStub):
+    """TrueRowStub whose estimate for the first window of every batch of
+    `batch` windows is negative; it writes the pid of the process that
+    returned one to `mark`."""
+
+    def __init__(self, grid, batch, mark):
+        super().__init__(grid, window=(4, 3))
+        self.batch, self.mark = batch, mark
+
+    def predict_next_rows(self, features, row_indices):
+        out = super().predict_next_rows(features, row_indices)
+        if len(out) == self.batch:
+            out[0, 0] = -1.0
+            self.mark.write_text(str(os.getpid()))
+        return out
+
+
+@on_linux
+def test_a_failing_child_raises_the_serial_error_and_leaves_no_child(corpus, monkeypatch,
+                                                                      tmp_path):
+    """Groups of 10, 10, 10 and 8 windows roll two rows each: the parent
+    takes groups 0 and 2 and the child 1 and 3, whose first cascade gets
+    a negative estimate."""
+    stream, grid, _ = corpus
+    assert grid.spec.n_cols == 38
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", 10 * 4 * 16)
+    mark = tmp_path / "pid"
+    reply = NegativeRowStub(grid, 8, mark)
+    errors = {}
+    for n in (2, 1):
+        _on_cpus(monkeypatch, n)
+        with pytest.raises(GridError) as raised:
+            breakout_curve(stream, grid, reply, [D], 3, 16)
+        _assert_no_child()
+        errors[n] = (str(raised.value), int(mark.read_text()) != os.getpid())
+    assert errors == {2: ("reply-count prediction negative, non-finite or >= 2**63", True),
+                      1: ("reply-count prediction negative, non-finite or >= 2**63", False)}
+
+
+def _job(i: int, failing: set[int]) -> int:
+    if i in failing:
+        raise GridError(f"job {i} in {os.getpid()}")
+    return i * i
+
+
+@on_linux
+@pytest.mark.parametrize("failing, first", [(set(), None), ({1, 2}, 1), ({2, 3}, 2), ({3}, 3)])
+def test_the_lowest_failing_job_raises_wherever_it_ran(monkeypatch, failing, first):
+    """Four jobs of equal cost: the parent runs 0 and 2, the child 1 and 3."""
+    _on_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    jobs = [partial(_job, i, failing) for i in range(4)]
+    if first is None:
+        assert forecast._run_jobs(jobs, [1] * 4) == [0, 1, 4, 9]
+    else:
+        with pytest.raises(GridError, match=f"job {first} in") as raised:
+            forecast._run_jobs(jobs, [1] * 4)
+        assert str(raised.value).endswith(str(forks[0] if first % 2 else os.getpid()))
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def _interrupted():
+    raise KeyboardInterrupt
+
+
+def _unpicklable():
+    return lambda: None
+
+
+@on_linux
+def test_a_child_that_cannot_send_its_results_raises_and_is_reaped(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    jobs = [partial(int, 0), _unpicklable, partial(int, 2), partial(int, 3)]
+    with pytest.raises(RuntimeError, match="ended with exit code 1"):
+        forecast._run_jobs(jobs, [1] * 4)
+    _assert_no_child()
+
+
+@on_linux
+def test_an_interrupted_parent_kills_and_reaps_its_child(monkeypatch):
+    """The parent's first job raises at once, while the child's would
+    sleep for a minute."""
+    _on_cpus(monkeypatch, 2)
+    jobs = [_interrupted, partial(time.sleep, 60), partial(int, 2), partial(time.sleep, 60)]
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        forecast._run_jobs(jobs, [1] * 4)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
+
+
+@on_linux
+def test_a_share_whose_fork_fails_runs_in_the_parent(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert forecast._run_jobs([partial(_job, i, set()) for i in range(4)], [1] * 4) == [0, 1, 4, 9]
+    _assert_no_child()
+
+
+def test_jobs_are_dealt_largest_first_to_the_least_loaded_worker():
+    assert forecast._deal([20, 20, 20, 16], 2) == [[0, 2], [1, 3]]
+    assert forecast._deal([5, 0, 9, 4, 4], 2) == [[2, 4], [0, 1, 3]]
+    assert forecast._deal([3, 0, 0], 1) == [[0, 1, 2]]
+
+
+@on_linux
+def test_a_bad_duration_raises_before_anything_rolls_or_forks(corpus, monkeypatch):
+    stream, grid, _ = corpus
+    _on_cpus(monkeypatch, 2)
+    reply = ShapeRecorder(grid, window=(4, 3))
+    with pytest.raises(GridError, match="multiple"):
+        breakout_curve(stream, grid, reply, [D, 1.5 * D], 6, 16)
+    assert reply.shapes == []
+    _assert_no_child()
 
 
 def test_breakout_classify_leaves_its_state_unchanged(corpus):

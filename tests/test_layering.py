@@ -2,6 +2,9 @@
 settings: the library takes plain arguments, and only the recipes and the
 command line read RunSettings. Which module knows the byte layout of
 grid files and checkpoints: only container.py imports zlib or struct.
+Which module starts workers: only forecast.py forks (the breakout curve's
+jobs), and no module imports multiprocessing, concurrent.futures or
+threading.
 Which module turns a kernel size and filter shape into k_h and k_w: only
 config.py passes them by keyword.
 Which classes keep state between calls: no method of nn's layers (its
@@ -96,6 +99,52 @@ def test_the_byte_check_sees_every_import_form():
         assert _imports_byte_modules(ast.parse(line)), line
     for line in ["import structlog", "from .struct import x", "from . import zlib_notes"]:
         assert not _imports_byte_modules(ast.parse(line)), line
+
+
+# ---------------------------------------------------------------------------
+# only forecast.py starts workers
+
+WORKER_MODULES = {"multiprocessing", "concurrent", "threading", "_thread"}
+FORKS = {"fork", "forkpty"}
+
+
+def _starts_workers(tree: ast.Module) -> bool:
+    """Whether tree forks (os.fork, or fork imported from os) or imports a
+    module that starts processes or threads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in WORKER_MODULES for a in node.names):
+                return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            root = node.module.split(".")[0]
+            if root in WORKER_MODULES or (root == "os" and any(a.name in FORKS
+                                                               for a in node.names)):
+                return True
+        if (isinstance(node, ast.Attribute) and node.attr in FORKS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            return True
+    return False
+
+
+def test_only_the_breakout_curve_forks():
+    sources = sorted(Path(gridcast.__file__).parent.glob("*.py"))
+    starters = {p.name for p in sources
+                if _starts_workers(ast.parse(p.read_text(encoding="utf-8")))}
+    assert starters == {"forecast.py"}, (
+        "only forecast.py may fork, and no module imports multiprocessing, "
+        "concurrent.futures or threading")
+
+
+def test_the_worker_check_sees_every_form():
+    for line in ["import threading", "import multiprocessing as mp", "import os, threading",
+                 "from multiprocessing import Pool", "import concurrent.futures",
+                 "from concurrent.futures import ProcessPoolExecutor",
+                 "from concurrent import futures", "import _thread", "pid = os.fork()",
+                 "from os import fork", "fork = os.fork", "os.forkpty()"]:
+        assert _starts_workers(ast.parse(line)), line
+    for line in ["import os", "os.getpid()", "from os import getpid", "fork()",
+                 "from .threading import x", "import threadpoolctl", "self.fork()"]:
+        assert not _starts_workers(ast.parse(line)), line
 
 
 # ---------------------------------------------------------------------------
