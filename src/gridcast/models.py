@@ -15,8 +15,9 @@ every cell whose shifted target exists and is past arrival. Serving
 computes just that row's receptive-field cone: on a 16-row window the
 default three-block k = 3 ladder computes 7, 3 and 1 of the 16 rows in
 its blocks, from 15, 7 and 3 input rows. In float32 the row keeps the
-bits of the whole-plane forward. forward keeps what backward reads, in
-eval mode too; serving keeps nothing.
+bits of the whole-plane forward. The models hold parameters only:
+forward writes what backward reads into the tape its caller hands it,
+the stack's blocks at their indices and the head at "head".
 
 Training is plain minibatch MSE with Adam over one grid.Segments
 batch: thread models read its gaps, corner-mode reply models the corner
@@ -112,23 +113,16 @@ class TrainConfig:
 
 
 class _ModelBase:
-    config: ModelConfig
-    stack: TCNStack
-
-    def _build_stack(self, config: ModelConfig, kind: str, seed, dtype) -> np.random.Generator:
-        """Check config.kind and build the shared stack; returns the
-        generator the head draws its initial weights from next."""
+    def __init__(self, config: ModelConfig, kind: str, rng: np.random.Generator, dtype):
+        """Check config.kind and build the shared stack; the head draws from rng next."""
         if config.kind != kind:
             raise ValueError(f"config.kind must be {kind!r}")
         self.config = config
         self.dtype = dtype
-        self._tape = None  # what backward reads of the last forward's head
-        rng = np.random.default_rng(seed)
         self.stack = TCNStack(
             rng, len(config.channels), config.n_filters, config.k_h, config.k_w,
             config.n_blocks, dtype,
         )
-        return rng
 
     @property
     def kind(self) -> str:
@@ -165,29 +159,30 @@ class ThreadArrivalModel(_ModelBase):
     """Predicts the row gap to the next thread from the anchor cell."""
 
     def __init__(self, config: ModelConfig, seed, dtype):
-        rng = self._build_stack(config, "thread", seed, dtype)
+        rng = np.random.default_rng(seed)
+        super().__init__(config, "thread", rng, dtype)
         f = config.n_filters
         self.fc1 = DenseLayer(rng, f, f, dtype=dtype, name="head.fc1")
         self.act = PReLULayer(f, dtype=dtype, name="head.act")
         self.fc2 = DenseLayer(rng, f, 1, dtype=dtype, name="head.fc2")
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, tape: dict) -> np.ndarray:
         """x: (N, C, h, w) -> predicted gaps (N,), all >= 0."""
-        u = self.stack.forward(x, train)
+        u = self.stack.forward(x, train, tape)
         anchor = u[:, :, -1, -1]
         h1 = self.fc1.forward(anchor)
         a1 = self.act.forward(h1)
         z = self.fc2.forward(a1)[:, 0]
-        self._tape = (u.shape, anchor, h1, a1, z)
+        tape["head"] = (u.shape, anchor, h1, a1, z)
         return softplus(z)
 
-    def backward(self, grad_pred: np.ndarray) -> None:
-        u_shape, anchor, h1, a1, z = self._tape
+    def backward(self, tape: dict, grad_pred: np.ndarray) -> None:
+        u_shape, anchor, h1, a1, z = tape["head"]
         gz = (grad_pred * sigmoid(z))[:, None]
         g_anchor = self.fc1.backward(anchor, self.act.backward(h1, self.fc2.backward(a1, gz)))
         gu = np.zeros(u_shape, dtype=g_anchor.dtype)
         gu[:, :, -1, -1] = g_anchor
-        self.stack.backward(gu, False)
+        self.stack.backward(tape, gu, False)
 
     def params(self) -> list[Parameter]:
         return self.stack.params() + self.fc1.params() + self.act.params() + self.fc2.params()
@@ -196,27 +191,28 @@ class ThreadArrivalModel(_ModelBase):
         """Single-window eval-mode prediction; col_index is unused here
         (ground-truth stand-ins key off it)."""
         x = features.astype(self.dtype)[None]
-        return float(self.forward(x, train=False)[0])
+        return float(self.forward(x, False, {})[0])
 
 
 class ReplyCountModel(_ModelBase):
     """Per-cell next-row count estimates, fully convolutional."""
 
     def __init__(self, config: ModelConfig, seed, dtype):
-        rng = self._build_stack(config, "reply", seed, dtype)
+        rng = np.random.default_rng(seed)
+        super().__init__(config, "reply", rng, dtype)
         self.head = ConvLayer(rng, config.n_filters, 1, 1, 1, tau=1, dtype=dtype, name="head.conv")
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, tape: dict) -> np.ndarray:
         """x: (N, C, h, w) -> (N, h, w); cell (i, j) estimates counts[i+1, j]."""
-        u = self.stack.forward(x, train)
+        u = self.stack.forward(x, train, tape)
         z = self.head.forward(u)[:, 0]
-        self._tape = (u, z)
+        tape["head"] = (u, z)
         return softplus(z)
 
-    def backward(self, grad_pred: np.ndarray) -> None:
-        u, z = self._tape
+    def backward(self, tape: dict, grad_pred: np.ndarray) -> None:
+        u, z = tape["head"]
         gz = (grad_pred * sigmoid(z))[:, None]
-        self.stack.backward(self.head.backward(u, gz, True), False)
+        self.stack.backward(tape, self.head.backward(u, gz, True), False)
 
     def params(self) -> list[Parameter]:
         return self.stack.params() + self.head.params()
@@ -224,7 +220,7 @@ class ReplyCountModel(_ModelBase):
     def predict_next_rows(self, features: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
         """Predicted counts for the row just below each of N windows
         (N, C, h, w): (N, w), the last row of one eval-mode forward,
-        which keeps nothing for backward. The stack computes only that
+        which writes no tape. The stack computes only that
         row's receptive-field cone (TCNStack.forward at one row), and the
         head runs over the whole plane, as in forward, because its
         one-filter products are matrix-vector ones that round by the
@@ -237,7 +233,7 @@ class ReplyCountModel(_ModelBase):
         ground-truth stand-ins."""
         _, _, h, w = features.shape
         rows = range(max(0, h - 2) if w == 1 else h - 1, h)
-        u = self.stack.forward(features.astype(self.dtype), False, *rows)
+        u = self.stack.forward(features.astype(self.dtype), False, {}, *rows)
         return softplus(self.head.forward(u)[:, 0, -1])
 
     def predict_next_row(
@@ -301,11 +297,11 @@ def _prepare(model, segments: Segments):
     return rows, segments.target[rows], weight[rows]
 
 
-def _batch_loss(model, segments: Segments, batch, sel: np.ndarray, train: bool):
-    """Returns (loss, grad wrt raw model output, weight mass). Only the
-    selected windows are cast to the model's dtype."""
+def _batch_loss(model, segments: Segments, batch, sel: np.ndarray, train: bool, tape: dict):
+    """Returns (loss, grad wrt raw model output, weight mass), the forward's
+    tape in tape. Only the selected windows are cast to the model's dtype."""
     rows, y, weight = batch
-    pred = model.forward(segments.features[rows[sel]].astype(model.dtype), train)
+    pred = model.forward(segments.features[rows[sel]].astype(model.dtype), train, tape)
     if weight is not None:
         w = weight[sel]
         loss, g = mse_loss(pred, y[sel], w)
@@ -330,6 +326,7 @@ def train(model, segments: Segments, cfg: TrainConfig) -> list[float]:
     rng = np.random.default_rng(cfg.seed)
     decay = cfg.weight_decay if model.kind == "reply" else 0.0
     params = model.params()
+    tape: dict = {}  # each forward replaces the last batch's entries as it goes
     history: list[float] = []
     n = len(batch[0])
     for _ in range(cfg.epochs):
@@ -338,10 +335,10 @@ def train(model, segments: Segments, cfg: TrainConfig) -> list[float]:
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             model.zero_grads()
-            loss, g, m = _batch_loss(model, segments, batch, sel, train=True)
+            loss, g, m = _batch_loss(model, segments, batch, sel, True, tape)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {len(history)}")
-            model.backward(g)
+            model.backward(tape, g)
             for p in params:
                 if not np.isfinite(p.grad).all():
                     raise TrainingDiverged(
@@ -363,7 +360,7 @@ def dataset_loss(model, segments: Segments) -> float:
     num, mass, batch_size = 0.0, 0.0, 256
     for start in range(0, n, batch_size):
         sel = np.arange(start, min(start + batch_size, n))
-        loss, _, m = _batch_loss(model, segments, batch, sel, train=False)
+        loss, _, m = _batch_loss(model, segments, batch, sel, False, {})
         num += loss * m
         mass += m
     return num / mass

@@ -7,9 +7,9 @@ the generic TCN, so the per-axis receptive field grows as
 r_l = r_{l-1} + (k - 1) * tau_l from r_0 = 1. Asked for some output
 rows only, an evenly spaced set, a stack serves them: each block
 computes the shortest evenly spaced range holding its share of their
-receptive field and is handed only the rows it reads. Layers keep
-nothing; the stack keeps the tapes of its last whole-plane forward,
-what backward reads.
+receptive field and is handed only the rows it reads. Blocks and
+stacks hold parameters only: a whole-plane forward writes what backward
+reads into a tape, a dict the caller hands it and hands backward.
 
 Causality caveat: in TRAIN mode batch norm couples every cell through
 the batch moments, so bit-exact causality statements hold in EVAL mode,
@@ -17,6 +17,8 @@ where normalisation is a fixed per-channel affine map. The probe and
 all prediction paths run EVAL.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,16 +84,13 @@ class TCNStack:
                           dtype, f"stack.block{l}")
             for l in range(n_blocks)
         ]
-        whole = np.s_[:]
-        # forward plans, by output rows (_cone); no rows is the whole plane
-        self._cones: dict = {(): (whole, [((), whole)] * n_blocks, whole)}
-        self._tapes: list = [None] * n_blocks  # the last whole-plane forward's, for backward
 
-    def forward(self, x: np.ndarray, train: bool, *rows: int) -> np.ndarray:
-        """x: (N, C, H, W) -> (N, F, H, W).
+    def forward(self, x: np.ndarray, train: bool, tape: dict, *rows: int) -> np.ndarray:
+        """x: (N, C, H, W) -> (N, F, H, W); block l's tape, what backward
+        reads, goes to tape[l] as the block returns, replacing the one there.
 
         Given output rows, an evenly spaced set, the forward is a serving
-        call: eval mode only, nothing is kept for backward, and every other
+        call: eval mode only, every tape[l] is None, and every other
         output row is zero. Each block computes just its share of the rows'
         receptive-field cone (_cone), from only the rows it reads, so every
         computed cell sums the same values as in the full forward
@@ -102,43 +101,26 @@ class TCNStack:
             raise ValueError("a forward at given rows runs in eval mode")
         if not all(0 <= r < hgt for r in rows):
             raise ShapeError(f"output rows {rows} outside an input of {hgt} rows")
-        first, plan, out = self._cone(tuple(sorted(set(rows))))
-        tapes = [None] * len(plan) if rows else self._tapes
+        ladder = tuple((b.conv.weight.value.shape[2], b.conv.tau) for b in self.blocks)
+        first, plan, out = _cone(ladder, tuple(sorted(set(rows))))
         x = x[:, :, first]
-        # a block's last tape goes as its new one comes: emptying the slot
-        # before the block runs made training slower (ROADMAP)
+        # a block's last tape goes as its new one comes: emptying the entry
+        # before the block runs, or during backward, made training slower (ROADMAP)
         for l, (block, (block_rows, skip)) in enumerate(zip(self.blocks, plan)):
-            x, tapes[l] = block.forward(x, train, skip, *block_rows)
+            x, tape[l] = block.forward(x, train, skip, *block_rows)
         if not rows:
             return x
         full = np.zeros(x.shape[:2] + (hgt,) + x.shape[3:], dtype=x.dtype)
         full[:, :, out] = x
         return full
 
-    def _cone(self, rows: tuple[int, ...]):
-        """The plan for the given ascending output rows, built once per row
-        set, every row set an evenly spaced range cut by a slice: block 0's
-        rows of the stack input, per block the rows it computes (what the
-        block after it reads, nn.rows_read) and their slice of the rows it
-        is handed, which end with them, and the output rows."""
-        if rows not in self._cones:
-            plan, wanted = [], row_range(rows)
-            out = slice(wanted.start, wanted.stop, wanted.step)
-            for block in reversed(self.blocks):
-                held = rows_read(wanted, block.conv.weight.value.shape[2], block.conv.tau)
-                skip = np.s_[held.index(wanted[0]) :: wanted.step // held.step or 1]
-                plan.insert(0, (wanted, skip))
-                wanted = held
-            self._cones[rows] = (slice(wanted.start, wanted.stop, wanted.step), plan, out)
-        return self._cones[rows]
-
-    def backward(self, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
-        """The gradient at the last whole-plane forward's input, or None
-        without input_grad: then block 0 computes only its parameters'
-        gradients."""
-        for block, tape in zip(self.blocks[:0:-1], self._tapes[:0:-1]):
-            upstream = block.backward(tape, upstream, True)
-        return self.blocks[0].backward(self._tapes[0], upstream, input_grad)
+    def backward(self, tape: dict, upstream: np.ndarray, input_grad: bool) -> np.ndarray | None:
+        """The gradient at the input of the whole-plane forward that wrote
+        tape, or None without input_grad: then block 0 computes only its
+        parameters' gradients."""
+        for l in range(len(self.blocks) - 1, 0, -1):
+            upstream = self.blocks[l].backward(tape[l], upstream, True)
+        return self.blocks[0].backward(tape[0], upstream, input_grad)
 
     def params(self) -> list[Parameter]:
         return [p for block in self.blocks for p in block.params()]
@@ -150,6 +132,26 @@ class TCNStack:
             out.append((f"{block.name}.norm.running_mean", block.norm.running.mean))
             out.append((f"{block.name}.norm.running_var", block.norm.running.var))
         return out
+
+
+@functools.lru_cache(maxsize=256)
+def _cone(ladder: tuple[tuple[int, int], ...], rows: tuple[int, ...]):
+    """The forward plan of a stack whose blocks' convs have ladder's (k_h, tau),
+    for the given ascending output rows (none: the whole plane), every row set
+    an evenly spaced range cut by a slice: block 0's rows of the stack input,
+    per block the rows it computes (what the next block reads, nn.rows_read)
+    and their slice of the rows it is handed, which end with them, and the output rows."""
+    whole = np.s_[:]
+    if not rows:
+        return whole, (((), whole),) * len(ladder), whole
+    plan, wanted = [], row_range(rows)
+    out = slice(wanted.start, wanted.stop, wanted.step)
+    for k_h, tau in reversed(ladder):
+        held = rows_read(wanted, k_h, tau)
+        skip = np.s_[held.index(wanted[0]) :: wanted.step // held.step or 1]
+        plan.insert(0, (wanted, skip))
+        wanted = held
+    return slice(wanted.start, wanted.stop, wanted.step), tuple(plan), out
 
 
 def state_arrays(owner) -> list[tuple[str, np.ndarray]]:
@@ -209,9 +211,10 @@ def causality_probe(
     rng = np.random.default_rng(0)  # initial weights are overwritten
     probe = TCNStack(rng, c_in, n_filters, k_h, k_w, len(stack.blocks), np.float64)
     load_state(probe, state_arrays(stack))
-    out = probe.forward(np.ones((1, c_in, height, width)), train=False)
+    tape: dict = {}
+    out = probe.forward(np.ones((1, c_in, height, width)), False, tape)
     up = np.zeros_like(out)
     up[0, :, i, j] = 1.0
-    influence = np.abs(probe.backward(up, True)[0]).sum(axis=0)
+    influence = np.abs(probe.backward(tape, up, True)[0]).sum(axis=0)
     rows, cols = np.nonzero(influence > 0)
     return {(int(r), int(c)) for r, c in zip(rows, cols)}

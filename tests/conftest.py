@@ -175,7 +175,7 @@ def tiny_model(kind: str, seed: int = 0, dtype=np.float32, **kw):
 def predict_plane(model, features: np.ndarray) -> np.ndarray:
     """A reply model's whole (h, w) eval-mode output for one (C, h, w)
     window; predict_next_row returns its last row."""
-    return model.forward(features.astype(model.dtype)[None], train=False)[0]
+    return model.forward(features.astype(model.dtype)[None], False, {})[0]
 
 
 def zero_weights(model) -> None:

@@ -113,7 +113,7 @@ def test_criterion_2_causality_and_receptive_field():
                 dtype=np.float64,
             )
             x = rng.normal(size=(1, 3, size, size))
-            base = stack.forward(x, train=False)[0, :, probe[0], probe[1]].copy()
+            base = stack.forward(x, False, {})[0, :, probe[0], probe[1]].copy()
             for _ in range(200):
                 if rng.random() < 0.5:
                     r = int(rng.integers(probe[0] + 1, size))
@@ -123,7 +123,7 @@ def test_criterion_2_causality_and_receptive_field():
                     c = int(rng.integers(probe[1] + 1, size))
                 bumped = x.copy()
                 bumped[0, :, r, c] += rng.normal()
-                out = stack.forward(bumped, train=False)[0, :, probe[0], probe[1]]
+                out = stack.forward(bumped, False, {})[0, :, probe[0], probe[1]]
                 assert np.array_equal(out, base)  # exactly zero change
                 n_perturbations += 1
 
@@ -211,11 +211,12 @@ def test_criterion_3_gradient_checks():
         )
 
         def loss_fn():
-            return mse_loss(model.forward(xm, train=True), y)[0]
+            return mse_loss(model.forward(xm, True, {}), y)[0]
 
         model.zero_grads()
-        _, g = mse_loss(model.forward(xm, train=True), y)
-        model.backward(g)
+        tape: dict = {}
+        _, g = mse_loss(model.forward(xm, True, tape), y)
+        model.backward(tape, g)
         err = grad_check(loss_fn, model.params())
         worst[f"{kind} model"] = err
         assert err < TOL, f"{kind} model: relative error {err:.2e}"

@@ -195,9 +195,9 @@ def _layer_classes(tree: ast.Module) -> set[str]:
 
 def _assigns_self(tree: ast.Module, classes: set[str]) -> list[str]:
     """Class.method for each method of the given classes, __init__ aside,
-    that assigns or deletes an attribute of its first parameter: as an
-    assignment, augmented, annotated or tuple target, or through setattr
-    or delattr."""
+    that assigns or deletes an attribute of its first parameter, or an item
+    of one (self.memo[key] = ...): as an assignment, augmented, annotated or
+    tuple target, or through setattr or delattr."""
     out = []
     for cls in tree.body:
         if not (isinstance(cls, ast.ClassDef) and cls.name in classes):
@@ -207,7 +207,9 @@ def _assigns_self(tree: ast.Module, classes: set[str]) -> list[str]:
                 continue
             me = fn.args.args[0].arg
             for node in ast.walk(fn):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    owner = node.value.value if isinstance(node.value, ast.Attribute) else node.value
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
                     owner = node.value
                 elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
                         "setattr", "delattr") and node.args:
@@ -221,13 +223,20 @@ def _assigns_self(tree: ast.Module, classes: set[str]) -> list[str]:
 
 
 def test_layers_hold_parameters_only():
+    """The layers, the blocks and stacks built of them and both models:
+    what backward reads lives in the tape their caller hands forward."""
     package = Path(gridcast.__file__).parent
     trees = {name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
-             for name in ("nn", "tcn")}
+             for name in ("nn", "tcn", "models")}
     layers = _layer_classes(trees["nn"])
     assert layers >= NN_LAYERS  # the rule sees every layer
-    stateful = _assigns_self(trees["nn"], layers) + _assigns_self(trees["tcn"], {"TemporalBlock"})
-    assert stateful == [], "a layer keeps state between calls; callers keep what backward reads"
+    stacks = _layer_classes(trees["tcn"])
+    assert stacks == {"TemporalBlock", "TCNStack"}
+    model_classes = _layer_classes(trees["models"])
+    assert model_classes == {"ThreadArrivalModel", "ReplyCountModel"}
+    stateful = (_assigns_self(trees["nn"], layers) + _assigns_self(trees["tcn"], stacks)
+                + _assigns_self(trees["models"], model_classes | {"_ModelBase"}))
+    assert stateful == [], "an object keeps state between calls; callers keep what backward reads"
 
 
 def test_the_layer_check_sees_every_assignment_form():
@@ -250,8 +259,15 @@ class Layer:
         setattr(self, "k", 1)
     def clear(self):
         del self.w
+    def keeps(self, tapes):
+        self._tapes = tapes
+    def plans(self, rows):
+        self._cones[rows] = rows
     def reads(self):
         return self.w.grad
+    def fills(self, tape, x):
+        tape[0] = x
+        self.w.grad[0] = x
 
 class Plain:
     def step(self):
@@ -261,6 +277,7 @@ class Plain:
     assert _layer_classes(tree) == {"Layer"}
     assert _assigns_self(tree, {"Layer"}) == [
         "Layer.forward", "Layer.backward", "Layer.annotated", "Layer.indirect", "Layer.clear",
+        "Layer.keeps", "Layer.plans",
     ]
 
 

@@ -1,12 +1,13 @@
 """Model wiring, training loop, hyperparameter search, gap-to-time."""
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import ORACLE_KERNELS, predict_plane, tiny_config, tiny_model, zero_weights
 
-from gridcast import nn
+from gridcast import experiments, nn
 from gridcast.config import RunSettings
 from gridcast.grid import (
     CHANNEL_ORDER,
@@ -145,10 +146,10 @@ def test_predict_next_rows_has_the_bits_of_the_full_forward(cfg):
             for n in sorted({1, step, step + 1}):
                 x = rng.uniform(0, 3, size=(n, len(cfg.channels), h, w))
                 rows = np.arange(n)
-                want = model.forward(x.astype(np.float32), train=False)[:, -1, :]
+                want = model.forward(x.astype(np.float32), False, {})[:, -1, :]
                 assert model.predict_next_rows(x, rows).tobytes() == want.tobytes(), (h, w, n)
                 p64 = clone.predict_next_rows(x, rows)
-                q64 = clone.forward(x, train=False)[:, -1, :]
+                q64 = clone.forward(x, False, {})[:, -1, :]
                 assert np.all(np.abs(p64 - q64) <= 1e-4 + 1e-3 * np.abs(q64))
 
 
@@ -185,29 +186,62 @@ def test_memoised_constants_follow_every_change_of_the_parameters():
     p = changed(p)
     train(model, make_segs(rng, cfg, [1.0] * 4), TrainConfig(lr=1e-2, epochs=1, batch_size=4))
     p = changed(p)  # one Adam step, after one train-mode forward
-    model.forward(x.astype(np.float32), train=True)  # moves only the running stats
+    model.forward(x.astype(np.float32), True, {})  # moves only the running stats
     changed(p)
 
 
+@pytest.mark.parametrize("kind", ["thread", "reply"])
+def test_eval_calls_between_a_forward_and_its_backward_leave_the_gradients(kind):
+    """The caller owns the tape: a same-size eval forward, a serving call
+    (predict_gap, predict_next_rows) or a dataset_loss between a training
+    forward and its backward leaves every parameter gradient bit-identical."""
+    cfg = replace(RunSettings().model_config("reply"), kind=kind)
+    rng = np.random.default_rng(5)
+    segs = make_segs(rng, cfg, [2.0] * 6)
+    x = segs.features[:4].astype(np.float32)
+
+    def grads(between) -> list[bytes]:
+        model = build_model(cfg, seed=2)
+        tape: dict = {}
+        pred = model.forward(x, True, tape)
+        between(model)
+        model.backward(tape, nn.mse_loss(pred, np.ones(pred.shape))[1])
+        return [p.grad.tobytes() for p in model.params()]
+
+    serve = ((lambda m: m.predict_gap(x[0])) if kind == "thread"
+             else (lambda m: m.predict_next_rows(x, np.arange(4))))
+    want = grads(lambda m: None)
+    for between in (lambda m: m.forward(x, False, {}), serve, lambda m: dataset_loss(m, segs)):
+        assert grads(between) == want
+
+
+@pytest.mark.parametrize("cfg", [experiments.REPLY_MODEL, experiments.THREAD_MODEL],
+                         ids=["reply", "thread"])
+def test_an_eval_forward_leaves_nothing_behind(cfg):
+    """Once a 256-window eval forward returns and its tape is dropped,
+    under 0.1 MB is still allocated: nothing of it stays on the model."""
+    model = build_model(cfg, seed=1)
+    x = np.random.default_rng(3).uniform(0, 3, size=(256, len(cfg.channels), *cfg.window))
+    x = x.astype(np.float32)
+    model.forward(x, False, {})  # fills the memos of this geometry
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.forward(x, False, {})
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, f"{held / 1e6:.2f} MB held"
+
+
 def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeypatch):
-    """predict_next_rows keeps nothing for backward: no tape lands on the
-    stack, and a call between a training forward and its backward leaves
-    the gradients bit-identical. Each block's conv is handed only the rows
+    """predict_next_rows writes no tape (the models hold parameters only, a
+    rule in test_layering.py). Each block's conv is handed only the rows
     it reads, 15, 7 and 3 of the default 16-row window, and computes 7, 3
     and 1; the projection reads block 0's 7 rows, the head the whole plane.
     A one-column window's blocks compute ranges of 14, 10 and 2 rows."""
     cfg = RunSettings().model_config("reply")
     x = np.random.default_rng(5).uniform(0, 3, size=(4, len(cfg.channels), *cfg.window))
-
-    def grads(serve_between: bool) -> list[bytes]:
-        model = build_model(cfg, seed=2)
-        pred = model.forward(x.astype(np.float32), train=True)
-        if serve_between:
-            model.predict_next_rows(x, np.arange(4))
-        model.backward(nn.mse_loss(pred, np.ones(pred.shape))[1])
-        return [p.grad.tobytes() for p in model.params()]
-
-    assert grads(True) == grads(False)
     model = build_model(cfg, seed=2)
     seen = []
     real = nn.conv2d_causal_dilated
@@ -219,7 +253,6 @@ def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeyp
     monkeypatch.setattr(nn, "conv2d_causal_dilated", recording)
     model.predict_next_rows(x, np.arange(4))
     assert seen == [(15, 7), (7, 0), (7, 3), (3, 1), (16, 0)]
-    assert model.stack._tapes == [None] * len(model.stack.blocks)
     # a one-column window serves its last two rows; block 2 reads 6 of them,
     # held by the evenly spaced hull of rows 6-15, which block 1 computes
     seen.clear()
@@ -361,8 +394,8 @@ def test_training_diverged_on_non_finite_gradient(monkeypatch):
     last = model.params()[-1]
     backward = model.backward
 
-    def poisoned_backward(g):
-        backward(g)
+    def poisoned_backward(tape, g):
+        backward(tape, g)
         last.grad.flat[0] = np.nan
 
     monkeypatch.setattr(model, "backward", poisoned_backward)
@@ -471,7 +504,8 @@ def test_training_without_block_0s_input_gradient_is_bit_identical(monkeypatch, 
     for full in (False, True):
         with monkeypatch.context() as patch:
             if full:
-                patch.setattr(TCNStack, "backward", lambda self, up, _: skipping(self, up, True))
+                patch.setattr(TCNStack, "backward",
+                              lambda self, tape, up, _: skipping(self, tape, up, True))
             model = build_model(cfg, seed=4)
             history = train(model, segs, TrainConfig(epochs=2, batch_size=4, seed=9))
         runs.append((history, [(name, a.tobytes()) for name, a in state_arrays(model)],

@@ -82,7 +82,7 @@ def test_zero_weight_two_block_stack_is_identity():
     for block in stack.blocks:
         _zero_block(block)
     x = rng.uniform(0.0, 2.0, size=(1, 3, 5, 4))
-    assert (stack.forward(x, train=False) == x).all()
+    assert (stack.forward(x, False, {}) == x).all()
 
 
 def test_block_hand_trace_eval_mode():
@@ -109,16 +109,16 @@ def test_stack_forward_is_block_composition():
     stack = TCNStack(rng, 2, 4, 3, 3, 2, np.float64)
     x = rng.normal(size=(1, 2, 6, 5))
     manual, _ = stack.blocks[1].forward(stack.blocks[0].forward(x, False, WHOLE)[0], False, WHOLE)
-    assert np.allclose(stack.forward(x, train=False), manual)
+    assert np.allclose(stack.forward(x, False, {}), manual)
 
 
 def test_batched_forward_matches_per_sample_eval():
     rng = np.random.default_rng(7)
     stack = TCNStack(rng, 2, 3, 2, 2, 2, np.float64)
     x = rng.normal(size=(3, 2, 4, 4))
-    batched = stack.forward(x, train=False)
+    batched = stack.forward(x, False, {})
     for n in range(3):
-        assert np.allclose(batched[n], stack.forward(x[n : n + 1], train=False)[0])
+        assert np.allclose(batched[n], stack.forward(x[n : n + 1], False, {})[0])
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +128,15 @@ def test_batched_forward_matches_per_sample_eval():
 def test_a_forward_at_given_rows_is_eval_only_and_inside_the_input():
     stack = TCNStack(np.random.default_rng(3), 2, 3, 2, 2, 2, np.float32)
     x = np.ones((1, 2, 6, 4), dtype=np.float32)
-    full = stack.forward(x, train=False)
-    assert stack.forward(x, False, 5, 2).tobytes() == np.where(
+    full = stack.forward(x, False, {})
+    assert stack.forward(x, False, {}, 5, 2).tobytes() == np.where(
         np.isin(np.arange(6), [2, 5])[:, None], full, 0).tobytes()
     with pytest.raises(ValueError, match="eval"):
-        stack.forward(x, True, 5)
+        stack.forward(x, True, {}, 5)
     with pytest.raises(ShapeError, match="outside"):
-        stack.forward(x, False, 6)
+        stack.forward(x, False, {}, 6)
     with pytest.raises(ShapeError, match="evenly spaced"):
-        stack.forward(x, False, 1, 2, 4)
+        stack.forward(x, False, {}, 1, 2, 4)
 
 
 def test_block_gradients_match_fd_eval_and_train():
@@ -174,16 +174,17 @@ def test_stack_input_gradient_matches_fd():
     stack = TCNStack(rng, 1, 2, 2, 2, 2, np.float64)
     x = rng.normal(size=(1, 1, 4, 4))
     up = rng.normal(size=(1, 2, 4, 4))
-    stack.forward(x, train=False)
-    gx = stack.backward(up, True)
+    tape: dict = {}
+    stack.forward(x, False, tape)
+    gx = stack.backward(tape, up, True)
     assert gx.shape == x.shape
     eps = 1e-6
     fd = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
         x[idx] += eps
-        fp = float((stack.forward(x, train=False) * up).sum())
+        fp = float((stack.forward(x, False, {}) * up).sum())
         x[idx] -= 2 * eps
-        fm = float((stack.forward(x, train=False) * up).sum())
+        fm = float((stack.forward(x, False, {}) * up).sum())
         x[idx] += eps
         fd[idx] = (fp - fm) / (2 * eps)
     assert np.allclose(gx, fd, atol=1e-6)
@@ -263,7 +264,7 @@ def test_future_perturbations_leave_output_cell_bit_exact():
     stack = TCNStack(rng, 2, 4, 3, 3, 2, np.float64)
     i, j = 5, 4
     x = rng.normal(size=(1, 2, 8, 7))
-    base = stack.forward(x, train=False)[0, :, i, j].copy()
+    base = stack.forward(x, False, {})[0, :, i, j].copy()
     for trial in range(20):
         x2 = x.copy()
         # pick a cell strictly below or strictly right of (i, j)
@@ -272,5 +273,5 @@ def test_future_perturbations_leave_output_cell_bit_exact():
         else:
             r, c = rng.integers(0, 8), rng.integers(j + 1, 7)
         x2[0, :, r, c] += rng.normal()
-        out = stack.forward(x2, train=False)[0, :, i, j]
+        out = stack.forward(x2, False, {})[0, :, i, j]
         assert (out == base).all()
