@@ -49,9 +49,9 @@ from .experiments import (
     synth_corpus,
     train_on_split,
 )
-from .forecast import ForecastState, adaptive_forecast, duration_intervals
-from .grid import GridError, assemble_features, window_at
-from .models import arrival_time
+from .forecast import ForecastState, Lockstep, adaptive_forecast, duration_intervals
+from .grid import GridError, assemble_features
+from .models import arrival_time, gap_estimates
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,25 +206,19 @@ def cmd_predict(args) -> None:
         s = _settings(args)
         grid = grid_for(_stream(args), s)
     model, _ = load_checkpoint(args.checkpoint)
-    data = assemble_features(grid, model.channels).data
-    h, w = model.window
-    rows = []
     if model.kind == "thread":
         header = ["col", "o_hat", "t_next"]
-        for j in range(grid.spec.n_cols):
-            a = int(grid.arrival_rows[j])
-            if a >= grid.spec.n_rows:
-                continue
-            win = window_at(data, a, j, h, w)
-            o_hat = model.predict_gap(win, j + 1)
-            t_prev = grid.spec.t0 + a * grid.spec.d
+        cols = [j for j in range(grid.spec.n_cols) if grid.arrival_rows[j] < grid.spec.n_rows]
+        gaps = gap_estimates(model, assemble_features(grid, model.channels).data,
+                             grid.arrival_rows, cols)
+        rows = []
+        for j, o_hat in zip(cols, gaps):
+            t_prev = grid.spec.t0 + int(grid.arrival_rows[j]) * grid.spec.d
             rows.append((j, o_hat, arrival_time(t_prev, o_hat, grid.spec.d, "simulate")))
     else:
         header = ["col", "next_count"]
-        win = window_at(
-            data, grid.spec.n_rows - 1, grid.spec.n_cols - 1, h, grid.spec.n_cols
-        )
-        pred = model.predict_next_row(win, grid.spec.n_rows)
+        # the roll the curve and the closed loop make, from the last h rows only
+        pred = Lockstep.of([grid.counts], [grid.arrival_rows], model.window[0]).roll(model)[0]
         rows = [(j, float(pred[j])) for j in range(grid.spec.n_cols)]
     write_csv(args.out, header, rows)
     _say({"rows": len(rows), "kind": model.kind, "out": args.out})

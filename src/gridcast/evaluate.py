@@ -7,10 +7,11 @@ Three measurement protocols, all deterministic given (seed, config):
   the true next arrival, in hours;
 * reply counts: one-step-ahead row predictions compared cell-wise to
   true counts on post-arrival cells;
-* adaptive: seeded start points, closed-loop simulation of the next
-  n_threads cascades, per-step arrival error (hours) and per-cascade
-  reply totals at checkpoints 2d..10d (counts), each cascade's window
-  taken relative to its own (predicted vs true) arrival row.
+* adaptive: seeded start points, simulated together in one closed loop
+  (forecast.adaptive_forecasts) for the next n_threads cascades,
+  per-step arrival error (hours) and per-cascade reply totals at
+  checkpoints 2d..10d (counts), each cascade's window taken relative to
+  its own (predicted vs true) arrival row.
 
 Thread errors are aggregated in seconds and converted to hours once,
 so integer-lattice fixtures telescope without float drift.
@@ -28,9 +29,9 @@ from enum import Enum
 
 import numpy as np
 
-from .forecast import ForecastState, adaptive_forecast, roll_until
+from .forecast import ForecastState, adaptive_forecasts, lockstep_size, roll_until
 from .grid import Channel, Grid, assemble_features, window_at
-from .models import arrival_time
+from .models import arrival_time, gap_estimates
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -177,18 +178,15 @@ def evaluate_thread_arrival(
     indices = list(indices)
     if not indices:
         raise ValueError("no evaluable thread indices")
-    h, w = model.window
-    data = assemble_features(grid, model.channels).data
-    errors_s = []
     for j in indices:
         if not 0 <= j <= grid.spec.n_cols - 2:
             raise IndexError(f"thread index {j} out of range")
         if grid.arrival_rows[j] >= grid.spec.n_rows:
             raise IndexError(f"thread {j} arrives beyond the grid rows")
-        win = window_at(data, int(grid.arrival_rows[j]), j, h, w)
-        o_hat = float(model.predict_gap(win, j + 1))
-        t_pred = arrival_time(tt[j], o_hat, grid.spec.d, mode=mode)
-        errors_s.append(abs(t_pred - tt[j + 1]))
+    gaps = gap_estimates(model, assemble_features(grid, model.channels).data, grid.arrival_rows,
+                         indices)
+    errors_s = [abs(arrival_time(tt[j], o_hat, grid.spec.d, mode=mode) - tt[j + 1])
+                for j, o_hat in zip(indices, gaps)]
     return _report(EvalTask.THREAD_ARRIVAL, errors_s, "hours")
 
 
@@ -245,6 +243,9 @@ def evaluate_adaptive(
     and per-checkpoint reply reports (counts, windows of 2d..10d from
     each cascade's own arrival row). Standard deviations are over start
     points (reply checkpoints first average within a start point).
+    The starts' states end at most n_cols wide, so they run through
+    adaptive_forecasts in slices of lockstep_size(h, n_cols), each within
+    LOCKSTEP_CELLS; whichever start of a slice fails first in the loop raises.
     """
     tt = np.asarray(thread_times, dtype=np.float64)
     if tt.shape != (grid.spec.n_cols,):
@@ -270,21 +271,23 @@ def evaluate_adaptive(
 
     step_err_s = np.zeros((take, n_threads))
     cp_err = {cp: np.zeros((take, n_threads)) for cp in checkpoints}
-    for si, j0 in enumerate(starts):
-        a0 = int(grid.arrival_rows[j0])
-        sub = grid.crop(a0 + 1, slice(0, j0 + 1))
-        state = ForecastState.from_grid(sub, thread_times=tt[: j0 + 1].tolist())
-        adaptive_forecast(state, thread_model, reply_model, n_threads, roll)
-        roll_until(state, reply_model, int(state.arrival_rows[-1]) + max_cp)
-        for k in range(1, n_threads + 1):
-            col = j0 + k
-            step_err_s[si, k - 1] = abs(state.thread_times[col] - tt[col])
-            r_hat = int(state.arrival_rows[col])
-            r_true = int(grid.arrival_rows[col])
-            for cp in checkpoints:
-                pred = int(state.counts[r_hat : r_hat + cp, col].sum())
-                true = int(grid.counts[r_true : r_true + cp, col].sum())
-                cp_err[cp][si, k - 1] = abs(pred - true)
+    size = lockstep_size(reply_model.window[0], n_cols)
+    for lo in range(0, take, size):
+        states = [ForecastState.from_grid(grid.crop(int(grid.arrival_rows[j0]) + 1,
+                                                    slice(0, j0 + 1)), tt[: j0 + 1].tolist())
+                  for j0 in starts[lo : lo + size]]
+        adaptive_forecasts(states, thread_model, reply_model, n_threads, roll)
+        for si, (j0, state) in enumerate(zip(starts[lo : lo + size], states), lo):
+            roll_until(state, reply_model, int(state.arrival_rows[-1]) + max_cp)
+            for k in range(1, n_threads + 1):
+                col = j0 + k
+                step_err_s[si, k - 1] = abs(state.thread_times[col] - tt[col])
+                r_hat = int(state.arrival_rows[col])
+                r_true = int(grid.arrival_rows[col])
+                for cp in checkpoints:
+                    pred = int(state.counts[r_hat : r_hat + cp, col].sum())
+                    true = int(grid.counts[r_true : r_true + cp, col].sum())
+                    cp_err[cp][si, k - 1] = abs(pred - true)
 
     thread_reports = [
         _report(

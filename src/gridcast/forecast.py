@@ -10,14 +10,15 @@ pre-arrival cells stay structural zeros, and an arrival cell carries at
 least the thread post itself. The window a model reads is rebuilt from
 the counts and arrival rows for every prediction, never cached; the gap
 prediction, once per simulated thread, cuts it from the whole state's
-features (ForecastState.features).
+features (ForecastState.features, models.gap_estimates).
 
 Every reply roll is a Lockstep roll: independent grids, each held as
 its last h rows, advance one row each with one window_features call and
-one batched prediction. roll_reply_rows wraps ForecastStates; a
-breakout curve and the d-sweep cut their Locksteps straight from the
-grid, at most LOCKSTEP_CELLS window cells each, so no roll holds a
-full-length prefix.
+one batched prediction. roll_reply_rows wraps ForecastStates; the
+closed loop (adaptive_forecasts) rolls the interval rows of all its
+states that way, one state being adaptive_forecast; a breakout curve
+and the d-sweep cut their Locksteps straight from the grid, at most
+LOCKSTEP_CELLS window cells each, so no roll holds a full-length prefix.
 
 Model protocol (duck-typed so ground-truth stand-ins drop in):
   - gap predictors expose .window, .channels and
@@ -56,10 +57,9 @@ from .grid import (
     GridError,
     GridSpec,
     assemble_features,
-    window_at,
     window_features,
 )
-from .models import arrival_time
+from .models import arrival_time, gap_estimates
 
 
 @dataclass
@@ -244,31 +244,35 @@ def append_thread_column(state: ForecastState, o_hat: float) -> int:
     return r_next
 
 
-def adaptive_forecast(
-    state: ForecastState,
-    thread_model,
-    reply_model,
-    n_threads: int,
-    n_intervals: int,
-) -> ForecastState:
-    """Alternate gap prediction and reply rolls, mutating the state.
+def adaptive_forecasts(states: list[ForecastState], thread_model, reply_model, n_threads: int,
+                       n_intervals: int) -> list[ForecastState]:
+    """Alternate gap prediction and reply rolls, mutating the states.
 
-    Before each gap prediction the newest column's anchor row is
-    materialised (rolling extra rows, within roll_until's bound, if a
-    long gap outran the grid).
+    On each thread step every state materialises its newest column's
+    anchor row (rolling extra rows, within roll_until's bound, if a long
+    gap outran the grid), predicts its gap (gap_estimates) and appends
+    the column; then the states roll their n_intervals rows together
+    (roll_reply_rows). Catch-ups and gaps stay one state at a time. The
+    states are independent: each ends as if it had been driven alone,
+    but the first failure, in any state, raises.
     """
     if n_threads < 0 or n_intervals < 0:
         raise GridError("n_threads and n_intervals must be >= 0")
-    h, w = thread_model.window
     for _ in range(n_threads):
-        roll_until(state, reply_model, int(state.arrival_rows[-1]) + 1)
-        data = state.features(thread_model.channels)
-        window = window_at(data, int(state.arrival_rows[-1]), state.n_cols - 1, h, w)
-        o_hat = float(thread_model.predict_gap(window, state.n_cols))
-        append_thread_column(state, o_hat)
+        for state in states:
+            roll_until(state, reply_model, int(state.arrival_rows[-1]) + 1)
+            append_thread_column(state, *gap_estimates(
+                thread_model, state.features(thread_model.channels), state.arrival_rows,
+                [state.n_cols - 1]))
         for _ in range(n_intervals):
-            roll_reply_row(state, reply_model)
-    return state
+            roll_reply_rows(states, reply_model)
+    return states
+
+
+def adaptive_forecast(state: ForecastState, thread_model, reply_model, n_threads: int,
+                      n_intervals: int) -> ForecastState:
+    """adaptive_forecasts for one state."""
+    return adaptive_forecasts([state], thread_model, reply_model, n_threads, n_intervals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,36 +327,25 @@ def breakout_classify(
         raise GridError("horizon must be >= 0")
     if not 0 <= column < state.n_cols:
         raise GridError(f"column {column} outside state")
-    return _breakout_verdicts(
-        [state.counts], [state.arrival_rows], [column], reply_model, l_bar, horizon_intervals,
-        [cascade_id], start_duration,
-    )[0]
+    total = _breakout_totals([state.counts], [state.arrival_rows], [column], reply_model,
+                             horizon_intervals)[0]
+    threshold = 2.0 * l_bar
+    return BreakoutVerdict(cascade_id, start_duration, float(state.counts[:, column].sum()),
+                           float(total), threshold, bool(total > threshold))
 
 
-def _breakout_verdicts(
-    grids_counts: list[np.ndarray],
-    arrivals: list[np.ndarray],
-    columns: list[int],
-    reply_model,
-    l_bar: float,
-    horizon_intervals: int,
-    cascade_ids: list[str],
-    start_duration: float,
-) -> list[BreakoutVerdict]:
-    """breakout_classify for each prefix grid, given by its counts and
-    its columns' arrival rows and left unchanged, and its target column;
-    the grids roll in one Lockstep."""
-    prefixes = [float(counts[:, column].sum()) for counts, column in zip(grids_counts, columns)]
-    totals = np.array(prefixes)
+def _breakout_totals(grids_counts: list[np.ndarray], arrivals: list[np.ndarray],
+                     columns: list[int], reply_model, horizon_intervals: int) -> np.ndarray:
+    """breakout_classify's predicted total for each prefix grid, given by
+    its counts and its columns' arrival rows and left unchanged, and its
+    target column; the grids roll in one Lockstep."""
+    totals = np.array([float(counts[:, column].sum())
+                       for counts, column in zip(grids_counts, columns)])
     if horizon_intervals > 0 and reply_model is not None:
         lockstep = Lockstep.of(grids_counts, arrivals, reply_model.window[0])
         for _ in range(horizon_intervals):
             totals += lockstep.roll(reply_model)[np.arange(len(columns)), columns]
-    threshold = 2.0 * l_bar
-    return [
-        BreakoutVerdict(cascade_id, start_duration, prefix, total, threshold, total > threshold)
-        for cascade_id, prefix, total in zip(cascade_ids, prefixes, totals.tolist())
-    ]
+    return totals
 
 
 def build_breakout_state(
@@ -407,13 +400,12 @@ def _breakout_calls(
     n_rows = grid.counts.shape[0]
     ends = [min(int(grid.arrival_rows[j]) + s_int, n_rows) for j in cols]
     firsts = [max(0, j - context_cols + 1) for j in cols]
-    verdicts = _breakout_verdicts(
+    totals = _breakout_totals(
         [grid.counts[:r, c0 : j + 1] for j, r, c0 in zip(cols, ends, firsts)],
         [grid.arrival_rows[c0 : j + 1] for j, c0 in zip(cols, firsts)],
-        [j - c0 for j, c0 in zip(cols, firsts)], reply_model, l_bar, horizon_intervals,
-        [""] * len(cols), 0.0,
+        [j - c0 for j, c0 in zip(cols, firsts)], reply_model, horizon_intervals,
     )
-    return [v.is_breakout for v in verdicts]
+    return (totals > 2.0 * l_bar).tolist()
 
 
 def _run_share(jobs: list, share: list[int]) -> tuple[dict, tuple | None]:

@@ -41,6 +41,7 @@ from .grid import (
     frontier_segments,
     slice_segments,
     time_split,
+    window_at,
 )
 from .nn import (
     ConvLayer,
@@ -248,6 +249,16 @@ def build_model(config: ModelConfig, seed=0, dtype=np.float32):
     if config.kind == "thread":
         return ThreadArrivalModel(config, seed, dtype)
     return ReplyCountModel(config, seed, dtype)
+
+
+def gap_estimates(model, features: np.ndarray, arrival_rows, cols) -> list[float]:
+    """The gap step: for each column j in cols, the gap predicted from the
+    window anchored at j's arrival row, for the column j + 1 it creates.
+    features is a grid's (C, n_rows, n_cols) channel stack; each window is
+    predicted alone (predict_gap)."""
+    h, w = model.window
+    return [float(model.predict_gap(window_at(features, int(arrival_rows[j]), j, h, w), j + 1))
+            for j in cols]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny streams, grids, stub predictors, strategies,
 and, kept as oracles, the earlier np.where / scatter-form kernels, the
-column-max relative time and the per-cascade roll and breakout curve."""
+column-max relative time, the per-cascade roll and breakout curve and
+the per-start adaptive evaluation."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,12 +11,17 @@ from hypothesis import strategies as st
 from gridcast import nn
 from gridcast.container import write_container
 from gridcast.dataio import GRID_FILE
+from gridcast.evaluate import EvalTask, _report
 from gridcast.forecast import (
     BreakoutCurvePoint,
+    ForecastState,
+    append_thread_column,
     average_cascade_size,
     build_breakout_state,
     default_breakout_horizon,
     duration_intervals,
+    roll_reply_row,
+    roll_until,
 )
 from gridcast.grid import (
     EventStream,
@@ -295,6 +301,51 @@ def per_cascade_breakout_curve(stream, grid, reply_model, start_durations, horiz
             correct += int((total > 2.0 * l_bar) == (casc.size > 2.0 * l_bar))
         points.append(BreakoutCurvePoint(s, correct / len(stream), len(stream)))
     return points
+
+
+def per_start_adaptive_evaluation(thread_model, reply_model, grid, thread_times, n_threads,
+                                  n_start_points, seed, checkpoints=(2, 4, 6, 8, 10),
+                                  n_intervals=None):
+    """evaluate_adaptive before the closed loop rolled its starts together:
+    each start point's state driven alone, one row at a time, and scored."""
+    tt = np.asarray(thread_times, dtype=np.float64)
+    max_cp = max(checkpoints)
+    n_rows, n_cols = grid.spec.n_rows, grid.spec.n_cols
+    valid = [j0 for j0 in range(1, n_cols - n_threads)
+             if grid.arrival_rows[j0 + n_threads] + max_cp <= n_rows
+             and grid.arrival_rows[j0] < n_rows]
+    rng = np.random.default_rng(seed)
+    take = min(n_start_points, len(valid))
+    starts = sorted(rng.choice(np.array(valid), size=take, replace=False).tolist())
+    roll = n_intervals if n_intervals is not None else max_cp
+    step_err_s = np.zeros((take, n_threads))
+    cp_err = {cp: np.zeros((take, n_threads)) for cp in checkpoints}
+    for si, j0 in enumerate(starts):
+        sub = grid.crop(int(grid.arrival_rows[j0]) + 1, slice(0, j0 + 1))
+        state = ForecastState.from_grid(sub, thread_times=tt[: j0 + 1].tolist())
+        for _ in range(n_threads):  # adaptive_forecast before the driver: one state alone
+            roll_until(state, reply_model, int(state.arrival_rows[-1]) + 1)
+            window = window_at(state.features(thread_model.channels),
+                               int(state.arrival_rows[-1]), state.n_cols - 1,
+                               *thread_model.window)
+            append_thread_column(state, float(thread_model.predict_gap(window, state.n_cols)))
+            for _ in range(roll):
+                roll_reply_row(state, reply_model)
+        roll_until(state, reply_model, int(state.arrival_rows[-1]) + max_cp)
+        for k in range(1, n_threads + 1):
+            col = j0 + k
+            step_err_s[si, k - 1] = abs(state.thread_times[col] - tt[col])
+            r_hat, r_true = int(state.arrival_rows[col]), int(grid.arrival_rows[col])
+            for cp in checkpoints:
+                pred = int(state.counts[r_hat : r_hat + cp, col].sum())
+                true = int(grid.counts[r_true : r_true + cp, col].sum())
+                cp_err[cp][si, k - 1] = abs(pred - true)
+    thread_reports = [_report(EvalTask.ADAPTIVE_THREAD, step_err_s[:, k - 1], "hours",
+                              label=f"step {k}") for k in range(1, n_threads + 1)]
+    reply_reports = [_report(EvalTask.ADAPTIVE_REPLY, cp_err[cp].reshape(-1), "count",
+                             label=f"{cp}d", stddev=float(cp_err[cp].mean(axis=1).std()))
+                     for cp in checkpoints]
+    return thread_reports, reply_reports
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from conftest import write_zero_column_grid
 from gridcast import cli, experiments
 from gridcast.cli import build_parser, main
 from gridcast.config import MODEL, RunSettings, load_settings
+from gridcast.checkpoint import load_checkpoint
 from gridcast.dataio import load_grid, save_grid
-from gridcast.grid import Grid, GridSpec
+from gridcast.grid import Grid, GridSpec, assemble_features, window_at
 from gridcast.models import TrainConfig
 
 
@@ -822,6 +823,34 @@ def test_predict_reply_from_grid_file(capsys, workdir, tmp_path):
     grid = load_grid(workdir["grid"])
     assert len(rows) == grid.spec.n_cols
     assert all(float(c) >= 0.0 for _, c in rows)
+
+
+def test_predict_reply_rolls_its_row_without_the_whole_grid_features(capsys, monkeypatch,
+                                                                     workdir, tmp_path):
+    """Reply predict serves its row as a one-grid Lockstep roll of the last
+    h rows: with assemble_features unusable it writes the same CSV, whose
+    values are the next row predicted from the whole grid's window."""
+    grid = load_grid(workdir["grid"])
+    model, _ = load_checkpoint(workdir["reply"])
+    h, _ = model.window
+    window = window_at(assemble_features(grid, model.channels).data, grid.spec.n_rows - 1,
+                       grid.spec.n_cols - 1, h, grid.spec.n_cols)
+    want = model.predict_next_row(window, grid.spec.n_rows)
+    argv = ["predict", "--checkpoint", str(workdir["reply"]), "--grid", str(workdir["grid"])]
+    _ok(capsys, [*argv, "--out", str(tmp_path / "before.csv")])
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("reply predict assembled the whole grid's features")
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("gridcast"):
+            if hasattr(module, "assemble_features"):
+                monkeypatch.setattr(module, "assemble_features", unusable)
+    _ok(capsys, [*argv, "--out", str(tmp_path / "after.csv")])
+    after = (tmp_path / "after.csv").read_bytes()
+    assert after == (tmp_path / "before.csv").read_bytes()
+    _, rows = _read_csv(tmp_path / "after.csv")
+    assert [float(c) for _, c in rows] == want.tolist()
 
 
 # ---------------------------------------------------------------------------

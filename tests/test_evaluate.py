@@ -5,9 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstGapStub, ConstRowStub, TrueGapStub, TrueRowStub, lattice_stream
+from conftest import (
+    ConstGapStub,
+    ConstRowStub,
+    TrueGapStub,
+    TrueRowStub,
+    lattice_stream,
+    per_start_adaptive_evaluation,
+    tiny_config,
+)
 
-from gridcast import experiments, forecast
+from gridcast import experiments, forecast, models
 from gridcast.evaluate import (
     EvalReport,
     EvalTask,
@@ -264,6 +272,77 @@ def test_adaptive_validation(unit_lattice):
     with pytest.raises(ValueError):
         evaluate_adaptive(TrueGapStub(tt, D), TrueRowStub(grid), grid, tt,
                           n_threads=0, n_start_points=20, seed=0)
+
+
+@pytest.fixture(scope="module")
+def adaptive_corpus():
+    """A synthetic corpus with more than 20 valid start points for three
+    threads, and tiny float32 thread and reply models trained one epoch."""
+    stream = synth_generate(SynthParams(lambda_thread=1 / 600, mu_reply=0.05, theta=300.0,
+                                        horizon=40_000.0, breakout_fraction=0.25,
+                                        breakout_boost=4.0, seed=5))
+    grid = build_grid(stream, d=D, t0=0.0, n_rows=140)
+    trained = {}
+    for kind in ("thread", "reply"):
+        config = tiny_config(kind)
+        trained[kind] = build_model(config, seed=1)
+        models.train(trained[kind], models.training_segments(grid, config, 0.7),
+                     models.TrainConfig(epochs=1, batch_size=16))
+    return stream, grid, trained
+
+
+def _adaptive_pair(adaptive_corpus, pair):
+    stream, grid, trained = adaptive_corpus
+    return {"trained": (trained["thread"], trained["reply"]),
+            "const": (ConstGapStub(1.5), ConstRowStub(0.7)),
+            "true": (TrueGapStub(stream.thread_times, D, offset=0.4),
+                     TrueRowStub(grid, offset=0.3))}[pair]
+
+
+ADAPTIVE_RUN = dict(n_threads=3, seed=4)
+
+
+@pytest.mark.parametrize("pair", ["trained", "const", "true"])
+@pytest.mark.parametrize("n_start_points", [1, 5, 20])
+def test_adaptive_evaluation_equals_the_per_start_oracle(adaptive_corpus, pair, n_start_points):
+    stream, grid, _ = adaptive_corpus
+    thread, reply = _adaptive_pair(adaptive_corpus, pair)
+    got = evaluate_adaptive(thread, reply, grid, stream.thread_times,
+                            n_start_points=n_start_points, **ADAPTIVE_RUN)
+    want = per_start_adaptive_evaluation(thread, reply, grid, stream.thread_times,
+                                         n_start_points=n_start_points, **ADAPTIVE_RUN)
+    assert got[0][0].n == n_start_points
+    assert repr(got) == repr(want)
+
+
+class BatchRecorder:
+    """A reply model that records the shape of every batch it is handed."""
+
+    def __init__(self, model):
+        self.model, self.window, self.channels = model, model.window, model.channels
+        self.shapes = []
+
+    def predict_next_rows(self, features, row_indices):
+        self.shapes.append(features.shape)
+        return self.model.predict_next_rows(features, row_indices)
+
+
+@pytest.mark.parametrize("cells", [1000, 4000, forecast.LOCKSTEP_CELLS])
+def test_adaptive_evaluation_rolls_its_starts_within_the_cell_budget(adaptive_corpus,
+                                                                     monkeypatch, cells):
+    """The starts roll together, in slices whose windows hold at most
+    LOCKSTEP_CELLS cells (here 2, 9 and all 20 of the grid's widest 6 x 72),
+    and the reports are the oracle's."""
+    monkeypatch.setattr(forecast, "LOCKSTEP_CELLS", cells)
+    stream, grid, trained = adaptive_corpus
+    reply = BatchRecorder(trained["reply"])
+    got = evaluate_adaptive(trained["thread"], reply, grid, stream.thread_times,
+                            n_start_points=20, **ADAPTIVE_RUN)
+    assert all(n * h * w <= cells or n == 1 for n, _, h, w in reply.shapes)
+    assert max(n for n, *_ in reply.shapes) == min(20, cells // (6 * grid.spec.n_cols))
+    assert repr(got) == repr(per_start_adaptive_evaluation(
+        trained["thread"], trained["reply"], grid, stream.thread_times, n_start_points=20,
+        **ADAPTIVE_RUN))
 
 
 # ---------------------------------------------------------------------------

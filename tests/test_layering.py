@@ -286,9 +286,9 @@ class Plain:
 
 PACKAGE = Path(gridcast.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# adaptive_forecast is not among them: its gap prediction, once per
-# simulated thread, reads the whole state's features (ForecastState.features),
-# and its reply rolls go through roll_reply_row and roll_until.
+# the closed loop (adaptive_forecasts) is not among them: its gap step, once
+# per simulated thread, reads the whole state's features (ForecastState.features),
+# and its reply rolls go through roll_reply_rows and roll_until.
 ROLL_PATHS = ("roll_reply_rows", "roll_reply_row", "roll_until", "breakout_classify",
               "breakout_curve", "of", "roll", "_self_fed_span_mae")
 # what builds a full-length state: a roll cuts its Lockstep from the grid

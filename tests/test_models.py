@@ -20,6 +20,7 @@ from gridcast.grid import (
     rows_covering,
     slice_segments,
     time_split,
+    window_at,
 )
 from gridcast.models import (
     ModelConfig,
@@ -30,6 +31,7 @@ from gridcast.models import (
     arrival_time,
     build_model,
     dataset_loss,
+    gap_estimates,
     grid_search,
     train,
     training_segments,
@@ -616,7 +618,46 @@ def test_grid_search_preserves_base_fields():
 
 
 # ---------------------------------------------------------------------------
-# gap -> wall-clock
+# the gap step and gap -> wall-clock
+
+
+class RecordingGapModel:
+    """A thread model's stand-in that records each window and column index
+    it is handed and predicts the column index."""
+
+    window = (6, 4)
+    channels = CHANNEL_ORDER
+
+    def __init__(self):
+        self.calls = []
+
+    def predict_gap(self, features, col_index):
+        self.calls.append((features, col_index))
+        return col_index
+
+
+def test_gap_estimates_predict_each_anchor_window_alone():
+    """The windows of columns 0 and 2 overhang the left edge and the top,
+    and the last one neither: each is window_at's, zero-padded, predicted
+    for the next column, and a model's gaps are its predict_gap's."""
+    stream = synth_generate(SynthParams(
+        lambda_thread=1 / 300.0, mu_reply=0.05, theta=300.0, horizon=9000.0,
+        breakout_fraction=0.0, breakout_boost=1.0, seed=5,
+    ))
+    grid = build_grid(stream, 300.0, 0.0, rows_covering(stream, 300.0, 0.0))
+    data = assemble_features(grid, CHANNEL_ORDER).data
+    cols = [0, 2, grid.spec.n_cols - 2]
+    assert int(grid.arrival_rows[2]) < 5 < int(grid.arrival_rows[cols[-1]])
+    recorder = RecordingGapModel()
+    assert gap_estimates(recorder, data, grid.arrival_rows, cols) == [1.0, 3.0, cols[-1] + 1.0]
+    for (features, col_index), j in zip(recorder.calls, cols):
+        assert col_index == j + 1
+        assert np.array_equal(features, window_at(data, int(grid.arrival_rows[j]), j, 6, 4))
+    assert not recorder.calls[0][0][:, :, :3].any()
+    model = tiny_model("thread", seed=3)
+    want = [model.predict_gap(window_at(data, int(grid.arrival_rows[j]), j, 6, 4), j + 1)
+            for j in cols]
+    assert gap_estimates(model, data, grid.arrival_rows, cols) == want
 
 
 def test_arrival_time_simulate_quantises_to_lattice():
