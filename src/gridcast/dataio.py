@@ -10,6 +10,12 @@ duplicate records are dropped and counted. A reply whose
 thread never appears, a reply before its thread post, or a malformed
 line is an error that names the offending line.
 
+serialize_events writes each cascade's thread line, then its replies,
+every line what json.dumps writes for the record: `{"thread_id": <id>,
+"kind": "reply", "ts": <ts>}` with ", " and ": " separators, the id an
+ASCII-escaped JSON string, a float ts its float.__repr__ (numpy float64
+too) or NaN, Infinity or -Infinity, and an int ts its int.__repr__.
+
 Grids serialise to the binary container checkpoints also use (see
 container.py), version 2: d, t0 and dropped_events in the header, and
 the arrays counts (n_rows x n_cols) and arrival_rows (n_cols), both
@@ -41,20 +47,14 @@ GRID_FILE = Format("grid", b"GCASTGRD", 2, ("<i8",), GridFileError, GridFileErro
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    thread_id: str
-    kind: str
-    ts: float
-
-
-@dataclass(frozen=True)
 class ParseStats:
     threads: int
     replies: int
     duplicates: int
 
 
-def _record(line: str, line_no: int) -> EventRecord | None:
+def _record(line: str, line_no: int) -> tuple[str, str, float] | None:
+    """The line's (thread_id, kind, ts), or None for a blank line."""
     text = line.strip()
     if not text:
         return None
@@ -80,7 +80,7 @@ def _record(line: str, line_no: int) -> EventRecord | None:
         finite = False
     if not finite:
         raise EventParseError(f"line {line_no}: ts must be finite")
-    return EventRecord(thread_id=thread_id, kind=kind, ts=float(ts))
+    return thread_id, kind, float(ts)
 
 
 def parse_events_with_stats(path: str | Path) -> tuple[EventStream, ParseStats]:
@@ -88,28 +88,26 @@ def parse_events_with_stats(path: str | Path) -> tuple[EventStream, ParseStats]:
     threads: dict[str, tuple[float, int]] = {}
     replies: dict[str, list[float]] = {}
     duplicates = 0
-    n_replies = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            rec = _record(line, line_no)
-            if rec is None:
+            key = _record(line, line_no)
+            if key is None:
                 continue
-            key = (rec.thread_id, rec.kind, rec.ts)
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
-            if rec.kind == "thread":
-                if rec.thread_id in threads:
-                    prev_ts, prev_line = threads[rec.thread_id]
+            thread_id, kind, ts = key
+            if kind == "thread":
+                if thread_id in threads:
+                    prev_ts, prev_line = threads[thread_id]
                     raise EventParseError(
-                        f"line {line_no}: thread {rec.thread_id!r} already posted "
+                        f"line {line_no}: thread {thread_id!r} already posted "
                         f"at ts {prev_ts} (line {prev_line})"
                     )
-                threads[rec.thread_id] = (rec.ts, line_no)
+                threads[thread_id] = (ts, line_no)
             else:
-                replies.setdefault(rec.thread_id, []).append(rec.ts)
-                n_replies += 1
+                replies.setdefault(thread_id, []).append(ts)
     cascades = []
     for tid, reply_ts in replies.items():
         if tid not in threads:
@@ -121,26 +119,27 @@ def parse_events_with_stats(path: str | Path) -> tuple[EventStream, ParseStats]:
                 f"thread {tid!r} (line {line_no}): reply at ts {reply_ts[0]} "
                 f"precedes the thread post at ts {t_thread}"
             )
-        cascades.append(
-            ThreadCascade(thread_id=tid, thread_time=t_thread, reply_times=tuple(reply_ts))
-        )
-    stream = EventStream.from_cascades(cascades)
-    return stream, ParseStats(threads=len(threads), replies=n_replies, duplicates=duplicates)
+        cascades.append(ThreadCascade(tid, t_thread, tuple(reply_ts)))
+    n_replies = sum(map(len, replies.values()))
+    return EventStream.from_cascades(cascades), ParseStats(len(threads), n_replies, duplicates)
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def serialize_events(stream: EventStream, path: str | Path) -> None:
-    """Canonical order: each cascade's thread line, then its replies."""
+    """The canonical log: one json.dumps line per event (module docstring)."""
     with open(path, "w", encoding="utf-8") as fh:
         for casc in stream.cascades:
-            fh.write(json.dumps(
-                {"thread_id": casc.thread_id, "kind": "thread", "ts": casc.thread_time}
-            ))
-            fh.write("\n")
-            for ts in casc.reply_times:
-                fh.write(json.dumps(
-                    {"thread_id": casc.thread_id, "kind": "reply", "ts": ts}
-                ))
-                fh.write("\n")
+            times = (casc.thread_time, *casc.reply_times)
+            try:
+                ts = list(map(float.__repr__, times))
+                ts = map(_JSON_NON_FINITE.get, ts, ts)
+            except TypeError:  # not every ts a float: json.dumps judges each
+                ts = map(json.dumps, times)
+            tid = json.dumps(casc.thread_id)
+            sep = '}\n{"thread_id": ' + tid + ', "kind": "reply", "ts": '
+            fh.write('{"thread_id": ' + tid + ', "kind": "thread", "ts": ' + sep.join(ts) + "}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +157,13 @@ def load_grid(path: str | Path) -> Grid:
     header, arrays = read_container(GRID_FILE, path)
     if [name for name, _ in arrays] != ["counts", "arrival_rows"]:
         raise GridFileError(f"{path}: the arrays are not counts, then arrival_rows")
-    (_, counts), (_, arrival) = arrays
+    counts, arrival = [a.astype(np.int64) for _, a in arrays]
+    del arrays  # the container's views, and with them the file's bytes
     try:
         grid = Grid(
             spec=GridSpec(header["d"], header["t0"], *counts.shape),
-            counts=counts.astype(np.int64),
-            arrival_rows=arrival.astype(np.int64),
+            counts=counts,
+            arrival_rows=arrival,
             dropped_events=header["dropped_events"],
         )
         grid.validate()  # a GridError is a ValueError

@@ -19,6 +19,7 @@ rebuild and nothing in this module caches derived channels.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -42,9 +43,8 @@ class ThreadCascade:
         if not self.thread_id:
             raise GridError("cascade needs a non-empty thread_id")
         times = self.reply_times
-        for a, b in zip(times, times[1:]):
-            if b < a:
-                raise GridError(f"replies of {self.thread_id!r} not sorted")
+        if any(map(operator.lt, times[1:], times)):
+            raise GridError(f"replies of {self.thread_id!r} not sorted")
         if times and times[0] < self.thread_time:
             raise GridError(
                 f"reply precedes thread post in cascade {self.thread_id!r}"
@@ -68,9 +68,9 @@ class EventStream:
 
     def __post_init__(self):
         keys = [(c.thread_time, c.thread_id) for c in self.cascades]
-        for a, b in zip(keys, keys[1:]):
-            if not a < b:
-                raise GridError(f"cascades out of order near {b[1]!r}")
+        if not all(map(operator.lt, keys, keys[1:])):
+            b = next(b for a, b in zip(keys, keys[1:]) if not a < b)
+            raise GridError(f"cascades out of order near {b[1]!r}")
 
     @classmethod
     def from_cascades(cls, cascades: Iterable[ThreadCascade]) -> "EventStream":
@@ -166,10 +166,14 @@ class Grid:
 
     def validate(self) -> None:
         """Deep invariant check, meant for tests and ingest paths."""
-        if np.any(self.counts < 0):
+        if self.counts.min() < 0:
             raise GridError("negative cell count")
-        if self.counts[self.mask.astype(bool)].any():
-            raise GridError("nonzero count on a pre-arrival cell")
+        rows = np.arange(self.spec.n_rows)
+        step = max(1, (1 << 20) // self.spec.n_cols)  # rows per pre-arrival mask of ~1 MB
+        for r in range(0, self.spec.n_rows, step):
+            live = _mask(rows[r : r + step], self.arrival_rows)  # the rows' pre-arrival cells
+            if np.any(self.counts[r : r + step], where=live):
+                raise GridError("nonzero count on a pre-arrival cell")
         in_window = self.arrival_rows < self.spec.n_rows
         cols = np.where(in_window)[0]
         if np.any(self.counts[self.arrival_rows[cols], cols] < 1):

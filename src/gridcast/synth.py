@@ -53,17 +53,19 @@ class SynthParams:
 
 def _replies(rng: np.random.Generator, t_thread: float, mu: float, theta: float):
     """Thinning with the current intensity as the dominating rate; valid
-    because the intensity only decays."""
+    because the intensity only decays. standard_exponential() * scale and
+    random() draw what exponential(scale) and uniform() do from the same
+    bits, for less; math.exp would change the last bit of some values."""
     out = []
     if mu <= 0:
         return out
-    s = 0.0
-    bound = mu
+    exponential, uniform, exp = rng.standard_exponential, rng.random, np.exp
+    s, bound = 0.0, mu
     cutoff = theta * np.log(mu * theta / _RESIDUAL) if mu * theta > _RESIDUAL else 0.0
     while s < cutoff:
-        s += rng.exponential(1.0 / bound)
-        actual = mu * np.exp(-s / theta)
-        if rng.uniform() <= actual / bound:
+        s += exponential() * (1.0 / bound)
+        actual = mu * float(exp(-s / theta))  # float: the times stay Python floats
+        if uniform() <= actual / bound:
             out.append(t_thread + s)
         bound = actual
     return out
@@ -72,23 +74,17 @@ def _replies(rng: np.random.Generator, t_thread: float, mu: float, theta: float)
 def synth_generate(params: SynthParams) -> EventStream:
     rng = np.random.default_rng(params.seed)
     thread_times = []
-    t = 0.0
+    t, gap = 0.0, 1.0 / params.lambda_thread
     while True:
-        t += rng.exponential(1.0 / params.lambda_thread)
+        t += rng.standard_exponential() * gap
         if t >= params.horizon:
             break
         thread_times.append(t)
     width = max(6, len(str(len(thread_times))))
     cascades = []
     for idx, t_thread in enumerate(thread_times):
-        boosted = rng.uniform() < params.breakout_fraction
+        boosted = rng.random() < params.breakout_fraction
         mu = params.mu_reply * (params.breakout_boost if boosted else 1.0)
         replies = _replies(rng, t_thread, mu, params.theta)
-        cascades.append(
-            ThreadCascade(
-                thread_id=f"t{idx:0{width}d}",
-                thread_time=t_thread,
-                reply_times=tuple(replies),
-            )
-        )
+        cascades.append(ThreadCascade(f"t{idx:0{width}d}", t_thread, tuple(replies)))
     return EventStream(tuple(cascades))

@@ -1,7 +1,7 @@
 """Shared fixtures: tiny streams, grids, stub predictors, strategies,
 and, kept as oracles, the earlier np.where / scatter-form kernels, the
-column-max relative time, the per-cascade roll and breakout curve and
-the per-start adaptive evaluation."""
+column-max relative time, the per-cascade roll and breakout curve, the
+per-start adaptive evaluation and the scalar-draw reply sampler."""
 from __future__ import annotations
 
 import numpy as np
@@ -33,6 +33,7 @@ from gridcast.grid import (
     window_at,
 )
 from gridcast.models import ModelConfig, build_model
+from gridcast.synth import _RESIDUAL, SynthParams
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +347,45 @@ def per_start_adaptive_evaluation(thread_model, reply_model, grid, thread_times,
                              label=f"{cp}d", stddev=float(cp_err[cp].mean(axis=1).std()))
                      for cp in checkpoints]
     return thread_reports, reply_reports
+
+
+def scalar_draw_replies(rng, t_thread, mu, theta):
+    """synth._replies before its draws were rebound: rng.exponential(1 / bound)
+    and rng.uniform() for every thinning proposal."""
+    out = []
+    if mu <= 0:
+        return out
+    s = 0.0
+    bound = mu
+    cutoff = theta * np.log(mu * theta / _RESIDUAL) if mu * theta > _RESIDUAL else 0.0
+    while s < cutoff:
+        s += rng.exponential(1.0 / bound)
+        actual = mu * np.exp(-s / theta)
+        if rng.uniform() <= actual / bound:
+            out.append(t_thread + s)
+        bound = actual
+    return out
+
+
+def scalar_draw_synth(params: SynthParams) -> EventStream:
+    """synth_generate over scalar_draw_replies, its thread gaps drawn with
+    rng.exponential and its boosts with rng.uniform."""
+    rng = np.random.default_rng(params.seed)
+    thread_times = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / params.lambda_thread)
+        if t >= params.horizon:
+            break
+        thread_times.append(t)
+    width = max(6, len(str(len(thread_times))))
+    cascades = []
+    for idx, t_thread in enumerate(thread_times):
+        boosted = rng.uniform() < params.breakout_fraction
+        mu = params.mu_reply * (params.breakout_boost if boosted else 1.0)
+        replies = scalar_draw_replies(rng, t_thread, mu, params.theta)
+        cascades.append(ThreadCascade(f"t{idx:0{width}d}", t_thread, tuple(replies)))
+    return EventStream(tuple(cascades))
 
 
 # ---------------------------------------------------------------------------

@@ -727,6 +727,15 @@ def test_ingest_reports_stats_and_writes_canonical_log(capsys, tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_ingest_of_a_boosted_synth_log_gives_back_its_bytes(capsys, tmp_path):
+    events, again = tmp_path / "synth.ndjson", tmp_path / "again.ndjson"
+    _ok(capsys, ["synth", "--out", str(events), *SYNTH,
+                 "--breakout-fraction", "0.25", "--breakout-boost", "4"])
+    payload = _ok(capsys, ["ingest", "--in", str(events), "--out", str(again)])
+    assert payload["duplicates"] == 0 and payload["replies"] > 0
+    assert again.read_bytes() == events.read_bytes()
+
+
 def test_ingest_without_out_only_reports(capsys, tmp_path):
     raw = tmp_path / "raw.ndjson"
     raw.write_text(json.dumps({"thread_id": "a", "kind": "thread", "ts": 1.0}) + "\n")

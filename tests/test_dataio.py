@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import cascade, stream_strategy, write_zero_column_grid
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcast.dataio import (
     EventParseError,
@@ -16,7 +17,7 @@ from gridcast.dataio import (
     serialize_events,
     write_csv,
 )
-from gridcast.grid import EventStream, Grid, GridSpec, build_grid
+from gridcast.grid import EventStream, Grid, GridSpec, ThreadCascade, build_grid
 
 
 def _write_lines(path, lines):
@@ -162,6 +163,69 @@ def test_serialize_parse_roundtrip_property(tmp_path_factory, stream):
         for c in stream.cascades
     ])
     assert parse_events_with_stats(path)[0] == expected
+
+
+def _json_dumps_lines(stream) -> bytes:
+    """serialize_events' oracle: one json.dumps per record."""
+    return "".join(
+        json.dumps({"thread_id": c.thread_id, "kind": kind, "ts": ts}) + "\n"
+        for c in stream.cascades
+        for kind, ts in (("thread", c.thread_time), *(("reply", t) for t in c.reply_times))
+    ).encode("utf-8")
+
+
+# NaN and ints beyond float range only in the fixed cases: NaN has no order,
+# and numpy floats do not compare with such ints
+_TS = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def _any_stream(draw):
+    cascades = []
+    for tid in draw(st.lists(st.text(min_size=1), max_size=4, unique=True)):
+        t = draw(_TS)
+        replies = sorted(r for r in draw(st.lists(_TS, max_size=5)) if r >= t)
+        cascades.append(ThreadCascade(tid, t, tuple(replies)))
+    return EventStream.from_cascades(cascades)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_any_stream())
+def test_serialize_writes_what_json_dumps_writes(tmp_path_factory, stream):
+    path = tmp_path_factory.mktemp("io") / "events.ndjson"
+    serialize_events(stream, path)
+    assert path.read_bytes() == _json_dumps_lines(stream)
+
+
+@pytest.mark.parametrize("ts, text", [
+    (7, "7"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (np.float64(0.1), "0.1"),
+    (float("nan"), "NaN"),
+    (float("inf"), "Infinity"),
+    (float("-inf"), "-Infinity"),
+])
+@pytest.mark.parametrize("tid", ['say "hi"', "back\\slash", "na\u00efve \u2603 \u65e5\u672c"],
+                         ids=["quotes", "backslash", "non-ascii"])
+def test_serialize_formats_numbers_and_ids_as_json_dumps(log_path, ts, text, tid):
+    stream = EventStream((ThreadCascade(tid, ts, (ts, ts)),))
+    serialize_events(stream, log_path)
+    assert log_path.read_bytes() == _json_dumps_lines(stream)
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3 and lines[0].isascii()
+    assert lines[0] == '{"thread_id": ' + json.dumps(tid) + ', "kind": "thread", "ts": ' + text + "}"
+
+
+def test_serialize_mixes_int_and_float_times_as_json_dumps(log_path):
+    stream = EventStream((ThreadCascade("a", 1, (1.5, 2, 2.0)), ThreadCascade("b", 3.0, (10**400,))))
+    serialize_events(stream, log_path)
+    assert log_path.read_bytes() == _json_dumps_lines(stream)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,40 @@ def test_stream_rejects_out_of_order():
         EventStream((cascade("b", 5.0), cascade("a", 1.0)))
 
 
+def _loop_order_error(times) -> bool:
+    """ThreadCascade's reply-order rule written as a pairwise loop."""
+    return any(b < a for a, b in zip(times, times[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(-3, 3)), max_size=6))
+@example([math.nan, 0.0])
+@example([1.0, math.nan, 0.5])
+@example([2, 1.0])
+@example([1.0, 1.0, 2])
+def test_cascade_reply_order_rule_matches_the_pairwise_loop(times):
+    """NaN compares false either way, so a NaN between two replies passes."""
+    if _loop_order_error(times):
+        with pytest.raises(GridError, match=r"^replies of 'x' not sorted$"):
+            ThreadCascade("x", -math.inf, tuple(times))
+    else:
+        ThreadCascade("x", -math.inf, tuple(times))
+
+
+@pytest.mark.parametrize("ids, times, near", [
+    ("abcd", (1.0, 2.0, 0.0, -1.0), "c"),  # the first cascade not after its predecessor
+    ("abcd", (1.0, 1.0, 1.0, 1.0), None),  # ties in time, ascending ids
+    ("aa", (1.0, 1.0), "a"),  # a repeated key
+])
+def test_stream_order_error_names_the_first_cascade_out_of_order(ids, times, near):
+    cascades = tuple(cascade(tid, t) for tid, t in zip(ids, times))
+    if near is None:
+        assert len(EventStream(cascades)) == len(ids)
+    else:
+        with pytest.raises(GridError, match=rf"^cascades out of order near '{near}'$"):
+            EventStream(cascades)
+
+
 # ---------------------------------------------------------------------------
 # build_grid
 
@@ -276,6 +310,38 @@ def test_validate_names_each_broken_invariant(edit, message):
     g.validate()
     edit(g)
     with pytest.raises(GridError, match=message):
+        g.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda h: st.integers(1, 5).flatmap(lambda w: st.tuples(
+    st.lists(st.lists(st.integers(0, 2), min_size=w, max_size=w), min_size=h, max_size=h),
+    st.lists(st.integers(0, h + 2), min_size=w, max_size=w),
+))))
+def test_validate_pre_arrival_rule_matches_the_mask(grid_and_arrivals):
+    """Arrival rows in any order, some beyond the window."""
+    counts, arrival_rows = (np.array(a, dtype=np.int64) for a in grid_and_arrivals)
+    g = Grid(GridSpec(60.0, 0.0, *counts.shape), counts, arrival_rows)
+    if counts[g.mask.astype(bool)].any():
+        with pytest.raises(GridError, match="nonzero count on a pre-arrival cell"):
+            g.validate()
+    else:
+        try:
+            g.validate()
+        except GridError as exc:
+            assert "pre-arrival" not in str(exc)
+
+
+def test_validate_reads_the_last_block_of_rows():
+    """So wide a grid that each block is one row: the bad cell is in the last."""
+    n_cols = (1 << 19) + 1
+    counts = np.zeros((3, n_cols), dtype=np.int64)
+    counts[0, : n_cols - 1] = 1
+    g = Grid(GridSpec(60.0, 0.0, 3, n_cols), counts, np.zeros(n_cols, np.int64))
+    g.arrival_rows[-1] = 3  # beyond the window: every cell of the column is pre-arrival
+    g.validate()
+    counts[2, -1] = 1
+    with pytest.raises(GridError, match="nonzero count on a pre-arrival cell"):
         g.validate()
 
 

@@ -1,6 +1,7 @@
 """Synthetic stream generator: determinism and distributional checks."""
 import numpy as np
 import pytest
+from conftest import scalar_draw_synth
 
 from gridcast.synth import SynthParams, synth_generate
 
@@ -22,6 +23,22 @@ def test_different_seed_different_stream():
     a = synth_generate(_params(seed=1))
     b = synth_generate(_params(seed=2))
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{}, {"breakout_fraction": 0.25, "breakout_boost": 4.0}, {"mu_reply": 0.0}],
+    ids=["plain", "boosted", "no-replies"],
+)
+def test_generator_draws_what_the_scalar_draw_oracle_draws(setting):
+    """The same cascades, the same floats and the same float types as
+    rng.exponential and rng.uniform called once per draw."""
+    for seed in range(40):
+        params = _params(seed=seed, horizon=30000.0, **setting)
+        got, want = synth_generate(params), scalar_draw_synth(params)
+        assert got == want, seed
+        assert [type(t) for c in got.cascades for t in (c.thread_time, *c.reply_times)] == \
+            [type(t) for c in want.cascades for t in (c.thread_time, *c.reply_times)]
 
 
 def test_thread_ids_are_unique_and_ordered():
