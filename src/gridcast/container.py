@@ -63,9 +63,14 @@ def write_container(fmt: Format, path: str | Path, header: dict, arrays) -> None
 def read_container(fmt: Format, path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     """Return (header without "arrays", [(name, array)]) of a file written
     by write_container, raising fmt's errors on any damage. The arrays
-    are read-only views of the one copy of the file."""
-    raw = memoryview(Path(path).read_bytes())
+    are writable views of the one copy of the file."""
     at = len(fmt.magic)
+    with open(path, "rb") as fh:  # read once, at an offset that aligns the payload to 16 bytes
+        hlen = int.from_bytes(fh.read(at + _PREFIX.size)[at + 8 :], "little")
+        pad = -(at + _PREFIX.size + hlen) % 16
+        raw = memoryview(bytearray(pad + fh.seek(0, 2)))[pad:]
+        fh.seek(0)
+        raw = raw[: fh.readinto(raw)]
     if raw[:at] != fmt.magic:
         raise fmt.error(f"{path}: not a {fmt.name} file (bad magic)")
     if len(raw) < at + _PREFIX.size:

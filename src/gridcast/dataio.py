@@ -157,8 +157,8 @@ def load_grid(path: str | Path) -> Grid:
     header, arrays = read_container(GRID_FILE, path)
     if [name for name, _ in arrays] != ["counts", "arrival_rows"]:
         raise GridFileError(f"{path}: the arrays are not counts, then arrival_rows")
-    counts, arrival = [a.astype(np.int64) for _, a in arrays]
-    del arrays  # the container's views, and with them the file's bytes
+    # on a little-endian host both are views of the file's one buffer
+    counts, arrival = [a.astype(np.int64, copy=False) for _, a in arrays]
     try:
         grid = Grid(
             spec=GridSpec(header["d"], header["t0"], *counts.shape),

@@ -9,9 +9,13 @@ gradient accumulator and Adam moments. No autodiff graph, no transform
 tricks: each backward pass is the derivative written out.
 
 Convolutions anchor the receptive field at the output cell itself and
-extend up/left only, via implicit top-left zero padding of (K-1)*tau.
-Strict one-step-ahead causality is the caller's job (shifted targets).
-A conv computes its whole plane or an evenly spaced range of its rows.
+extend up/left only, over top-left zero padding of (K-1)*tau that is
+never copied: a tap pairs the slice of the input it reads with the
+offset where it lands among an output window's zeros. The forward and
+the filter gradient multiply those windows; the input gradient is their
+adjoint. Strict one-step-ahead causality is the caller's job (shifted
+targets). A conv computes its whole plane or an evenly spaced range of
+its rows.
 
 Arrays have one layout: the conv and batch-norm kernels take
 (N, C, H, W) and dense takes (N, F), so the channel axis is always
@@ -110,45 +114,40 @@ def rows_read(rows: range, k_h: int, tau: int) -> range:
 
 
 @functools.lru_cache(maxsize=256)
-def _tap_table(k_h: int, k_w: int, tau: int, hgt: int, wid: int, rows: tuple[int, ...]):
-    """The zero rows and columns padded on top and left of a conv's input
-    and, per filter tap (a, b) in row-major order, the slice of the padded
-    input it reads for the given output rows (row_range) or the whole
-    plane, range(hgt). One table per geometry, built on first use."""
+def _tap_table(x_shape: tuple, f_shape: tuple, tau: int, rows: tuple[int, ...]):
+    """Per filter tap (a, b), row-major, that reads inside an (N, *x_shape)
+    input convolved by (c_out, *f_shape) filters at the given output rows
+    (row_range) or the whole plane, else ShapeError: ((a, b), the slice it
+    reads, where that lands in an (N, C, m, W) window, None if on all of it)."""
+    if tau < 1:
+        raise ShapeError(f"dilation must be >= 1, got {tau}")
+    if len(x_shape) != 3 or len(f_shape) != 3:
+        raise ShapeError(f"input and filters must be 4-D, got (N, *{x_shape}), (c_out, *{f_shape})")
+    (c_in, hgt, wid), (c_in_f, k_h, k_w) = x_shape, f_shape
+    if c_in_f != c_in:
+        raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
     out = row_range(rows) if rows else range(hgt)
     held = rows_read(out, k_h, tau) if rows else out
     if hgt != len(held):
         raise ShapeError(f"input holds {hgt} rows, but output rows {rows} read {len(held)}")
-    top = (held.start - out.start + (k_h - 1) * tau) // held.step
-    step, m, pw = out.step // held.step or 1, len(out), (k_w - 1) * tau
-    taps = []
+    m, step, taps = len(out), out.step // held.step or 1, []
     for a in range(k_h):
-        i = (k_h - 1 - a) * tau // held.step  # the padded row that tap a reads for out[0]
-        taps += [((a, b), np.s_[:, :, i : i + m * step : step, pw - b * tau : pw - b * tau + wid])
-                 for b in range(k_w)]
-    return top, pw, tuple(taps)
+        first = (out.start - a * tau - held.start) // held.step  # the row read for out[0]
+        top = max(-(first // step), 0)  # output rows that read the top padding
+        rows_in = slice(first + top * step, first + (m - 1) * step + 1, step)
+        taps += [((a, b), np.s_[:, :, rows_in, : wid - b * tau],
+                  None if top == b == 0 else np.s_[:, :, top:, b * tau :])
+                 for b in range(k_w) if top < m and b * tau < wid]
+    return tuple(taps)
 
 
-def _taps(x: np.ndarray, filters: np.ndarray, tau: int, dtype, *rows: int):
-    """Check a conv's operands; return x zero-padded at dtype (x itself for a
-    1x1 conv over the whole plane, which needs no padding) and the tap
-    table's slices of it (_tap_table)."""
-    if tau < 1:
-        raise ShapeError(f"dilation must be >= 1, got {tau}")
-    if x.ndim != 4:
-        raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
-    if filters.ndim != 4:
-        raise ShapeError(f"filters must be 4-D, got shape {filters.shape}")
-    n, c_in, hgt, wid = x.shape
-    _, c_in_f, k_h, k_w = filters.shape
-    if c_in_f != c_in:
-        raise ShapeError(f"filter expects {c_in_f} input channels, input has {c_in}")
-    top, pw, taps = _tap_table(k_h, k_w, tau, hgt, wid, rows)
-    if not (top or pw):  # a 1x1 conv over the whole plane reads x as it is
-        return x.astype(dtype, copy=False), taps
-    xp = np.zeros((n, c_in, hgt + top, wid + pw), dtype=dtype)
-    xp[:, :, top:, pw:] = x
-    return xp, taps
+def _window(x: np.ndarray, src: tuple, dst: tuple | None, m: int) -> np.ndarray:
+    """A tap's m-row window of x, C-contiguous: x[src] at dst among zeros, or x[src] for None."""
+    if dst is None:
+        return np.ascontiguousarray(x[src])
+    win = np.zeros(x.shape[:2] + (m, x.shape[3]), dtype=x.dtype)
+    win[dst] = x[src]
+    return win
 
 
 def conv2d_causal_dilated(
@@ -167,10 +166,11 @@ def conv2d_causal_dilated(
     wide (one row of a one-column input), down its matrix-vector path,
     which rounds by the product's width. Float64 products round by their
     width too, in the last bits. Each tap multiplies a contiguous copy of
-    its filter slice.
+    its filter slice by its window; the sums start at +0.0, never hold
+    -0.0, and so lose no bit to the taps _tap_table leaves out.
     """
-    dtype = np.result_type(x.dtype, filters.dtype)
-    xp, taps = _taps(x, filters, tau, dtype, *rows)
+    taps = _tap_table(x.shape[1:], filters.shape[1:], tau, rows)
+    x = x.astype(np.result_type(x.dtype, filters.dtype), copy=False)
     c_out = filters.shape[0]
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
@@ -178,12 +178,12 @@ def conv2d_causal_dilated(
     m = len(rows) or hgt
     per_tap = np.ascontiguousarray(filters.transpose(2, 3, 0, 1))
     # one (c_out, c_in) @ (c_in, m*w) GEMM per sample and tap
-    out = np.zeros((n, c_out, m * wid), dtype=dtype)
-    for (a, b), sl in taps:
-        out += per_tap[a, b] @ xp[sl].reshape(n, c_in, m * wid)
+    out = np.zeros((n, c_out, m * wid), dtype=x.dtype)
+    for (a, b), src, dst in taps:
+        out += per_tap[a, b] @ _window(x, src, dst, m).reshape(n, c_in, m * wid)
     out = out.reshape(n, c_out, m, wid)
     if bias is not None:
-        out += bias[None, :, None, None].astype(dtype)
+        out += bias[None, :, None, None].astype(x.dtype)
     return out
 
 
@@ -194,8 +194,8 @@ def conv2d_backward(
 
     d/df[o,c,a,b] = sum over cells of upstream[n,o,i,j] * x[n,c,i-a*tau,j-b*tau];
     d/dx[n,c,i,j] = sum over o, a, b of f[o,c,a,b] * upstream[n,o,i+a*tau,j+b*tau],
-    gathered from the upstream zero-padded at the bottom-right, where the
-    reads past the last row or column land.
+    the forward's adjoint: per tap, the upstream cells its window wrote,
+    times its filters, added into the slice of x it read.
     """
     return _conv_grads(x, filters, tau, upstream, True)
 
@@ -203,33 +203,28 @@ def conv2d_backward(
 def _conv_grads(x: np.ndarray, filters: np.ndarray, tau: int, upstream: np.ndarray,
                 input_grad: bool):
     """conv2d_backward, with None for the input gradient unless input_grad."""
+    taps = _tap_table(x.shape[1:], filters.shape[1:], tau, ())
     dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
-    xp, taps = _taps(x, filters, tau, dtype)
     n, c_in, hgt, wid = x.shape
     c_out = filters.shape[0]
     if upstream.shape != (n, c_out, hgt, wid):
         raise ShapeError(f"upstream shape {upstream.shape} != {(n, c_out, hgt, wid)}")
-    # channel-major (C, N, H, W) layouts turn each tap into two 2-D GEMMs
-    # over all n*h*w cells: (c_out, cells) @ (cells, c_in) for the filter
-    # gradient and (c_in, c_out) @ (c_out, cells) for the input gradient;
-    # a tap's index slices only the two spatial axes, so it applies as is
+    # channel-major (C, N, H, W) layouts turn each tap into two 2-D GEMMs:
+    # (c_out, cells) @ (cells, c_in) over all n*h*w cells for the filter
+    # gradient, (c_in, c_out) @ (c_out, cells) over those it wrote for x's
     u = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
-    xc = xp.transpose(1, 0, 2, 3)
-    grad_f = np.empty(filters.shape, dtype=dtype)
-    grad_x = None
-    if input_grad:
-        # the last tap reads the unshifted top-left corner, so storing the
-        # upstream there pads it at the bottom-right, and the mirror tap
-        # (K-1-a, K-1-b) reads it shifted up a*tau rows and left b*tau columns
-        up = np.zeros((c_out,) + xc.shape[1:], dtype=dtype)
-        up[taps[-1][1]] = upstream.transpose(1, 0, 2, 3)
-        grad_xc = np.zeros((c_in, n * hgt * wid), dtype=dtype)
-    for ((a, b), sl), (_, mirror) in zip(taps, reversed(taps)):
-        grad_f[:, :, a, b] = u @ xc[sl].reshape(c_in, -1).T
+    xc = x.astype(dtype, copy=False).transpose(1, 0, 2, 3)
+    grad_f = np.zeros(filters.shape, dtype=dtype)  # a tap that reads only padding has none
+    grad_xc = np.zeros((c_in, n, hgt, wid), dtype=dtype) if input_grad else None
+    for (a, b), src, dst in taps:
+        grad_f[:, :, a, b] = u @ _window(xc, src, dst, hgt).reshape(c_in, -1).T
         if input_grad:
-            grad_xc += filters[:, :, a, b].T @ up[mirror].reshape(c_out, -1)
-    if input_grad:
-        grad_x = grad_xc.reshape(c_in, n, hgt, wid).transpose(1, 0, 2, 3)
+            g = grad_xc[src]
+            wrote = u if dst is None else u.reshape(c_out, n, hgt, wid)[dst].reshape(c_out, -1)
+            if wrote.shape[1] == 1 < u.shape[1]:  # as the plane's product: gemv rounds otherwise
+                wrote = np.pad(wrote, ((0, 0), (0, 1)))
+            g += (filters[:, :, a, b].T @ wrote)[:, : g[0].size].reshape(g.shape)
+    grad_x = grad_xc.transpose(1, 0, 2, 3) if input_grad else None
     return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))
 
 

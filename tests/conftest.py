@@ -1,7 +1,8 @@
 """Shared fixtures: tiny streams, grids, stub predictors, strategies,
 and, kept as oracles, the earlier np.where / scatter-form kernels, the
-column-max relative time, the per-cascade roll and breakout curve, the
-per-start adaptive evaluation and the scalar-draw reply sampler."""
+padded-copy conv, the column-max relative time, the per-cascade roll
+and breakout curve, the per-start adaptive evaluation and the
+scalar-draw reply sampler."""
 from __future__ import annotations
 
 import numpy as np
@@ -204,19 +205,56 @@ def where_prelu_backward(x, slope, upstream):
     return grad_x, (upstream * neg).sum(axis=(0, *range(2, x.ndim)))
 
 
+def padded_taps(x, k_h, k_w, tau, rows=()):
+    """x zero-padded by np.pad on top and left, and per filter tap (a, b)
+    the slice of that copy it reads for the output rows, an evenly spaced
+    range held by x as nn.rows_read gives it, or for the whole plane."""
+    out = nn.row_range(rows) if rows else range(x.shape[2])
+    held = nn.rows_read(out, k_h, tau) if rows else out
+    top = (held.start - out.start + (k_h - 1) * tau) // held.step
+    step, pw = out.step // held.step or 1, (k_w - 1) * tau
+    xp = np.pad(x, ((0, 0), (0, 0), (top, 0), (pw, 0)))
+    taps = []
+    for a in range(k_h):
+        i = (k_h - 1 - a) * tau // held.step  # the padded row tap a reads for out[0]
+        taps += [((a, b), np.s_[..., i : i + len(out) * step : step,
+                                pw - b * tau : pw - b * tau + x.shape[3]]) for b in range(k_w)]
+    return xp, taps
+
+
+def padded_conv2d(x, filters, bias, tau, *rows):
+    """The causal conv as one GEMM per sample and tap over a contiguous
+    copy of every tap's slice of a zero-padded copy of x, taps that read
+    only padding included."""
+    dtype = np.result_type(x.dtype, filters.dtype)
+    n, c_in, hgt, wid = x.shape
+    c_out, _, k_h, k_w = filters.shape
+    xp, taps = padded_taps(x.astype(dtype), k_h, k_w, tau, rows)
+    m = len(rows) or hgt
+    out = np.zeros((n, c_out, m * wid), dtype=dtype)
+    for (a, b), sl in taps:
+        window = np.ascontiguousarray(xp[sl]).reshape(n, c_in, m * wid)
+        out += np.ascontiguousarray(filters[:, :, a, b]) @ window
+    out = out.reshape(n, c_out, m, wid)
+    if bias is not None:
+        out += bias[None, :, None, None].astype(dtype)
+    return out
+
+
 def scatter_conv2d_backward(x, filters, tau, upstream):
     """Each tap's input gradient added into a strided window of a padded
-    channel-major buffer."""
+    channel-major buffer; each filter gradient over a contiguous copy of
+    the tap's slice of a zero-padded copy of x."""
     dtype = np.result_type(x.dtype, filters.dtype, upstream.dtype)
-    xp, taps = nn._taps(x, filters, tau, dtype)
     n, c_in, hgt, wid = x.shape
-    c_out = filters.shape[0]
+    c_out, _, k_h, k_w = filters.shape
+    xp, taps = padded_taps(x.astype(dtype), k_h, k_w, tau)
     u = upstream.transpose(1, 0, 2, 3).reshape(c_out, -1)
     xc = xp.transpose(1, 0, 2, 3)
     grad_f = np.empty(filters.shape, dtype=dtype)
     grad_xc = np.zeros(xc.shape, dtype=dtype)
     for (a, b), sl in taps:
-        grad_f[:, :, a, b] = u @ xc[sl].reshape(c_in, -1).T
+        grad_f[:, :, a, b] = u @ np.ascontiguousarray(xc[sl]).reshape(c_in, -1).T
         grad_xc[sl] += (filters[:, :, a, b].T @ u).reshape(c_in, n, hgt, wid)
     grad_x = grad_xc[taps[0][1]].transpose(1, 0, 2, 3)
     return grad_x, grad_f, upstream.sum(axis=(0, 2, 3))

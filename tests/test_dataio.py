@@ -1,6 +1,7 @@
 """Event-log parsing, canonical serialisation, grid files, CSV."""
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,36 @@ def test_grid_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.arrival_rows, grid.arrival_rows)
     assert loaded.dropped_events == grid.dropped_events
     loaded.validate()
+
+
+def test_load_grid_peaks_below_1_3_times_the_file(tmp_path):
+    """The file is read once into a writable buffer, and the loaded counts
+    and arrival rows are aligned views of it: the tracemalloc peak inside
+    load_grid on a 1500 x 2000 grid (24 MB of counts) stays below 1.3
+    times the file's size, where a copy of the counts would need 2."""
+    rng = np.random.default_rng(11)
+    n_rows, n_cols = 1500, 2000
+    arrival = np.sort(rng.integers(0, n_rows + 50, n_cols))
+    counts = rng.poisson(0.5, size=(n_rows, n_cols))
+    counts[np.arange(n_rows)[:, None] < arrival[None, :]] = 0
+    live = np.nonzero(arrival < n_rows)[0]
+    counts[arrival[live], live] += 1
+    grid = Grid(GridSpec(60.0, 0.0, n_rows, n_cols), counts, arrival, 0)
+    path = tmp_path / "grid.bin"
+    save_grid(grid, path)
+    del counts, grid
+    tracemalloc.start()
+    try:
+        loaded = load_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 1.3 * size, f"{peak / size:.2f} times the file"
+    assert loaded.spec == GridSpec(60.0, 0.0, n_rows, n_cols)
+    for a in (loaded.counts, loaded.arrival_rows):
+        assert a.dtype == np.int64 and a.flags.aligned and a.flags.writeable
+        assert not a.flags.owndata  # a view of the file's buffer
 
 
 def test_grid_file_bad_magic(tmp_path):

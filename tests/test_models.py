@@ -236,6 +236,28 @@ def test_an_eval_forward_leaves_nothing_behind(cfg):
     assert held < 100_000, f"{held / 1e6:.2f} MB held"
 
 
+def test_a_reply_training_epoch_peaks_under_8_7_mb():
+    """An epoch of models.train on the 16-filter, three-block reply model,
+    two 32-window batches of 16 x 12 windows, peaks under 8.7 MB traced.
+    The peak falls in a conv backward, on top of 6.2 MB of tapes; conv
+    taps read slices of the input and the upstream, so no padded copy of
+    either joins them (7.70 MB, against 9.70 MB with the two copies)."""
+    cfg = experiments.REPLY_MODEL
+    rng = np.random.default_rng(7)
+    segs = make_segs(rng, cfg, rng.uniform(0.0, 4.0, 64))
+    model = build_model(cfg, seed=1)
+    train(model, segs, TrainConfig(epochs=1))  # fills the memos of this geometry
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train(model, segs, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cfg.window == (16, 12) and (cfg.n_filters, cfg.n_blocks) == (16, 3)
+    assert peak < 8.7e6, f"{peak / 1e6:.2f} MB peak"
+
+
 def test_a_serving_call_keeps_nothing_and_hands_each_block_only_its_rows(monkeypatch):
     """predict_next_rows writes no tape (the models hold parameters only, a
     rule in test_layering.py). Each block's conv is handed only the rows

@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    padded_conv2d,
     scatter_conv2d_backward,
     two_pass_batch_norm,
     where_prelu,
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gridcast import nn
+from gridcast import nn, tcn
 from gridcast.nn import (
     BN_EPS,
     BatchNormLayer,
@@ -149,7 +150,8 @@ def test_rows_read_are_each_rows_taps_inside_the_input():
 def test_a_conv_at_any_row_range_reads_slices_and_gives_those_rows(data):
     """Any row range inside the input, for k_h and k_w in 1-3, tau in 1-4
     and heights up to 12: rows_read holds every read inside the input and
-    starts at the lowest, every tap reads a slice, the rows equal the full
+    starts at the lowest, every tap reads a slice and lands on one, the
+    taps that read only padding are left out, the rows equal the full
     output's, float32 bit for bit while the products stay matrix-matrix
     and float64 within rounding, and descending, uneven or negative rows
     raise ShapeError."""
@@ -164,8 +166,11 @@ def test_a_conv_at_any_row_range_reads_slices_and_gives_those_rows(data):
     held = rows_read(rows, k_h, tau)
     reads = {r - a * tau for r in rows for a in range(k_h) if r >= a * tau}
     assert reads <= set(held) and held[0] == min(reads)
-    taps = nn._tap_table(k_h, k_w, tau, len(held), wid, tuple(rows))[-1]
-    assert all(isinstance(i, slice) for _, sl in taps for i in sl)
+    taps = nn._tap_table((c_in, len(held), wid), (c_in, k_h, k_w), tau, tuple(rows))
+    assert all(isinstance(i, slice) for _, src, dst in taps for sl in (src, dst or ()) for i in sl)
+    inside = {(a, b) for a in range(k_h) for b in range(k_w)
+              if b * tau < wid and any(r >= a * tau for r in rows)}
+    assert [tap for tap, _, _ in taps] == sorted(inside)  # taps that read only padding are left out
 
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for dtype in (np.float32, np.float64):
@@ -305,7 +310,7 @@ def test_conv_backward_float32_agrees_with_float64(c_in, c_out, k, tau):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_conv_backward_matches_the_scatter_form(n, hgt, wid, c_in, c_out, k, tau, dtype, seed):
-    """The gather-form input gradient and the filter and bias gradients
+    """The adjoint-form input gradient and the filter and bias gradients
     equal the scatter form's bit for bit. The one exception is the input
     gradient of a one-channel input with several output channels: its
     per-tap product is a (1, c_out) @ (c_out, cells) vector-matrix product,
@@ -328,6 +333,57 @@ def test_conv_backward_matches_the_scatter_form(n, hgt, wid, c_in, c_out, k, tau
         assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert np.array_equal(got[2], want[2])
+
+
+@settings(max_examples=60, deadline=None)
+# taps that read only padding (columns at tau = 4, one-row planes and
+# cones), and one sample whose shifted taps' input gradients are one cell
+@example(n=1, hgt=1, wid=1, channels=(16, 1), k_h=3, k_w=3, tau=4, zeros="all", seed=0)
+@example(n=5, hgt=7, wid=8, channels=(3, 16), k_h=3, k_w=3, tau=4, zeros="some", seed=1)
+@example(n=64, hgt=20, wid=40, channels=(16, 16), k_h=3, k_w=3, tau=2, zeros="some", seed=2)
+@example(n=1, hgt=1, wid=2, channels=(16, 16), k_h=2, k_w=2, tau=1, zeros="some", seed=3)
+@given(
+    n=st.integers(1, 64),
+    hgt=st.integers(1, 20),
+    wid=st.integers(1, 40),
+    channels=st.sampled_from([(3, 16), (16, 16), (16, 1), (8, 8)]),
+    k_h=st.integers(1, 3),
+    k_w=st.integers(1, 3),
+    tau=st.sampled_from([1, 2, 4]),
+    zeros=st.sampled_from(["none", "some", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_taps_read_the_input_with_the_bits_of_a_padded_copy(
+        n, hgt, wid, channels, k_h, k_w, tau, zeros, seed):
+    """In float32 the forward over the whole plane, the forward at every
+    row set tcn._cone gives a three-block ladder (tau 1, 2, 4) for each
+    single row, pair of rows and every third row, and conv2d_backward
+    equal the padded-copy oracles bit for bit, which multiply every tap,
+    those that read only padding too. Inputs may hold -0.0, or be all
+    -0.0, where a left-out zero product must not flip a zero's sign."""
+    rng = np.random.default_rng(seed)
+    c_in, c_out = channels
+
+    def draw(*shape):
+        a = rng.normal(size=shape).astype(np.float32)
+        if zeros != "none":
+            a[rng.random(shape) < (1.0 if zeros == "all" else 0.3)] = -0.0
+        return a
+
+    x, up = draw(n, c_in, hgt, wid), draw(n, c_out, hgt, wid)
+    f, b = draw(c_out, c_in, k_h, k_w), draw(c_out)
+    assert conv2d_causal_dilated(x, f, b, tau).tobytes() == padded_conv2d(x, f, b, tau).tobytes()
+    for got, want in zip(conv2d_backward(x, f, tau, up), scatter_conv2d_backward(x, f, tau, up)):
+        assert got.tobytes() == want.tobytes()
+    ladder = ((k_h, 1), (k_h, 2), (k_h, 4))
+    row_sets = {rows for r in range(hgt)
+                for rows in [(r,), (r - 1, r), tuple(range(r, hgt, 3))] if rows[0] >= 0}
+    cones = {(rows, t) for rows_out in row_sets
+             for (rows, _), (_, t) in zip(tcn._cone(ladder, rows_out)[1], ladder)}
+    for rows, t in cones:
+        held = x[:, :, rows_read(rows, k_h, t)]
+        assert (conv2d_causal_dilated(held, f, b, t, *rows).tobytes()
+                == padded_conv2d(held, f, b, t, *rows).tobytes())
 
 
 def test_conv_backward_zero_upstream():
